@@ -12,7 +12,6 @@ from .markov_tree import (
     Arborescence,
     all_arborescences,
     enumerate_arborescences,
-    log_tree_theorem_stationary,
     solve_stationary,
     tree_theorem_stationary,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "external_regret",
     "internal_regret",
     "load_game",
-    "log_tree_theorem_stationary",
     "random_game",
     "run_dynamics",
     "save_game",

@@ -24,7 +24,6 @@ from .internal_dynamics import verify_equivalence
 from .markov_tree import (
     check_transition_matrix,
     enumerate_arborescences,
-    log_tree_theorem_stationary,
     solve_stationary,
     tree_theorem_stationary,
 )
@@ -94,7 +93,12 @@ def _build_parser() -> _Parser:
 
     p_st = sub.add_parser("stationary", help="stationary distribution of a matrix")
     p_st.add_argument("--matrix", required=True, help="JSON file with a row-major matrix")
-    p_st.add_argument("--method", choices=("linear", "tree", "log-tree"), default="linear")
+    p_st.add_argument(
+        "--method",
+        choices=("linear", "tree"),
+        default="linear",
+        help="linear: GTH elimination (default); tree: Markov chain tree theorem, n <= 7",
+    )
 
     p_diag = sub.add_parser("diagnose", help="run dynamics and emit a diagnostic report")
     _add_game_source(p_diag)
@@ -177,7 +181,6 @@ def _cmd_stationary(args) -> int:
     solver = {
         "linear": solve_stationary,
         "tree": tree_theorem_stationary,
-        "log-tree": log_tree_theorem_stationary,
     }[args.method]
     pi = solver(Q)
     print(json.dumps({"stationary": [float(v) for v in pi]}, sort_keys=True))

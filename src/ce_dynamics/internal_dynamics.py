@@ -23,15 +23,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .games import Game, expected_loss
-from .markov_tree import (
-    MAX_LOG_TREE_NODES,
-    all_arborescences,
-    solve_stationary,
-    tree_theorem_stationary,
-)
+from .markov_tree import _gth_stationary, all_arborescences
 from .omwu import Omwu
 
 LOSS_RANGE_ATOL = 1e-9
+# The tree space has n^(n-1) points: 3125 at n = 5.
+MAX_ARBO_NODES = 5
 
 
 @lru_cache(maxsize=None)
@@ -54,6 +51,14 @@ def pair_loss_vector(strategy: np.ndarray, loss: np.ndarray) -> np.ndarray:
     return strategy[src] * (loss[dst] - loss[src])
 
 
+def _pair_rates(p: np.ndarray, n: int) -> np.ndarray:
+    """Matrix with off-diagonal (j, k) entry p[j -> k] and a zero diagonal."""
+    src, dst = _pair_index_arrays(n)
+    M = np.zeros((n, n))
+    M[src, dst] = p
+    return M
+
+
 def transition_from_pairs(p: np.ndarray, n: int) -> np.ndarray:
     """Row-stochastic matrix with off-diagonal (j, k) mass p[j -> k].
 
@@ -63,9 +68,8 @@ def transition_from_pairs(p: np.ndarray, n: int) -> np.ndarray:
     diagonal strictly positive even when a single pair holds almost all
     mass, where the naive ``1 - row_sum`` would cancel to exact zero.
     """
-    src, dst = _pair_index_arrays(n)
-    M = np.zeros((n, n))
-    M[src, dst] = p
+    M = _pair_rates(p, n)
+    src, _ = _pair_index_arrays(n)
     for j in range(n):
         M[j, j] = p[src != j].sum()
     return M
@@ -87,18 +91,14 @@ def _check_bounded_loss(loss, n: int) -> np.ndarray:
 class SlOmwu:
     """Internal-regret learner: pair-space OMWU plus a stationary-distribution step.
 
-    ``solver`` picks how the fixed point of the round's transition matrix is
-    computed: "linear" (default) for the numerical solve, "tree" for the
-    closed-form tree-theorem formula (n <= 7).
+    The pair masses are the off-diagonal rates of the round's chain, which is
+    all that GTH elimination reads.
     """
 
-    def __init__(self, n: int, eta: float, solver: str = "linear", optimistic: bool = True):
+    def __init__(self, n: int, eta: float, optimistic: bool = True):
         if n < 2:
             raise ValidationError(f"need at least 2 actions, got {n}")
-        if solver not in ("linear", "tree"):
-            raise ValidationError(f"unknown solver {solver!r}")
         self.n = int(n)
-        self.solver = solver
         self.pair_learner = Omwu(n * (n - 1), eta, optimistic=optimistic)
         self.last_strategy: np.ndarray | None = None
         self.last_pair_dist: np.ndarray | None = None
@@ -110,11 +110,7 @@ class SlOmwu:
 
     def next_strategy(self) -> np.ndarray:
         p = self.pair_learner.next_strategy()
-        M = transition_from_pairs(p, self.n)
-        if self.solver == "tree":
-            x = tree_theorem_stationary(M)
-        else:
-            x = solve_stationary(M)
+        x = _gth_stationary(_pair_rates(p, self.n))
         self.last_pair_dist = p
         self.last_strategy = x
         return x
@@ -161,8 +157,10 @@ class ArboDynamics:
     """
 
     def __init__(self, n: int, eta: float, optimistic: bool = True):
-        if not 2 <= n <= MAX_LOG_TREE_NODES:
-            raise ValidationError(f"action count {n} outside supported range [2, 5]")
+        if not 2 <= n <= MAX_ARBO_NODES:
+            raise ValidationError(
+                f"action count {n} outside supported range [2, {MAX_ARBO_NODES}]"
+            )
         self.n = int(n)
         self.roots, self.edge_pairs = _tree_structure(n)
         self.tree_learner = Omwu(len(self.roots), eta, optimistic=optimistic)
@@ -223,22 +221,22 @@ class EquivalenceReport:
 def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) -> EquivalenceReport:
     """Run pair-space self-play, replay the losses into tree space, compare.
 
-    The pair-space learners (exact tree-theorem stationary solver) generate
-    the canonical self-play loss streams. Each player's stream is then fed to
-    a fresh tree-space learner, and per round we record the largest strategy
+    The pair-space learners (GTH stationary solve) generate the canonical
+    self-play loss streams. Each player's stream is then fed to a fresh
+    tree-space learner, and per round we record the largest strategy
     gap and, per tree, the relative spread of (product of pair masses along
     tree edges) / (tree mass), which should be a tree-independent constant.
     """
-    if any(n > MAX_LOG_TREE_NODES for n in game.action_counts):
+    if any(n > MAX_ARBO_NODES for n in game.action_counts):
         raise ValidationError(
-            f"equivalence check requires all action counts <= {MAX_LOG_TREE_NODES}, "
+            f"equivalence check requires all action counts <= {MAX_ARBO_NODES}, "
             f"got {game.action_counts}"
         )
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     m = game.num_players
 
-    sl_players = [SlOmwu(n, eta, solver="tree") for n in game.action_counts]
+    sl_players = [SlOmwu(n, eta) for n in game.action_counts]
     strategies = [[] for _ in range(m)]
     pair_dists = [[] for _ in range(m)]
     loss_streams = [[] for _ in range(m)]

@@ -1,17 +1,16 @@
 """Arborescences and stationary distributions of positive stochastic matrices.
 
-Three solvers are provided for the stationary distribution pi (row-stochastic
+Two solvers are provided for the stationary distribution pi (row-stochastic
 convention, ``Q^T pi = pi``):
 
 * :func:`tree_theorem_stationary` -- the closed-form Markov chain tree
   theorem: pi[j] is proportional to the sum, over directed trees rooted at j,
   of the product of transition probabilities along tree edges. Exact up to
   rounding, but exponential in n, so guarded to n <= 7.
-* :func:`log_tree_theorem_stationary` -- the same formula evaluated through
-  logarithms of the entries (sum of logs, then a shifted exp). Cross-check
-  only, guarded to n <= 5.
-* :func:`solve_stationary` -- dense linear solve with partial pivoting, with
-  a power-iteration fallback; works at any size met in practice.
+* :func:`solve_stationary` -- GTH elimination (Grassmann, Taksar and Heyman,
+  Oper. Res. 33, 1985), O(n^3). It never subtracts, so every entry of pi,
+  however small, carries a small relative error (O'Cinneide, Numer. Math. 65,
+  1993); a small residual alone would not promise that.
 
 A directed tree rooted at j ("arborescence") has no cycles, no outgoing edge
 from j, and exactly one outgoing edge from every other node. Trees are
@@ -29,10 +28,7 @@ import numpy as np
 from .errors import StationaryResidualError, ValidationError
 
 MAX_TREE_NODES = 7
-MAX_LOG_TREE_NODES = 5
 STATIONARY_RESIDUAL_TOL = 1e-10
-POWER_ITERATION_TOL = 1e-13
-POWER_ITERATION_CAP = 10**6
 ROW_SUM_ATOL = 1e-12
 
 
@@ -147,76 +143,51 @@ def tree_theorem_stationary(Q) -> np.ndarray:
     return sums / sums.sum()
 
 
-def log_tree_theorem_stationary(Q) -> np.ndarray:
-    """Tree-theorem stationary computed via exp of summed log-entries (n <= 5).
+def stationary_residual(A: np.ndarray, pi: np.ndarray) -> float:
+    """Generator-form residual ``max |A^T pi - rowsum(A) * pi|``.
 
-    The per-tree log-weights are shifted by their global maximum before
-    exponentiating; the shift cancels in the normalization.
+    The diagonal of ``A`` cancels out, so ``A`` may hold rates. For a
+    row-stochastic ``A`` this is the fixed-point residual ``max |A^T pi - pi|``.
     """
-    Q = check_transition_matrix(Q, require_positive=True)
-    n = Q.shape[0]
-    _check_tree_n(n, MAX_LOG_TREE_NODES)
-    logQ = np.log(Q)
-    log_weights = []
-    for root in range(n):
-        arrays = _rooted_parent_arrays(n, root)
-        children = np.array([v for v in range(n) if v != root])
-        log_weights.append(logQ[children[None, :], arrays[:, children]].sum(axis=1))
-    shift = max(lw.max() for lw in log_weights)
-    sums = np.array([np.exp(lw - shift).sum() for lw in log_weights])
-    return sums / sums.sum()
+    return float(np.abs(A.T @ pi - A.sum(axis=1) * pi).max())
 
 
-def stationary_residual(Q: np.ndarray, pi: np.ndarray) -> float:
-    """Fixed-point residual ``max |Q^T pi - pi|``."""
-    return float(np.abs(Q.T @ pi - pi).max())
+def _gth_stationary(A: np.ndarray) -> np.ndarray:
+    """Stationary distribution of the chain with off-diagonal rates ``A[j, k]``.
 
-
-def _power_iteration(Q: np.ndarray) -> np.ndarray:
-    n = Q.shape[0]
-    x = np.full(n, 1.0 / n)
-    QT = Q.T
-    for _ in range(POWER_ITERATION_CAP):
-        nxt = QT @ x
-        nxt = nxt / nxt.sum()
-        if np.abs(nxt - x).max() <= POWER_ITERATION_TOL:
-            return nxt
-        x = nxt
-    return x
-
-
-def solve_stationary(Q) -> np.ndarray:
-    """Stationary distribution via dense linear solve, power-iteration fallback.
-
-    Solves ``(Q^T - I) pi = 0`` with the last equation replaced by the
-    normalization ``sum(pi) = 1``. The result must reproduce the fixed point
-    to within 1e-10 in infinity norm; if the direct solve fails that check,
-    power iteration is run to a 1e-13 successive-iterate tolerance before
-    giving up.
+    GTH elimination: states are censored out from the last one down, each
+    one's incoming rates rerouted along its outgoing ones, then pi is rebuilt
+    from the first state up. The elimination never reads the diagonal of
+    ``A`` and never subtracts. Plain Python floats beat numpy's per-call
+    overhead at the sizes met here. Raises :class:`StationaryResidualError`
+    unless the residual is within 1e-10.
     """
-    Q = check_transition_matrix(Q, require_positive=True)
-    n = Q.shape[0]
-    A = Q.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        pi = None
-    if pi is not None and pi.min() >= -ROW_SUM_ATOL:
-        # Rounding can leave entries a hair below zero when the chain is
-        # nearly absorbing; clamp and renormalize before the residual check.
-        if pi.min() < 0.0:
-            pi = np.where(pi < 0.0, 0.0, pi)
-            pi = pi / pi.sum()
-        if stationary_residual(Q, pi) <= STATIONARY_RESIDUAL_TOL:
-            return pi
-    pi = _power_iteration(Q)
-    residual = stationary_residual(Q, pi)
-    if residual > STATIONARY_RESIDUAL_TOL:
+    n = A.shape[0]
+    a = A.tolist()
+    for k in range(n - 1, 0, -1):
+        row = a[k]
+        out = sum(row[:k])
+        for i in range(k):
+            ai = a[i]
+            f = ai[k] / out
+            ai[k] = f
+            for j in range(k):
+                ai[j] += f * row[j]
+    pi = [1.0]
+    for k in range(1, n):
+        pi.append(sum(pi[i] * a[i][k] for i in range(k)))
+    pi = np.array(pi)
+    pi /= pi.sum()
+    residual = stationary_residual(A, pi)
+    # Written so that a NaN residual fails too.
+    if not residual <= STATIONARY_RESIDUAL_TOL:
         raise StationaryResidualError(
             f"stationary solve failed: residual {residual} above {STATIONARY_RESIDUAL_TOL}",
             residual=residual,
         )
     return pi
+
+
+def solve_stationary(Q) -> np.ndarray:
+    """Stationary distribution of a positive row-stochastic matrix, by GTH elimination."""
+    return _gth_stationary(check_transition_matrix(Q, require_positive=True))

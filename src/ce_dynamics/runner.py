@@ -26,8 +26,7 @@ from .diagnostics import (
 )
 from .errors import ValidationError
 from .games import Game, expected_loss, load_game, random_game
-from .internal_dynamics import ArboDynamics, SlOmwu
-from .markov_tree import MAX_LOG_TREE_NODES
+from .internal_dynamics import MAX_ARBO_NODES, ArboDynamics, SlOmwu
 from .metrics import (
     PlayerTrace,
     RunTrace,
@@ -238,9 +237,9 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
         game = load_config_game(config)
     m = game.num_players
     counts = game.action_counts
-    if config.dynamics == "arbo" and any(n > MAX_LOG_TREE_NODES for n in counts):
+    if config.dynamics == "arbo" and any(n > MAX_ARBO_NODES for n in counts):
         raise ValidationError(
-            f"arbo dynamics requires all action counts <= {MAX_LOG_TREE_NODES}, got {counts}"
+            f"arbo dynamics requires all action counts <= {MAX_ARBO_NODES}, got {counts}"
         )
     T = config.horizon
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .markov_tree import solve_stationary
+from .markov_tree import _gth_stationary
 from .omwu import Omwu
 
 LOSS_RANGE_ATOL = 1e-9
@@ -34,7 +34,7 @@ class BmOmwu:
 
     def next_strategy(self) -> np.ndarray:
         Q = np.stack([copy.next_strategy() for copy in self.copies])
-        x = solve_stationary(Q)
+        x = _gth_stationary(Q)
         self.last_matrix = Q
         self.last_strategy = x
         return x

@@ -42,7 +42,7 @@ def test_trees_rejects_large_n(capsys):
 def test_stationary_command(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps([[0.8, 0.2], [0.6, 0.4]]))
-    for method in ("linear", "tree", "log-tree"):
+    for method in ("linear", "tree"):
         assert main(["stationary", "--matrix", str(path), "--method", method]) == 0
         doc = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(doc["stationary"], [0.75, 0.25], atol=1e-12)

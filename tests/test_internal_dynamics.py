@@ -13,7 +13,7 @@ from ce_dynamics.internal_dynamics import (
     transition_from_pairs,
     verify_equivalence,
 )
-from ce_dynamics.markov_tree import stationary_residual
+from ce_dynamics.markov_tree import stationary_residual, tree_theorem_stationary
 
 
 class TestPairSpace:
@@ -111,16 +111,14 @@ class TestSlOmwu:
         with pytest.raises(ValidationError):
             sl.observe(np.array([0.0, 0.5, 1.5]))
 
-    def test_tree_solver_matches_linear(self):
+    def test_strategy_matches_tree_theorem(self):
         rng = np.random.default_rng(0)
-        a = SlOmwu(4, eta=0.2, solver="tree")
-        b = SlOmwu(4, eta=0.2, solver="linear")
+        sl = SlOmwu(4, eta=0.2)
         for _ in range(25):
-            xa, xb = a.next_strategy(), b.next_strategy()
-            np.testing.assert_allclose(xa, xb, atol=1e-10)
-            ell = rng.uniform(0, 1, 4)
-            a.observe(ell)
-            b.observe(ell)
+            x = sl.next_strategy()
+            oracle = tree_theorem_stationary(transition_from_pairs(sl.last_pair_dist, 4))
+            assert np.abs(x - oracle).max() <= 1e-12
+            sl.observe(rng.uniform(0, 1, 4))
 
 
 class TestArboDynamics:

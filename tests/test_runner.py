@@ -141,6 +141,15 @@ class TestRunDynamics:
         result = run_dynamics(small_config(horizon=64))
         assert result.summary["final"]["ce_gap_identity_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("game_seed", [3, 5])
+    def test_stiff_eta_finishes(self, game_seed):
+        # At eta = 5 these games push pair masses down to the 1e-300 weight
+        # floor, so each round's chain is nearly reducible; the stationary
+        # solve must still finish every round with the identity intact.
+        cfg = small_config(eta=5.0, action_counts=(5, 5), horizon=1000, game_seed=game_seed)
+        result = run_dynamics(cfg)
+        assert result.summary["final"]["ce_gap_identity_residual"] <= 1e-10
+
     def test_bm_decomposition_residual_tracked(self):
         result = run_dynamics(small_config(dynamics="bm-omwu", horizon=32))
         assert result.summary["final"]["bm_decomposition_max_residual"] <= 1e-12

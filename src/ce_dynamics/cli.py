@@ -62,7 +62,6 @@ def _add_run_options(p):
     )
     p.add_argument("--schedule-constant", type=float, default=1.0)
     p.add_argument("--log-base", choices=("e", "2"), default="e")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--smoothness-order", type=int)
     p.add_argument("--smoothness-alpha", type=float)
     p.add_argument("--rvu-constant", type=float)
@@ -134,7 +133,6 @@ def _config_from_args(args) -> RunConfig:
         players=args.players,
         action_counts=_parse_actions(args.actions) if args.actions else None,
         game_seed=args.game_seed,
-        seed=args.seed,
         out_format=getattr(args, "format", "csv"),
         save_trace=getattr(args, "save_trace", False),
         smoothness_order=args.smoothness_order,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import RunTrace
+from .metrics import RunTrace, running_max_ratio
 
 # Smoothness certificate constants: the learning-rate threshold eta <=
 # alpha / (36 e^5 m) activates pass/fail mode; the looser alpha / (36 m) is
@@ -68,14 +68,29 @@ def binomial_difference(sequence, order: int) -> np.ndarray:
     return np.tensordot(coeffs, window, axes=(0, 0))
 
 
-def variance(q, z) -> float:
-    """q-weighted variance of z: sum_j q[j] (z[j] - <q, z>)^2."""
+def variance(q, z):
+    """q-weighted variance of z along the last axis: sum_j q[j] (z[j] - <q, z>)^2.
+
+    Leading axes are batch axes; a 1-D input gives a float.
+    """
     q = np.asarray(q, dtype=float)
     z = np.asarray(z, dtype=float)
     if q.shape != z.shape:
         raise ValidationError(f"shape mismatch: weights {q.shape} vs values {z.shape}")
-    mean = float(q @ z)
-    return float(q @ (z - mean) ** 2)
+    mean = (q * z).sum(axis=-1, keepdims=True)
+    out = (q * (z - mean) ** 2).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def _pair_variance_sums(trace: RunTrace, player: int) -> tuple[float, float]:
+    """(sum_t Var_{p_t}(L_t - L_{t-1}), sum_t Var_{p_t}(L_{t-1})) with L_0 = 0."""
+    pt = trace.players[player]
+    if pt.pair_dists is None or pt.pair_losses is None:
+        raise ValidationError("variance inequality needs a pair-space trace")
+    L = pt.pair_losses
+    prev = np.concatenate([np.zeros_like(L[:1]), L[:-1]])
+    p = pt.pair_dists
+    return float(variance(p, L - prev).sum()), float(variance(p, prev).sum())
 
 
 def smoothness_bound(order: int, alpha: float) -> float:
@@ -197,26 +212,11 @@ def rvu_check(trace: RunTrace, player: int, eta: float, curvature_constant: floa
     previous losses. The log term uses the pair-space dimension d = n(n-1);
     the variant with log(n) is reported alongside.
     """
+    pos_sum, neg_sum = _pair_variance_sums(trace, player)
     pt = trace.players[player]
-    if pt.pair_dists is None or pt.pair_losses is None:
-        raise ValidationError("variance inequality needs a pair-space trace")
     n = trace.action_counts[player]
-    dim = n * (n - 1)
-    p = pt.pair_dists
-    L = pt.pair_losses
-    T = trace.horizon
-
-    play = float((p * L).sum())
-    regret = play - float(L.sum(axis=0).min()) if T else 0.0
-
-    pos_sum = 0.0
-    neg_sum = 0.0
-    prev = np.zeros(dim)
-    for t in range(T):
-        pos_sum += variance(p[t], L[t] - prev)
-        neg_sum += variance(p[t], prev)
-        prev = L[t]
-    log_term = 2.0 * math.log(dim) / eta
+    regret = float((pt.pair_dists * pt.pair_losses).sum()) - float(pt.pair_losses.sum(axis=0).min())
+    log_term = 2.0 * math.log(n * (n - 1)) / eta
     pos_coeff = eta / 2.0 + curvature_constant * eta**2
     neg_coeff = (1.0 - curvature_constant * eta) * eta / 2.0
     bound = log_term + pos_coeff * pos_sum - neg_coeff * neg_sum
@@ -270,20 +270,9 @@ def check_variance_inequality(
     player: int,
     budget_constant: float = DEFAULT_VARIANCE_BUDGET_CONSTANT,
 ) -> VarianceBudgetReport:
-    pt = trace.players[player]
-    if pt.pair_dists is None or pt.pair_losses is None:
-        raise ValidationError("variance inequality needs a pair-space trace")
-    p = pt.pair_dists
-    L = pt.pair_losses
+    lhs, prev_sum = _pair_variance_sums(trace, player)
     T = trace.horizon
     depth = max(1, math.ceil(math.log2(T))) if T > 1 else 1
-    lhs = 0.0
-    prev_sum = 0.0
-    prev = np.zeros(L.shape[1])
-    for t in range(T):
-        lhs += variance(p[t], L[t] - prev)
-        prev_sum += variance(p[t], prev)
-        prev = L[t]
     minimal = max(0.0, (lhs - 0.5 * prev_sum) / depth**5)
     return VarianceBudgetReport(
         lhs=lhs,
@@ -324,13 +313,8 @@ def stability_check(trace: RunTrace, player: int, eta: float | None = None) -> S
     """Max over rounds and entries of the two-sided consecutive ratio."""
     if eta is None:
         eta = trace.etas[player]
-    rows = trace.players[player].stability_rows()
-    max_ratio = 1.0
-    for t in range(1, rows.shape[0]):
-        ratio = rows[t] / rows[t - 1]
-        max_ratio = max(max_ratio, float(ratio.max()), float((1.0 / ratio).max()))
     return StabilityReport(
-        max_ratio=max_ratio,
+        max_ratio=float(running_max_ratio(trace, player).max(initial=1.0)),
         exp_bound=math.exp(6.0 * eta),
         linear_bound=1.0 + 7.0 * eta,
     )

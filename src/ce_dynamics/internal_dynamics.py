@@ -101,17 +101,15 @@ class SlOmwu:
         self.n = int(n)
         self.pair_learner = Omwu(n * (n - 1), eta, optimistic=optimistic)
         self.last_strategy: np.ndarray | None = None
-        self.last_pair_dist: np.ndarray | None = None
-        self.last_pair_loss: np.ndarray | None = None
 
-    @property
-    def eta(self) -> float:
-        return self.pair_learner.eta
+    eta = property(lambda self: self.pair_learner.eta)
+    inner_dim = property(lambda self: self.pair_learner.inner_dim)
+    inner_dist = property(lambda self: self.pair_learner.inner_dist)
+    inner_loss = property(lambda self: self.pair_learner.inner_loss)
 
     def next_strategy(self) -> np.ndarray:
         p = self.pair_learner.next_strategy()
         x = _gth_stationary(_pair_rates(p, self.n))
-        self.last_pair_dist = p
         self.last_strategy = x
         return x
 
@@ -119,15 +117,11 @@ class SlOmwu:
         if self.last_strategy is None:
             raise ValidationError("observe called before next_strategy")
         loss = _check_bounded_loss(loss, self.n)
-        L = pair_loss_vector(self.last_strategy, loss)
-        self.last_pair_loss = L
-        self.pair_learner.observe(L)
+        self.pair_learner.observe(pair_loss_vector(self.last_strategy, loss))
 
     def reset(self, eta: float | None = None) -> None:
         self.pair_learner.reset(eta)
         self.last_strategy = None
-        self.last_pair_dist = None
-        self.last_pair_loss = None
 
 
 @lru_cache(maxsize=None)
@@ -165,16 +159,15 @@ class ArboDynamics:
         self.roots, self.edge_pairs = _tree_structure(n)
         self.tree_learner = Omwu(len(self.roots), eta, optimistic=optimistic)
         self.last_strategy: np.ndarray | None = None
-        self.last_tree_dist: np.ndarray | None = None
 
-    @property
-    def eta(self) -> float:
-        return self.tree_learner.eta
+    eta = property(lambda self: self.tree_learner.eta)
+    inner_dim = property(lambda self: self.tree_learner.inner_dim)
+    inner_dist = property(lambda self: self.tree_learner.inner_dist)
+    inner_loss = property(lambda self: self.tree_learner.inner_loss)
 
     def next_strategy(self) -> np.ndarray:
         X = self.tree_learner.next_strategy()
         x = np.bincount(self.roots, weights=X, minlength=self.n)
-        self.last_tree_dist = X
         self.last_strategy = x
         return x
 
@@ -183,13 +176,11 @@ class ArboDynamics:
             raise ValidationError("observe called before next_strategy")
         loss = _check_bounded_loss(loss, self.n)
         L = pair_loss_vector(self.last_strategy, loss)
-        tree_loss = L[self.edge_pairs].sum(axis=1)
-        self.tree_learner.observe(tree_loss)
+        self.tree_learner.observe(L[self.edge_pairs].sum(axis=1))
 
     def reset(self, eta: float | None = None) -> None:
         self.tree_learner.reset(eta)
         self.last_strategy = None
-        self.last_tree_dist = None
 
 
 @dataclass
@@ -245,7 +236,7 @@ def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) 
         losses = [expected_loss(game, profile, i) for i in range(m)]
         for i in range(m):
             strategies[i].append(profile[i])
-            pair_dists[i].append(sl_players[i].last_pair_dist)
+            pair_dists[i].append(sl_players[i].inner_dist[0])
             loss_streams[i].append(losses[i])
         for i in range(m):
             sl_players[i].observe(losses[i])
@@ -263,7 +254,7 @@ def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) 
             # is the largest relative departure of any other tree from it.
             log_ratio = (
                 np.log(pair_dists[i][t])[arbo.edge_pairs].sum(axis=1)
-                - np.log(arbo.last_tree_dist)
+                - np.log(arbo.inner_dist[0])
             )
             residual[t] = max(
                 residual[t], float(np.abs(np.exp(log_ratio - log_ratio[0]) - 1.0).max())

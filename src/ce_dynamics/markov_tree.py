@@ -102,20 +102,15 @@ def all_arborescences(n: int) -> list[Arborescence]:
     return out
 
 
-def check_transition_matrix(Q, require_positive: bool = True) -> np.ndarray:
-    """Validate a row-stochastic matrix; rows must sum to 1 within 1e-12."""
+def check_transition_matrix(Q) -> np.ndarray:
+    """Validate a strictly positive row-stochastic matrix; rows must sum to 1 within 1e-12."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValidationError(f"transition matrix must be square, got shape {Q.shape}")
     if not np.all(np.isfinite(Q)):
         raise ValidationError("transition matrix has non-finite entries")
-    if require_positive:
-        if Q.min() <= 0.0:
-            raise ValidationError(
-                f"transition matrix must have strictly positive entries, min={Q.min()}"
-            )
-    elif Q.min() < 0.0:
-        raise ValidationError(f"transition matrix has negative entries, min={Q.min()}")
+    if Q.min() <= 0.0:
+        raise ValidationError(f"transition matrix must have strictly positive entries, min={Q.min()}")
     rows = Q.sum(axis=1)
     worst = np.abs(rows - 1.0).max()
     if worst > ROW_SUM_ATOL:
@@ -137,7 +132,7 @@ def _tree_weight_sums(Q: np.ndarray) -> np.ndarray:
 
 def tree_theorem_stationary(Q) -> np.ndarray:
     """Stationary distribution by the Markov chain tree theorem (n <= 7)."""
-    Q = check_transition_matrix(Q, require_positive=True)
+    Q = check_transition_matrix(Q)
     _check_tree_n(Q.shape[0], MAX_TREE_NODES)
     sums = _tree_weight_sums(Q)
     return sums / sums.sum()
@@ -190,4 +185,4 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
 
 def solve_stationary(Q) -> np.ndarray:
     """Stationary distribution of a positive row-stochastic matrix, by GTH elimination."""
-    return _gth_stationary(check_transition_matrix(Q, require_positive=True))
+    return _gth_stationary(check_transition_matrix(Q))

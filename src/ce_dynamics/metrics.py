@@ -5,6 +5,11 @@ strategies, expected-loss vectors, and (when the dynamics expose them) the
 inner pair or per-copy distributions used by the stability and variance
 diagnostics. Traces serialize to ``.npz`` with bit-exact float64 arrays, so
 every regret recomputes identically from a reloaded trace.
+
+Running regrets and the running consecutive-ratio max are computed here and
+nowhere else: the per-round CSV columns, the summary's final values and the
+final-value functions all read :func:`running_regrets` and
+:func:`running_max_ratio`.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from .errors import ValidationError
 from .games import Game
 
 DENSE_JOINT_MAX_ENTRIES = 10**6
+# Rounds per block of the running-regret prefix sums; bounds the (chunk, n, n) stack.
+REGRET_CHUNK_ROUNDS = 256
 
 
 @dataclass
@@ -98,16 +105,65 @@ def _player_arrays(trace: RunTrace, player: int) -> tuple[np.ndarray, np.ndarray
     return pt.strategies, pt.losses
 
 
-def play_loss(trace: RunTrace, player: int) -> float:
-    """Total realized expected loss sum_t <x_t, loss_t>."""
+def running_regrets(trace: RunTrace, player: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Running external, raw internal and swap regret after each round, each (T,).
+
+    All three come from prefix sums over rounds of x_t (outer) loss_t and of
+    loss_t, taken REGRET_CHUNK_ROUNDS rounds at a time so the (chunk, n, n)
+    stack stays small. The carry is folded into a chunk's first round before
+    the cumsum, so every prefix sum is the plain sequential one.
+    """
+    chunk = REGRET_CHUNK_ROUNDS
     xs, ls = _player_arrays(trace, player)
-    return float((xs * ls).sum())
+    T, n = xs.shape
+    offdiag = ~np.eye(n, dtype=bool)
+    out = np.empty((3, T))
+    cross = np.zeros((n, n))  # cross[j, k] = sum_t x_t[j] loss_t[k]
+    cum_loss = np.zeros(n)
+    for s in range(0, T, chunk):
+        block = slice(s, s + chunk)
+        c = xs[block, :, None] * ls[block, None, :]
+        c[0] += cross
+        np.cumsum(c, axis=0, out=c)
+        cl = ls[block].copy()
+        cl[0] += cum_loss
+        np.cumsum(cl, axis=0, out=cl)
+        cross, cum_loss = c[-1], cl[-1]
+        diag = np.diagonal(c, axis1=1, axis2=2)
+        play = diag.sum(axis=1)
+        out[0, block] = play - cl.min(axis=1)
+        out[1, block] = (diag[:, :, None] - c)[:, offdiag].max(axis=1)
+        out[2, block] = play - c.min(axis=2).sum(axis=1)
+    return out[0], out[1], out[2]
+
+
+def running_max_ratio(trace: RunTrace, player: int, restart: int | None = None) -> np.ndarray:
+    """Running max of the two-sided consecutive ratio of the inner distributions, (T,).
+
+    Round t contributes max(rows_t / rows_{t-1}, rows_{t-1} / rows_t) over all
+    entries; round 1 contributes 1. ``restart`` is the round after which the
+    learner was reset, so the next round starts a new chain and contributes 1.
+    """
+    rows = trace.players[player].stability_rows()
+    T, chunk = rows.shape[0], REGRET_CHUNK_ROUNDS
+    per_round = np.ones(T)
+    for s in range(1, T, chunk):
+        e = min(s + chunk, T)
+        ratio = rows[s:e] / rows[s - 1 : e - 1]
+        per_round[s:e] = np.maximum(ratio.max(axis=(1, 2)), (1.0 / ratio).max(axis=(1, 2)))
+    if restart is not None and restart < T:
+        per_round[restart] = 1.0
+    return np.maximum.accumulate(per_round)
+
+
+def _last(values: np.ndarray) -> float:
+    """Final entry of a running column; 0.0 for an empty trace."""
+    return float(values[-1]) if values.size else 0.0
 
 
 def external_regret(trace: RunTrace, player: int) -> float:
     """Gap to the best fixed action in hindsight."""
-    xs, ls = _player_arrays(trace, player)
-    return float((xs * ls).sum() - ls.sum(axis=0).min())
+    return _last(running_regrets(trace, player)[0])
 
 
 def pair_objective_matrix(trace: RunTrace, player: int) -> np.ndarray:
@@ -127,7 +183,7 @@ def offdiagonal_max(G: np.ndarray) -> float:
 
 def internal_regret(trace: RunTrace, player: int) -> float:
     """Raw best single-pair reallocation gain; may be negative."""
-    return offdiagonal_max(pair_objective_matrix(trace, player))
+    return _last(running_regrets(trace, player)[1])
 
 
 def clamped_internal_regret(trace: RunTrace, player: int) -> float:
@@ -136,9 +192,7 @@ def clamped_internal_regret(trace: RunTrace, player: int) -> float:
 
 def swap_regret(trace: RunTrace, player: int) -> float:
     """Gap to the best per-action reassignment in hindsight."""
-    xs, ls = _player_arrays(trace, player)
-    S = xs.T @ ls  # S[g, k] = sum_t x[g] loss[k]
-    return float((xs * ls).sum() - S.min(axis=1).sum())
+    return _last(running_regrets(trace, player)[2])
 
 
 def best_swap_function(trace: RunTrace, player: int) -> np.ndarray:
@@ -191,9 +245,6 @@ def average_product_distribution(
 class CeGapReport:
     max_gap: float  # max over players of the off-diagonal pair maxima
     per_player_pair: list[np.ndarray]  # each (n_i, n_i); diagonal is meaningless
-
-    def player_gap(self, player: int) -> float:
-        return offdiagonal_max(self.per_player_pair[player])
 
 
 def _dense_ce_gap(game: Game, tensor: np.ndarray) -> CeGapReport:

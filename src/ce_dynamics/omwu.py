@@ -23,8 +23,14 @@ class Omwu:
     """One multiplicative-weights learner on a ``dim``-simplex.
 
     State is the cumulative loss vector, the last observed loss (zero before
-    any feedback), and the step counter. ``next_strategy`` is pure;
-    ``observe`` mutates. The first strategy is exactly uniform.
+    any feedback), and the step counter. ``next_strategy`` only records the
+    iterate it returns; ``observe`` mutates. The first strategy is exactly
+    uniform.
+
+    Every learner in the package exposes its inner learner's view through
+    ``inner_dim``, ``inner_dist`` (the last played inner distribution) and
+    ``inner_loss`` (the last observed inner loss), both (rows, inner_dim).
+    Here the inner learner is the learner itself, with one row.
     """
 
     def __init__(self, dim: int, eta: float, optimistic: bool = True):
@@ -37,7 +43,12 @@ class Omwu:
         self.optimistic = bool(optimistic)
         self.cumulative_loss = np.zeros(self.dim)
         self.last_loss = np.zeros(self.dim)
+        self.last_strategy: np.ndarray | None = None
         self.step = 0
+
+    inner_dim = property(lambda self: self.dim)
+    inner_dist = property(lambda self: self.last_strategy[None, :])
+    inner_loss = property(lambda self: self.last_loss[None, :])
 
     def next_strategy(self) -> np.ndarray:
         """Current iterate: softmax of -eta * (cumulative + predicted) losses."""
@@ -45,7 +56,8 @@ class Omwu:
         z = -self.eta * z
         z = z - z.max()
         w = np.maximum(np.exp(z), _WEIGHT_FLOOR)
-        return w / w.sum()
+        self.last_strategy = w / w.sum()
+        return self.last_strategy
 
     def observe(self, loss) -> None:
         loss = np.asarray(loss, dtype=float)
@@ -67,4 +79,5 @@ class Omwu:
             self.eta = float(eta)
         self.cumulative_loss = np.zeros(self.dim)
         self.last_loss = np.zeros(self.dim)
+        self.last_strategy = None
         self.step = 0

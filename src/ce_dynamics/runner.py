@@ -2,8 +2,13 @@
 
 A run executes the two-phase self-play protocol: freeze every player's
 strategy, compute every expected-loss vector from the frozen profile, then
-deliver all feedback. Everything is deterministic given the configuration;
-no wall-clock or randomness enters the outputs.
+deliver all feedback. The round loop only plays: it advances the learners,
+feeds the adaptive controller, and records the trace and the swap dynamics'
+loss-decomposition residual. Every per-round CSV column is computed after
+the loop from the trace, by :func:`metrics.running_regrets` and
+:func:`metrics.running_max_ratio`, and the summary's final regrets are the
+table's last round. Everything is deterministic given the configuration; no
+wall-clock or randomness enters the outputs.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .diagnostics import (
     rvu_check,
     smoothness_report,
     stability_check,
+    variance,
 )
 from .errors import ValidationError
 from .games import Game, expected_loss, load_game, random_game
@@ -32,10 +38,8 @@ from .metrics import (
     RunTrace,
     average_product_distribution,
     ce_gap,
-    clamped_internal_regret,
-    external_regret,
-    internal_regret,
-    swap_regret,
+    running_max_ratio,
+    running_regrets,
 )
 from .omwu import Omwu
 from .swap_dynamics import BmOmwu
@@ -68,7 +72,6 @@ class RunConfig:
     players: int | None = None
     action_counts: tuple[int, ...] | None = None
     game_seed: int = 0
-    seed: int = 0
     out_format: str = "csv"
     save_trace: bool = False
     smoothness_order: int | None = None
@@ -109,7 +112,6 @@ class RunConfig:
             "players": self.players,
             "action_counts": list(self.action_counts) if self.action_counts else None,
             "game_seed": self.game_seed,
-            "seed": self.seed,
             "smoothness_order": self.smoothness_order,
             "smoothness_alpha": self.smoothness_alpha,
             "rvu_constant": self.rvu_constant,
@@ -175,11 +177,8 @@ class AdaptiveEtaController:
         if self.switched:
             return False
         prev = self._prev_rows if self._prev_rows is not None else np.zeros_like(z_rows)
-        for q, z, zp in zip(q_rows, z_rows, prev):
-            mean_diff = q @ (z - zp)
-            self.lhs += float(q @ ((z - zp) - mean_diff) ** 2)
-            mean_prev = q @ zp
-            self.prev_variance_sum += float(q @ (zp - mean_prev) ** 2)
+        self.lhs += float(variance(q_rows, z_rows - prev).sum())
+        self.prev_variance_sum += float(variance(q_rows, prev).sum())
         self._prev_rows = np.array(z_rows, copy=True)
         if self.lhs > 0.5 * self.prev_variance_sum + self.allowance:
             self.switch_round = round_index
@@ -200,27 +199,8 @@ def _build_dynamics(name: str, n: int, eta: float):
     raise ValidationError(f"unknown dynamics {name!r}")
 
 
-def _inner_rows(name: str, dyn, strategy: np.ndarray, loss: np.ndarray):
-    """(q_rows, z_rows) of the inner learner(s) for the adaptive controller."""
-    if name in ("omwu", "mwu"):
-        return strategy[None, :], loss[None, :]
-    if name in ("sl-omwu", "sl-mwu"):
-        return dyn.last_pair_dist[None, :], dyn.last_pair_loss[None, :]
-    if name in ("bm-omwu", "bm-mwu"):
-        return dyn.last_matrix, strategy[:, None] * loss[None, :]
-    # arbo: tree distribution against the tree loss
-    from .internal_dynamics import pair_loss_vector
-
-    tree_loss = pair_loss_vector(strategy, loss)[dyn.edge_pairs].sum(axis=1)
-    return dyn.last_tree_dist[None, :], tree_loss[None, :]
-
-
-def _inner_dim(name: str, n: int) -> int:
-    if name in ("sl-omwu", "sl-mwu"):
-        return n * (n - 1)
-    if name == "arbo":
-        return n ** (n - 1)
-    return n
+# Trace field that stores each round's inner distribution, per dynamics family.
+_INNER_TRACE_FIELDS = {"sl": "pair_dists", "bm": "copy_dists", "arbo": "tree_dists"}
 
 
 @dataclass
@@ -248,99 +228,43 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
     controllers = None
     if config.eta_rule == "adaptive":
         controllers = [
-            AdaptiveEtaController(T, _inner_dim(config.dynamics, n), config.adaptive_budget)
-            for n in counts
+            AdaptiveEtaController(T, dyn.inner_dim, config.adaptive_budget) for dyn in dyns
         ]
 
-    is_sl = config.dynamics in ("sl-omwu", "sl-mwu")
-    is_bm = config.dynamics in ("bm-omwu", "bm-mwu")
-    is_arbo = config.dynamics == "arbo"
-
+    family = config.dynamics.split("-")[0]
+    inner_field = _INNER_TRACE_FIELDS.get(family)
+    is_bm = family == "bm"
     strategies = [np.empty((T, n)) for n in counts]
     losses = [np.empty((T, n)) for n in counts]
-    pair_dists = [np.empty((T, n * (n - 1))) if is_sl else None for n in counts]
-    pair_losses = [np.empty((T, n * (n - 1))) if is_sl else None for n in counts]
-    copy_dists = [np.empty((T, n, n)) if is_bm else None for n in counts]
-    tree_dists = [np.empty((T, n ** (n - 1))) if is_arbo else None for n in counts]
-
-    # Running regret accounting; cross[i][j, k] = sum_t x_t[j] loss_t[k].
-    cross = [np.zeros((n, n)) for n in counts]
-    offdiag = [~np.eye(n, dtype=bool) for n in counts]
-    cum_action_loss = [np.zeros(n) for n in counts]
-    prev_inner = [None] * m
-    max_ratio = [1.0] * m
-    current_eta = list(etas)
-    switch_rounds: list[int | None] = [None] * m
+    inner_dists = [
+        np.empty((T, n, dyn.inner_dim) if is_bm else (T, dyn.inner_dim)) if inner_field else None
+        for n, dyn in zip(counts, dyns)
+    ]
+    pair_losses = [np.empty((T, dyn.inner_dim)) if family == "sl" else None for dyn in dyns]
     max_decomposition_residual = 0.0
-    rows: list[tuple] = []
 
     for t in range(T):
         profile = [dyn.next_strategy() for dyn in dyns]
         round_losses = [expected_loss(game, profile, i) for i in range(m)]
 
-        for i in range(m):
+        for i, dyn in enumerate(dyns):
             strategies[i][t] = profile[i]
             losses[i][t] = round_losses[i]
-            if is_sl:
-                pair_dists[i][t] = dyns[i].last_pair_dist
-            elif is_bm:
-                copy_dists[i][t] = dyns[i].last_matrix
+            if inner_field:
+                inner_dists[i][t] = dyn.inner_dist
+            if is_bm:
                 max_decomposition_residual = max(
-                    max_decomposition_residual,
-                    dyns[i].loss_decomposition_residual(round_losses[i]),
+                    max_decomposition_residual, dyn.loss_decomposition_residual(round_losses[i])
                 )
-            elif is_arbo:
-                tree_dists[i][t] = dyns[i].last_tree_dist
 
-            inner = (
-                dyns[i].last_pair_dist
-                if is_sl
-                else dyns[i].last_matrix
-                if is_bm
-                else dyns[i].last_tree_dist
-                if is_arbo
-                else profile[i]
-            )
-            if prev_inner[i] is not None:
-                ratio = inner / prev_inner[i]
-                max_ratio[i] = max(max_ratio[i], float(ratio.max()), float((1.0 / ratio).max()))
-            prev_inner[i] = inner
-
-            cross[i] += np.outer(profile[i], round_losses[i])
-            cum_action_loss[i] += round_losses[i]
-
-        running_gap = max(
-            float((np.diag(cross[i])[:, None] - cross[i])[offdiag[i]].max())
-            for i in range(m)
-        ) / (t + 1)
-        for i in range(m):
-            diag = np.diag(cross[i])
-            int_raw = float((diag[:, None] - cross[i])[offdiag[i]].max())
-            rows.append(
-                (
-                    t + 1,
-                    i,
-                    float(diag.sum() - cum_action_loss[i].min()),
-                    int_raw,
-                    max(0.0, int_raw),
-                    float(diag.sum() - cross[i].min(axis=1).sum()),
-                    running_gap,
-                    current_eta[i],
-                    max_ratio[i],
-                )
-            )
-
-        for i in range(m):
-            dyns[i].observe(round_losses[i])
-            if is_sl:
-                pair_losses[i][t] = dyns[i].last_pair_loss
-            if controllers is not None and not controllers[i].switched:
-                q_rows, z_rows = _inner_rows(config.dynamics, dyns[i], profile[i], round_losses[i])
-                if controllers[i].update(t + 1, q_rows, z_rows):
-                    switch_rounds[i] = t + 1
-                    current_eta[i] = controllers[i].eta_adversarial
-                    dyns[i].reset(current_eta[i])
-                    prev_inner[i] = None  # restart breaks the consecutive-ratio chain
+        for i, dyn in enumerate(dyns):
+            dyn.observe(round_losses[i])
+            if pair_losses[i] is not None:
+                pair_losses[i][t] = dyn.inner_loss
+            if controllers is not None and controllers[i].update(
+                t + 1, dyn.inner_dist, dyn.inner_loss
+            ):
+                dyn.reset(controllers[i].eta_adversarial)
 
     trace = RunTrace(
         horizon=T,
@@ -351,26 +275,47 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
             PlayerTrace(
                 strategies=strategies[i],
                 losses=losses[i],
-                pair_dists=pair_dists[i],
                 pair_losses=pair_losses[i],
-                copy_dists=copy_dists[i],
-                tree_dists=tree_dists[i],
+                **({inner_field: inner_dists[i]} if inner_field else {}),
             )
             for i in range(m)
         ],
     )
-
-    summary = _summarize(config, game, trace, current_eta, switch_rounds, max_decomposition_residual)
+    switch_rounds = [c.switch_round for c in controllers] if controllers else [None] * m
+    eta_final = [dyn.eta for dyn in dyns]
+    table = _round_table(trace, switch_rounds, eta_final)
+    rows = [
+        (t, i, *values)
+        for t, per_round in zip(range(1, T + 1), table.tolist())
+        for i, values in enumerate(per_round)
+    ]
+    summary = _summarize(
+        config, game, trace, table[-1], switch_rounds, eta_final, max_decomposition_residual
+    )
     return RunResult(trace=trace, summary=summary, rows=rows, game=game)
 
 
-def _summarize(config, game, trace, current_eta, switch_rounds, max_decomposition_residual):
+def _round_table(trace, switch_rounds, eta_final) -> np.ndarray:
+    """The CSV columns after ``t, player`` for every round and player, shape (T, m, 7)."""
+    T = trace.horizon
+    regrets = [running_regrets(trace, i) for i in range(trace.num_players)]
+    gap = np.max([raw for _, raw, _ in regrets], axis=0) / np.arange(1, T + 1)
+    players = []
+    for i, (ext, raw, swap) in enumerate(regrets):
+        eta = np.full(T, trace.etas[i])
+        if switch_rounds[i] is not None:
+            eta[switch_rounds[i] :] = eta_final[i]
+        clamped = np.where(raw > 0.0, raw, 0.0)  # max(0.0, raw): 0.0 also for -0.0 and NaN
+        ratio = running_max_ratio(trace, i, restart=switch_rounds[i])
+        players.append(np.stack([ext, raw, clamped, swap, gap, eta, ratio], axis=1))
+    return np.stack(players, axis=1)
+
+
+def _summarize(config, game, trace, final, switch_rounds, eta_final, max_decomposition_residual):
+    """Summary document; ``final`` is the last round of :func:`_round_table`."""
     m = game.num_players
     T = trace.horizon
-    ext = [external_regret(trace, i) for i in range(m)]
-    raw = [internal_regret(trace, i) for i in range(m)]
-    clamped = [clamped_internal_regret(trace, i) for i in range(m)]
-    swap = [swap_regret(trace, i) for i in range(m)]
+    ext, raw, clamped, swap = final[:, :4].T.tolist()
     gap_report = ce_gap(game, average_product_distribution(trace))
     identity_residual = abs(gap_report.max_gap - max(raw) / T)
 
@@ -386,7 +331,7 @@ def _summarize(config, game, trace, current_eta, switch_rounds, max_decompositio
             "ce_gap_identity_residual": identity_residual,
             "cce_gap": max(ext) / T,
             "eta_initial": list(trace.etas),
-            "eta_final": [float(e) for e in current_eta],
+            "eta_final": eta_final,
             "adaptive_switch_round": switch_rounds,
         },
         "diagnostics": {},

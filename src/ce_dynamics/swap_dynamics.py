@@ -28,9 +28,11 @@ class BmOmwu:
         self.last_strategy: np.ndarray | None = None
         self.last_matrix: np.ndarray | None = None
 
-    @property
-    def eta(self) -> float:
-        return self.copies[0].eta
+    eta = property(lambda self: self.copies[0].eta)
+    inner_dim = property(lambda self: self.n)
+    # The copies' last rows and losses: the played matrix, and row g = x[g] * loss.
+    inner_dist = property(lambda self: self.last_matrix)
+    inner_loss = property(lambda self: np.stack([copy.last_loss for copy in self.copies]))
 
     def next_strategy(self) -> np.ndarray:
         Q = np.stack([copy.next_strategy() for copy in self.copies])

@@ -102,6 +102,43 @@ class TestVariance:
         lo, hi = (1 - zeta) * variance(q, z), (1 + zeta) * variance(q, z)
         assert lo - 1e-12 <= variance(q2, z) <= hi + 1e-12
 
+    def test_batched_rows_equal_scalar_calls(self):
+        rng = np.random.default_rng(7)
+        w = rng.uniform(0.01, 1.0, (6, 4, 5))
+        q = w / w.sum(axis=-1, keepdims=True)
+        z = rng.uniform(-1, 1, (6, 4, 5))
+        batched = variance(q, z)
+        assert batched.shape == (6, 4)
+        for t in range(6):
+            for r in range(4):
+                want = variance(q[t, r], z[t, r])
+                assert abs(batched[t, r] - want) <= 1e-15 * abs(want)
+
+
+def loop_variance_sums(p, L):
+    """Round-by-round sums of Var_p(L_t - L_{t-1}) and Var_p(L_{t-1}), L_0 = 0."""
+    pos, neg, prev = 0.0, 0.0, np.zeros(L.shape[1])
+    for q, z in zip(p, L):
+        pos += float(q @ (z - prev - q @ (z - prev)) ** 2)
+        neg += float(q @ (prev - q @ prev) ** 2)
+        prev = z
+    return pos, neg
+
+
+class TestVarianceSumsAgainstLoop:
+    def test_rvu_and_budget_reports(self):
+        game = random_game(2, (4, 4), seed=43)
+        trace = sl_trace(game, eta=0.05, T=200)
+        for i in range(2):
+            pt = trace.players[i]
+            pos, neg = loop_variance_sums(pt.pair_dists, pt.pair_losses)
+            rvu = rvu_check(trace, i, eta=0.05, curvature_constant=64.0)
+            budget = check_variance_inequality(trace, i)
+            assert rvu.positive_variance_sum == pytest.approx(pos, rel=1e-12)
+            assert rvu.negative_variance_sum == pytest.approx(neg, rel=1e-12)
+            assert budget.lhs == pytest.approx(pos, rel=1e-12)
+            assert budget.prev_variance_sum == pytest.approx(neg, rel=1e-12)
+
 
 class TestSmoothness:
     def test_bound_values(self):
@@ -203,9 +240,9 @@ class TestVarianceBudget:
             ell[t % 2] = 1.0  # sawtooth between two actions
             xs.append(x)
             ls.append(ell)
-            ps.append(sl.last_pair_dist)
+            ps.append(sl.inner_dist[0])
             sl.observe(ell)
-            Ls.append(sl.last_pair_loss)
+            Ls.append(sl.inner_loss[0])
         pt = PlayerTrace(
             strategies=np.array(xs),
             losses=np.array(ls),

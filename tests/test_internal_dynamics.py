@@ -95,7 +95,7 @@ class TestSlOmwu:
         for _ in range(30):
             profile = [sl.next_strategy() for sl in players]
             for i, sl in enumerate(players):
-                M = transition_from_pairs(sl.last_pair_dist, 4)
+                M = transition_from_pairs(sl.inner_dist[0], 4)
                 assert stationary_residual(M, sl.last_strategy) <= 1e-10
                 assert abs(M.sum(axis=1) - 1).max() <= 1e-12
                 sl.observe(expected_loss(game, profile, i))
@@ -116,7 +116,7 @@ class TestSlOmwu:
         sl = SlOmwu(4, eta=0.2)
         for _ in range(25):
             x = sl.next_strategy()
-            oracle = tree_theorem_stationary(transition_from_pairs(sl.last_pair_dist, 4))
+            oracle = tree_theorem_stationary(transition_from_pairs(sl.inner_dist[0], 4))
             assert np.abs(x - oracle).max() <= 1e-12
             sl.observe(rng.uniform(0, 1, 4))
 
@@ -145,7 +145,7 @@ class TestArboDynamics:
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = arbo.next_strategy()
-            assert abs(x.sum() - arbo.last_tree_dist.sum()) <= 1e-12
+            assert abs(x.sum() - arbo.inner_dist.sum()) <= 1e-12
             arbo.observe(rng.uniform(0, 1, 4))
 
     def test_tree_loss_is_edge_sum(self):

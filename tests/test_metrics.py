@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ce_dynamics import metrics
 from ce_dynamics.games import Game, expected_loss, random_game
 from ce_dynamics.metrics import (
     DenseJointDistribution,
@@ -17,6 +18,8 @@ from ce_dynamics.metrics import (
     clamped_internal_regret,
     external_regret,
     internal_regret,
+    running_max_ratio,
+    running_regrets,
     swap_regret,
 )
 
@@ -155,6 +158,31 @@ class TestSwapRegret:
         ls = [[0.5, 0.5]] * 4  # every target is equally good
         trace = make_trace([xs, xs], [ls, ls])
         np.testing.assert_array_equal(best_swap_function(trace, 0), [0, 0])
+
+
+class TestRunningColumns:
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_block_size_does_not_change_a_bit(self, chunk, monkeypatch):
+        trace = random_trace(4, n=5, T=300)
+        monkeypatch.setattr(metrics, "REGRET_CHUNK_ROUNDS", 300)
+        whole = [(*running_regrets(trace, i), running_max_ratio(trace, i)) for i in range(2)]
+        monkeypatch.setattr(metrics, "REGRET_CHUNK_ROUNDS", chunk)
+        for i in range(2):
+            blocked = (*running_regrets(trace, i), running_max_ratio(trace, i))
+            for got, want in zip(blocked, whole[i]):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("restart", [None, 1, 5, 10])
+    def test_ratio_chain_restarts_after_a_reset(self, restart):
+        trace = random_trace(6, n=3, T=10)
+        x = trace.players[0].strategies
+        want, best = [], 1.0
+        for t in range(10):
+            if 0 < t and t != restart:
+                ratio = x[t] / x[t - 1]
+                best = max(best, ratio.max(), (1.0 / ratio).max())
+            want.append(best)
+        assert running_max_ratio(trace, 0, restart=restart).tolist() == want
 
 
 class TestAverageProductDistribution:

@@ -15,19 +15,16 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .diagnostics import DEFAULT_VARIANCE_BUDGET_CONSTANT, smoothness_report
 from .errors import StationaryResidualError, ValidationError
 from .games import load_game, random_game, save_game
 from .internal_dynamics import verify_equivalence
 from .markov_tree import (
-    check_transition_matrix,
     enumerate_arborescences,
     solve_stationary,
     tree_theorem_stationary,
 )
-from .runner import RunConfig, emit_outputs, run_dynamics
+from .runner import ETA_RULES, RunConfig, emit_outputs, run_dynamics
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,7 +54,7 @@ def _add_run_options(p):
     p.add_argument("--eta", type=float, help="fixed learning rate")
     p.add_argument(
         "--eta-rule",
-        choices=("fixed", "theorem-internal", "theorem-swap", "adaptive"),
+        choices=ETA_RULES,
         help="learning-rate rule; defaults to fixed when --eta is given",
     )
     p.add_argument("--schedule-constant", type=float, default=1.0)
@@ -175,12 +172,11 @@ def _cmd_trees(args) -> int:
 
 def _cmd_stationary(args) -> int:
     raw = json.loads(Path(args.matrix).read_text())
-    Q = check_transition_matrix(np.asarray(raw, dtype=float))
     solver = {
         "linear": solve_stationary,
         "tree": tree_theorem_stationary,
     }[args.method]
-    pi = solver(Q)
+    pi = solver(raw)
     print(json.dumps({"stationary": [float(v) for v in pi]}, sort_keys=True))
     return EXIT_OK
 

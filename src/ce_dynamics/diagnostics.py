@@ -231,6 +231,11 @@ def rvu_check(trace: RunTrace, player: int, eta: float, curvature_constant: floa
     )
 
 
+def budget_depth(horizon: int) -> int:
+    """H = ceil(log2 T), at least 1: the depth in the variance budget's H^5 allowance."""
+    return max(1, math.ceil(math.log2(horizon))) if horizon > 1 else 1
+
+
 @dataclass
 class VarianceBudgetReport:
     """The variance budget inequality watched by the adaptive-rate mode.
@@ -271,8 +276,7 @@ def check_variance_inequality(
     budget_constant: float = DEFAULT_VARIANCE_BUDGET_CONSTANT,
 ) -> VarianceBudgetReport:
     lhs, prev_sum = _pair_variance_sums(trace, player)
-    T = trace.horizon
-    depth = max(1, math.ceil(math.log2(T))) if T > 1 else 1
+    depth = budget_depth(trace.horizon)
     minimal = max(0.0, (lhs - 0.5 * prev_sum) / depth**5)
     return VarianceBudgetReport(
         lhs=lhs,

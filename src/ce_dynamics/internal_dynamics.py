@@ -24,9 +24,8 @@ import numpy as np
 from .errors import ValidationError
 from .games import Game, expected_loss
 from .markov_tree import _gth_stationary, all_arborescences
-from .omwu import Omwu
+from .omwu import Omwu, check_bounded_loss
 
-LOSS_RANGE_ATOL = 1e-9
 # The tree space has n^(n-1) points: 3125 at n = 5.
 MAX_ARBO_NODES = 5
 
@@ -75,19 +74,6 @@ def transition_from_pairs(p: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
-def _check_bounded_loss(loss, n: int) -> np.ndarray:
-    loss = np.asarray(loss, dtype=float)
-    if loss.shape != (n,):
-        raise ValidationError(f"loss has shape {loss.shape}, expected ({n},)")
-    if not np.all(np.isfinite(loss)):
-        raise ValidationError("loss vector has non-finite entries")
-    if np.abs(loss).max() > 1.0 + LOSS_RANGE_ATOL:
-        raise ValidationError(
-            f"loss entries must lie in [-1, 1], got max magnitude {np.abs(loss).max()}"
-        )
-    return loss
-
-
 class SlOmwu:
     """Internal-regret learner: pair-space OMWU plus a stationary-distribution step.
 
@@ -116,7 +102,7 @@ class SlOmwu:
     def observe(self, loss) -> None:
         if self.last_strategy is None:
             raise ValidationError("observe called before next_strategy")
-        loss = _check_bounded_loss(loss, self.n)
+        loss = check_bounded_loss(loss, self.n, low=-1.0)
         self.pair_learner.observe(pair_loss_vector(self.last_strategy, loss))
 
     def reset(self, eta: float | None = None) -> None:
@@ -174,7 +160,7 @@ class ArboDynamics:
     def observe(self, loss) -> None:
         if self.last_strategy is None:
             raise ValidationError("observe called before next_strategy")
-        loss = _check_bounded_loss(loss, self.n)
+        loss = check_bounded_loss(loss, self.n, low=-1.0)
         L = pair_loss_vector(self.last_strategy, loss)
         self.tree_learner.observe(L[self.edge_pairs].sum(axis=1))
 

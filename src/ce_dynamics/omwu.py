@@ -17,53 +17,72 @@ from .errors import DimensionMismatchError, ValidationError
 # the iterate interior, which downstream fixed-point solvers rely on; the
 # perturbation is far below every tolerance in the package.
 _WEIGHT_FLOOR = 1e-300
+# Float slack on the [low, 1] loss range the composite learners accept.
+LOSS_RANGE_ATOL = 1e-9
+
+
+def check_bounded_loss(loss, n: int, low: float) -> np.ndarray:
+    """A composite learner's action-space loss: shape (n,), finite, entries in [low, 1]."""
+    loss = np.asarray(loss, dtype=float)
+    if loss.shape != (n,):
+        raise DimensionMismatchError(f"loss has shape {loss.shape}, expected ({n},)")
+    if not np.all(np.isfinite(loss)):
+        raise ValidationError("loss vector has non-finite entries")
+    if loss.min() < low - LOSS_RANGE_ATOL or loss.max() > 1.0 + LOSS_RANGE_ATOL:
+        raise ValidationError(
+            f"loss entries must lie in [{low:g}, 1], got range [{loss.min()}, {loss.max()}]"
+        )
+    return loss
 
 
 class Omwu:
-    """One multiplicative-weights learner on a ``dim``-simplex.
+    """Multiplicative-weights learners on a ``dim``-simplex.
 
-    State is the cumulative loss vector, the last observed loss (zero before
-    any feedback), and the step counter. ``next_strategy`` only records the
+    ``dim`` is an int for one learner, or a shape ``(rows, dim)`` for that
+    many independent learners held as one state, each row its own simplex:
+    the softmax, its max-shift and the weight floor act along the last axis,
+    and losses and iterates have the shape of the state.
+
+    State is the cumulative loss, the last observed loss (zero before any
+    feedback), and the step counter. ``next_strategy`` only records the
     iterate it returns; ``observe`` mutates. The first strategy is exactly
     uniform.
 
     Every learner in the package exposes its inner learner's view through
     ``inner_dim``, ``inner_dist`` (the last played inner distribution) and
     ``inner_loss`` (the last observed inner loss), both (rows, inner_dim).
-    Here the inner learner is the learner itself, with one row.
+    Here the inner learners are the rows of the state.
     """
 
-    def __init__(self, dim: int, eta: float, optimistic: bool = True):
-        if dim < 1:
+    def __init__(self, dim: int | tuple[int, int], eta: float, optimistic: bool = True):
+        self.shape = tuple(int(d) for d in np.atleast_1d(dim))
+        if not 1 <= len(self.shape) <= 2 or min(self.shape) < 1:
             raise ValidationError(f"dimension must be positive, got {dim}")
         if not eta > 0.0:
             raise ValidationError(f"learning rate must be positive, got {eta}")
-        self.dim = int(dim)
+        self.dim = self.shape[-1]
         self.eta = float(eta)
         self.optimistic = bool(optimistic)
-        self.cumulative_loss = np.zeros(self.dim)
-        self.last_loss = np.zeros(self.dim)
-        self.last_strategy: np.ndarray | None = None
-        self.step = 0
+        self.reset()
 
     inner_dim = property(lambda self: self.dim)
-    inner_dist = property(lambda self: self.last_strategy[None, :])
-    inner_loss = property(lambda self: self.last_loss[None, :])
+    inner_dist = property(lambda self: self.last_strategy.reshape(-1, self.dim))
+    inner_loss = property(lambda self: self.last_loss.reshape(-1, self.dim))
 
     def next_strategy(self) -> np.ndarray:
         """Current iterate: softmax of -eta * (cumulative + predicted) losses."""
         z = self.cumulative_loss + self.last_loss if self.optimistic else self.cumulative_loss
         z = -self.eta * z
-        z = z - z.max()
+        z = z - z.max(axis=-1, keepdims=True)
         w = np.maximum(np.exp(z), _WEIGHT_FLOOR)
-        self.last_strategy = w / w.sum()
+        self.last_strategy = w / w.sum(axis=-1, keepdims=True)
         return self.last_strategy
 
     def observe(self, loss) -> None:
         loss = np.asarray(loss, dtype=float)
-        if loss.shape != (self.dim,):
+        if loss.shape != self.shape:
             raise DimensionMismatchError(
-                f"loss has shape {loss.shape}, learner has dimension {self.dim}"
+                f"loss has shape {loss.shape}, learner has shape {self.shape}"
             )
         if not np.all(np.isfinite(loss)):
             raise ValidationError("loss vector has non-finite entries")
@@ -77,7 +96,7 @@ class Omwu:
             if not eta > 0.0:
                 raise ValidationError(f"learning rate must be positive, got {eta}")
             self.eta = float(eta)
-        self.cumulative_loss = np.zeros(self.dim)
-        self.last_loss = np.zeros(self.dim)
+        self.cumulative_loss = np.zeros(self.shape)
+        self.last_loss = np.zeros(self.shape)
         self.last_strategy = None
         self.step = 0

@@ -24,6 +24,7 @@ import numpy as np
 
 from .diagnostics import (
     DEFAULT_VARIANCE_BUDGET_CONSTANT,
+    budget_depth,
     check_variance_inequality,
     rvu_check,
     smoothness_report,
@@ -32,7 +33,7 @@ from .diagnostics import (
 )
 from .errors import ValidationError
 from .games import Game, expected_loss, load_game, random_game
-from .internal_dynamics import MAX_ARBO_NODES, ArboDynamics, SlOmwu
+from .internal_dynamics import ArboDynamics, SlOmwu
 from .metrics import (
     PlayerTrace,
     RunTrace,
@@ -133,15 +134,14 @@ def _schedule_log(horizon: int, base: str) -> float:
 
 def resolve_eta(config: RunConfig, num_players: int, action_count: int) -> float:
     """Per-player learning rate under the configured rule."""
-    if config.eta_rule == "fixed":
+    rule = config.eta_rule
+    if rule == "fixed":
         return float(config.eta)
+    if rule == "adaptive":
+        # Adaptive mode starts at the matching theorem schedule for the dynamics.
+        rule = "theorem-swap" if config.dynamics.startswith("bm") else "theorem-internal"
     log4 = _schedule_log(config.horizon, config.log_base) ** 4
-    if config.eta_rule == "theorem-internal":
-        return 1.0 / (config.schedule_constant * num_players * log4)
-    if config.eta_rule == "theorem-swap":
-        return 1.0 / (config.schedule_constant * num_players * action_count**3 * log4)
-    # Adaptive mode starts at the matching theorem schedule for the dynamics.
-    if config.dynamics.startswith("bm"):
+    if rule == "theorem-swap":
         return 1.0 / (config.schedule_constant * num_players * action_count**3 * log4)
     return 1.0 / (config.schedule_constant * num_players * log4)
 
@@ -160,7 +160,7 @@ class AdaptiveEtaController:
     """
 
     def __init__(self, horizon: int, dim: int, budget_constant: float):
-        self.depth = max(1, math.ceil(math.log2(horizon))) if horizon > 1 else 1
+        self.depth = budget_depth(horizon)
         self.allowance = budget_constant * self.depth**5
         self.eta_adversarial = adversarial_eta(dim, horizon)
         self.lhs = 0.0
@@ -217,10 +217,6 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
         game = load_config_game(config)
     m = game.num_players
     counts = game.action_counts
-    if config.dynamics == "arbo" and any(n > MAX_ARBO_NODES for n in counts):
-        raise ValidationError(
-            f"arbo dynamics requires all action counts <= {MAX_ARBO_NODES}, got {counts}"
-        )
     T = config.horizon
 
     etas = [resolve_eta(config, m, n) for n in counts]

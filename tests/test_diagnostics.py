@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ce_dynamics.diagnostics import (
     binomial_difference,
+    budget_depth,
     check_variance_inequality,
     finite_differences,
     rvu_check,
@@ -219,6 +220,9 @@ class TestVarianceBudget:
         assert report.lhs == pytest.approx(0.0, abs=1e-20)
         assert report.holds
         assert report.minimal_constant == 0.0
+
+    def test_budget_depth(self):
+        assert [budget_depth(T) for T in (1, 2, 3, 4, 5, 256, 257)] == [1, 1, 2, 2, 3, 8, 9]
 
     def test_self_play_far_below_budget(self):
         game = random_game(2, (3, 3), seed=29)

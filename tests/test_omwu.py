@@ -87,6 +87,43 @@ class TestObserve:
             Omwu(0, eta=0.1)
         with pytest.raises(ValidationError):
             Omwu(2, eta=0.0)
+        with pytest.raises(ValidationError):
+            Omwu((3, 0), eta=0.1)
+        with pytest.raises(ValidationError):
+            Omwu((2, 3, 4), eta=0.1)
+
+
+class TestRows:
+    @pytest.mark.parametrize("optimistic", [True, False])
+    @pytest.mark.parametrize("shape, eta", [((3, 7), 0.2), ((10, 10), 0.05), ((4, 5), 50.0)])
+    def test_each_row_is_a_one_dim_learner(self, shape, eta, optimistic):
+        # eta = 50 drives exponent spreads past the weight floor.
+        rows, dim = shape
+        rng = np.random.default_rng(17)
+        learner = Omwu(shape, eta, optimistic=optimistic)
+        singles = [Omwu(dim, eta, optimistic=optimistic) for _ in range(rows)]
+        for t in range(40):
+            if t == 25:
+                learner.reset(eta * 2)
+                for single in singles:
+                    single.reset(eta * 2)
+            X = learner.next_strategy()
+            assert X.shape == shape
+            for r, single in enumerate(singles):
+                np.testing.assert_array_equal(X[r], single.next_strategy())
+            loss = rng.uniform(-1, 1, shape)
+            learner.observe(loss)
+            for r, single in enumerate(singles):
+                single.observe(loss[r])
+        np.testing.assert_array_equal(learner.inner_dist, X)
+        np.testing.assert_array_equal(learner.inner_loss, loss)
+        assert learner.inner_dim == dim
+
+    @pytest.mark.parametrize("bad", [(4,), (4, 3), (1, 3, 4)])
+    def test_rejects_wrong_shape(self, bad):
+        learner = Omwu((3, 4), eta=0.1)
+        with pytest.raises(DimensionMismatchError):
+            learner.observe(np.zeros(bad))
 
 
 class TestAgainstRecursion:

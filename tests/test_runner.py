@@ -86,6 +86,17 @@ class TestSchedules:
         cfg = small_config(eta_rule="theorem-internal", eta=None, horizon=1)
         assert resolve_eta(cfg, 2, 3) > 0.0
 
+    @pytest.mark.parametrize("dynamics", ["omwu", "mwu", "sl-omwu", "sl-mwu", "arbo", "bm-omwu", "bm-mwu"])
+    def test_adaptive_starts_at_theorem_rule(self, dynamics):
+        rule = "theorem-swap" if dynamics.startswith("bm") else "theorem-internal"
+        for log_base in ("e", "2"):
+            shared = dict(dynamics=dynamics, eta=None, horizon=1000, log_base=log_base,
+                          schedule_constant=3.0)
+            adaptive = small_config(eta_rule="adaptive", **shared)
+            theorem = small_config(eta_rule=rule, **shared)
+            for n in (2, 3, 7):
+                assert resolve_eta(adaptive, 3, n).hex() == resolve_eta(theorem, 3, n).hex()
+
     def test_constant_scales(self):
         cfg = small_config(eta_rule="theorem-internal", eta=None, horizon=256, schedule_constant=4.0)
         base = small_config(eta_rule="theorem-internal", eta=None, horizon=256)

@@ -3,10 +3,39 @@ import math
 import numpy as np
 import pytest
 
-from ce_dynamics.errors import ValidationError
+from ce_dynamics.errors import DimensionMismatchError, ValidationError
 from ce_dynamics.games import expected_loss, random_game
-from ce_dynamics.markov_tree import stationary_residual
+from ce_dynamics.markov_tree import _gth_stationary, stationary_residual
+from ce_dynamics.omwu import Omwu
 from ce_dynamics.swap_dynamics import BmOmwu
+
+
+class CopyOracle:
+    """The n-copy Blum-Mansour construction, kept as a slow reference.
+
+    n independent 1-D learners; copy g proposes row g of Q and is fed
+    x[g] * loss, where x is the stationary distribution of the stacked rows.
+    """
+
+    def __init__(self, n, eta, optimistic=True):
+        self.copies = [Omwu(n, eta, optimistic=optimistic) for _ in range(n)]
+
+    def next_strategy(self):
+        self.last_matrix = np.stack([copy.next_strategy() for copy in self.copies])
+        self.last_strategy = _gth_stationary(self.last_matrix)
+        return self.last_strategy
+
+    def observe(self, loss):
+        for g, copy in enumerate(self.copies):
+            copy.observe(self.last_strategy[g] * loss)
+
+    @property
+    def inner_loss(self):
+        return np.stack([copy.last_loss for copy in self.copies])
+
+    def reset(self, eta):
+        for copy in self.copies:
+            copy.reset(eta)
 
 
 class TestNextStrategy:
@@ -22,11 +51,11 @@ class TestNextStrategy:
         loss = np.array([0.9, 0.1, 0.4])
         for _ in range(5):
             bm.next_strategy()
-            # Feed all copies the same unscaled loss to keep them in lockstep.
-            for copy in bm.copies:
-                copy.observe(loss)
-        q = bm.copies[0].next_strategy()
+            # Feed every copy the same unscaled loss to keep them in lockstep.
+            bm.learner.observe(np.tile(loss, (3, 1)))
         x = bm.next_strategy()
+        q = bm.last_matrix[0]
+        np.testing.assert_array_equal(bm.last_matrix, np.tile(q, (3, 1)))
         np.testing.assert_allclose(x, q, atol=1e-12)
 
     def test_fixed_point_residual_every_round(self):
@@ -53,8 +82,8 @@ class TestObserve:
         x = bm.next_strategy()
         ell = np.array([1.0, 0.3, 0.8])
         bm.observe(ell)
-        for g, copy in enumerate(bm.copies):
-            assert np.abs(copy.last_loss).max() <= x[g] * np.abs(ell).max() + 1e-15
+        for g, row in enumerate(bm.inner_loss):
+            assert np.abs(row).max() <= x[g] * np.abs(ell).max() + 1e-15
 
     def test_decomposition_identity(self):
         game = random_game(2, (4, 4), seed=8)
@@ -71,6 +100,12 @@ class TestObserve:
         bm.next_strategy()
         with pytest.raises(ValidationError):
             bm.observe(np.array([-0.5, 0.2]))
+
+    def test_rejects_wrong_shape(self):
+        bm = BmOmwu(3, eta=0.1)
+        bm.next_strategy()
+        with pytest.raises(DimensionMismatchError):
+            bm.observe(np.array([0.1, 0.2]))
 
     def test_rejects_observe_before_next(self):
         bm = BmOmwu(2, eta=0.1)
@@ -94,3 +129,33 @@ class TestCopyStability:
                 prev[i] = bm.last_matrix
                 bm.observe(expected_loss(game, profile, i))
         assert worst <= math.exp(6 * eta)
+
+
+class TestAgainstCopyOracle:
+    @pytest.mark.parametrize(
+        "counts, eta, optimistic",
+        [((4, 4), 0.3, True), ((5, 5), 5.0, True), ((3, 3, 3), 0.2, True), ((4, 4), 0.3, False)],
+    )
+    def test_bitwise_equal_to_n_copies(self, counts, eta, optimistic):
+        # Self-play with the (n, n) learner and with the n-copy oracle side by
+        # side; every round, and across a mid-run reset, the played matrix,
+        # the strategy and the copies' losses must agree to the last bit.
+        game = random_game(len(counts), counts, seed=5)
+        players = [BmOmwu(n, eta, optimistic=optimistic) for n in counts]
+        oracles = [CopyOracle(n, eta, optimistic=optimistic) for n in counts]
+        for t in range(60):
+            if t == 30:
+                for bm, oracle in zip(players, oracles):
+                    bm.reset(eta / 2)
+                    oracle.reset(eta / 2)
+            profile = [bm.next_strategy() for bm in players]
+            reference = [oracle.next_strategy() for oracle in oracles]
+            for i, (bm, oracle) in enumerate(zip(players, oracles)):
+                np.testing.assert_array_equal(bm.last_matrix, oracle.last_matrix)
+                np.testing.assert_array_equal(profile[i], reference[i])
+            for i, (bm, oracle) in enumerate(zip(players, oracles)):
+                loss = expected_loss(game, profile, i)
+                bm.observe(loss)
+                oracle.observe(loss)
+                np.testing.assert_array_equal(bm.inner_loss, oracle.inner_loss)
+        assert all(bm.eta == eta / 2 for bm in players)

@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_game_source(p):
     p.add_argument("--game", help="game JSON file")
     p.add_argument("--players", type=int, help="number of players for a generated game")
-    p.add_argument("--actions", help="comma-separated action counts, e.g. 3,3")
+    p.add_argument("--actions", type=_parse_actions, help="comma-separated action counts, e.g. 3,3")
     p.add_argument("--game-seed", type=int, default=0, help="seed for the generated game")
 
 
@@ -104,7 +104,7 @@ def _build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen", help="generate a random game file")
     p_gen.add_argument("--players", type=int, required=True)
-    p_gen.add_argument("--actions", required=True)
+    p_gen.add_argument("--actions", type=_parse_actions, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", help="output file; stdout when omitted")
 
@@ -112,7 +112,10 @@ def _build_parser() -> _Parser:
 
 
 def _parse_actions(text):
-    return tuple(int(part) for part in text.split(",") if part)
+    try:
+        return tuple(int(part) for part in text.split(",") if part)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected action counts like 3,3, got {text!r}") from None
 
 
 def _config_from_args(args) -> RunConfig:
@@ -128,7 +131,7 @@ def _config_from_args(args) -> RunConfig:
         log_base=args.log_base,
         game_file=args.game,
         players=args.players,
-        action_counts=_parse_actions(args.actions) if args.actions else None,
+        action_counts=args.actions or None,
         game_seed=args.game_seed,
         out_format=getattr(args, "format", "csv"),
         save_trace=getattr(args, "save_trace", False),
@@ -212,7 +215,7 @@ def _write_smoothness_table(result, config, path) -> None:
 
 
 def _cmd_gen(args) -> int:
-    game = random_game(args.players, _parse_actions(args.actions), args.seed)
+    game = random_game(args.players, args.actions, args.seed)
     data = save_game(game)
     if args.out:
         Path(args.out).write_bytes(data)

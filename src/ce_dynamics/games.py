@@ -177,7 +177,7 @@ def load_game(data: bytes) -> Game:
     try:
         players = int(doc["players"])
         actions = tuple(int(n) for n in doc["actions"])
-        flat = doc["losses"]
+        rows = [np.asarray(row, dtype=float) for row in doc["losses"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise GameFormatError(f"game JSON missing or invalid field: {exc}") from exc
     if len(actions) != players:
@@ -186,8 +186,7 @@ def load_game(data: bytes) -> Game:
         )
     cells = int(np.prod(actions)) if actions else 0
     tensors = []
-    for i, row in enumerate(flat):
-        arr = np.asarray(row, dtype=float)
+    for i, arr in enumerate(rows):
         if arr.shape != (cells,):
             raise GameFormatError(
                 f"losses[{i}] has {arr.size} entries, expected {cells}"

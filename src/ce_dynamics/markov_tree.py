@@ -104,7 +104,10 @@ def all_arborescences(n: int) -> list[Arborescence]:
 
 def check_transition_matrix(Q) -> np.ndarray:
     """Validate a strictly positive row-stochastic matrix; rows must sum to 1 within 1e-12."""
-    Q = np.asarray(Q, dtype=float)
+    try:
+        Q = np.asarray(Q, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"transition matrix is not a numeric matrix: {exc}") from exc
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValidationError(f"transition matrix must be square, got shape {Q.shape}")
     if not np.all(np.isfinite(Q)):

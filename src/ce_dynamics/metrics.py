@@ -6,10 +6,10 @@ inner pair or per-copy distributions used by the stability and variance
 diagnostics. Traces serialize to ``.npz`` with bit-exact float64 arrays, so
 every regret recomputes identically from a reloaded trace.
 
-Running regrets and the running consecutive-ratio max are computed here and
-nowhere else: the per-round CSV columns, the summary's final values and the
-final-value functions all read :func:`running_regrets` and
-:func:`running_max_ratio`.
+Every regret and the lazy CE gap read one running sum of small per-round terms,
+P[j, k] = sum_t x_t[j] (loss_t[j] - loss_t[k]), kept by :func:`_running_pair_sums`,
+and the running consecutive-ratio max is kept by :func:`running_max_ratio`; each
+is computed here and nowhere else.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from .errors import ValidationError
 from .games import Game
 
 DENSE_JOINT_MAX_ENTRIES = 10**6
-# Rounds per block of the running-regret prefix sums; bounds the (chunk, n, n) stack.
+# Rounds per block of the running pair sums; bounds the (chunk, n, n) stack.
 REGRET_CHUNK_ROUNDS = 256
+OPTIONAL_TRACE_FIELDS = ("pair_dists", "pair_losses", "copy_dists", "tree_dists")
 
 
 @dataclass
@@ -66,9 +67,7 @@ class RunTrace:
             "etas": np.array(self.etas),
         }
         for i, pt in enumerate(self.players):
-            arrays[f"p{i}_strategies"] = pt.strategies
-            arrays[f"p{i}_losses"] = pt.losses
-            for name in ("pair_dists", "pair_losses", "copy_dists", "tree_dists"):
+            for name in ("strategies", "losses", *OPTIONAL_TRACE_FIELDS):
                 value = getattr(pt, name)
                 if value is not None:
                     arrays[f"p{i}_{name}"] = value
@@ -86,7 +85,7 @@ class RunTrace:
             )
             for i in range(len(action_counts)):
                 kwargs = {}
-                for name in ("pair_dists", "pair_losses", "copy_dists", "tree_dists"):
+                for name in OPTIONAL_TRACE_FIELDS:
                     key = f"p{i}_{name}"
                     if key in data:
                         kwargs[name] = data[key]
@@ -100,40 +99,38 @@ class RunTrace:
         return trace
 
 
-def _player_arrays(trace: RunTrace, player: int) -> tuple[np.ndarray, np.ndarray]:
+def _running_pair_sums(trace: RunTrace, player: int):
+    """Yields (rounds, P): P[t, j, k] = sum_{s <= t} x_s[j] (loss_s[j] - loss_s[k]).
+
+    The carry is folded into each REGRET_CHUNK_ROUNDS block's first round before
+    the cumsum, so every entry is the plain sequential sum; the diagonal is zero.
+    """
     pt = trace.players[player]
-    return pt.strategies, pt.losses
+    n = trace.action_counts[player]
+    carry = np.zeros((n, n))
+    for s in range(0, trace.horizon, REGRET_CHUNK_ROUNDS):
+        rounds = slice(s, s + REGRET_CHUNK_ROUNDS)
+        x, loss = pt.strategies[rounds], pt.losses[rounds]
+        P = x[:, :, None] * (loss[:, :, None] - loss[:, None, :])
+        P[0] += carry
+        np.cumsum(P, axis=0, out=P)
+        carry = P[-1]
+        yield rounds, P
 
 
 def running_regrets(trace: RunTrace, player: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Running external, raw internal and swap regret after each round, each (T,).
 
-    All three come from prefix sums over rounds of x_t (outer) loss_t and of
-    loss_t, taken REGRET_CHUNK_ROUNDS rounds at a time so the (chunk, n, n)
-    stack stays small. The carry is folded into a chunk's first round before
-    the cumsum, so every prefix sum is the plain sequential one.
+    Read off the running pair sums P: external max_k sum_j P[j, k], raw
+    internal max_{j != k} P[j, k], swap sum_j max_k P[j, k].
     """
-    chunk = REGRET_CHUNK_ROUNDS
-    xs, ls = _player_arrays(trace, player)
-    T, n = xs.shape
+    n = trace.action_counts[player]
     offdiag = ~np.eye(n, dtype=bool)
-    out = np.empty((3, T))
-    cross = np.zeros((n, n))  # cross[j, k] = sum_t x_t[j] loss_t[k]
-    cum_loss = np.zeros(n)
-    for s in range(0, T, chunk):
-        block = slice(s, s + chunk)
-        c = xs[block, :, None] * ls[block, None, :]
-        c[0] += cross
-        np.cumsum(c, axis=0, out=c)
-        cl = ls[block].copy()
-        cl[0] += cum_loss
-        np.cumsum(cl, axis=0, out=cl)
-        cross, cum_loss = c[-1], cl[-1]
-        diag = np.diagonal(c, axis1=1, axis2=2)
-        play = diag.sum(axis=1)
-        out[0, block] = play - cl.min(axis=1)
-        out[1, block] = (diag[:, :, None] - c)[:, offdiag].max(axis=1)
-        out[2, block] = play - c.min(axis=2).sum(axis=1)
+    out = np.empty((3, trace.horizon))
+    for rounds, P in _running_pair_sums(trace, player):
+        out[0, rounds] = P.sum(axis=1).max(axis=1)
+        out[1, rounds] = P[:, offdiag].max(axis=1)
+        out[2, rounds] = P.max(axis=2).sum(axis=1)
     return out[0], out[1], out[2]
 
 
@@ -167,12 +164,11 @@ def external_regret(trace: RunTrace, player: int) -> float:
 
 
 def pair_objective_matrix(trace: RunTrace, player: int) -> np.ndarray:
-    """G[j, k] = sum_t x_t[j] (loss_t[j] - loss_t[k]); diagonal is zero."""
-    xs, ls = _player_arrays(trace, player)
-    weighted = xs * ls  # (T, n)
-    totals = weighted.sum(axis=0)  # sum_t x[j] loss[j]
-    cross = xs.T @ ls  # [j, k] = sum_t x[j] loss[k]
-    return totals[:, None] - cross
+    """G[j, k] = sum_t x_t[j] (loss_t[j] - loss_t[k]): the final running pair sums."""
+    G = np.zeros((trace.action_counts[player],) * 2)
+    for _, P in _running_pair_sums(trace, player):
+        G = P[-1]
+    return G
 
 
 def offdiagonal_max(G: np.ndarray) -> float:
@@ -196,10 +192,8 @@ def swap_regret(trace: RunTrace, player: int) -> float:
 
 
 def best_swap_function(trace: RunTrace, player: int) -> np.ndarray:
-    """Argmin target per action; ties go to the lowest action index."""
-    xs, ls = _player_arrays(trace, player)
-    S = xs.T @ ls
-    return S.argmin(axis=1)
+    """Best reassignment target per action; ties go to the lowest action index."""
+    return pair_objective_matrix(trace, player).argmax(axis=1)
 
 
 @dataclass
@@ -213,8 +207,8 @@ class DenseJointDistribution:
 class LazyJointDistribution:
     """Average product distribution kept as the underlying trace.
 
-    Deviation expectations are evaluated by streaming per-round product
-    expectations; nothing of profile-tensor size is ever materialized.
+    Deviation gains are read off the trace's running pair sums; nothing of
+    profile-tensor size is ever materialized.
     """
 
     trace: RunTrace

@@ -54,6 +54,15 @@ def test_stationary_rejects_bad_matrix(tmp_path, capsys):
     assert main(["stationary", "--matrix", str(path)]) == 2
 
 
+@pytest.mark.parametrize("matrix", [[[0.5, 0.5], [1.0]], [["a", "b"], [0.5, 0.5]]],
+                         ids=["ragged", "non-numeric"])
+def test_stationary_rejects_non_matrix(tmp_path, capsys, matrix):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    assert main(["stationary", "--matrix", str(path)]) == 2
+    assert "not a numeric matrix" in capsys.readouterr().err
+
+
 def test_equivalence_command(game_file, capsys):
     assert main(["equivalence", "--game", game_file, "--eta", "0.02", "--horizon", "50"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -98,6 +107,17 @@ def test_run_truncated_game_is_validation_error(tmp_path, capsys):
                  "--eta", "0.1", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "byte offset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--players", "2", "--actions", "3,x", "--horizon", "4", "--eta", "0.1", "--out", "x"],
+     ["gen", "--players", "2", "--actions", "3,x"]],
+    ids=["run", "gen"],
+)
+def test_bad_actions_is_usage_error(capsys, argv):
+    assert main(argv) == 1
+    assert "expected action counts like 3,3, got '3,x'" in capsys.readouterr().err
 
 
 def test_diagnose_command(game_file, tmp_path, capsys):

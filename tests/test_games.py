@@ -147,6 +147,14 @@ class TestSerialization:
         with pytest.raises(GameFormatError, match="entries"):
             load_game(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize(
+        "losses", [[["a", 0, 0, 0], [0, 0, 0, 0]], 5], ids=["non-numeric", "non-list"]
+    )
+    def test_malformed_losses(self, losses):
+        doc = {"players": 2, "actions": [2, 2], "losses": losses}
+        with pytest.raises(GameFormatError, match="invalid field"):
+            load_game(json.dumps(doc).encode())
+
 
 class TestGameInvariants:
     def test_needs_two_players_two_actions(self):

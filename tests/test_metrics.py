@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ce_dynamics.metrics import (
     running_regrets,
     swap_regret,
 )
+from ce_dynamics.runner import RunConfig, run_dynamics
 
 
 def make_trace(strategies_by_player, losses_by_player, dynamics="test"):
@@ -119,6 +121,62 @@ class TestInternalRegret:
         assert report.max_gap == pytest.approx(want, abs=1e-10)
 
 
+# Every float is an integer multiple of 2**-1074, so scaling by 2**1074 gives
+# exact Python integers, and products of two scaled floats carry 2**2148.
+EXACT_SCALE = 1074
+
+
+def _exact_int(v):
+    num, den = v.as_integer_ratio()
+    return num * ((1 << EXACT_SCALE) // den)
+
+
+def exact_regrets(xs, ls):
+    """External, raw internal and swap regret as exact Fractions of the float inputs.
+
+    Uses the textbook forms, independent of the pair sums the package keeps:
+    external = sum_t <x_t, l_t> - min_k sum_t l_t[k],
+    internal = max_{j != k} sum_t x_t[j] (l_t[j] - l_t[k]),
+    swap = sum_t <x_t, l_t> - sum_j min_k sum_t x_t[j] l_t[k].
+    """
+    n = xs.shape[1]
+    cross = [[0] * n for _ in range(n)]  # sum_t x_t[j] l_t[k], scale 2**2148
+    loss_totals = [0] * n  # sum_t l_t[k], scale 2**1074
+    for x, loss in zip(xs.tolist(), ls.tolist()):
+        xi = [_exact_int(v) for v in x]
+        li = [_exact_int(v) for v in loss]
+        for j in range(n):
+            row = cross[j]
+            for k in range(n):
+                row[k] += xi[j] * li[k]
+            loss_totals[j] += li[j]
+    play = sum(cross[j][j] for j in range(n))
+    products, losses = 1 << (2 * EXACT_SCALE), 1 << EXACT_SCALE
+    external = Fraction(play, products) - Fraction(min(loss_totals), losses)
+    internal = max(cross[j][j] - cross[j][k] for j in range(n) for k in range(n) if j != k)
+    swap = play - sum(min(row) for row in cross)
+    return external, Fraction(internal, products), Fraction(swap, products)
+
+
+class TestExactSums:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(dynamics="omwu", horizon=4096, eta=0.05, action_counts=(4, 4), game_seed=42),
+            dict(dynamics="sl-omwu", horizon=1000, eta=5.0, action_counts=(5, 5), game_seed=3),
+        ],
+        ids=["omwu-4x4", "sl-omwu-5x5-stiff"],
+    )
+    def test_final_regrets_match_exact_sums(self, config):
+        trace = run_dynamics(RunConfig(eta_rule="fixed", players=2, **config)).trace
+        for i in range(2):
+            pt = trace.players[i]
+            want = exact_regrets(pt.strategies, pt.losses)
+            got = (external_regret(trace, i), internal_regret(trace, i), swap_regret(trace, i))
+            for g, w in zip(got, want):
+                assert abs(Fraction(g) - w) <= Fraction(1, 10**14) * abs(w)
+
+
 class TestSwapRegret:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -152,6 +210,19 @@ class TestSwapRegret:
         assert swap >= external_regret(trace, 0) - 1e-10
         assert swap >= internal_regret(trace, 0) - 1e-12
         assert swap <= n * max(internal_regret(trace, 0), 0.0) + 1e-9
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_best_swap_function_attains_swap_regret(self, seed):
+        trace = random_trace(seed)
+        xs, ls = trace.players[0].strategies, trace.players[0].losses
+        phi = best_swap_function(trace, 0)
+        costs = [[(xs[:, g] * ls[:, k]).sum() for k in range(4)] for g in range(4)]
+        assert [costs[g][phi[g]] for g in range(4)] == pytest.approx(
+            [min(row) for row in costs], abs=1e-12
+        )
+        swapped = sum((xs[:, g] * ls[:, phi[g]]).sum() for g in range(4))
+        assert swap_regret(trace, 0) == pytest.approx((xs * ls).sum() - swapped, abs=1e-12)
 
     def test_tie_break_lowest_index(self):
         xs = [[0.5, 0.5]] * 4
@@ -218,6 +289,16 @@ class TestAverageProductDistribution:
         a = ce_gap(game, dense)
         b = ce_gap(game, lazy)
         assert a.max_gap == pytest.approx(b.max_gap, abs=1e-10)
+        for G, H in zip(a.per_player_pair, b.per_player_pair):
+            np.testing.assert_allclose(G, H, rtol=0, atol=1e-10)
+
+    def test_lazy_ce_gap_is_exactly_max_internal_regret_over_t(self):
+        config = RunConfig("sl-omwu", 300, eta=0.05, players=2, action_counts=(3, 3), game_seed=1)
+        result = run_dynamics(config)
+        trace = result.trace
+        lazy = ce_gap(result.game, average_product_distribution(trace, max_entries=4))
+        want = max(internal_regret(trace, i) for i in range(2)) / trace.horizon
+        assert lazy.max_gap == want
 
 
 class TestCeGap:

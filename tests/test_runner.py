@@ -196,40 +196,39 @@ def assert_last_row_is_final(result):
 def reference_rows(result):
     """Per-round CSV rows by round-by-round accounting over the trace.
 
-    A slow, independent rebuild of the table: running sums updated one round
-    at a time with ``+=``, regrets read off them, and the consecutive-ratio
-    chain restarted after an adaptive switch.
+    A slow, independent rebuild of the table: the running pair sums
+    P[j, k] = sum_t x_t[j] (loss_t[j] - loss_t[k]) updated one round at a time
+    with ``+=``, regrets read off them, and the consecutive-ratio chain
+    restarted after an adaptive switch.
     """
     trace, final = result.trace, result.summary["final"]
     switches = final["adaptive_switch_round"]
     counts = trace.action_counts
-    cross = [np.zeros((n, n)) for n in counts]
-    cum_loss = [np.zeros(n) for n in counts]
+    pair_sums = [np.zeros((n, n)) for n in counts]
     offdiag = [~np.eye(n, dtype=bool) for n in counts]
     max_ratio = [1.0] * len(counts)
     rows = []
     for t in range(trace.horizon):
         for i, pt in enumerate(trace.players):
-            cross[i] += np.outer(pt.strategies[t], pt.losses[t])
-            cum_loss[i] += pt.losses[t]
+            x, loss = pt.strategies[t], pt.losses[t]
+            pair_sums[i] += x[:, None] * (loss[:, None] - loss[None, :])
             inner = pt.stability_rows()
             if t > 0 and t != switches[i]:
                 ratio = inner[t] / inner[t - 1]
                 max_ratio[i] = max(max_ratio[i], float(ratio.max()), float((1.0 / ratio).max()))
-        raw = [float((np.diag(c)[:, None] - c)[o].max()) for c, o in zip(cross, offdiag)]
+        raw = [float(P[o].max()) for P, o in zip(pair_sums, offdiag)]
         gap = max(raw) / (t + 1)
-        for i in range(len(counts)):
-            diag = np.diag(cross[i])
+        for i, P in enumerate(pair_sums):
             switched = switches[i] is not None and t + 1 > switches[i]
             eta = final["eta_final"][i] if switched else final["eta_initial"][i]
             rows.append(
                 (
                     t + 1,
                     i,
-                    float(diag.sum() - cum_loss[i].min()),
+                    float(P.sum(axis=0).max()),
                     raw[i],
                     max(0.0, raw[i]),
-                    float(diag.sum() - cross[i].min(axis=1).sum()),
+                    float(P.max(axis=1).sum()),
                     gap,
                     eta,
                     max_ratio[i],

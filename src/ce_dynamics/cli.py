@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -152,6 +153,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_equivalence(args) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        raise ValidationError(f"tol must be non-negative and finite, got {args.tol}")
     game = load_game(Path(args.game).read_bytes())
     report = verify_equivalence(game, args.eta, args.horizon, tol=args.tol)
     doc = report.to_dict()

@@ -10,8 +10,9 @@ Two learners are implemented:
 
 Fed the same loss stream, the two produce identical strategy sequences; the
 pair products over any tree's edges stay proportional to the tree weight
-round after round. :func:`verify_equivalence` measures both facts on a
-self-play run and reports the worst deviations.
+round after round. :func:`verify_equivalence` replays the loss streams of a
+:func:`~ce_dynamics.runner.run_dynamics` sl-omwu trace into tree space and
+reports the worst deviations of both facts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .games import Game, expected_loss
+from .games import Game
 from .markov_tree import _gth_stationary, all_arborescences
 from .omwu import Omwu, check_bounded_loss
 
@@ -196,56 +197,40 @@ class EquivalenceReport:
 
 
 def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) -> EquivalenceReport:
-    """Run pair-space self-play, replay the losses into tree space, compare.
+    """Replay the loss streams of a ``run_dynamics`` sl-omwu trace in tree space, compare.
 
-    The pair-space learners (GTH stationary solve) generate the canonical
-    self-play loss streams. Each player's stream is then fed to a fresh
-    tree-space learner, and per round we record the largest strategy
-    gap and, per tree, the relative spread of (product of pair masses along
-    tree edges) / (tree mass), which should be a tree-independent constant.
+    ``run_dynamics`` plays the pair-space learners (GTH stationary solve) in
+    self-play. Each player's recorded loss stream is then fed to a fresh
+    tree-space learner, and per round we record the largest strategy gap and,
+    per tree, the relative spread of (product of pair masses along tree
+    edges) / (tree mass), which should be a tree-independent constant. The
+    tree learners are built first, so their size and learning-rate guards
+    fail before any play.
     """
-    if any(n > MAX_ARBO_NODES for n in game.action_counts):
-        raise ValidationError(
-            f"equivalence check requires all action counts <= {MAX_ARBO_NODES}, "
-            f"got {game.action_counts}"
-        )
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    m = game.num_players
+    from .runner import RunConfig, run_dynamics  # runner imports this module
 
-    sl_players = [SlOmwu(n, eta) for n in game.action_counts]
-    strategies = [[] for _ in range(m)]
-    pair_dists = [[] for _ in range(m)]
-    loss_streams = [[] for _ in range(m)]
-    for _ in range(horizon):
-        profile = [sl.next_strategy() for sl in sl_players]
-        losses = [expected_loss(game, profile, i) for i in range(m)]
-        for i in range(m):
-            strategies[i].append(profile[i])
-            pair_dists[i].append(sl_players[i].inner_dist[0])
-            loss_streams[i].append(losses[i])
-        for i in range(m):
-            sl_players[i].observe(losses[i])
+    arbos = [ArboDynamics(n, eta) for n in game.action_counts]
+    config = RunConfig(
+        "sl-omwu", horizon, eta=eta, players=game.num_players, action_counts=game.action_counts
+    )
+    trace = run_dynamics(config, game).trace
 
     deviation = np.zeros(horizon)
     residual = np.zeros(horizon)
-    for i in range(m):
-        arbo = ArboDynamics(game.action_counts[i], eta)
-        for t in range(horizon):
-            x_tree = arbo.next_strategy()
-            deviation[t] = max(
-                deviation[t], float(np.abs(x_tree - strategies[i][t]).max())
-            )
-            # Proportionality constant taken from the first tree; the residual
-            # is the largest relative departure of any other tree from it.
-            log_ratio = (
-                np.log(pair_dists[i][t])[arbo.edge_pairs].sum(axis=1)
-                - np.log(arbo.inner_dist[0])
-            )
-            residual[t] = max(
-                residual[t], float(np.abs(np.exp(log_ratio - log_ratio[0]) - 1.0).max())
-            )
-            arbo.observe(loss_streams[i][t])
+    for arbo, player in zip(arbos, trace.players):
+        strategies = np.empty((horizon, arbo.n))
+        tree_dists = np.empty((horizon, arbo.inner_dim))
+        for t, loss in enumerate(player.losses):
+            strategies[t] = arbo.next_strategy()
+            tree_dists[t] = arbo.inner_dist[0]
+            arbo.observe(loss)
+        deviation = np.maximum(deviation, np.abs(strategies - player.strategies).max(axis=1))
+        # Proportionality constant taken from the first tree; the residual is
+        # the largest relative departure of any other tree from it.
+        log_ratio = np.log(player.pair_dists)[:, arbo.edge_pairs].sum(axis=2) - np.log(tree_dists)
+        residual = np.maximum(
+            residual, np.abs(np.exp(log_ratio - log_ratio[:, :1]) - 1.0).max(axis=1)
+        )
 
     return EquivalenceReport(
         horizon=horizon,

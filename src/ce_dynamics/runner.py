@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,10 +89,24 @@ class RunConfig:
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if self.eta_rule == "fixed":
-            if self.eta is None or not self.eta > 0.0:
-                raise ValidationError("fixed eta rule requires a positive --eta")
+            if self.eta is None or not 0.0 < self.eta < math.inf:
+                raise ValidationError(
+                    f"fixed eta rule requires a positive finite eta, got {self.eta}"
+                )
         elif self.eta is not None:
             raise ValidationError(f"eta rule {self.eta_rule!r} does not take an explicit eta")
+        if not 0.0 < self.schedule_constant < math.inf:
+            raise ValidationError(
+                f"schedule constant must be positive and finite, got {self.schedule_constant}"
+            )
+        if not 0.0 <= self.adaptive_budget < math.inf:
+            raise ValidationError(
+                f"adaptive budget must be non-negative and finite, got {self.adaptive_budget}"
+            )
+        for name in ("smoothness_alpha", "rvu_constant", "variance_budget"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.log_base not in ("e", "2"):
             raise ValidationError(f"log base must be 'e' or '2', got {self.log_base!r}")
         if self.out_format not in ("csv", "json"):
@@ -101,24 +115,10 @@ class RunConfig:
             raise ValidationError("need either a game file or players + action counts")
 
     def echo(self) -> dict:
-        """Config as emitted into the summary; output locations excluded."""
-        return {
-            "dynamics": self.dynamics,
-            "horizon": self.horizon,
-            "eta_rule": self.eta_rule,
-            "eta": self.eta,
-            "schedule_constant": self.schedule_constant,
-            "log_base": self.log_base,
-            "game_file": self.game_file,
-            "players": self.players,
-            "action_counts": list(self.action_counts) if self.action_counts else None,
-            "game_seed": self.game_seed,
-            "smoothness_order": self.smoothness_order,
-            "smoothness_alpha": self.smoothness_alpha,
-            "rvu_constant": self.rvu_constant,
-            "variance_budget": self.variance_budget,
-            "adaptive_budget": self.adaptive_budget,
-        }
+        """Config as emitted into the summary; output options excluded."""
+        doc = asdict(self)
+        del doc["out_format"], doc["save_trace"]
+        return doc
 
 
 def load_config_game(config: RunConfig) -> Game:

@@ -70,6 +70,35 @@ def test_equivalence_command(game_file, capsys):
     assert doc["max_strategy_deviation"] <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--eta", "inf"],
+        ["--eta-rule", "theorem-internal", "--schedule-constant", "0"],
+        ["--eta-rule", "adaptive", "--adaptive-budget", "nan"],
+        ["--eta", "0.05", "--rvu-constant", "nan"],
+        ["--eta", "0.05", "--variance-budget", "nan"],
+    ],
+)
+def test_run_rejects_bad_numbers(game_file, tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    code = main(
+        ["run", "--game", game_file, "--dynamics", "sl-omwu", "--horizon", "4",
+         "--out", str(out), *argv]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--eta", "inf"], ["--eta", "0.02", "--tol", "nan"],
+                                  ["--eta", "0.02", "--tol", "-1"]])
+def test_equivalence_rejects_bad_numbers(game_file, capsys, argv):
+    assert main(["equivalence", "--game", game_file, "--horizon", "4", *argv]) == 2
+    assert capsys.readouterr().err.startswith("validation error:")
+
+
 def test_run_command_produces_outputs(game_file, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ce_dynamics.errors import ValidationError
-from ce_dynamics.games import random_game
+from ce_dynamics.games import expected_loss, random_game
 from ce_dynamics.internal_dynamics import (
     ArboDynamics,
+    EquivalenceReport,
     SlOmwu,
     ordered_pairs,
     pair_loss_vector,
@@ -197,3 +198,72 @@ class TestEquivalence:
         game = random_game(2, (6, 3), seed=1)
         with pytest.raises(ValidationError):
             verify_equivalence(game, eta=0.1, horizon=5)
+
+
+def reference_equivalence(game, eta, horizon):
+    """Slow reference: its own self-play loop, then a round-by-round tree replay."""
+    m = game.num_players
+    sl_players = [SlOmwu(n, eta) for n in game.action_counts]
+    strategies = [[] for _ in range(m)]
+    pair_dists = [[] for _ in range(m)]
+    loss_streams = [[] for _ in range(m)]
+    for _ in range(horizon):
+        profile = [sl.next_strategy() for sl in sl_players]
+        losses = [expected_loss(game, profile, i) for i in range(m)]
+        for i in range(m):
+            strategies[i].append(profile[i])
+            pair_dists[i].append(sl_players[i].inner_dist[0])
+            loss_streams[i].append(losses[i])
+        for i in range(m):
+            sl_players[i].observe(losses[i])
+
+    deviation = np.zeros(horizon)
+    residual = np.zeros(horizon)
+    for i in range(m):
+        arbo = ArboDynamics(game.action_counts[i], eta)
+        for t in range(horizon):
+            x_tree = arbo.next_strategy()
+            deviation[t] = max(deviation[t], float(np.abs(x_tree - strategies[i][t]).max()))
+            log_ratio = (
+                np.log(pair_dists[i][t])[arbo.edge_pairs].sum(axis=1)
+                - np.log(arbo.inner_dist[0])
+            )
+            residual[t] = max(
+                residual[t], float(np.abs(np.exp(log_ratio - log_ratio[0]) - 1.0).max())
+            )
+            arbo.observe(loss_streams[i][t])
+
+    return EquivalenceReport(
+        horizon=horizon,
+        eta=eta,
+        max_strategy_deviation=float(deviation.max()),
+        max_proportionality_residual=float(residual.max()),
+        strategy_deviation_per_round=deviation,
+        proportionality_residual_per_round=residual,
+    )
+
+
+class TestAgainstSelfPlayOracle:
+    @pytest.mark.parametrize(
+        "players, counts, seed, eta, horizon",
+        [
+            (2, (3, 3), 5, 0.01, 200),
+            (2, (4, 5), 9, 0.1, 60),
+            (3, (3, 3, 3), 2, 0.02, 40),
+            (2, (3, 3), 7, 5.0, 100),
+            (2, (3, 3), 0, 0.05, 1),
+        ],
+    )
+    def test_report_bitwise_equal(self, players, counts, seed, eta, horizon):
+        game = random_game(players, counts, seed=seed)
+        got = verify_equivalence(game, eta, horizon)
+        want = reference_equivalence(game, eta, horizon)
+        assert got.to_dict() == want.to_dict()
+        for name in ("strategy_deviation_per_round", "proportionality_residual_per_round"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_guards_fire_before_play(self):
+        with pytest.raises(ValidationError):
+            verify_equivalence(random_game(2, (3, 3), seed=0), eta=0.1, horizon=0)
+        with pytest.raises(ValidationError):
+            verify_equivalence(random_game(2, (3, 3), seed=0), eta=0.0, horizon=5)

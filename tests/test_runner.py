@@ -66,6 +66,45 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             small_config(horizon=0).validate()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(eta=math.inf),
+            dict(eta=math.nan),
+            dict(eta_rule="theorem-internal", eta=None, schedule_constant=0.0),
+            dict(eta_rule="theorem-internal", eta=None, schedule_constant=-1.0),
+            dict(eta_rule="theorem-swap", eta=None, schedule_constant=math.inf),
+            dict(eta_rule="adaptive", eta=None, schedule_constant=math.nan),
+            dict(eta_rule="adaptive", eta=None, adaptive_budget=math.nan),
+            dict(eta_rule="adaptive", eta=None, adaptive_budget=math.inf),
+            dict(eta_rule="adaptive", eta=None, adaptive_budget=-1.0),
+            dict(smoothness_order=3, smoothness_alpha=math.nan),
+            dict(rvu_constant=math.nan),
+            dict(rvu_constant=-math.inf),
+            dict(variance_budget=math.nan),
+        ],
+        ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_rejects_non_finite_or_out_of_range_numbers(self, overrides):
+        with pytest.raises(ValidationError):
+            small_config(**overrides).validate()
+
+    def test_zero_adaptive_budget_accepted(self):
+        small_config(eta_rule="adaptive", eta=None, adaptive_budget=0.0).validate()
+
+    def test_echo_is_the_dataclass_without_output_options(self):
+        cfg = small_config(action_counts=[3, 3], save_trace=True, rvu_constant=64.0)
+        doc = cfg.echo()
+        assert "out_format" not in doc and "save_trace" not in doc
+        assert doc["action_counts"] == [3, 3] and doc["rvu_constant"] == 64.0
+        expected = {
+            "dynamics", "horizon", "eta_rule", "eta", "schedule_constant", "log_base",
+            "game_file", "players", "action_counts", "game_seed", "smoothness_order",
+            "smoothness_alpha", "rvu_constant", "variance_budget", "adaptive_budget",
+        }
+        assert set(doc) == expected
+        assert json.loads(json.dumps(small_config().echo()))["action_counts"] == [3, 3]
+
 
 class TestSchedules:
     def test_theorem_internal_formula(self):

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .diagnostics import DEFAULT_VARIANCE_BUDGET_CONSTANT, smoothness_report
@@ -43,9 +44,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_game_source(p):
-    p.add_argument("--game", help="game JSON file")
+    p.add_argument("--game", dest="game_file", metavar="GAME", help="game JSON file")
     p.add_argument("--players", type=int, help="number of players for a generated game")
-    p.add_argument("--actions", type=_parse_actions, help="comma-separated action counts, e.g. 3,3")
+    p.add_argument("--actions", dest="action_counts", metavar="ACTIONS", type=_parse_actions,
+                   help="comma-separated action counts, e.g. 3,3")
     p.add_argument("--game-seed", type=int, default=0, help="seed for the generated game")
 
 
@@ -75,7 +77,7 @@ def _build_parser() -> _Parser:
     _add_game_source(p_run)
     _add_run_options(p_run)
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_run.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--save-trace", action="store_true")
 
     p_eq = sub.add_parser("equivalence", help="compare the two internal-regret dynamics")
@@ -123,25 +125,8 @@ def _config_from_args(args) -> RunConfig:
     eta_rule = args.eta_rule or ("fixed" if args.eta is not None else None)
     if eta_rule is None:
         raise ValidationError("need --eta or --eta-rule")
-    return RunConfig(
-        dynamics=args.dynamics,
-        horizon=args.horizon,
-        eta_rule=eta_rule,
-        eta=args.eta,
-        schedule_constant=args.schedule_constant,
-        log_base=args.log_base,
-        game_file=args.game,
-        players=args.players,
-        action_counts=args.actions or None,
-        game_seed=args.game_seed,
-        out_format=getattr(args, "format", "csv"),
-        save_trace=getattr(args, "save_trace", False),
-        smoothness_order=args.smoothness_order,
-        smoothness_alpha=args.smoothness_alpha,
-        rvu_constant=args.rvu_constant,
-        variance_budget=args.variance_budget,
-        adaptive_budget=args.adaptive_budget,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    return RunConfig(**{**given, "eta_rule": eta_rule, "action_counts": args.action_counts or None})
 
 
 def _cmd_run(args) -> int:

@@ -313,10 +313,9 @@ class StabilityReport:
         }
 
 
-def stability_check(trace: RunTrace, player: int, eta: float | None = None) -> StabilityReport:
+def stability_check(trace: RunTrace, player: int) -> StabilityReport:
     """Max over rounds and entries of the two-sided consecutive ratio."""
-    if eta is None:
-        eta = trace.etas[player]
+    eta = trace.etas[player]
     return StabilityReport(
         max_ratio=float(running_max_ratio(trace, player).max(initial=1.0)),
         exp_bound=math.exp(6.0 * eta),

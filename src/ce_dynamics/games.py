@@ -24,13 +24,6 @@ def is_distribution(v: np.ndarray, atol: float = SIMPLEX_ATOL) -> bool:
     return v.ndim == 1 and np.all(v >= 0.0) and abs(float(v.sum()) - 1.0) <= atol
 
 
-def check_distribution(v: np.ndarray, name: str = "distribution") -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if not is_distribution(v):
-        raise ValidationError(f"{name} is not a probability vector: {v!r}")
-    return v
-
-
 @dataclass(frozen=True)
 class Game:
     """An m-player game given by per-player loss tensors over joint profiles.
@@ -88,7 +81,9 @@ def check_profile(game: Game, profile) -> list[np.ndarray]:
             raise DimensionMismatchError(
                 f"strategy of player {i} has shape {x.shape}, expected ({n},)"
             )
-        out.append(check_distribution(x, name=f"strategy of player {i}"))
+        if not (np.all(x >= 0.0) and abs(float(x.sum()) - 1.0) <= SIMPLEX_ATOL):
+            raise ValidationError(f"strategy of player {i} is not a probability vector: {x!r}")
+        out.append(x)
     return out
 
 

@@ -1,6 +1,6 @@
 """Internal-regret dynamics over action pairs and their tree-space twin.
 
-Two learners are implemented:
+Two :class:`~ce_dynamics.omwu.Composite` learners are implemented:
 
 * :class:`SlOmwu` runs one multiplicative-weights learner over the n(n-1)
   ordered action pairs, turns its iterate into a row-stochastic matrix, and
@@ -11,7 +11,8 @@ Two learners are implemented:
 Fed the same loss stream, the two produce identical strategy sequences; the
 pair products over any tree's edges stay proportional to the tree weight
 round after round. :func:`verify_equivalence` replays the loss streams of a
-:func:`~ce_dynamics.runner.run_dynamics` sl-omwu trace into tree space and
+:func:`~ce_dynamics.runner.run_dynamics` sl-omwu trace into tree space through
+the unchecked ``_update`` (the trace's losses are valid by construction) and
 reports the worst deviations of both facts.
 """
 
@@ -25,7 +26,8 @@ import numpy as np
 from .errors import ValidationError
 from .games import Game
 from .markov_tree import _gth_stationary, all_arborescences
-from .omwu import Omwu, check_bounded_loss
+from .metrics import REGRET_CHUNK_ROUNDS
+from .omwu import Composite, Omwu
 
 # The tree space has n^(n-1) points: 3125 at n = 5.
 MAX_ARBO_NODES = 5
@@ -75,7 +77,7 @@ def transition_from_pairs(p: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
-class SlOmwu:
+class SlOmwu(Composite):
     """Internal-regret learner: pair-space OMWU plus a stationary-distribution step.
 
     The pair masses are the off-diagonal rates of the round's chain, which is
@@ -85,30 +87,19 @@ class SlOmwu:
     def __init__(self, n: int, eta: float, optimistic: bool = True):
         if n < 2:
             raise ValidationError(f"need at least 2 actions, got {n}")
-        self.n = int(n)
-        self.pair_learner = Omwu(n * (n - 1), eta, optimistic=optimistic)
-        self.last_strategy: np.ndarray | None = None
-
-    eta = property(lambda self: self.pair_learner.eta)
-    inner_dim = property(lambda self: self.pair_learner.inner_dim)
-    inner_dist = property(lambda self: self.pair_learner.inner_dist)
-    inner_loss = property(lambda self: self.pair_learner.inner_loss)
+        super().__init__(n, Omwu(n * (n - 1), eta, optimistic=optimistic))
 
     def next_strategy(self) -> np.ndarray:
-        p = self.pair_learner.next_strategy()
+        p = self.learner.next_strategy()
         x = _gth_stationary(_pair_rates(p, self.n))
         self.last_strategy = x
         return x
 
     def observe(self, loss) -> None:
-        if self.last_strategy is None:
-            raise ValidationError("observe called before next_strategy")
-        loss = check_bounded_loss(loss, self.n, low=-1.0)
-        self.pair_learner.observe(pair_loss_vector(self.last_strategy, loss))
+        self._update(self._checked(loss))
 
-    def reset(self, eta: float | None = None) -> None:
-        self.pair_learner.reset(eta)
-        self.last_strategy = None
+    def _update(self, loss: np.ndarray) -> None:
+        self.learner._update(pair_loss_vector(self.last_strategy, loss))
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +120,7 @@ def _tree_structure(n: int) -> tuple[np.ndarray, np.ndarray]:
     return roots, edge_pairs
 
 
-class ArboDynamics:
+class ArboDynamics(Composite):
     """Internal-regret learner over the exponential space of rooted trees.
 
     The learner's iterate is a distribution over all n^(n-1) directed trees;
@@ -142,32 +133,21 @@ class ArboDynamics:
             raise ValidationError(
                 f"action count {n} outside supported range [2, {MAX_ARBO_NODES}]"
             )
-        self.n = int(n)
         self.roots, self.edge_pairs = _tree_structure(n)
-        self.tree_learner = Omwu(len(self.roots), eta, optimistic=optimistic)
-        self.last_strategy: np.ndarray | None = None
-
-    eta = property(lambda self: self.tree_learner.eta)
-    inner_dim = property(lambda self: self.tree_learner.inner_dim)
-    inner_dist = property(lambda self: self.tree_learner.inner_dist)
-    inner_loss = property(lambda self: self.tree_learner.inner_loss)
+        super().__init__(n, Omwu(len(self.roots), eta, optimistic=optimistic))
 
     def next_strategy(self) -> np.ndarray:
-        X = self.tree_learner.next_strategy()
+        X = self.learner.next_strategy()
         x = np.bincount(self.roots, weights=X, minlength=self.n)
         self.last_strategy = x
         return x
 
     def observe(self, loss) -> None:
-        if self.last_strategy is None:
-            raise ValidationError("observe called before next_strategy")
-        loss = check_bounded_loss(loss, self.n, low=-1.0)
-        L = pair_loss_vector(self.last_strategy, loss)
-        self.tree_learner.observe(L[self.edge_pairs].sum(axis=1))
+        self._update(self._checked(loss))
 
-    def reset(self, eta: float | None = None) -> None:
-        self.tree_learner.reset(eta)
-        self.last_strategy = None
+    def _update(self, loss: np.ndarray) -> None:
+        L = pair_loss_vector(self.last_strategy, loss)
+        self.learner._update(L[self.edge_pairs].sum(axis=1))
 
 
 @dataclass
@@ -223,14 +203,20 @@ def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) 
         for t, loss in enumerate(player.losses):
             strategies[t] = arbo.next_strategy()
             tree_dists[t] = arbo.inner_dist[0]
-            arbo.observe(loss)
+            arbo._update(loss)
         deviation = np.maximum(deviation, np.abs(strategies - player.strategies).max(axis=1))
         # Proportionality constant taken from the first tree; the residual is
-        # the largest relative departure of any other tree from it.
-        log_ratio = np.log(player.pair_dists)[:, arbo.edge_pairs].sum(axis=2) - np.log(tree_dists)
-        residual = np.maximum(
-            residual, np.abs(np.exp(log_ratio - log_ratio[:, :1]) - 1.0).max(axis=1)
-        )
+        # the largest relative departure of any other tree from it. Blocks of
+        # rounds bound the (rounds, trees, n-1) edge gather.
+        for s in range(0, horizon, REGRET_CHUNK_ROUNDS):
+            rounds = slice(s, s + REGRET_CHUNK_ROUNDS)
+            log_ratio = (
+                np.log(player.pair_dists[rounds])[:, arbo.edge_pairs].sum(axis=2)
+                - np.log(tree_dists[rounds])
+            )
+            residual[rounds] = np.maximum(
+                residual[rounds], np.abs(np.exp(log_ratio - log_ratio[:, :1]) - 1.0).max(axis=1)
+            )
 
     return EquivalenceReport(
         horizon=horizon,

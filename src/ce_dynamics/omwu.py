@@ -4,6 +4,10 @@ The iterate is always recomputed from the cumulative loss vector in shifted
 log-space rather than by iterating the multiplicative recursion; this avoids
 compounding floating-point drift round over round. With optimism enabled the
 most recent loss is counted twice, which is the standard one-step prediction.
+
+Each dynamics is one such learner composed with a map to a strategy
+(:class:`Composite`). Feedback comes checked through the public ``observe``,
+or unchecked through ``_update`` where the loss is valid by construction.
 """
 
 from __future__ import annotations
@@ -17,22 +21,8 @@ from .errors import DimensionMismatchError, ValidationError
 # the iterate interior, which downstream fixed-point solvers rely on; the
 # perturbation is far below every tolerance in the package.
 _WEIGHT_FLOOR = 1e-300
-# Float slack on the [low, 1] loss range the composite learners accept.
+# Float slack on the [loss_low, 1] loss range the composite learners accept.
 LOSS_RANGE_ATOL = 1e-9
-
-
-def check_bounded_loss(loss, n: int, low: float) -> np.ndarray:
-    """A composite learner's action-space loss: shape (n,), finite, entries in [low, 1]."""
-    loss = np.asarray(loss, dtype=float)
-    if loss.shape != (n,):
-        raise DimensionMismatchError(f"loss has shape {loss.shape}, expected ({n},)")
-    if not np.all(np.isfinite(loss)):
-        raise ValidationError("loss vector has non-finite entries")
-    if loss.min() < low - LOSS_RANGE_ATOL or loss.max() > 1.0 + LOSS_RANGE_ATOL:
-        raise ValidationError(
-            f"loss entries must lie in [{low:g}, 1], got range [{loss.min()}, {loss.max()}]"
-        )
-    return loss
 
 
 class Omwu:
@@ -43,10 +33,9 @@ class Omwu:
     the softmax, its max-shift and the weight floor act along the last axis,
     and losses and iterates have the shape of the state.
 
-    State is the cumulative loss, the last observed loss (zero before any
-    feedback), and the step counter. ``next_strategy`` only records the
-    iterate it returns; ``observe`` mutates. The first strategy is exactly
-    uniform.
+    State is the cumulative loss and the last observed loss (zero before any
+    feedback). ``next_strategy`` only records the iterate it returns;
+    ``observe`` mutates. The first strategy is exactly uniform.
 
     Every learner in the package exposes its inner learner's view through
     ``inner_dim``, ``inner_dist`` (the last played inner distribution) and
@@ -79,16 +68,20 @@ class Omwu:
         return self.last_strategy
 
     def observe(self, loss) -> None:
-        loss = np.asarray(loss, dtype=float)
+        """Feedback from outside: a finite loss of the state's shape, copied."""
+        loss = np.array(loss, dtype=float)
         if loss.shape != self.shape:
             raise DimensionMismatchError(
                 f"loss has shape {loss.shape}, learner has shape {self.shape}"
             )
         if not np.all(np.isfinite(loss)):
             raise ValidationError("loss vector has non-finite entries")
+        self._update(loss)
+
+    def _update(self, loss: np.ndarray) -> None:
+        """Unchecked feedback; ``loss`` is kept as ``last_loss`` and must not be mutated."""
         self.cumulative_loss = self.cumulative_loss + loss
-        self.last_loss = loss.copy()
-        self.step += 1
+        self.last_loss = loss
 
     def reset(self, eta: float | None = None) -> None:
         """Forget all history, optionally switching the learning rate."""
@@ -99,4 +92,45 @@ class Omwu:
         self.cumulative_loss = np.zeros(self.shape)
         self.last_loss = np.zeros(self.shape)
         self.last_strategy = None
-        self.step = 0
+
+
+class Composite:
+    """An :class:`Omwu` ``learner`` composed with a map to a strategy on n actions.
+
+    Subclasses define ``next_strategy``, ``_update`` (action-space loss to
+    ``learner._update``) and ``observe`` as ``self._update(self._checked(loss))``,
+    both public methods in their own body so they can be wrapped on the class.
+    ``loss_low`` is the floor of the accepted action-space loss range.
+    """
+
+    loss_low = -1.0
+
+    def __init__(self, n: int, learner: Omwu):
+        self.n = int(n)
+        self.learner = learner
+        self.last_strategy: np.ndarray | None = None
+
+    eta = property(lambda self: self.learner.eta)
+    inner_dim = property(lambda self: self.learner.inner_dim)
+    inner_dist = property(lambda self: self.learner.inner_dist)
+    inner_loss = property(lambda self: self.learner.inner_loss)
+
+    def _checked(self, loss) -> np.ndarray:
+        """An action-space loss from outside: after a strategy, shape (n,), finite, in range."""
+        if self.last_strategy is None:
+            raise ValidationError("observe called before next_strategy")
+        loss = np.asarray(loss, dtype=float)
+        if loss.shape != (self.n,):
+            raise DimensionMismatchError(f"loss has shape {loss.shape}, expected ({self.n},)")
+        if not np.all(np.isfinite(loss)):
+            raise ValidationError("loss vector has non-finite entries")
+        low, high = loss.min(), loss.max()
+        if low < self.loss_low - LOSS_RANGE_ATOL or high > 1.0 + LOSS_RANGE_ATOL:
+            raise ValidationError(
+                f"loss entries must lie in [{self.loss_low:g}, 1], got range [{low}, {high}]"
+            )
+        return loss
+
+    def reset(self, eta: float | None = None) -> None:
+        self.learner.reset(eta)
+        self.last_strategy = None

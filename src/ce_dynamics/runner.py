@@ -2,8 +2,10 @@
 
 A run executes the two-phase self-play protocol: freeze every player's
 strategy, compute every expected-loss vector from the frozen profile, then
-deliver all feedback. The round loop only plays: it advances the learners,
-feeds the adaptive controller, and records the trace and the swap dynamics'
+deliver all feedback. The round loop only plays: it advances the learners
+(feedback through their unchecked ``_update``: each loss contracts the
+validated game with strategies the learners emitted), feeds the adaptive
+controller, and records the trace and the swap dynamics'
 loss-decomposition residual. Every per-round CSV column is computed after
 the loop from the trace, by :func:`metrics.running_regrets` and
 :func:`metrics.running_max_ratio`, and the summary's final regrets are the
@@ -254,7 +256,7 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
                 )
 
         for i, dyn in enumerate(dyns):
-            dyn.observe(round_losses[i])
+            dyn._update(round_losses[i])
             if pair_losses[i] is not None:
                 pair_losses[i][t] = dyn.inner_loss
             if controllers is not None and controllers[i].update(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,8 +137,8 @@ class TestArboDynamics:
         loss = np.ones(len(arbo.roots))
         loss[0] = 0.0
         for _ in range(600):
-            arbo.tree_learner.observe(loss)
-        X = arbo.tree_learner.next_strategy()
+            arbo.learner.observe(loss)
+        X = arbo.learner.next_strategy()
         root = arbo.roots[0]
         x = np.bincount(arbo.roots, weights=X, minlength=3)
         assert x[root] > 1 - 1e-6
@@ -161,7 +163,7 @@ class TestArboDynamics:
         want = np.array(
             [sum(L[pairs[e]] for e in tree.edges()) for tree in all_arborescences(3)]
         )
-        np.testing.assert_array_equal(arbo.tree_learner.last_loss, want)
+        np.testing.assert_array_equal(arbo.learner.last_loss, want)
         assert np.abs(want).max() <= 1.0
 
     def test_size_guard(self):
@@ -198,6 +200,19 @@ class TestEquivalence:
         game = random_game(2, (6, 3), seed=1)
         with pytest.raises(ValidationError):
             verify_equivalence(game, eta=0.1, horizon=5)
+
+    def test_memory_bounded_on_five_actions(self):
+        # 3125 trees per player: unblocked, the (T, trees, n-1) edge gather
+        # alone is 25 MB at T = 1000.
+        game = random_game(2, (5, 5), seed=0)
+        tracemalloc.start()
+        try:
+            report = verify_equivalence(game, eta=0.05, horizon=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passes(1e-8)
+        assert peak < 20e6
 
 
 def reference_equivalence(game, eta, horizon):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ce_dynamics.errors import DimensionMismatchError, ValidationError
+from ce_dynamics.internal_dynamics import ArboDynamics, SlOmwu
 from ce_dynamics.omwu import Omwu
+from ce_dynamics.swap_dynamics import BmOmwu
 
 
 def recursive_iterates(eta, losses):
@@ -65,7 +67,6 @@ class TestObserve:
             total = total + loss
         np.testing.assert_array_equal(learner.cumulative_loss, total)
         np.testing.assert_array_equal(learner.last_loss, losses[-1])
-        assert learner.step == 30
 
     def test_zero_loss_matches_plain_cumulative(self):
         opt = Omwu(3, eta=0.4, optimistic=True)
@@ -81,6 +82,14 @@ class TestObserve:
             learner.observe(np.zeros(3))
         with pytest.raises(ValidationError):
             learner.observe(np.array([np.nan, 0.0]))
+
+    def test_copies_its_input(self):
+        learner = Omwu(3, eta=0.1)
+        loss = np.array([0.2, 0.5, 0.9])
+        learner.observe(loss)
+        loss[:] = 7.0
+        np.testing.assert_array_equal(learner.last_loss, [0.2, 0.5, 0.9])
+        np.testing.assert_array_equal(learner.cumulative_loss, [0.2, 0.5, 0.9])
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
@@ -182,5 +191,38 @@ class TestInvariants:
         learner = Omwu(3, eta=0.2)
         learner.observe(np.array([1.0, 0.0, 0.3]))
         learner.reset(eta=0.5)
-        assert learner.step == 0 and learner.eta == 0.5
+        assert learner.eta == 0.5
         np.testing.assert_array_equal(learner.next_strategy(), np.full(3, 1 / 3))
+
+
+class TestUncheckedUpdate:
+    """``_update`` skips the checks of ``observe`` and changes nothing else."""
+
+    @pytest.mark.parametrize(
+        "make, loss_shape",
+        [
+            (lambda: Omwu(4, eta=0.3), (4,)),
+            (lambda: Omwu((3, 5), eta=0.3), (3, 5)),
+            (lambda: SlOmwu(4, eta=0.3), (4,)),
+            (lambda: BmOmwu(4, eta=0.3), (4,)),
+            (lambda: ArboDynamics(4, eta=0.3), (4,)),
+        ],
+        ids=["omwu", "omwu-rows", "sl-omwu", "bm-omwu", "arbo"],
+    )
+    def test_same_state_as_observe(self, make, loss_shape):
+        rng = np.random.default_rng(23)
+        checked, unchecked = make(), make()
+        for t in range(50):
+            if t == 30:
+                checked.reset(0.1)
+                unchecked.reset(0.1)
+            x = checked.next_strategy()
+            assert x.tobytes() == unchecked.next_strategy().tobytes()
+            loss = rng.uniform(0, 1, loss_shape)
+            checked.observe(loss)
+            unchecked._update(loss.copy())
+            assert checked.inner_loss.tobytes() == unchecked.inner_loss.tobytes()
+        inner = getattr(checked, "learner", checked)
+        inner_u = getattr(unchecked, "learner", unchecked)
+        assert inner.cumulative_loss.tobytes() == inner_u.cumulative_loss.tobytes()
+        assert checked.next_strategy().tobytes() == unchecked.next_strategy().tobytes()

@@ -6,7 +6,8 @@ import pytest
 
 from ce_dynamics.errors import ValidationError
 from ce_dynamics.games import Game, random_game
-from ce_dynamics.internal_dynamics import SlOmwu
+from ce_dynamics.internal_dynamics import SlOmwu, verify_equivalence
+from ce_dynamics.omwu import Composite, Omwu
 from ce_dynamics.runner import (
     CSV_COLUMNS,
     AdaptiveEtaController,
@@ -347,6 +348,30 @@ class TestAdaptiveMode:
         )
         result = run_dynamics(cfg)
         assert all(s is not None for s in result.summary["final"]["adaptive_switch_round"])
+
+
+class TestUncheckedFeedback:
+    """The round loop and the equivalence replay skip the feedback checks."""
+
+    @pytest.fixture
+    def checks_raise(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("checked feedback path called")
+
+        monkeypatch.setattr(Composite, "_checked", refuse)
+        monkeypatch.setattr(Omwu, "observe", refuse)
+
+    @pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu", "arbo"])
+    @pytest.mark.parametrize(
+        "rule",
+        [dict(eta_rule="fixed", eta=0.05), dict(eta_rule="adaptive", eta=None, adaptive_budget=0.0)],
+    )
+    def test_run_dynamics(self, checks_raise, dynamics, rule):
+        result = run_dynamics(small_config(dynamics=dynamics, horizon=16, **rule))
+        assert len(result.rows) == 32
+
+    def test_verify_equivalence(self, checks_raise):
+        assert verify_equivalence(random_game(2, (3, 3), seed=0), eta=0.05, horizon=16).passes(1e-8)
 
 
 class TestOutputs:

@@ -193,9 +193,8 @@ def _cmd_diagnose(args) -> int:
 
 def _write_smoothness_table(result, config, path) -> None:
     lines = ["player,order,t,observed,bound"]
-    alpha = config.smoothness_alpha or 1.0 / (config.smoothness_order + 3)
     for i in range(result.trace.num_players):
-        rep = smoothness_report(result.trace, i, config.smoothness_order, alpha)
+        rep = smoothness_report(result.trace, i, config.smoothness_order, config.smoothness_alpha)
         for h, observed in enumerate(rep.observed):
             for t, value in enumerate(observed):
                 lines.append(f"{i},{h},{t + 1},{float(value)!r},{float(rep.bounds[h])!r}")
@@ -231,7 +230,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except StationaryResidualError as exc:

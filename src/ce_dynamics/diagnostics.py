@@ -135,20 +135,35 @@ class SmoothnessReport:
         }
 
 
-def smoothness_report(trace: RunTrace, player: int, max_order: int, alpha: float) -> SmoothnessReport:
+def resolve_smoothness_alpha(max_order: int, alpha: float | None = None) -> float:
+    """The certificate's alpha for order H: ``alpha``, or 1/(H+3) when it is None.
+
+    Raises :class:`ValidationError` for H < 0 or an alpha outside (0, 1/(H+3)].
+    """
+    if max_order < 0:
+        raise ValidationError(f"order must be nonnegative, got {max_order}")
+    ceiling = 1.0 / (max_order + 3)
+    if alpha is None:
+        return ceiling
+    if not 0 < alpha <= ceiling:
+        raise ValidationError(f"alpha must lie in (0, 1/(H+3)] = (0, {ceiling}], got {alpha}")
+    return alpha
+
+
+def smoothness_report(
+    trace: RunTrace, player: int, max_order: int, alpha: float | None = None
+) -> SmoothnessReport:
     """Check h-th differences of the recorded pair losses against the bound.
 
     Requires a pair-space self-play trace. The check is enforced (failures
     are certificate violations) only when the run's learning rate satisfies
     eta <= alpha / (36 e^5 m); for larger rates the report is observational.
+    ``alpha`` defaults to 1/(H+3), its largest valid value.
     """
     pt = trace.players[player]
     if pt.pair_losses is None:
         raise ValidationError("smoothness check needs a pair-space trace with recorded pair losses")
-    if not 0 < alpha <= 1.0 / (max_order + 3):
-        raise ValidationError(
-            f"alpha must lie in (0, 1/(H+3)] = (0, {1.0 / (max_order + 3)}], got {alpha}"
-        )
+    alpha = resolve_smoothness_alpha(max_order, alpha)
     eta = trace.etas[player]
     m = trace.num_players
     threshold = alpha / (SMOOTHNESS_ETA_DIVISOR * m)

@@ -18,10 +18,14 @@ from .errors import DimensionMismatchError, GameFormatError, ValidationError
 SIMPLEX_ATOL = 1e-12
 
 
-def is_distribution(v: np.ndarray, atol: float = SIMPLEX_ATOL) -> bool:
-    """True when ``v`` is a probability vector up to ``atol`` on the sum."""
+def is_distribution(v: np.ndarray, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+    """Row-wise simplex test over the last axis of ``v``.
+
+    True where the row is non-negative and sums to 1 up to ``atol``; a NaN
+    entry fails. A 1-D ``v`` gives one boolean, a ``(T, n)`` array one per row.
+    """
     v = np.asarray(v, dtype=float)
-    return v.ndim == 1 and np.all(v >= 0.0) and abs(float(v.sum()) - 1.0) <= atol
+    return np.all(v >= 0.0, axis=-1) & (np.abs(v.sum(axis=-1) - 1.0) <= atol)
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ def check_profile(game: Game, profile) -> list[np.ndarray]:
             raise DimensionMismatchError(
                 f"strategy of player {i} has shape {x.shape}, expected ({n},)"
             )
-        if not (np.all(x >= 0.0) and abs(float(x.sum()) - 1.0) <= SIMPLEX_ATOL):
+        if not is_distribution(x):
             raise ValidationError(f"strategy of player {i} is not a probability vector: {x!r}")
         out.append(x)
     return out
@@ -92,13 +96,29 @@ def expected_loss(game: Game, profile, player: int) -> np.ndarray:
 
     Entry ``j`` is the expectation of the player's loss tensor at action ``j``
     over the product of opponent strategies; the player's own strategy never
-    enters. Every entry lies in [0, 1].
+    enters. Every entry lies in [0, 1]. The profile is checked by
+    :func:`check_profile`, then contracted by :func:`_contract`.
     """
-    strategies = check_profile(game, profile)
-    tensor = game.losses[player]
+    return _contract(game, check_profile(game, profile), player)
+
+
+def _contract(game: Game, strategies, player: int) -> np.ndarray:
+    """Unchecked step of :func:`expected_loss` for float simplex ``strategies``.
+
+    Two players take one matmul; more players contract by :func:`_contract_axes`.
+    Both forms give the same bits on two-player games.
+    """
+    if len(strategies) == 2:
+        return game.losses[0] @ strategies[1] if player == 0 else strategies[0] @ game.losses[1]
+    return _contract_axes(game.losses[player], strategies, player)
+
+
+def _contract_axes(tensor: np.ndarray, strategies, player: int) -> np.ndarray:
+    """Contract every axis of ``tensor`` but ``player``'s with that axis's strategy."""
     # Contract opponent axes from the highest down so axis indices stay valid.
-    for axis in sorted((a for a in range(game.num_players) if a != player), reverse=True):
-        tensor = np.tensordot(tensor, strategies[axis], axes=([axis], [0]))
+    for axis in reversed(range(len(strategies))):
+        if axis != player:
+            tensor = np.tensordot(tensor, strategies[axis], axes=([axis], [0]))
     return tensor
 
 

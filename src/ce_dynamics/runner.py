@@ -2,12 +2,14 @@
 
 A run executes the two-phase self-play protocol: freeze every player's
 strategy, compute every expected-loss vector from the frozen profile, then
-deliver all feedback. The round loop only plays: it advances the learners
-(feedback through their unchecked ``_update``: each loss contracts the
-validated game with strategies the learners emitted), feeds the adaptive
-controller, and records the trace and the swap dynamics'
-loss-decomposition residual. Every per-round CSV column is computed after
-the loop from the trace, by :func:`metrics.running_regrets` and
+deliver all feedback. The round loop only plays, with no per-round checks:
+each loss is :func:`games._contract` of the validated game with the
+strategies the learners just emitted, and feedback goes through the
+learners' unchecked ``_update``. It also feeds the adaptive controller and
+records the trace and the swap dynamics' loss-decomposition residual. One
+vectorised pass after the loop checks every recorded strategy against the
+simplex, before any output is built. Every per-round CSV column is computed
+after the loop from the trace, by :func:`metrics.running_regrets` and
 :func:`metrics.running_max_ratio`, and the summary's final regrets are the
 table's last round. Everything is deterministic given the configuration; no
 wall-clock or randomness enters the outputs.
@@ -28,13 +30,15 @@ from .diagnostics import (
     DEFAULT_VARIANCE_BUDGET_CONSTANT,
     budget_depth,
     check_variance_inequality,
+    resolve_smoothness_alpha,
     rvu_check,
     smoothness_report,
     stability_check,
     variance,
 )
 from .errors import ValidationError
-from .games import Game, expected_loss, load_game, random_game
+# expected_loss stays bound here: perfbench's smoke test reads runner.expected_loss.
+from .games import Game, _contract, expected_loss, is_distribution, load_game, random_game
 from .internal_dynamics import ArboDynamics, SlOmwu
 from .metrics import (
     PlayerTrace,
@@ -109,6 +113,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
+        if self.smoothness_order is not None:
+            resolve_smoothness_alpha(self.smoothness_order, self.smoothness_alpha)
         if self.log_base not in ("e", "2"):
             raise ValidationError(f"log base must be 'e' or '2', got {self.log_base!r}")
         if self.out_format not in ("csv", "json"):
@@ -243,7 +249,7 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
 
     for t in range(T):
         profile = [dyn.next_strategy() for dyn in dyns]
-        round_losses = [expected_loss(game, profile, i) for i in range(m)]
+        round_losses = [_contract(game, profile, i) for i in range(m)]
 
         for i, dyn in enumerate(dyns):
             strategies[i][t] = profile[i]
@@ -263,6 +269,14 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
                 t + 1, dyn.inner_dist, dyn.inner_loss
             ):
                 dyn.reset(controllers[i].eta_adversarial)
+
+    for i, x in enumerate(strategies):  # the one simplex check of the run's strategies
+        bad = np.flatnonzero(~is_distribution(x))
+        if bad.size:
+            raise ValidationError(
+                f"strategy of player {i} at round {bad[0] + 1} is not a probability vector: "
+                f"{x[bad[0]]!r}"
+            )
 
     trace = RunTrace(
         horizon=T,
@@ -344,9 +358,8 @@ def _summarize(config, game, trace, final, switch_rounds, eta_final, max_decompo
         ]
     has_pair_data = trace.players[0].pair_dists is not None
     if config.smoothness_order is not None and has_pair_data:
-        alpha = config.smoothness_alpha or 1.0 / (config.smoothness_order + 3)
         summary["diagnostics"]["smoothness"] = [
-            smoothness_report(trace, i, config.smoothness_order, alpha).to_dict()
+            smoothness_report(trace, i, config.smoothness_order, config.smoothness_alpha).to_dict()
             for i in range(m)
         ]
     if config.rvu_constant is not None and has_pair_data:

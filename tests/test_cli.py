@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ce_dynamics import runner
 from ce_dynamics.cli import main
 from ce_dynamics.games import load_game, random_game, save_game
 
@@ -99,6 +100,35 @@ def test_equivalence_rejects_bad_numbers(game_file, capsys, argv):
     assert capsys.readouterr().err.startswith("validation error:")
 
 
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+@pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--smoothness-order", "-1"], ["--smoothness-order", "3", "--smoothness-alpha", "0.9"]],
+    ids=["order", "alpha"],
+)
+def test_bad_smoothness_options_fail_before_play(
+    game_file, tmp_path, capsys, monkeypatch, command, dynamics, argv
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("play started")
+
+    monkeypatch.setattr(runner, "_build_dynamics", refuse)
+    out = tmp_path / "out"
+    code = main([command, "--game", game_file, "--dynamics", dynamics, "--horizon", "20000",
+                 "--eta", "0.05", "--out", str(out), *argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert not out.exists()
+
+
+def test_diagnose_default_order_checks_given_alpha(game_file, capsys):
+    argv = ["diagnose", "--game", game_file, "--horizon", "8", "--eta", "0.05",
+            "--smoothness-alpha", "0.25"]
+    assert main(argv) == 2
+    assert "alpha must lie in (0, 1/(H+3)]" in capsys.readouterr().err
+
+
 def test_run_command_produces_outputs(game_file, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(
@@ -127,6 +157,27 @@ def test_run_missing_game(tmp_path):
               "--eta", "0.1", "--out", str(tmp_path / "x")])
         == 2
     )
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose", "equivalence"])
+def test_game_directory_is_validation_error(tmp_path, capsys, command):
+    argv = [command, "--game", str(tmp_path), "--horizon", "4", "--eta", "0.1"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("validation error:")
+
+
+def test_stationary_matrix_directory_is_validation_error(tmp_path, capsys):
+    assert main(["stationary", "--matrix", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("validation error:")
+
+
+def test_stationary_non_utf8_matrix_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"[[0.5, 0.5], [\xe9, 0.5]]")
+    assert main(["stationary", "--matrix", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("validation error:")
 
 
 def test_run_truncated_game_is_validation_error(tmp_path, capsys):

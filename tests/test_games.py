@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from ce_dynamics.errors import DimensionMismatchError, GameFormatError, ValidationError
 from ce_dynamics.games import (
     Game,
+    _contract,
+    _contract_axes,
     expected_loss,
     is_distribution,
     load_game,
@@ -98,6 +100,30 @@ class TestExpectedLoss:
             expected_loss(game, [np.array([0.5, 0.5]), np.array([0.5, 0.5])], 0)
 
 
+class TestContract:
+    """The unchecked step behind ``expected_loss``, which the round loop calls."""
+
+    @pytest.mark.parametrize("counts", [(2, 2), (3, 3), (2, 7), (7, 2), (5, 10), (12, 4)])
+    def test_two_player_matmul_matches_tensordot_bitwise(self, counts):
+        game = random_game(2, counts, seed=sum(counts))
+        rng = np.random.default_rng(counts[0] * 100 + counts[1])
+        for _ in range(40):
+            profile = [rng.dirichlet(np.ones(n)) for n in counts]
+            for player in range(2):
+                got = _contract(game, profile, player)
+                want = _contract_axes(game.losses[player], profile, player)
+                assert got.shape == (counts[player],)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("counts", [(2, 7), (3, 3), (2, 3, 2), (3, 3, 3)])
+    def test_expected_loss_is_check_plus_contract(self, counts):
+        game = random_game(len(counts), counts, seed=4)
+        profile = uniform_profile(counts)
+        for player in range(len(counts)):
+            got = expected_loss(game, [list(x) for x in profile], player)
+            assert got.tobytes() == _contract(game, profile, player).tobytes()
+
+
 class TestRandomGame:
     def test_determinism(self):
         a = random_game(2, (2, 2), seed=1)
@@ -172,3 +198,7 @@ class TestGameInvariants:
         assert is_distribution(np.array([0.25, 0.75]))
         assert not is_distribution(np.array([0.3, 0.8]))
         assert not is_distribution(np.array([-0.1, 1.1]))
+
+    def test_is_distribution_row_wise(self):
+        rows = np.array([[0.25, 0.75], [0.3, 0.8], [-0.1, 1.1], [np.nan, 1.0], [1.0, 0.0]])
+        assert is_distribution(rows).tolist() == [True, False, False, False, True]

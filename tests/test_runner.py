@@ -1,9 +1,12 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from ce_dynamics import games, runner
+from ce_dynamics.cli import main
 from ce_dynamics.errors import ValidationError
 from ce_dynamics.games import Game, random_game
 from ce_dynamics.internal_dynamics import SlOmwu, verify_equivalence
@@ -83,6 +86,11 @@ class TestConfigValidation:
             dict(rvu_constant=math.nan),
             dict(rvu_constant=-math.inf),
             dict(variance_budget=math.nan),
+            dict(smoothness_order=-1),
+            dict(dynamics="omwu", smoothness_order=-1),
+            dict(smoothness_order=3, smoothness_alpha=0.9),
+            dict(dynamics="bm-omwu", smoothness_order=3, smoothness_alpha=0.9),
+            dict(smoothness_order=3, smoothness_alpha=0.0),
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -351,13 +359,15 @@ class TestAdaptiveMode:
 
 
 class TestUncheckedFeedback:
-    """The round loop and the equivalence replay skip the feedback checks."""
+    """The round loop and the equivalence replay skip the profile and feedback checks."""
 
     @pytest.fixture
     def checks_raise(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("checked feedback path called")
+            raise AssertionError("checked profile or feedback path called")
 
+        monkeypatch.setattr(games, "check_profile", refuse)
+        monkeypatch.setattr(runner, "expected_loss", refuse)
         monkeypatch.setattr(Composite, "_checked", refuse)
         monkeypatch.setattr(Omwu, "observe", refuse)
 
@@ -370,8 +380,47 @@ class TestUncheckedFeedback:
         result = run_dynamics(small_config(dynamics=dynamics, horizon=16, **rule))
         assert len(result.rows) == 32
 
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_run_dynamics_three_players(self, checks_raise, dynamics):
+        cfg = small_config(dynamics=dynamics, horizon=16, players=3, action_counts=(3, 3, 3))
+        assert len(run_dynamics(cfg).rows) == 48
+
     def test_verify_equivalence(self, checks_raise):
         assert verify_equivalence(random_game(2, (3, 3), seed=0), eta=0.05, horizon=16).passes(1e-8)
+
+
+class TestStrategyCheck:
+    """Recorded strategies are checked once, after the round loop."""
+
+    @pytest.fixture
+    def off_simplex_round_5(self, monkeypatch):
+        """Player 1's learner emits one off-simplex strategy, at round 5."""
+        build = runner._build_dynamics
+        built = []
+
+        def build_spy(name, n, eta):
+            dyn = build(name, n, eta)
+            built.append(dyn)
+            if len(built) == 2:
+                emit = dyn.next_strategy
+                rounds = itertools.count(1)
+                dyn.next_strategy = lambda: emit() * (1.5 if next(rounds) == 5 else 1.0)
+            return dyn
+
+        monkeypatch.setattr(runner, "_build_dynamics", build_spy)
+
+    @pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu", "arbo"])
+    def test_run_dynamics_names_player_and_round(self, off_simplex_round_5, dynamics):
+        with pytest.raises(ValidationError, match="player 1 at round 5 is not a probability"):
+            run_dynamics(small_config(dynamics=dynamics, horizon=16))
+
+    def test_cli_exits_2_without_outputs(self, off_simplex_round_5, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["run", "--players", "2", "--actions", "3,3", "--horizon", "16",
+                "--eta", "0.05", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("validation error: strategy of player 1")
+        assert not (out / "summary.json").exists()
 
 
 class TestOutputs:

@@ -9,6 +9,7 @@ across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,9 @@ def is_distribution(v: np.ndarray, atol: float = SIMPLEX_ATOL) -> np.ndarray:
 class Game:
     """An m-player game given by per-player loss tensors over joint profiles.
 
-    ``losses[i]`` has shape ``action_counts`` and entries in [0, 1].
+    ``losses[i]`` has shape ``action_counts`` and entries in [0, 1]. For
+    m >= 3 players, ``_plans[i]`` is player i's contraction plan (see
+    :func:`_contraction_plan`), built once here.
     """
 
     action_counts: tuple[int, ...]
@@ -66,6 +69,9 @@ class Game:
             frozen.append(arr)
         object.__setattr__(self, "losses", tuple(frozen))
         object.__setattr__(self, "action_counts", shape)
+        if m >= 3:
+            plans = tuple(_contraction_plan(arr, i) for i, arr in enumerate(frozen))
+            object.__setattr__(self, "_plans", plans)
 
     @property
     def num_players(self) -> int:
@@ -105,21 +111,41 @@ def expected_loss(game: Game, profile, player: int) -> np.ndarray:
 def _contract(game: Game, strategies, player: int) -> np.ndarray:
     """Unchecked step of :func:`expected_loss` for float simplex ``strategies``.
 
-    Two players take one matmul; more players contract by :func:`_contract_axes`.
-    Both forms give the same bits on two-player games.
+    Two players take one matmul. More players follow the player's plan: the
+    same transposed views and ``(rows, n) @ x[:, None]`` products that
+    ``np.tensordot`` makes, axis by axis, so the bits are tensordot's.
     """
     if len(strategies) == 2:
         return game.losses[0] @ strategies[1] if player == 0 else strategies[0] @ game.losses[1]
-    return _contract_axes(game.losses[player], strategies, player)
-
-
-def _contract_axes(tensor: np.ndarray, strategies, player: int) -> np.ndarray:
-    """Contract every axis of ``tensor`` but ``player``'s with that axis's strategy."""
-    # Contract opponent axes from the highest down so axis indices stay valid.
-    for axis in reversed(range(len(strategies))):
-        if axis != player:
-            tensor = np.tensordot(tensor, strategies[axis], axes=([axis], [0]))
+    first, axis, rest, later = game._plans[player]
+    tensor = (first @ strategies[axis][:, None]).reshape(rest)
+    for axis, perm, shape, rest in later:
+        tensor = (tensor.transpose(perm).reshape(shape) @ strategies[axis][:, None]).reshape(rest)
     return tensor
+
+
+def _contraction_plan(tensor: np.ndarray, player: int):
+    """``np.tensordot``'s steps contracting every axis of ``tensor`` but ``player``'s.
+
+    Axes go from the highest down, so lower axes keep their numbers. Each step
+    transposes by ``perm`` to move ``axis`` last, views the result as
+    ``shape`` = (rows, n), multiplies by the strategy as an (n, 1) column and
+    reshapes to ``rest``. Returns ``(first, axis, rest, later)``: the first
+    step's (rows, n) operand, which only depends on the game, with its axis
+    and result shape, then ``(axis, perm, shape, rest)`` for each later step.
+    """
+    steps = []
+    dims = tensor.shape
+    for axis in reversed(range(len(dims))):
+        if axis != player:
+            keep = [k for k in range(len(dims)) if k != axis]
+            rest = tuple(dims[k] for k in keep)
+            steps.append((axis, (*keep, axis), (math.prod(rest), dims[axis]), rest))
+            dims = rest
+    axis, perm, shape, rest = steps[0]
+    first = tensor.transpose(perm).reshape(shape)
+    first.setflags(write=False)
+    return first, axis, rest, tuple(steps[1:])
 
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15

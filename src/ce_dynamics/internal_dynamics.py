@@ -4,7 +4,9 @@ Two :class:`~ce_dynamics.omwu.Composite` learners are implemented:
 
 * :class:`SlOmwu` runs one multiplicative-weights learner over the n(n-1)
   ordered action pairs, turns its iterate into a row-stochastic matrix, and
-  plays the stationary distribution of that matrix each round.
+  plays the stationary distribution of that matrix each round. The public
+  ``next_strategy`` gates each solve by its residual; a run's round loop
+  plays the unchecked ``_next_strategy`` and gates every round afterwards.
 * :class:`ArboDynamics` runs the same learner over all n^(n-1) rooted
   directed trees and plays the per-root marginals directly.
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .games import Game
-from .markov_tree import _gth_stationary, all_arborescences
+from .markov_tree import _gth_stationary, all_arborescences, check_stationary
 from .metrics import REGRET_CHUNK_ROUNDS
 from .omwu import Composite, Omwu
 
@@ -54,10 +56,13 @@ def pair_loss_vector(strategy: np.ndarray, loss: np.ndarray) -> np.ndarray:
 
 
 def _pair_rates(p: np.ndarray, n: int) -> np.ndarray:
-    """Matrix with off-diagonal (j, k) entry p[j -> k] and a zero diagonal."""
+    """Matrix with off-diagonal (j, k) entry p[..., j -> k] and a zero diagonal.
+
+    Leading axes of ``p`` carry over: pair masses of shape (T, n(n-1)) give (T, n, n).
+    """
     src, dst = _pair_index_arrays(n)
-    M = np.zeros((n, n))
-    M[src, dst] = p
+    M = np.zeros((*p.shape[:-1], n, n))
+    M[..., src, dst] = p
     return M
 
 
@@ -90,10 +95,14 @@ class SlOmwu(Composite):
         super().__init__(n, Omwu(n * (n - 1), eta, optimistic=optimistic))
 
     def next_strategy(self) -> np.ndarray:
-        p = self.learner.next_strategy()
-        x = _gth_stationary(_pair_rates(p, self.n))
-        self.last_strategy = x
-        return x
+        A = _pair_rates(self.learner.next_strategy(), self.n)
+        self.last_strategy = check_stationary(A, _gth_stationary(A))
+        return self.last_strategy
+
+    def _next_strategy(self) -> np.ndarray:
+        """Unchecked step of :meth:`next_strategy`; a run gates it once, after its loop."""
+        self.last_strategy = _gth_stationary(_pair_rates(self.learner.next_strategy(), self.n))
+        return self.last_strategy
 
     def observe(self, loss) -> None:
         self._update(self._checked(loss))
@@ -160,8 +169,12 @@ class EquivalenceReport:
     max_proportionality_residual: float
     strategy_deviation_per_round: np.ndarray
     proportionality_residual_per_round: np.ndarray
+    tol: float = 1e-8  # the tolerance verify_equivalence was given
 
-    def passes(self, tol: float) -> bool:
+    def passes(self, tol: float | None = None) -> bool:
+        """Both worst deviations within ``tol``, by default the report's own."""
+        if tol is None:
+            tol = self.tol
         return (
             self.max_strategy_deviation <= tol
             and self.max_proportionality_residual <= tol
@@ -185,7 +198,8 @@ def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) 
     per tree, the relative spread of (product of pair masses along tree
     edges) / (tree mass), which should be a tree-independent constant. The
     tree learners are built first, so their size and learning-rate guards
-    fail before any play.
+    fail before any play. ``tol`` is kept on the report as the default of
+    :meth:`EquivalenceReport.passes`.
     """
     from .runner import RunConfig, run_dynamics  # runner imports this module
 
@@ -225,4 +239,5 @@ def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) 
         max_proportionality_residual=float(residual.max()),
         strategy_deviation_per_round=deviation,
         proportionality_residual_per_round=residual,
+        tol=tol,
     )

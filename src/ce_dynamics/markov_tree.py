@@ -12,6 +12,11 @@ convention, ``Q^T pi = pi``):
   however small, carries a small relative error (O'Cinneide, Numer. Math. 65,
   1993); a small residual alone would not promise that.
 
+The elimination itself (``_gth_stationary``) is unchecked; the residual gate
+:func:`check_stationary` follows it in :func:`solve_stationary` and in the
+learners' public ``next_strategy``. A run gates all its solves at once after
+its round loop, with :func:`stationary_residual` over a leading round axis.
+
 A directed tree rooted at j ("arborescence") has no cycles, no outgoing edge
 from j, and exactly one outgoing edge from every other node. Trees are
 encoded by their parent array with the convention ``parents[root] == root``;
@@ -141,24 +146,41 @@ def tree_theorem_stationary(Q) -> np.ndarray:
     return sums / sums.sum()
 
 
-def stationary_residual(A: np.ndarray, pi: np.ndarray) -> float:
-    """Generator-form residual ``max |A^T pi - rowsum(A) * pi|``.
+def stationary_residual(A: np.ndarray, pi: np.ndarray):
+    """Generator-form residual ``max |A^T pi - rowsum(A) * pi|``, over any leading axes.
 
-    The diagonal of ``A`` cancels out, so ``A`` may hold rates. For a
-    row-stochastic ``A`` this is the fixed-point residual ``max |A^T pi - pi|``.
+    ``A`` of shape (..., n, n) and ``pi`` of shape (..., n) give one residual
+    per leading index. The diagonal of ``A`` cancels out, so ``A`` may hold
+    rates. For a row-stochastic ``A`` this is the fixed-point residual
+    ``max |A^T pi - pi|``.
     """
-    return float(np.abs(A.T @ pi - A.sum(axis=1) * pi).max())
+    flow = (pi[..., None, :] @ A)[..., 0, :]
+    return np.abs(flow - A.sum(axis=-1) * pi).max(axis=-1)
+
+
+def check_stationary(A: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """The residual gate: ``pi`` unless its residual for ``A`` exceeds 1e-10.
+
+    Raises :class:`StationaryResidualError` otherwise; a NaN residual fails too.
+    """
+    residual = float(stationary_residual(A, pi))
+    if not residual <= STATIONARY_RESIDUAL_TOL:
+        raise StationaryResidualError(
+            f"stationary solve failed: residual {residual} above {STATIONARY_RESIDUAL_TOL}",
+            residual=residual,
+        )
+    return pi
 
 
 def _gth_stationary(A: np.ndarray) -> np.ndarray:
-    """Stationary distribution of the chain with off-diagonal rates ``A[j, k]``.
+    """Stationary distribution of the chain with off-diagonal rates ``A[j, k]``, unchecked.
 
     GTH elimination: states are censored out from the last one down, each
     one's incoming rates rerouted along its outgoing ones, then pi is rebuilt
     from the first state up. The elimination never reads the diagonal of
     ``A`` and never subtracts. Plain Python floats beat numpy's per-call
-    overhead at the sizes met here. Raises :class:`StationaryResidualError`
-    unless the residual is within 1e-10.
+    overhead at the sizes met here. Callers gate the result with
+    :func:`check_stationary`, per call or, in a run, once after the loop.
     """
     n = A.shape[0]
     a = A.tolist()
@@ -176,16 +198,10 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
         pi.append(sum(pi[i] * a[i][k] for i in range(k)))
     pi = np.array(pi)
     pi /= pi.sum()
-    residual = stationary_residual(A, pi)
-    # Written so that a NaN residual fails too.
-    if not residual <= STATIONARY_RESIDUAL_TOL:
-        raise StationaryResidualError(
-            f"stationary solve failed: residual {residual} above {STATIONARY_RESIDUAL_TOL}",
-            residual=residual,
-        )
     return pi
 
 
 def solve_stationary(Q) -> np.ndarray:
-    """Stationary distribution of a positive row-stochastic matrix, by GTH elimination."""
-    return _gth_stationary(check_transition_matrix(Q))
+    """Stationary distribution of a positive row-stochastic matrix, by gated GTH elimination."""
+    Q = check_transition_matrix(Q)
+    return check_stationary(Q, _gth_stationary(Q))

@@ -220,18 +220,25 @@ def average_product_distribution(
     """Time average of the per-round product distributions.
 
     Returns a dense tensor when the joint profile space has at most
-    ``max_entries`` cells, otherwise a lazy handle.
+    ``max_entries`` cells, otherwise a lazy handle. Rounds go in blocks of at
+    most REGRET_CHUNK_ROUNDS, fewer when a block would pass
+    DENSE_JOINT_MAX_ENTRIES cells; the running total is folded into each
+    block's first round before the block sum, so every cell is the plain
+    sequential sum over rounds.
     """
     cells = int(np.prod(trace.action_counts))
     if cells > max_entries:
         return LazyJointDistribution(trace)
-    shape = trace.action_counts
-    acc = np.zeros(shape)
-    for t in range(trace.horizon):
-        block = np.ones(())
-        for i in range(trace.num_players):
-            block = np.multiply.outer(block, trace.players[i].strategies[t])
-        acc += block
+    chunk = max(1, min(REGRET_CHUNK_ROUNDS, DENSE_JOINT_MAX_ENTRIES // cells))
+    acc = np.zeros(trace.action_counts)
+    for s in range(0, trace.horizon, chunk):
+        rounds = slice(s, s + chunk)
+        block = trace.players[0].strategies[rounds].copy()
+        for i in range(1, trace.num_players):
+            x = trace.players[i].strategies[rounds]
+            block = block[..., None] * x.reshape(x.shape[0], *(1,) * i, x.shape[1])
+        block[0] += acc
+        acc = block.sum(axis=0)
     return DenseJointDistribution(acc / trace.horizon)
 
 

@@ -100,7 +100,9 @@ class Composite:
     Subclasses define ``next_strategy``, ``_update`` (action-space loss to
     ``learner._update``) and ``observe`` as ``self._update(self._checked(loss))``,
     both public methods in their own body so they can be wrapped on the class.
-    ``loss_low`` is the floor of the accepted action-space loss range.
+    Those whose strategy is a stationary solve also define ``_next_strategy``,
+    the solve without its residual gate. ``loss_low`` is the floor of the
+    accepted action-space loss range.
     """
 
     loss_low = -1.0

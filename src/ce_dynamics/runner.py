@@ -3,16 +3,18 @@
 A run executes the two-phase self-play protocol: freeze every player's
 strategy, compute every expected-loss vector from the frozen profile, then
 deliver all feedback. The round loop only plays, with no per-round checks:
-each loss is :func:`games._contract` of the validated game with the
-strategies the learners just emitted, and feedback goes through the
-learners' unchecked ``_update``. It also feeds the adaptive controller and
-records the trace and the swap dynamics' loss-decomposition residual. One
-vectorised pass after the loop checks every recorded strategy against the
-simplex, before any output is built. Every per-round CSV column is computed
-after the loop from the trace, by :func:`metrics.running_regrets` and
+the SL and BM learners play their unchecked stationary solve
+(``_next_strategy``), each loss is :func:`games._contract` of the validated
+game with the strategies just emitted, and feedback goes through the
+learners' unchecked ``_update``. The loop also feeds the adaptive controller
+and records the trace. After the loop, before any output is built, one pass
+gates every recorded stationary solve by its residual, then one vectorised
+pass checks every recorded strategy against the simplex. Every per-round CSV
+column is computed from the trace, by :func:`metrics.running_regrets` and
 :func:`metrics.running_max_ratio`, and the summary's final regrets are the
-table's last round. Everything is deterministic given the configuration; no
-wall-clock or randomness enters the outputs.
+table's last round; BM's loss-decomposition residual is read from the trace
+too. Everything is deterministic given the configuration; no wall-clock or
+randomness enters the outputs.
 """
 
 from __future__ import annotations
@@ -36,11 +38,13 @@ from .diagnostics import (
     stability_check,
     variance,
 )
-from .errors import ValidationError
+from .errors import StationaryResidualError, ValidationError
 # expected_loss stays bound here: perfbench's smoke test reads runner.expected_loss.
 from .games import Game, _contract, expected_loss, is_distribution, load_game, random_game
-from .internal_dynamics import ArboDynamics, SlOmwu
+from .internal_dynamics import ArboDynamics, SlOmwu, _pair_rates
+from .markov_tree import STATIONARY_RESIDUAL_TOL, stationary_residual
 from .metrics import (
+    REGRET_CHUNK_ROUNDS,
     PlayerTrace,
     RunTrace,
     average_product_distribution,
@@ -49,7 +53,7 @@ from .metrics import (
     running_regrets,
 )
 from .omwu import Omwu
-from .swap_dynamics import BmOmwu
+from .swap_dynamics import BmOmwu, decomposition_residuals
 
 DYNAMICS = ("omwu", "mwu", "sl-omwu", "sl-mwu", "bm-omwu", "bm-mwu", "arbo")
 ETA_RULES = ("fixed", "theorem-internal", "theorem-swap", "adaptive")
@@ -115,6 +119,8 @@ class RunConfig:
                 raise ValidationError(f"{name} must be finite, got {value}")
         if self.smoothness_order is not None:
             resolve_smoothness_alpha(self.smoothness_order, self.smoothness_alpha)
+        elif self.smoothness_alpha is not None:
+            raise ValidationError("smoothness alpha needs a smoothness order")
         if self.log_base not in ("e", "2"):
             raise ValidationError(f"log base must be 'e' or '2', got {self.log_base!r}")
         if self.out_format not in ("csv", "json"):
@@ -245,10 +251,12 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
         for n, dyn in zip(counts, dyns)
     ]
     pair_losses = [np.empty((T, dyn.inner_dim)) if family == "sl" else None for dyn in dyns]
-    max_decomposition_residual = 0.0
+    # SL and BM play their unchecked stationary solve; the gate runs once, after the loop.
+    solves = family in ("sl", "bm")
+    plays = [dyn._next_strategy if solves else dyn.next_strategy for dyn in dyns]
 
     for t in range(T):
-        profile = [dyn.next_strategy() for dyn in dyns]
+        profile = [play() for play in plays]
         round_losses = [_contract(game, profile, i) for i in range(m)]
 
         for i, dyn in enumerate(dyns):
@@ -256,10 +264,6 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
             losses[i][t] = round_losses[i]
             if inner_field:
                 inner_dists[i][t] = dyn.inner_dist
-            if is_bm:
-                max_decomposition_residual = max(
-                    max_decomposition_residual, dyn.loss_decomposition_residual(round_losses[i])
-                )
 
         for i, dyn in enumerate(dyns):
             dyn._update(round_losses[i])
@@ -270,6 +274,8 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
             ):
                 dyn.reset(controllers[i].eta_adversarial)
 
+    if solves:
+        _check_stationary_solves(strategies, inner_dists, is_bm)
     for i, x in enumerate(strategies):  # the one simplex check of the run's strategies
         bad = np.flatnonzero(~is_distribution(x))
         if bad.size:
@@ -301,10 +307,31 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
         for t, per_round in zip(range(1, T + 1), table.tolist())
         for i, values in enumerate(per_round)
     ]
-    summary = _summarize(
-        config, game, trace, table[-1], switch_rounds, eta_final, max_decomposition_residual
-    )
+    summary = _summarize(config, game, trace, table[-1], switch_rounds, eta_final)
     return RunResult(trace=trace, summary=summary, rows=rows, game=game)
+
+
+def _check_stationary_solves(strategies, inner_dists, is_bm: bool) -> None:
+    """The residual gate of every stationary solve of a run, player by player.
+
+    Each round's chain is rebuilt from the recorded inner distributions: the
+    copy matrices for BM, the pair masses as rates for SL. Raises
+    :class:`StationaryResidualError` naming the first failing player and round.
+    """
+    for i, (x, inner) in enumerate(zip(strategies, inner_dists)):
+        n = x.shape[1]
+        for s in range(0, x.shape[0], REGRET_CHUNK_ROUNDS):
+            rounds = slice(s, s + REGRET_CHUNK_ROUNDS)
+            A = inner[rounds] if is_bm else _pair_rates(inner[rounds], n)
+            residual = stationary_residual(A, x[rounds])
+            bad = np.flatnonzero(~(residual <= STATIONARY_RESIDUAL_TOL))  # NaN fails too
+            if bad.size:
+                worst = float(residual[bad[0]])
+                raise StationaryResidualError(
+                    f"stationary solve of player {i} at round {s + bad[0] + 1} failed: "
+                    f"residual {worst} above {STATIONARY_RESIDUAL_TOL}",
+                    residual=worst,
+                )
 
 
 def _round_table(trace, switch_rounds, eta_final) -> np.ndarray:
@@ -323,7 +350,7 @@ def _round_table(trace, switch_rounds, eta_final) -> np.ndarray:
     return np.stack(players, axis=1)
 
 
-def _summarize(config, game, trace, final, switch_rounds, eta_final, max_decomposition_residual):
+def _summarize(config, game, trace, final, switch_rounds, eta_final):
     """Summary document; ``final`` is the last round of :func:`_round_table`."""
     m = game.num_players
     T = trace.horizon
@@ -349,7 +376,10 @@ def _summarize(config, game, trace, final, switch_rounds, eta_final, max_decompo
         "diagnostics": {},
     }
     if config.dynamics.startswith("bm"):
-        summary["final"]["bm_decomposition_max_residual"] = max_decomposition_residual
+        summary["final"]["bm_decomposition_max_residual"] = max(
+            float(decomposition_residuals(p.copy_dists, p.strategies, p.losses).max())
+            for p in trace.players
+        )
 
     no_switch = all(r is None for r in switch_rounds)
     if no_switch:

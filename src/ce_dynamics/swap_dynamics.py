@@ -6,7 +6,11 @@ then receives the round's loss scaled by the probability mass x[g] the fixed
 point placed on it. The n copies are the rows of one (n, n) OMWU state, so a
 round is one row-wise softmax, one fixed-point solve and one outer-product
 update. :class:`BmOmwu` is a :class:`~ce_dynamics.omwu.Composite` over that
-state; its action-space losses lie in [0, 1].
+state; its action-space losses lie in [0, 1]. Its public ``next_strategy``
+gates each solve by its residual; a run's round loop plays the unchecked
+``_next_strategy`` and gates every round at once afterwards, and reads the
+loss-decomposition residual of every round from its trace with
+:func:`decomposition_residuals`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .markov_tree import _gth_stationary
+from .markov_tree import _gth_stationary, check_stationary
 from .omwu import Composite, Omwu
 
 
@@ -32,9 +36,14 @@ class BmOmwu(Composite):
     last_matrix = property(lambda self: self.learner.last_strategy)
 
     def next_strategy(self) -> np.ndarray:
-        x = _gth_stationary(self.learner.next_strategy())
-        self.last_strategy = x
-        return x
+        Q = self.learner.next_strategy()
+        self.last_strategy = check_stationary(Q, _gth_stationary(Q))
+        return self.last_strategy
+
+    def _next_strategy(self) -> np.ndarray:
+        """Unchecked step of :meth:`next_strategy`; a run gates it once, after its loop."""
+        self.last_strategy = _gth_stationary(self.learner.next_strategy())
+        return self.last_strategy
 
     def observe(self, loss) -> None:
         self._update(self._checked(loss))
@@ -43,8 +52,17 @@ class BmOmwu(Composite):
         self.learner._update(np.outer(self.last_strategy, loss))
 
     def loss_decomposition_residual(self, loss) -> float:
-        """|sum_g x[g] <Q[g], loss> - <x, loss>|; zero when x is the fixed point."""
+        """The last round's residual, by :func:`decomposition_residuals`."""
         loss = np.asarray(loss, dtype=float)
-        distributed = float(self.last_strategy @ (self.last_matrix @ loss))
-        direct = float(self.last_strategy @ loss)
-        return abs(distributed - direct)
+        return float(decomposition_residuals(self.last_matrix, self.last_strategy, loss))
+
+
+def decomposition_residuals(Q: np.ndarray, x: np.ndarray, loss: np.ndarray) -> np.ndarray:
+    """|sum_g x[g] <Q[g], loss> - <x, loss>| per leading index; zero when x is Q's fixed point.
+
+    ``Q`` of shape (..., n, n), ``x`` and ``loss`` of shape (..., n): a run's
+    recorded copy matrices, strategies and losses give one residual per round.
+    """
+    x = x[..., None, :]
+    loss = loss[..., :, None]
+    return np.abs(x @ (Q @ loss) - x @ loss)[..., 0, 0]

@@ -68,7 +68,17 @@ def test_equivalence_command(game_file, capsys):
     assert main(["equivalence", "--game", game_file, "--eta", "0.02", "--horizon", "50"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passes"] is True
+    assert doc["tol"] == 1e-8
     assert doc["max_strategy_deviation"] <= 1e-8
+
+
+def test_equivalence_command_judges_by_given_tol(game_file, capsys):
+    argv = ["equivalence", "--game", game_file, "--eta", "0.02", "--horizon", "50", "--tol", "0"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tol"] == 0.0
+    worst = max(doc["max_strategy_deviation"], doc["max_proportionality_residual"])
+    assert doc["passes"] is (worst <= 0.0)
 
 
 @pytest.mark.parametrize(
@@ -119,6 +129,19 @@ def test_bad_smoothness_options_fail_before_play(
                  "--eta", "0.05", "--out", str(out), *argv])
     assert code == 2
     assert capsys.readouterr().err.startswith("validation error:")
+    assert not out.exists()
+
+
+def test_run_smoothness_alpha_needs_order(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("play started")
+
+    monkeypatch.setattr(runner, "_build_dynamics", refuse)
+    out = tmp_path / "out"
+    argv = ["run", "--players", "2", "--actions", "3,3", "--horizon", "20", "--eta", "0.05",
+            "--smoothness-alpha", "0.9", "--out", str(out)]
+    assert main(argv) == 2
+    assert "smoothness alpha needs a smoothness order" in capsys.readouterr().err
     assert not out.exists()
 
 

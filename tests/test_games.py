@@ -9,7 +9,6 @@ from ce_dynamics.errors import DimensionMismatchError, GameFormatError, Validati
 from ce_dynamics.games import (
     Game,
     _contract,
-    _contract_axes,
     expected_loss,
     is_distribution,
     load_game,
@@ -100,6 +99,15 @@ class TestExpectedLoss:
             expected_loss(game, [np.array([0.5, 0.5]), np.array([0.5, 0.5])], 0)
 
 
+def contract_axes(tensor, strategies, player):
+    """Oracle: contract every axis of ``tensor`` but ``player``'s with ``np.tensordot``."""
+    # Contract opponent axes from the highest down so axis indices stay valid.
+    for axis in reversed(range(len(strategies))):
+        if axis != player:
+            tensor = np.tensordot(tensor, strategies[axis], axes=([axis], [0]))
+    return tensor
+
+
 class TestContract:
     """The unchecked step behind ``expected_loss``, which the round loop calls."""
 
@@ -111,7 +119,25 @@ class TestContract:
             profile = [rng.dirichlet(np.ones(n)) for n in counts]
             for player in range(2):
                 got = _contract(game, profile, player)
-                want = _contract_axes(game.losses[player], profile, player)
+                want = contract_axes(game.losses[player], profile, player)
+                assert got.shape == (counts[player],)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(3, 3, 3), (2, 3, 4), (4, 2, 3), (5, 5, 5), (3, 3, 3, 3), (2, 5, 3, 4),
+         (2, 2, 2, 2, 2), (10, 10, 10)],
+    )
+    def test_many_player_plan_matches_tensordot_bitwise(self, counts):
+        # The plan replays tensordot's own transposed views and products, so
+        # every player's loss vector keeps tensordot's bits.
+        game = random_game(len(counts), counts, seed=sum(counts))
+        rng = np.random.default_rng(len(counts) * 1000 + sum(counts))
+        for _ in range(20):
+            profile = [rng.dirichlet(np.ones(n) * 0.3) for n in counts]
+            for player in range(len(counts)):
+                got = _contract(game, profile, player)
+                want = contract_axes(game.losses[player], profile, player)
                 assert got.shape == (counts[player],)
                 assert got.tobytes() == want.tobytes()
 

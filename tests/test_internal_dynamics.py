@@ -196,6 +196,16 @@ class TestEquivalence:
         report = verify_equivalence(game, eta=0.02, horizon=40)
         assert report.passes(1e-8)
 
+    def test_report_keeps_its_tolerance(self):
+        game = random_game(2, (3, 3), seed=0)
+        loose = verify_equivalence(game, eta=0.05, horizon=16, tol=1.0)
+        strict = verify_equivalence(game, eta=0.05, horizon=16, tol=0.0)
+        assert (loose.tol, strict.tol) == (1.0, 0.0)
+        assert loose.passes()
+        assert strict.passes() is strict.passes(0.0)
+        assert strict.passes(1.0)
+        assert loose.to_dict() == strict.to_dict()
+
     def test_action_guard(self):
         game = random_game(2, (6, 3), seed=1)
         with pytest.raises(ValidationError):

@@ -8,6 +8,7 @@ from ce_dynamics.markov_tree import (
     Arborescence,
     _gth_stationary,
     all_arborescences,
+    check_stationary,
     enumerate_arborescences,
     solve_stationary,
     stationary_residual,
@@ -176,7 +177,7 @@ class TestSolveStationary:
     def test_nan_rate_fails_the_residual_gate(self):
         A = np.array([[0.0, np.nan], [0.5, 0.0]])
         with pytest.raises(StationaryResidualError):
-            _gth_stationary(A)
+            check_stationary(A, _gth_stationary(A))
 
     def test_rejects_non_stochastic_rows(self):
         with pytest.raises(ValidationError):

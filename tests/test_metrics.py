@@ -280,6 +280,38 @@ class TestAverageProductDistribution:
         assert mu.tensor.min() >= 0.0
         assert abs(mu.tensor.sum() - 1.0) <= 1e-10
 
+    @staticmethod
+    def round_loop(trace):
+        """Oracle: one outer product per round, added to the total in round order."""
+        acc = np.zeros(trace.action_counts)
+        for t in range(trace.horizon):
+            block = np.ones(())
+            for player in trace.players:
+                block = np.multiply.outer(block, player.strategies[t])
+            acc += block
+        return acc / trace.horizon
+
+    @pytest.mark.parametrize(
+        "dynamics, counts, horizon, block_cap",
+        [
+            ("sl-omwu", (3, 3), 1024, None),
+            ("omwu", (3, 4), 777, None),
+            ("bm-omwu", (3, 3, 3), 1000, None),
+            ("omwu", (2, 3, 2, 3), 4096, None),
+            ("sl-omwu", (10, 10), 513, None),
+            ("omwu", (3, 3, 3), 100, 100),  # blocks of 3 rounds
+        ],
+    )
+    def test_bitwise_equal_to_round_loop(self, monkeypatch, dynamics, counts, horizon, block_cap):
+        if block_cap is not None:
+            monkeypatch.setattr(metrics, "DENSE_JOINT_MAX_ENTRIES", block_cap)
+        config = RunConfig(dynamics, horizon, eta=0.3, players=len(counts), action_counts=counts)
+        trace = run_dynamics(config).trace
+        before = [p.strategies.copy() for p in trace.players]
+        got = average_product_distribution(trace, max_entries=10**6).tensor
+        assert got.tobytes() == self.round_loop(trace).tobytes()
+        assert all(np.array_equal(p.strategies, b) for p, b in zip(trace.players, before))
+
     def test_lazy_mode_kicks_in_and_agrees(self):
         game = random_game(2, (3, 3), seed=33)
         trace = self_play_trace(game, T=20)

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ce_dynamics import games, runner
+from ce_dynamics import games, internal_dynamics, runner, swap_dynamics
 from ce_dynamics.cli import main
-from ce_dynamics.errors import ValidationError
-from ce_dynamics.games import Game, random_game
+from ce_dynamics.errors import StationaryResidualError, ValidationError
+from ce_dynamics.games import Game, expected_loss, random_game
 from ce_dynamics.internal_dynamics import SlOmwu, verify_equivalence
 from ce_dynamics.omwu import Composite, Omwu
+from ce_dynamics.swap_dynamics import BmOmwu
 from ce_dynamics.runner import (
     CSV_COLUMNS,
     AdaptiveEtaController,
@@ -91,6 +92,7 @@ class TestConfigValidation:
             dict(smoothness_order=3, smoothness_alpha=0.9),
             dict(dynamics="bm-omwu", smoothness_order=3, smoothness_alpha=0.9),
             dict(smoothness_order=3, smoothness_alpha=0.0),
+            dict(smoothness_alpha=0.1),
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -212,6 +214,27 @@ class TestRunDynamics:
     def test_bm_decomposition_residual_tracked(self):
         result = run_dynamics(small_config(dynamics="bm-omwu", horizon=32))
         assert result.summary["final"]["bm_decomposition_max_residual"] <= 1e-12
+
+    @pytest.mark.parametrize("counts", [(3, 3), (3, 3, 3), (10, 10)])
+    def test_bm_decomposition_max_is_the_per_round_max(self, counts):
+        # Self-play through the public learner API, reading the residual each
+        # round with the learner's method and with the plain 1-D formula; the
+        # run's post-loop maximum must equal both bit for bit.
+        cfg = small_config(dynamics="bm-omwu", horizon=200, players=len(counts),
+                           action_counts=counts)
+        game = runner.load_config_game(cfg)
+        players = [BmOmwu(n, cfg.eta) for n in counts]
+        method = formula = 0.0
+        for _ in range(cfg.horizon):
+            profile = [bm.next_strategy() for bm in players]
+            losses = [expected_loss(game, profile, i) for i in range(len(counts))]
+            for bm, loss in zip(players, losses):
+                x, Q = bm.last_strategy, bm.last_matrix
+                method = max(method, bm.loss_decomposition_residual(loss))
+                formula = max(formula, abs(float(x @ (Q @ loss)) - float(x @ loss)))
+                bm.observe(loss)
+        got = run_dynamics(cfg).summary["final"]["bm_decomposition_max_residual"]
+        assert got == method == formula
 
     def test_running_columns_match_final_metrics(self):
         assert_last_row_is_final(run_dynamics(small_config(horizon=40)))
@@ -402,9 +425,11 @@ class TestStrategyCheck:
             dyn = build(name, n, eta)
             built.append(dyn)
             if len(built) == 2:
-                emit = dyn.next_strategy
+                # The step the round loop calls: SL and BM play an unchecked solve.
+                step = "_next_strategy" if hasattr(dyn, "_next_strategy") else "next_strategy"
+                emit = getattr(dyn, step)
                 rounds = itertools.count(1)
-                dyn.next_strategy = lambda: emit() * (1.5 if next(rounds) == 5 else 1.0)
+                setattr(dyn, step, lambda: emit() * (1.5 if next(rounds) == 5 else 1.0))
             return dyn
 
         monkeypatch.setattr(runner, "_build_dynamics", build_spy)
@@ -421,6 +446,66 @@ class TestStrategyCheck:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("validation error: strategy of player 1")
         assert not (out / "summary.json").exists()
+
+
+class TestStationaryGate:
+    """A run's stationary solves are gated once, after the round loop."""
+
+    HORIZON = 300
+
+    @pytest.fixture
+    def faulty_solve(self, monkeypatch):
+        """Make the unchecked solve of player 1 return ``scale`` times a point mass at one round."""
+
+        def install(dynamics, round_index, scale=1.0):
+            module = swap_dynamics if dynamics.startswith("bm") else internal_dynamics
+            solve = module._gth_stationary
+            calls = itertools.count()  # two players solve in turn, player 0 first
+
+            def faulty(A):
+                pi = solve(A)
+                if next(calls) == 2 * (round_index - 1) + 1:
+                    return scale * np.eye(pi.size)[0]  # finite, and not stationary
+                return pi
+
+            monkeypatch.setattr(module, "_gth_stationary", faulty)
+
+        return install
+
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    @pytest.mark.parametrize("round_index", [1, 256, 257, HORIZON])
+    def test_names_player_and_round(self, faulty_solve, dynamics, round_index):
+        faulty_solve(dynamics, round_index)
+        with pytest.raises(StationaryResidualError,
+                           match=f"player 1 at round {round_index} failed: residual"):
+            run_dynamics(small_config(dynamics=dynamics, horizon=self.HORIZON))
+
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_runs_before_the_simplex_check(self, faulty_solve, dynamics):
+        faulty_solve(dynamics, 5, scale=2.0)  # off the simplex too
+        with pytest.raises(StationaryResidualError, match="player 1 at round 5"):
+            run_dynamics(small_config(dynamics=dynamics, horizon=16))
+
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_cli_exits_3_without_outputs(self, faulty_solve, tmp_path, capsys, dynamics):
+        faulty_solve(dynamics, 5)
+        out = tmp_path / "run"
+        argv = ["run", "--players", "2", "--actions", "3,3", "--horizon", "16",
+                "--dynamics", dynamics, "--eta", "0.05", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: stationary solve of player 1 at round 5")
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "learner, module", [(SlOmwu, internal_dynamics), (BmOmwu, swap_dynamics)]
+    )
+    def test_public_next_strategy_gates_every_call(self, monkeypatch, learner, module):
+        monkeypatch.setattr(module, "_gth_stationary", lambda A: np.eye(A.shape[0])[0])
+        dyn = learner(3, 0.05)
+        with pytest.raises(StationaryResidualError, match="stationary solve failed"):
+            dyn.next_strategy()
+        dyn._next_strategy()  # the loop's step is unchecked
 
 
 class TestOutputs:

@@ -117,10 +117,6 @@ class SmoothnessReport:
     bounds: np.ndarray  # bound per order
     failures: list[tuple[int, int]]  # (order, round) pairs above the bound
 
-    @property
-    def all_within_bound(self) -> bool:
-        return not self.failures
-
     def to_dict(self) -> dict:
         return {
             "max_order": self.max_order,
@@ -307,11 +303,13 @@ class StabilityReport:
     """Largest consecutive-iterate ratio of the inner distributions."""
 
     max_ratio: float
-    exp_bound: float  # exp(6 eta)
+    exp_bound: float | None  # exp(6 eta); None where it overflows a float
     linear_bound: float  # 1 + 7 eta
 
     @property
     def within_exp_bound(self) -> bool:
+        if self.exp_bound is None:  # exp(6 eta) is above every finite ratio
+            return self.max_ratio < math.inf
         return self.max_ratio <= self.exp_bound
 
     @property
@@ -331,8 +329,12 @@ class StabilityReport:
 def stability_check(trace: RunTrace, player: int) -> StabilityReport:
     """Max over rounds and entries of the two-sided consecutive ratio."""
     eta = trace.etas[player]
+    try:
+        exp_bound = math.exp(6.0 * eta)
+    except OverflowError:  # eta > log(DBL_MAX) / 6, about 118.3
+        exp_bound = None
     return StabilityReport(
         max_ratio=float(running_max_ratio(trace, player).max(initial=1.0)),
-        exp_bound=math.exp(6.0 * eta),
+        exp_bound=exp_bound,
         linear_bound=1.0 + 7.0 * eta,
     )

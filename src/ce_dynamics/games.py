@@ -9,7 +9,6 @@ across threads.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,7 @@ def is_distribution(v: np.ndarray, atol: float = SIMPLEX_ATOL) -> np.ndarray:
 class Game:
     """An m-player game given by per-player loss tensors over joint profiles.
 
-    ``losses[i]`` has shape ``action_counts`` and entries in [0, 1]. For
-    m >= 3 players, ``_plans[i]`` is player i's contraction plan (see
-    :func:`_contraction_plan`), built once here.
+    ``losses[i]`` has shape ``action_counts`` and entries in [0, 1].
     """
 
     action_counts: tuple[int, ...]
@@ -69,9 +66,6 @@ class Game:
             frozen.append(arr)
         object.__setattr__(self, "losses", tuple(frozen))
         object.__setattr__(self, "action_counts", shape)
-        if m >= 3:
-            plans = tuple(_contraction_plan(arr, i) for i, arr in enumerate(frozen))
-            object.__setattr__(self, "_plans", plans)
 
     @property
     def num_players(self) -> int:
@@ -111,41 +105,15 @@ def expected_loss(game: Game, profile, player: int) -> np.ndarray:
 def _contract(game: Game, strategies, player: int) -> np.ndarray:
     """Unchecked step of :func:`expected_loss` for float simplex ``strategies``.
 
-    Two players take one matmul. More players follow the player's plan: the
-    same transposed views and ``(rows, n) @ x[:, None]`` products that
-    ``np.tensordot`` makes, axis by axis, so the bits are tensordot's.
+    The later players' axes are contracted from the last one down, then the
+    earlier players' axes from the first one up, one matmul per opponent.
     """
-    if len(strategies) == 2:
-        return game.losses[0] @ strategies[1] if player == 0 else strategies[0] @ game.losses[1]
-    first, axis, rest, later = game._plans[player]
-    tensor = (first @ strategies[axis][:, None]).reshape(rest)
-    for axis, perm, shape, rest in later:
-        tensor = (tensor.transpose(perm).reshape(shape) @ strategies[axis][:, None]).reshape(rest)
+    tensor = game.losses[player]
+    for x in strategies[:player:-1]:
+        tensor = tensor @ x
+    for x in strategies[:player]:
+        tensor = x @ tensor.reshape(len(x), -1)
     return tensor
-
-
-def _contraction_plan(tensor: np.ndarray, player: int):
-    """``np.tensordot``'s steps contracting every axis of ``tensor`` but ``player``'s.
-
-    Axes go from the highest down, so lower axes keep their numbers. Each step
-    transposes by ``perm`` to move ``axis`` last, views the result as
-    ``shape`` = (rows, n), multiplies by the strategy as an (n, 1) column and
-    reshapes to ``rest``. Returns ``(first, axis, rest, later)``: the first
-    step's (rows, n) operand, which only depends on the game, with its axis
-    and result shape, then ``(axis, perm, shape, rest)`` for each later step.
-    """
-    steps = []
-    dims = tensor.shape
-    for axis in reversed(range(len(dims))):
-        if axis != player:
-            keep = [k for k in range(len(dims)) if k != axis]
-            rest = tuple(dims[k] for k in keep)
-            steps.append((axis, (*keep, axis), (math.prod(rest), dims[axis]), rest))
-            dims = rest
-    axis, perm, shape, rest = steps[0]
-    first = tensor.transpose(perm).reshape(shape)
-    first.setflags(write=False)
-    return first, axis, rest, tuple(steps[1:])
 
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15

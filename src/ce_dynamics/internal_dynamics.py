@@ -5,8 +5,7 @@ Two :class:`~ce_dynamics.omwu.Composite` learners are implemented:
 * :class:`SlOmwu` runs one multiplicative-weights learner over the n(n-1)
   ordered action pairs, turns its iterate into a row-stochastic matrix, and
   plays the stationary distribution of that matrix each round. The public
-  ``next_strategy`` gates each solve by its residual; a run's round loop
-  plays the unchecked ``_next_strategy`` and gates every round afterwards.
+  ``next_strategy`` gates each solve by its residual.
 * :class:`ArboDynamics` runs the same learner over all n^(n-1) rooted
   directed trees and plays the per-root marginals directly.
 
@@ -100,7 +99,7 @@ class SlOmwu(Composite):
         return self.last_strategy
 
     def _next_strategy(self) -> np.ndarray:
-        """Unchecked step of :meth:`next_strategy`; a run gates it once, after its loop."""
+        """Unchecked step of :meth:`next_strategy`."""
         self.last_strategy = _gth_stationary(_pair_rates(self.learner.next_strategy(), self.n))
         return self.last_strategy
 

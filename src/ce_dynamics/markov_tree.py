@@ -12,10 +12,9 @@ convention, ``Q^T pi = pi``):
   however small, carries a small relative error (O'Cinneide, Numer. Math. 65,
   1993); a small residual alone would not promise that.
 
-The elimination itself (``_gth_stationary``) is unchecked; the residual gate
-:func:`check_stationary` follows it in :func:`solve_stationary` and in the
-learners' public ``next_strategy``. A run gates all its solves at once after
-its round loop, with :func:`stationary_residual` over a leading round axis.
+The elimination itself (``_gth_stationary``) is unchecked; its residual gate
+is :func:`check_stationary`, and :func:`stationary_residual` takes any
+leading axes.
 
 A directed tree rooted at j ("arborescence") has no cycles, no outgoing edge
 from j, and exactly one outgoing edge from every other node. Trees are
@@ -46,10 +45,6 @@ class Arborescence:
     """
 
     parents: tuple[int, ...]
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.parents)
 
     @property
     def root(self) -> int:
@@ -179,8 +174,7 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
     one's incoming rates rerouted along its outgoing ones, then pi is rebuilt
     from the first state up. The elimination never reads the diagonal of
     ``A`` and never subtracts. Plain Python floats beat numpy's per-call
-    overhead at the sizes met here. Callers gate the result with
-    :func:`check_stationary`, per call or, in a run, once after the loop.
+    overhead at the sizes met here. Callers gate the result.
     """
     n = A.shape[0]
     a = A.tolist()

@@ -6,7 +6,7 @@ inner pair or per-copy distributions used by the stability and variance
 diagnostics. Traces serialize to ``.npz`` with bit-exact float64 arrays, so
 every regret recomputes identically from a reloaded trace.
 
-Every regret and the lazy CE gap read one running sum of small per-round terms,
+Every regret reads one running sum of small per-round terms,
 P[j, k] = sum_t x_t[j] (loss_t[j] - loss_t[k]), kept by :func:`_running_pair_sums`,
 and the running consecutive-ratio max is kept by :func:`running_max_ratio`; each
 is computed here and nowhere else.
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .games import Game
 
 DENSE_JOINT_MAX_ENTRIES = 10**6
@@ -163,20 +163,6 @@ def external_regret(trace: RunTrace, player: int) -> float:
     return _last(running_regrets(trace, player)[0])
 
 
-def pair_objective_matrix(trace: RunTrace, player: int) -> np.ndarray:
-    """G[j, k] = sum_t x_t[j] (loss_t[j] - loss_t[k]): the final running pair sums."""
-    G = np.zeros((trace.action_counts[player],) * 2)
-    for _, P in _running_pair_sums(trace, player):
-        G = P[-1]
-    return G
-
-
-def offdiagonal_max(G: np.ndarray) -> float:
-    """Max over entries j != k; the diagonal never participates."""
-    n = G.shape[0]
-    return float(G[~np.eye(n, dtype=bool)].max())
-
-
 def internal_regret(trace: RunTrace, player: int) -> float:
     """Raw best single-pair reallocation gain; may be negative."""
     return _last(running_regrets(trace, player)[1])
@@ -191,44 +177,20 @@ def swap_regret(trace: RunTrace, player: int) -> float:
     return _last(running_regrets(trace, player)[2])
 
 
-def best_swap_function(trace: RunTrace, player: int) -> np.ndarray:
-    """Best reassignment target per action; ties go to the lowest action index."""
-    return pair_objective_matrix(trace, player).argmax(axis=1)
+def average_product_distribution(trace: RunTrace) -> np.ndarray:
+    """Time average of the per-round product distributions, a dense joint tensor.
 
-
-@dataclass
-class DenseJointDistribution:
-    """Materialized average product distribution of play."""
-
-    tensor: np.ndarray
-
-
-@dataclass
-class LazyJointDistribution:
-    """Average product distribution kept as the underlying trace.
-
-    Deviation gains are read off the trace's running pair sums; nothing of
-    profile-tensor size is ever materialized.
-    """
-
-    trace: RunTrace
-
-
-def average_product_distribution(
-    trace: RunTrace, max_entries: int = DENSE_JOINT_MAX_ENTRIES
-):
-    """Time average of the per-round product distributions.
-
-    Returns a dense tensor when the joint profile space has at most
-    ``max_entries`` cells, otherwise a lazy handle. Rounds go in blocks of at
-    most REGRET_CHUNK_ROUNDS, fewer when a block would pass
-    DENSE_JOINT_MAX_ENTRIES cells; the running total is folded into each
-    block's first round before the block sum, so every cell is the plain
-    sequential sum over rounds.
+    Raises :class:`ValidationError` when the joint profile space has more
+    than DENSE_JOINT_MAX_ENTRIES cells. Rounds go in blocks of at most
+    REGRET_CHUNK_ROUNDS, fewer when a block would pass that many cells; the
+    running total is folded into each block's first round before the block
+    sum, so every cell is the plain sequential sum over rounds.
     """
     cells = int(np.prod(trace.action_counts))
-    if cells > max_entries:
-        return LazyJointDistribution(trace)
+    if cells > DENSE_JOINT_MAX_ENTRIES:
+        raise ValidationError(
+            f"joint profile space has {cells} cells, above {DENSE_JOINT_MAX_ENTRIES}"
+        )
     chunk = max(1, min(REGRET_CHUNK_ROUNDS, DENSE_JOINT_MAX_ENTRIES // cells))
     acc = np.zeros(trace.action_counts)
     for s in range(0, trace.horizon, chunk):
@@ -239,44 +201,31 @@ def average_product_distribution(
             block = block[..., None] * x.reshape(x.shape[0], *(1,) * i, x.shape[1])
         block[0] += acc
         acc = block.sum(axis=0)
-    return DenseJointDistribution(acc / trace.horizon)
+    return acc / trace.horizon
 
 
 @dataclass
 class CeGapReport:
-    max_gap: float  # max over players of the off-diagonal pair maxima
+    max_gap: float  # max over players of the off-diagonal (j != k) pair maxima
     per_player_pair: list[np.ndarray]  # each (n_i, n_i); diagonal is meaningless
 
 
-def _dense_ce_gap(game: Game, tensor: np.ndarray) -> CeGapReport:
+def ce_gap(game: Game, mu: np.ndarray) -> CeGapReport:
+    """Largest profitable single-pair deviation under a dense joint distribution.
+
+    For the average product distribution of a trace, the per-player gap
+    equals that player's raw internal regret divided by the horizon.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != game.action_counts:
+        raise DimensionMismatchError(
+            f"joint distribution has shape {mu.shape}, expected {game.action_counts}"
+        )
     per_player = []
     for i in range(game.num_players):
-        mu = np.moveaxis(tensor, i, 0).reshape(game.action_counts[i], -1)
+        mu_i = np.moveaxis(mu, i, 0).reshape(game.action_counts[i], -1)
         li = np.moveaxis(game.losses[i], i, 0).reshape(game.action_counts[i], -1)
-        inner = mu @ li.T  # [j, k] = E[1{a_i=j} Lambda_i(k, a_-i)]
+        inner = mu_i @ li.T  # [j, k] = E[1{a_i=j} Lambda_i(k, a_-i)]
         per_player.append(np.diag(inner)[:, None] - inner)
-    max_gap = max(offdiagonal_max(G) for G in per_player)
+    max_gap = max(float(G[~np.eye(len(G), dtype=bool)].max()) for G in per_player)
     return CeGapReport(max_gap=max_gap, per_player_pair=per_player)
-
-
-def _lazy_ce_gap(trace: RunTrace) -> CeGapReport:
-    per_player = [
-        pair_objective_matrix(trace, i) / trace.horizon for i in range(trace.num_players)
-    ]
-    max_gap = max(offdiagonal_max(G) for G in per_player)
-    return CeGapReport(max_gap=max_gap, per_player_pair=per_player)
-
-
-def ce_gap(game: Game, mu) -> CeGapReport:
-    """Largest profitable single-pair deviation under a joint distribution.
-
-    Accepts the dense or the lazy form produced by
-    :func:`average_product_distribution`. For the average product
-    distribution of a trace, the per-player gap equals that player's raw
-    internal regret divided by the horizon.
-    """
-    if isinstance(mu, DenseJointDistribution):
-        return _dense_ce_gap(game, mu.tensor)
-    if isinstance(mu, LazyJointDistribution):
-        return _lazy_ce_gap(mu.trace)
-    raise ValidationError(f"unsupported joint distribution type {type(mu)!r}")

@@ -99,10 +99,9 @@ class Composite:
 
     Subclasses define ``next_strategy``, ``_update`` (action-space loss to
     ``learner._update``) and ``observe`` as ``self._update(self._checked(loss))``,
-    both public methods in their own body so they can be wrapped on the class.
-    Those whose strategy is a stationary solve also define ``_next_strategy``,
-    the solve without its residual gate. ``loss_low`` is the floor of the
-    accepted action-space loss range.
+    each public method in its own body so it can be wrapped on the class; a
+    stationary solve's ``_next_strategy`` skips its residual gate.
+    ``loss_low`` is the floor of the accepted action-space loss range.
     """
 
     loss_low = -1.0

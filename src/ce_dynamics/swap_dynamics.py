@@ -7,10 +7,7 @@ point placed on it. The n copies are the rows of one (n, n) OMWU state, so a
 round is one row-wise softmax, one fixed-point solve and one outer-product
 update. :class:`BmOmwu` is a :class:`~ce_dynamics.omwu.Composite` over that
 state; its action-space losses lie in [0, 1]. Its public ``next_strategy``
-gates each solve by its residual; a run's round loop plays the unchecked
-``_next_strategy`` and gates every round at once afterwards, and reads the
-loss-decomposition residual of every round from its trace with
-:func:`decomposition_residuals`.
+gates each solve by its residual.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ class BmOmwu(Composite):
         return self.last_strategy
 
     def _next_strategy(self) -> np.ndarray:
-        """Unchecked step of :meth:`next_strategy`; a run gates it once, after its loop."""
+        """Unchecked step of :meth:`next_strategy`."""
         self.last_strategy = _gth_stationary(self.learner.next_strategy())
         return self.last_strategy
 

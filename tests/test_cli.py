@@ -166,6 +166,25 @@ def test_run_command_produces_outputs(game_file, tmp_path, capsys):
     assert header == "t,player,external_regret,internal_regret_raw,internal_regret_clamped,swap_regret,ce_gap_running,eta,max_consec_ratio"
 
 
+@pytest.mark.parametrize("eta", ["119", "1e10"])
+@pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu"])
+def test_run_past_exp_overflow_writes_strict_json(game_file, tmp_path, capsys, dynamics, eta):
+    # exp(6 eta) overflows a float for eta above about 118.3; the stability
+    # report carries a null bound then, which every finite ratio lies below.
+    out = tmp_path / "run"
+    argv = ["run", "--game", game_file, "--dynamics", dynamics, "--horizon", "50",
+            "--eta", eta, "--out", str(out)]
+    assert main(argv) == 0
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    for report in summary["diagnostics"]["stability"]:
+        assert report["exp_bound"] is None
+        assert report["within_exp_bound"] is True
+
+
 def test_run_usage_error():
     assert main(["run", "--horizon", "not-a-number"]) == 1
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ce_dynamics.diagnostics import (
+    StabilityReport,
     binomial_difference,
     budget_depth,
     check_variance_inequality,
@@ -151,7 +152,7 @@ class TestSmoothness:
         game = Game((2, 2), (np.full((2, 2), 0.5), np.full((2, 2), 0.5)))
         trace = sl_trace(game, eta=1e-4, T=32)
         report = smoothness_report(trace, 0, max_order=3, alpha=1 / 6)
-        assert report.all_within_bound
+        assert not report.failures
         for h in range(1, 4):
             assert report.observed[h].max() <= 1e-15
 
@@ -272,6 +273,16 @@ class TestStability:
         for eta in (1 / 64, 0.05):
             report = stability_check(sl_trace(game, eta=eta, T=80), 0)
             assert report.within_exp_bound
+
+    @pytest.mark.parametrize("eta, bound", [(118.0, math.exp(708.0)), (119.0, None), (1e10, None)])
+    def test_exp_bound_is_null_only_past_overflow(self, eta, bound):
+        x = np.array([[0.5, 0.5], [0.25, 0.75]])
+        pt = PlayerTrace(strategies=x, losses=np.zeros_like(x))
+        trace = RunTrace(horizon=2, dynamics="omwu", action_counts=(2,), etas=(eta,), players=[pt])
+        report = stability_check(trace, 0)
+        assert report.exp_bound == bound
+        assert report.max_ratio == 2.0 and report.within_exp_bound
+        assert not StabilityReport(math.inf, None, 1.0).within_exp_bound
 
     def test_exp_vs_linear_bound_on_grid(self):
         # exp(6 eta) <= 1 + 7 eta holds through eta = 1/64 with room to spare.

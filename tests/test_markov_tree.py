@@ -32,7 +32,7 @@ FOUR_NODE_ROOT0_TREES = {
 
 def walk_to_root(tree: Arborescence) -> bool:
     """Independent acyclicity check: every node reaches the root in < n hops."""
-    n = tree.num_nodes
+    n = len(tree.parents)
     for start in range(n):
         node = start
         for _ in range(n):

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ce_dynamics import metrics
+from ce_dynamics.errors import DimensionMismatchError, ValidationError
 from ce_dynamics.games import Game, expected_loss, random_game
 from ce_dynamics.metrics import (
-    DenseJointDistribution,
-    LazyJointDistribution,
     PlayerTrace,
     RunTrace,
     average_product_distribution,
-    best_swap_function,
     ce_gap,
     clamped_internal_regret,
     external_regret,
@@ -211,25 +209,6 @@ class TestSwapRegret:
         assert swap >= internal_regret(trace, 0) - 1e-12
         assert swap <= n * max(internal_regret(trace, 0), 0.0) + 1e-9
 
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_best_swap_function_attains_swap_regret(self, seed):
-        trace = random_trace(seed)
-        xs, ls = trace.players[0].strategies, trace.players[0].losses
-        phi = best_swap_function(trace, 0)
-        costs = [[(xs[:, g] * ls[:, k]).sum() for k in range(4)] for g in range(4)]
-        assert [costs[g][phi[g]] for g in range(4)] == pytest.approx(
-            [min(row) for row in costs], abs=1e-12
-        )
-        swapped = sum((xs[:, g] * ls[:, phi[g]]).sum() for g in range(4))
-        assert swap_regret(trace, 0) == pytest.approx((xs * ls).sum() - swapped, abs=1e-12)
-
-    def test_tie_break_lowest_index(self):
-        xs = [[0.5, 0.5]] * 4
-        ls = [[0.5, 0.5]] * 4  # every target is equally good
-        trace = make_trace([xs, xs], [ls, ls])
-        np.testing.assert_array_equal(best_swap_function(trace, 0), [0, 0])
-
 
 class TestRunningColumns:
     @pytest.mark.parametrize("chunk", [1, 7, 256])
@@ -262,23 +241,20 @@ class TestAverageProductDistribution:
         ys = [[[0.5, 0.3, 0.2]]]
         trace = make_trace([xs[0], ys[0]], [[[0, 0]], [[0, 0, 0]]])
         mu = average_product_distribution(trace)
-        assert isinstance(mu, DenseJointDistribution)
-        np.testing.assert_allclose(
-            mu.tensor, np.outer([0.2, 0.8], [0.5, 0.3, 0.2]), atol=1e-15
-        )
+        np.testing.assert_allclose(mu, np.outer([0.2, 0.8], [0.5, 0.3, 0.2]), atol=1e-15)
 
     def test_uniform_play_uniform_average(self):
         T = 5
         xs = [[0.5, 0.5]] * T
         trace = make_trace([xs, xs], [xs, xs])
         mu = average_product_distribution(trace)
-        np.testing.assert_allclose(mu.tensor, np.full((2, 2), 0.25), atol=1e-15)
+        np.testing.assert_allclose(mu, np.full((2, 2), 0.25), atol=1e-15)
 
     def test_simplex_properties(self):
         trace = random_trace(3)
         mu = average_product_distribution(trace)
-        assert mu.tensor.min() >= 0.0
-        assert abs(mu.tensor.sum() - 1.0) <= 1e-10
+        assert mu.min() >= 0.0
+        assert abs(mu.sum() - 1.0) <= 1e-10
 
     @staticmethod
     def round_loop(trace):
@@ -308,29 +284,17 @@ class TestAverageProductDistribution:
         config = RunConfig(dynamics, horizon, eta=0.3, players=len(counts), action_counts=counts)
         trace = run_dynamics(config).trace
         before = [p.strategies.copy() for p in trace.players]
-        got = average_product_distribution(trace, max_entries=10**6).tensor
+        got = average_product_distribution(trace)
         assert got.tobytes() == self.round_loop(trace).tobytes()
         assert all(np.array_equal(p.strategies, b) for p, b in zip(trace.players, before))
 
-    def test_lazy_mode_kicks_in_and_agrees(self):
-        game = random_game(2, (3, 3), seed=33)
-        trace = self_play_trace(game, T=20)
-        dense = average_product_distribution(trace)
-        lazy = average_product_distribution(trace, max_entries=4)
-        assert isinstance(lazy, LazyJointDistribution)
-        a = ce_gap(game, dense)
-        b = ce_gap(game, lazy)
-        assert a.max_gap == pytest.approx(b.max_gap, abs=1e-10)
-        for G, H in zip(a.per_player_pair, b.per_player_pair):
-            np.testing.assert_allclose(G, H, rtol=0, atol=1e-10)
-
-    def test_lazy_ce_gap_is_exactly_max_internal_regret_over_t(self):
-        config = RunConfig("sl-omwu", 300, eta=0.05, players=2, action_counts=(3, 3), game_seed=1)
-        result = run_dynamics(config)
-        trace = result.trace
-        lazy = ce_gap(result.game, average_product_distribution(trace, max_entries=4))
-        want = max(internal_regret(trace, i) for i in range(2)) / trace.horizon
-        assert lazy.max_gap == want
+    def test_raises_above_the_dense_cap(self, monkeypatch):
+        trace = random_trace(5, n=3, T=4)
+        monkeypatch.setattr(metrics, "DENSE_JOINT_MAX_ENTRIES", 9)
+        assert average_product_distribution(trace).shape == (3, 3)
+        monkeypatch.setattr(metrics, "DENSE_JOINT_MAX_ENTRIES", 8)
+        with pytest.raises(ValidationError, match="9 cells"):
+            average_product_distribution(trace)
 
 
 class TestCeGap:
@@ -338,7 +302,7 @@ class TestCeGap:
         lam = np.array([[0.0, 1.0], [1.0, 0.0]])
         game = Game((2, 2), (lam, lam))
         mu = np.array([[0.5, 0.0], [0.0, 0.5]])  # uniform over the pure equilibria
-        report = ce_gap(game, DenseJointDistribution(mu))
+        report = ce_gap(game, mu)
         assert report.max_gap <= 0.0
         assert report.max_gap == pytest.approx(-0.5, abs=1e-14)
 
@@ -347,6 +311,11 @@ class TestCeGap:
         trace = self_play_trace(game, T=10)
         report = ce_gap(game, average_product_distribution(trace))
         assert report.max_gap == pytest.approx(0.0, abs=1e-12)
+
+    def test_rejects_a_misshaped_distribution(self):
+        game = random_game(2, (2, 3), seed=2)
+        with pytest.raises(DimensionMismatchError):
+            ce_gap(game, np.full((3, 2), 1 / 6))
 
 
 class TestTraceSerialization:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ce_dynamics import games, internal_dynamics, runner, swap_dynamics
+from ce_dynamics import games, internal_dynamics, metrics, runner, swap_dynamics
 from ce_dynamics.cli import main
 from ce_dynamics.errors import StationaryResidualError, ValidationError
 from ce_dynamics.games import Game, expected_loss, random_game
@@ -201,6 +201,16 @@ class TestRunDynamics:
     def test_summary_identity_residual(self):
         result = run_dynamics(small_config(horizon=64))
         assert result.summary["final"]["ce_gap_identity_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("counts", [(3, 3), (2, 3, 2)])
+    def test_over_dense_cap_gap_is_max_internal_regret_over_t(self, monkeypatch, counts):
+        # Past the dense cap no joint distribution is built, so the CE gap is
+        # the identity's regret side and no identity check ran.
+        monkeypatch.setattr(metrics, "DENSE_JOINT_MAX_ENTRIES", 4)
+        cfg = small_config(horizon=300, players=len(counts), action_counts=counts, game_seed=1)
+        final = run_dynamics(cfg).summary["final"]
+        assert final["ce_gap"] == max(final["internal_regret_raw"]) / 300
+        assert final["ce_gap_identity_residual"] is None
 
     @pytest.mark.parametrize("game_seed", [3, 5])
     def test_stiff_eta_finishes(self, game_seed):

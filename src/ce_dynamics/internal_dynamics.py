@@ -49,9 +49,9 @@ def _pair_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_loss_vector(strategy: np.ndarray, loss: np.ndarray) -> np.ndarray:
-    """Per-pair loss x[j] * (loss[k] - loss[j]) in canonical pair order."""
-    src, dst = _pair_index_arrays(strategy.shape[0])
-    return strategy[src] * (loss[dst] - loss[src])
+    """Per-pair loss x[j] * (loss[k] - loss[j]) in canonical pair order, over any leading axes."""
+    src, dst = _pair_index_arrays(strategy.shape[-1])
+    return strategy.take(src, axis=-1) * (loss.take(dst, axis=-1) - loss.take(src, axis=-1))
 
 
 def _pair_rates(p: np.ndarray, n: int) -> np.ndarray:
@@ -143,10 +143,13 @@ class ArboDynamics(Composite):
             )
         self.roots, self.edge_pairs = _tree_structure(n)
         super().__init__(n, Omwu(len(self.roots), eta, optimistic=optimistic))
+        # Member b's trees fall into root bins b*n .. b*n + n-1; bincount sums each in tree order.
+        members = np.arange(np.prod(self.learner.members, dtype=int))
+        self._root_bins = (self.roots + n * members[:, None]).ravel()
 
     def next_strategy(self) -> np.ndarray:
         X = self.learner.next_strategy()
-        x = np.bincount(self.roots, weights=X, minlength=self.n)
+        x = np.bincount(self._root_bins, weights=X.ravel()).reshape(*X.shape[:-1], self.n)
         self.last_strategy = x
         return x
 
@@ -155,7 +158,7 @@ class ArboDynamics(Composite):
 
     def _update(self, loss: np.ndarray) -> None:
         L = pair_loss_vector(self.last_strategy, loss)
-        self.learner._update(L[self.edge_pairs].sum(axis=1))
+        self.learner._update(L.take(self.edge_pairs, axis=-1).sum(axis=-1))
 
 
 @dataclass

@@ -154,11 +154,11 @@ def stationary_residual(A: np.ndarray, pi: np.ndarray):
 
 
 def check_stationary(A: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """The residual gate: ``pi`` unless its residual for ``A`` exceeds 1e-10.
+    """The residual gate: ``pi`` unless its worst residual for ``A`` exceeds 1e-10.
 
     Raises :class:`StationaryResidualError` otherwise; a NaN residual fails too.
     """
-    residual = float(stationary_residual(A, pi))
+    residual = float(stationary_residual(A, pi).max())
     if not residual <= STATIONARY_RESIDUAL_TOL:
         raise StationaryResidualError(
             f"stationary solve failed: residual {residual} above {STATIONARY_RESIDUAL_TOL}",
@@ -168,31 +168,35 @@ def check_stationary(A: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 
 def _gth_stationary(A: np.ndarray) -> np.ndarray:
-    """Stationary distribution of the chain with off-diagonal rates ``A[j, k]``, unchecked.
+    """Stationary distribution of the chain with off-diagonal rates ``A[..., j, k]``, unchecked.
 
     GTH elimination: states are censored out from the last one down, each
     one's incoming rates rerouted along its outgoing ones, then pi is rebuilt
     from the first state up. The elimination never reads the diagonal of
     ``A`` and never subtracts. Plain Python floats beat numpy's per-call
-    overhead at the sizes met here. Callers gate the result.
+    overhead at the sizes met here. Leading axes of ``A`` carry over: one
+    ``tolist`` feeds the elimination of every chain, and one division
+    normalises them all. Callers gate the result.
     """
-    n = A.shape[0]
-    a = A.tolist()
-    for k in range(n - 1, 0, -1):
-        row = a[k]
-        out = sum(row[:k])
-        for i in range(k):
-            ai = a[i]
-            f = ai[k] / out
-            ai[k] = f
-            for j in range(k):
-                ai[j] += f * row[j]
-    pi = [1.0]
-    for k in range(1, n):
-        pi.append(sum(pi[i] * a[i][k] for i in range(k)))
-    pi = np.array(pi)
-    pi /= pi.sum()
-    return pi
+    n = A.shape[-1]
+    pis = []
+    for a in A.reshape(-1, n, n).tolist():
+        for k in range(n - 1, 0, -1):
+            row = a[k]
+            out = sum(row[:k])
+            for i in range(k):
+                ai = a[i]
+                f = ai[k] / out
+                ai[k] = f
+                for j in range(k):
+                    ai[j] += f * row[j]
+        pi = [1.0]
+        for k in range(1, n):
+            pi.append(sum(pi[i] * a[i][k] for i in range(k)))
+        pis.append(pi)
+    pi = np.array(pis)
+    pi /= pi.sum(axis=-1, keepdims=True)
+    return pi.reshape(A.shape[:-1])
 
 
 def solve_stationary(Q) -> np.ndarray:

@@ -6,8 +6,10 @@ compounding floating-point drift round over round. With optimism enabled the
 most recent loss is counted twice, which is the standard one-step prediction.
 
 Each dynamics is one such learner composed with a map to a strategy
-(:class:`Composite`). Feedback comes checked through the public ``observe``,
-or unchecked through ``_update`` where the loss is valid by construction.
+(:class:`Composite`). One rate per member stacks independent learners on a
+leading member axis, so players of equal action counts share one state and
+one step. Feedback comes checked through the public ``observe``, or
+unchecked through ``_update`` where the loss is valid by construction.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ class Omwu:
     ``dim`` is an int for one learner, or a shape ``(rows, dim)`` for that
     many independent learners held as one state, each row its own simplex:
     the softmax, its max-shift and the weight floor act along the last axis,
-    and losses and iterates have the shape of the state.
+    and losses and iterates have the shape of the state. An array of B rates
+    ``eta`` stacks B independent members on a leading axis: state (B, *dim).
 
     State is the cumulative loss and the last observed loss (zero before any
     feedback). ``next_strategy`` only records the iterate it returns;
@@ -39,29 +42,30 @@ class Omwu:
 
     Every learner in the package exposes its inner learner's view through
     ``inner_dim``, ``inner_dist`` (the last played inner distribution) and
-    ``inner_loss`` (the last observed inner loss), both (rows, inner_dim).
-    Here the inner learners are the rows of the state.
+    ``inner_loss`` (the last observed inner loss), both (*members, rows,
+    inner_dim). Here the inner learners are the rows of the state.
     """
 
-    def __init__(self, dim: int | tuple[int, int], eta: float, optimistic: bool = True):
-        self.shape = tuple(int(d) for d in np.atleast_1d(dim))
-        if not 1 <= len(self.shape) <= 2 or min(self.shape) < 1:
+    def __init__(self, dim: int | tuple[int, int], eta, optimistic: bool = True):
+        dims = tuple(int(d) for d in np.atleast_1d(dim))
+        if not 1 <= len(dims) <= 2 or min(dims) < 1:
             raise ValidationError(f"dimension must be positive, got {dim}")
-        if not eta > 0.0:
-            raise ValidationError(f"learning rate must be positive, got {eta}")
-        self.dim = self.shape[-1]
-        self.eta = float(eta)
+        self.members = np.shape(eta)
+        self.shape = (*self.members, *dims)
+        self.dim = dims[-1]
         self.optimistic = bool(optimistic)
-        self.reset()
+        self.eta, self.cumulative_loss = eta, np.zeros(self.shape)
+        self.last_loss = self.cumulative_loss
+        self.reset(eta)
 
     inner_dim = property(lambda self: self.dim)
-    inner_dist = property(lambda self: self.last_strategy.reshape(-1, self.dim))
-    inner_loss = property(lambda self: self.last_loss.reshape(-1, self.dim))
+    inner_dist = property(lambda self: self.last_strategy.reshape(*self.members, -1, self.dim))
+    inner_loss = property(lambda self: self.last_loss.reshape(*self.members, -1, self.dim))
 
     def next_strategy(self) -> np.ndarray:
         """Current iterate: softmax of -eta * (cumulative + predicted) losses."""
         z = self.cumulative_loss + self.last_loss if self.optimistic else self.cumulative_loss
-        z = -self.eta * z
+        z = self._neg_eta * z
         z = z - z.max(axis=-1, keepdims=True)
         w = np.maximum(np.exp(z), _WEIGHT_FLOOR)
         self.last_strategy = w / w.sum(axis=-1, keepdims=True)
@@ -83,15 +87,26 @@ class Omwu:
         self.cumulative_loss = self.cumulative_loss + loss
         self.last_loss = loss
 
-    def reset(self, eta: float | None = None) -> None:
-        """Forget all history, optionally switching the learning rate."""
+    def reset(self, eta=None, member: int | None = None) -> None:
+        """Forget all history, optionally switching the learning rate.
+
+        With ``member``, only that member's rows and rate start over.
+        """
+        rows = ... if member is None else member
         if eta is not None:
-            if not eta > 0.0:
+            if not np.all(np.asarray(eta) > 0.0):
                 raise ValidationError(f"learning rate must be positive, got {eta}")
-            self.eta = float(eta)
-        self.cumulative_loss = np.zeros(self.shape)
-        self.last_loss = np.zeros(self.shape)
-        self.last_strategy = None
+            rates = np.array(np.broadcast_to(self.eta, self.members), dtype=float)
+            rates[rows] = eta
+            self.eta = rates if self.members else float(rates)
+            # One rate per member, broadcast along the leading axis; a lone rate stays 0-d.
+            trailing = (1,) * (len(self.shape) - rates.ndim) if self.members else ()
+            self._neg_eta = -rates.reshape(rates.shape + trailing)
+        # Zeroed copies, not in place: the last loss belongs to the caller.
+        self.cumulative_loss, self.last_loss = self.cumulative_loss.copy(), self.last_loss.copy()
+        self.cumulative_loss[rows] = self.last_loss[rows] = 0.0
+        if member is None:
+            self.last_strategy = None
 
 
 class Composite:
@@ -117,12 +132,13 @@ class Composite:
     inner_loss = property(lambda self: self.learner.inner_loss)
 
     def _checked(self, loss) -> np.ndarray:
-        """An action-space loss from outside: after a strategy, shape (n,), finite, in range."""
+        """An action-space loss from outside: after a strategy, (*members, n), finite, in range."""
         if self.last_strategy is None:
             raise ValidationError("observe called before next_strategy")
         loss = np.asarray(loss, dtype=float)
-        if loss.shape != (self.n,):
-            raise DimensionMismatchError(f"loss has shape {loss.shape}, expected ({self.n},)")
+        shape = (*self.learner.members, self.n)
+        if loss.shape != shape:
+            raise DimensionMismatchError(f"loss has shape {loss.shape}, expected {shape}")
         if not np.all(np.isfinite(loss)):
             raise ValidationError("loss vector has non-finite entries")
         low, high = loss.min(), loss.max()
@@ -132,6 +148,7 @@ class Composite:
             )
         return loss
 
-    def reset(self, eta: float | None = None) -> None:
-        self.learner.reset(eta)
-        self.last_strategy = None
+    def reset(self, eta=None, member: int | None = None) -> None:
+        self.learner.reset(eta, member)
+        if member is None:
+            self.last_strategy = None

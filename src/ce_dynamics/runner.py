@@ -2,19 +2,21 @@
 
 A run executes the two-phase self-play protocol: freeze every player's
 strategy, compute every expected-loss vector from the frozen profile, then
-deliver all feedback. The round loop only plays, with no per-round checks:
-the SL and BM learners play their unchecked stationary solve
-(``_next_strategy``), each loss is :func:`games._contract` of the validated
-game with the strategies just emitted, and feedback goes through the
-learners' unchecked ``_update``. The loop also feeds the adaptive controller
-and records the trace. After the loop, before any output is built, one pass
-gates every recorded stationary solve by its residual, then one vectorised
-pass checks every recorded strategy against the simplex. Every per-round CSV
-column is computed from the trace, by :func:`metrics.running_regrets` and
-:func:`metrics.running_max_ratio`, and the summary's final regrets are the
-table's last round; BM's loss-decomposition residual is read from the trace
-by :func:`swap_dynamics.decomposition_residuals`. Up to
-``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the
+deliver all feedback. Players with equal action counts are the members of one
+learner, so a round plays, updates and writes the trace once per group; each
+player's loss is :func:`games._contract` of the validated game with the
+strategies just emitted. The round loop only plays, with no per-round checks:
+SL and BM play their unchecked stationary solve (``_next_strategy``), feedback
+goes through the unchecked ``_update``, and a player's adaptive controller
+resets only its own member. Trace arrays are (members, T, ...), so a player's
+field is a contiguous slice. After the loop, before any output is built, one
+pass gates every recorded stationary solve by its residual, keeping each
+player's worst, then one vectorised pass checks every recorded strategy
+against the simplex. Every per-round CSV column is computed from the trace, by
+:func:`metrics.running_regrets` and :func:`metrics.running_max_ratio`, and the
+summary's final regrets are the table's last round; BM's loss-decomposition
+residual is read from the trace by :func:`swap_dynamics.decomposition_residuals`.
+Up to ``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the
 dense average product distribution and is checked against max internal
 regret / T; above, it is that ratio and its identity residual is null.
 Everything is deterministic given the configuration; no wall-clock or
@@ -23,10 +25,10 @@ randomness enters the outputs.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -107,6 +109,11 @@ class RunConfig:
             if self.eta is None or not 0.0 < self.eta < math.inf:
                 raise ValidationError(
                     f"fixed eta rule requires a positive finite eta, got {self.eta}"
+                )
+            # -eta * (cumulative + last loss) spans up to 2 eta (T+1) for losses in [-1, 1].
+            if 2.0 * self.eta * (self.horizon + 1) > sys.float_info.max:
+                raise ValidationError(
+                    f"eta {self.eta} overflows the softmax exponent: 2 eta (T+1) > largest float"
                 )
         elif self.eta is not None:
             raise ValidationError(f"eta rule {self.eta_rule!r} does not take an explicit eta")
@@ -205,7 +212,7 @@ class AdaptiveEtaController:
         return False
 
 
-def _build_dynamics(name: str, n: int, eta: float):
+def _build_dynamics(name: str, n: int, eta):
     optimistic = name != "mwu" and not name.endswith("-mwu")
     if name in ("omwu", "mwu"):
         return Omwu(n, eta, optimistic=optimistic)
@@ -218,8 +225,10 @@ def _build_dynamics(name: str, n: int, eta: float):
     raise ValidationError(f"unknown dynamics {name!r}")
 
 
-# Trace field that stores each round's inner distribution, per dynamics family.
-_INNER_TRACE_FIELDS = {"sl": "pair_dists", "bm": "copy_dists", "arbo": "tree_dists"}
+# Trace fields shaped like a member's inner state: the inner distribution, then SL's pair losses.
+_INNER_TRACE_FIELDS = {
+    "sl": ("pair_dists", "pair_losses"), "bm": ("copy_dists",), "arbo": ("tree_dists",)
+}
 
 
 @dataclass
@@ -239,104 +248,99 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
     T = config.horizon
 
     etas = [resolve_eta(config, m, n) for n in counts]
-    dyns = [_build_dynamics(config.dynamics, n, eta) for n, eta in zip(counts, etas)]
-    controllers = None
-    if config.eta_rule == "adaptive":
-        controllers = [
-            AdaptiveEtaController(T, dyn.inner_dim, config.adaptive_budget) for dyn in dyns
-        ]
+    # Players with equal action counts are the members of one learner, in player order.
+    groups = [[i for i in range(m) if counts[i] == n] for n in dict.fromkeys(counts)]
+    slots = sorted((i, g, b) for g, group in enumerate(groups) for b, i in enumerate(group))
+    dyns = [_build_dynamics(config.dynamics, counts[g[0]], np.take(etas, g)) for g in groups]
+    controllers = [
+        AdaptiveEtaController(T, dyns[g].inner_dim, config.adaptive_budget) for _, g, _ in slots
+    ] if config.eta_rule == "adaptive" else None
 
     family = config.dynamics.split("-")[0]
-    inner_field = _INNER_TRACE_FIELDS.get(family)
-    is_bm = family == "bm"
-    strategies = [np.empty((T, n)) for n in counts]
-    losses = [np.empty((T, n)) for n in counts]
-    inner_dists = [
-        np.empty((T, n, dyn.inner_dim) if is_bm else (T, dyn.inner_dim)) if inner_field else None
-        for n, dyn in zip(counts, dyns)
-    ]
-    pair_losses = [np.empty((T, dyn.inner_dim)) if family == "sl" else None for dyn in dyns]
+    inner_fields = _INNER_TRACE_FIELDS.get(family, ())
+    # Each trace array is (members, T, ...), so a player's field is a contiguous slice.
+    records = []
+    for group, dyn in zip(groups, dyns):
+        n, inner = counts[group[0]], getattr(dyn, "learner", dyn).shape[1:]
+        shapes = {"strategies": (n,), "losses": (n,), **dict.fromkeys(inner_fields, inner)}
+        records.append({k: np.empty((len(group), T, *shape)) for k, shape in shapes.items()})
     # SL and BM play their unchecked stationary solve; the gate runs once, after the loop.
     solves = family in ("sl", "bm")
     plays = [dyn._next_strategy if solves else dyn.next_strategy for dyn in dyns]
 
     for t in range(T):
-        profile = [play() for play in plays]
-        round_losses = [_contract(game, profile, i) for i in range(m)]
+        played = [play() for play in plays]
+        # C-contiguous rows, as a lone learner's strategy is: _contract runs the same matmuls.
+        profile = [played[g][b] for _, g, b in slots]
+        for x, group, dyn, rec in zip(played, groups, dyns, records):
+            rec["strategies"][:, t] = x
+            if inner_fields:
+                rec[inner_fields[0]][:, t] = dyn.learner.last_strategy
+            for b, i in enumerate(group):
+                rec["losses"][b, t] = _contract(game, profile, i)
 
-        for i, dyn in enumerate(dyns):
-            strategies[i][t] = profile[i]
-            losses[i][t] = round_losses[i]
-            if inner_field:
-                inner_dists[i][t] = dyn.inner_dist
-
-        for i, dyn in enumerate(dyns):
-            dyn._update(round_losses[i])
-            if pair_losses[i] is not None:
-                pair_losses[i][t] = dyn.inner_loss
-            if controllers is not None and controllers[i].update(
-                t + 1, dyn.inner_dist, dyn.inner_loss
-            ):
-                dyn.reset(controllers[i].eta_adversarial)
-
-    if solves:
-        _check_stationary_solves(strategies, inner_dists, is_bm)
-    for i, x in enumerate(strategies):  # the one simplex check of the run's strategies
-        bad = np.flatnonzero(~is_distribution(x))
-        if bad.size:
-            raise ValidationError(
-                f"strategy of player {i} at round {bad[0] + 1} is not a probability vector: "
-                f"{x[bad[0]]!r}"
-            )
+        for group, dyn, rec in zip(groups, dyns, records):
+            dyn._update(rec["losses"][:, t])
+            if family == "sl":
+                rec["pair_losses"][:, t] = dyn.learner.last_loss
+            if controllers is not None:
+                q, z = dyn.inner_dist, dyn.inner_loss
+                for b, i in enumerate(group):
+                    if controllers[i].update(t + 1, q[b], z[b]):
+                        dyn.reset(controllers[i].eta_adversarial, b)
 
     trace = RunTrace(
         horizon=T,
         dynamics=config.dynamics,
         action_counts=counts,
         etas=tuple(etas),
-        players=[
-            PlayerTrace(
-                strategies=strategies[i],
-                losses=losses[i],
-                pair_losses=pair_losses[i],
-                **({inner_field: inner_dists[i]} if inner_field else {}),
-            )
-            for i in range(m)
-        ],
+        players=[PlayerTrace(**{k: v[b] for k, v in records[g].items()}) for _, g, b in slots],
     )
+    residuals = _check_stationary_solves(trace, family == "bm") if solves else None
+    for i, p in enumerate(trace.players):  # the one simplex check of the run's strategies
+        bad = np.flatnonzero(~is_distribution(p.strategies))
+        if bad.size:
+            raise ValidationError(
+                f"strategy of player {i} at round {bad[0] + 1} is not a probability vector: "
+                f"{p.strategies[bad[0]]!r}"
+            )
+
     switch_rounds = [c.switch_round for c in controllers] if controllers else [None] * m
-    eta_final = [dyn.eta for dyn in dyns]
+    eta_final = [float(dyns[g].eta[b]) for _, g, b in slots]
     table = _round_table(trace, switch_rounds, eta_final)
     rows = [
         (t, i, *values)
         for t, per_round in zip(range(1, T + 1), table.tolist())
         for i, values in enumerate(per_round)
     ]
-    summary = _summarize(config, game, trace, table[-1], switch_rounds, eta_final)
+    summary = _summarize(config, game, trace, table[-1], switch_rounds, eta_final, residuals)
     return RunResult(trace=trace, summary=summary, rows=rows, game=game)
 
 
-def _check_stationary_solves(strategies, inner_dists, is_bm: bool) -> None:
-    """The residual gate of every stationary solve of a run, player by player.
+def _check_stationary_solves(trace: RunTrace, is_bm: bool) -> list[float]:
+    """The residual gate of every stationary solve of a run; each player's worst residual.
 
     Each round's chain is rebuilt from the recorded inner distributions: the
     copy matrices for BM, the pair masses as rates for SL. Raises
     :class:`StationaryResidualError` naming the first failing player and round.
     """
-    for i, (x, inner) in enumerate(zip(strategies, inner_dists)):
-        n = x.shape[1]
-        for s in range(0, x.shape[0], REGRET_CHUNK_ROUNDS):
+    worst = [0.0] * trace.num_players
+    for i, p in enumerate(trace.players):
+        x, inner = p.strategies, p.copy_dists if is_bm else p.pair_dists
+        for s in range(0, trace.horizon, REGRET_CHUNK_ROUNDS):
             rounds = slice(s, s + REGRET_CHUNK_ROUNDS)
-            A = inner[rounds] if is_bm else _pair_rates(inner[rounds], n)
+            A = inner[rounds] if is_bm else _pair_rates(inner[rounds], x.shape[1])
             residual = stationary_residual(A, x[rounds])
             bad = np.flatnonzero(~(residual <= STATIONARY_RESIDUAL_TOL))  # NaN fails too
             if bad.size:
-                worst = float(residual[bad[0]])
+                failed = float(residual[bad[0]])
                 raise StationaryResidualError(
                     f"stationary solve of player {i} at round {s + bad[0] + 1} failed: "
-                    f"residual {worst} above {STATIONARY_RESIDUAL_TOL}",
-                    residual=worst,
+                    f"residual {failed} above {STATIONARY_RESIDUAL_TOL}",
+                    residual=failed,
                 )
+            worst[i] = max(worst[i], float(residual.max()))
+    return worst
 
 
 def _round_table(trace, switch_rounds, eta_final) -> np.ndarray:
@@ -355,7 +359,7 @@ def _round_table(trace, switch_rounds, eta_final) -> np.ndarray:
     return np.stack(players, axis=1)
 
 
-def _summarize(config, game, trace, final, switch_rounds, eta_final):
+def _summarize(config, game, trace, final, switch_rounds, eta_final, residuals):
     """Summary document; ``final`` is the last round of :func:`_round_table`."""
     m = game.num_players
     T = trace.horizon
@@ -383,6 +387,8 @@ def _summarize(config, game, trace, final, switch_rounds, eta_final):
         },
         "diagnostics": {},
     }
+    if residuals is not None:
+        summary["final"]["stationary_max_residual"] = residuals
     if config.dynamics.startswith("bm"):
         summary["final"]["bm_decomposition_max_residual"] = max(
             float(decomposition_residuals(p.copy_dists, p.strategies, p.losses).max())
@@ -414,12 +420,12 @@ def _summarize(config, game, trace, final, switch_rounds, eta_final):
 
 
 def render_csv(rows) -> bytes:
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    """The table as CSV; every field is an int or a float, so nothing needs quoting."""
+    buf = io.BytesIO()
+    buf.write((",".join(CSV_COLUMNS) + "\n").encode("ascii"))
     for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue().encode("ascii")
+        buf.write((",".join(map(repr, row)) + "\n").encode("ascii"))
+    return buf.getvalue()
 
 
 def render_rows_json(rows) -> bytes:

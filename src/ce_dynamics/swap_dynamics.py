@@ -46,12 +46,12 @@ class BmOmwu(Composite):
         self._update(self._checked(loss))
 
     def _update(self, loss: np.ndarray) -> None:
-        self.learner._update(np.outer(self.last_strategy, loss))
+        self.learner._update(self.last_strategy[..., :, None] * loss[..., None, :])
 
     def loss_decomposition_residual(self, loss) -> float:
-        """The last round's residual, by :func:`decomposition_residuals`."""
+        """The last round's residual, the worst member's, by :func:`decomposition_residuals`."""
         loss = np.asarray(loss, dtype=float)
-        return float(decomposition_residuals(self.last_matrix, self.last_strategy, loss))
+        return float(decomposition_residuals(self.last_matrix, self.last_strategy, loss).max())
 
 
 def decomposition_residuals(Q: np.ndarray, x: np.ndarray, loss: np.ndarray) -> np.ndarray:

@@ -185,6 +185,25 @@ def test_run_past_exp_overflow_writes_strict_json(game_file, tmp_path, capsys, d
         assert report["within_exp_bound"] is True
 
 
+@pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu"])
+def test_run_rejects_an_overflowing_eta_before_play(
+    game_file, tmp_path, capsys, monkeypatch, dynamics
+):
+    # 2 * eta * (T + 1) past the largest float: -eta * z could overflow in the softmax.
+    def refuse(*args, **kwargs):
+        raise AssertionError("play started")
+
+    monkeypatch.setattr(runner, "_build_dynamics", refuse)
+    out = tmp_path / "run"
+    argv = ["run", "--game", game_file, "--dynamics", dynamics, "--horizon", "50",
+            "--eta", "1e308", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: eta 1e+308 overflows the softmax exponent")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_usage_error():
     assert main(["run", "--horizon", "not-a-number"]) == 1
 

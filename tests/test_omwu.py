@@ -135,6 +135,40 @@ class TestRows:
             learner.observe(np.zeros(bad))
 
 
+class TestMembers:
+    """An array of rates stacks independent members; each is its single-rate learner."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [Omwu, SlOmwu, BmOmwu, ArboDynamics, lambda n, eta: Omwu((2, n), eta)],
+        ids=["omwu", "sl-omwu", "bm-omwu", "arbo", "omwu-rows"],
+    )
+    def test_each_member_is_a_single_learner(self, make):
+        rng = np.random.default_rng(5)
+        etas = [0.2, 0.7, 0.05]
+        stacked = make(4, np.array(etas))
+        singles = [make(4, eta) for eta in etas]
+        for t in range(30):
+            if t == 12:  # only member 1 starts over, at a new rate
+                stacked.reset(1.5, member=1)
+                singles[1].reset(1.5)
+            X = stacked.next_strategy()
+            for b, single in enumerate(singles):
+                assert X[b].tobytes() == single.next_strategy().tobytes()
+            loss = rng.uniform(0.0, 1.0, X.shape)
+            stacked.observe(loss)
+            for b, single in enumerate(singles):
+                single.observe(loss[b])
+        assert stacked.eta.tolist() == [0.2, 1.5, 0.05]
+        np.testing.assert_array_equal(stacked.inner_dist[1], singles[1].inner_dist)
+
+    def test_rejects_a_loss_without_the_member_axis(self):
+        sl = SlOmwu(3, np.array([0.1, 0.2]))
+        sl.next_strategy()
+        with pytest.raises(DimensionMismatchError):
+            sl.observe(np.zeros(3))
+
+
 class TestAgainstRecursion:
     def test_cumulative_matches_recursive_form(self):
         rng = np.random.default_rng(7)

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 import math
@@ -10,6 +12,7 @@ from ce_dynamics.cli import main
 from ce_dynamics.errors import StationaryResidualError, ValidationError
 from ce_dynamics.games import Game, expected_loss, random_game
 from ce_dynamics.internal_dynamics import SlOmwu, verify_equivalence
+from ce_dynamics.markov_tree import stationary_residual
 from ce_dynamics.omwu import Composite, Omwu
 from ce_dynamics.swap_dynamics import BmOmwu
 from ce_dynamics.runner import (
@@ -246,6 +249,26 @@ class TestRunDynamics:
         got = run_dynamics(cfg).summary["final"]["bm_decomposition_max_residual"]
         assert got == method == formula
 
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    @pytest.mark.parametrize("counts", [(3, 3), (3, 4, 3)])
+    def test_stationary_max_residual_per_player(self, dynamics, counts):
+        cfg = small_config(dynamics=dynamics, horizon=300, players=len(counts),
+                           action_counts=counts)
+        result = run_dynamics(cfg)
+        got = result.summary["final"]["stationary_max_residual"]
+        want = []
+        for p, n in zip(result.trace.players, counts):
+            Q = p.copy_dists if dynamics == "bm-omwu" else internal_dynamics._pair_rates(
+                p.pair_dists, n)
+            want.append(float(stationary_residual(Q, p.strategies).max()))
+        assert got == want
+        assert max(got) <= 1e-10
+
+    @pytest.mark.parametrize("dynamics", ["omwu", "arbo"])
+    def test_no_stationary_residual_without_a_solve(self, dynamics):
+        assert "stationary_max_residual" not in run_dynamics(
+            small_config(dynamics=dynamics)).summary["final"]
+
     def test_running_columns_match_final_metrics(self):
         assert_last_row_is_final(run_dynamics(small_config(horizon=40)))
 
@@ -391,6 +414,87 @@ class TestAdaptiveMode:
         assert all(s is not None for s in result.summary["final"]["adaptive_switch_round"])
 
 
+def reference_run(config):
+    """The per-player round loop: one public single-player learner per player.
+
+    Each round every player plays (SL and BM through their unchecked solve),
+    every loss is contracted from the frozen profile, then each player gets
+    its feedback through ``_update`` and feeds its own adaptive controller.
+    Returns the recorded arrays per player and the switch rounds.
+    """
+    game = runner.load_config_game(config)
+    m, counts, T = game.num_players, game.action_counts, config.horizon
+    dyns = [
+        runner._build_dynamics(config.dynamics, n, resolve_eta(config, m, n)) for n in counts
+    ]
+    controllers = [
+        AdaptiveEtaController(T, dyn.inner_dim, config.adaptive_budget) for dyn in dyns
+    ] if config.eta_rule == "adaptive" else None
+    solves = config.dynamics.startswith(("sl", "bm"))
+    record = [{"strategies": [], "losses": [], "inner": [], "pair_losses": []} for _ in dyns]
+    for t in range(T):
+        profile = [dyn._next_strategy() if solves else dyn.next_strategy() for dyn in dyns]
+        losses = [games._contract(game, profile, i) for i in range(m)]
+        for i, dyn in enumerate(dyns):
+            record[i]["strategies"].append(np.array(profile[i]))
+            record[i]["losses"].append(np.array(losses[i]))
+            if isinstance(dyn, Composite):
+                record[i]["inner"].append(np.array(dyn.learner.last_strategy))
+            dyn._update(losses[i])
+            if isinstance(dyn, SlOmwu):
+                record[i]["pair_losses"].append(np.array(dyn.learner.last_loss))
+            if controllers is not None and controllers[i].update(
+                t + 1, dyn.inner_dist, dyn.inner_loss
+            ):
+                dyn.reset(controllers[i].eta_adversarial)
+    switches = [c.switch_round for c in controllers] if controllers else [None] * m
+    return [{k: np.array(v) for k, v in rec.items() if v} for rec in record], switches
+
+
+# Game seed 0 on (3, 4, 3) under the adaptive rule: these budgets lie between the
+# round-1 variance excesses of players 0 and 2, so only player 2 switches.
+ONE_SWITCH_BUDGET = {"omwu": 5.5e-8, "mwu": 5.5e-8, "sl": 1.9e-8, "bm": 1.9e-8, "arbo": 3.2e-8}
+
+
+class TestGroupedLoop:
+    """Players with equal action counts share one learner; the trace is the per-player loop's."""
+
+    def assert_matches_reference(self, config):
+        result = run_dynamics(config)
+        reference, switches = reference_run(config)
+        family = config.dynamics.split("-")[0]
+        inner_field = {"sl": "pair_dists", "bm": "copy_dists", "arbo": "tree_dists"}.get(family)
+        for player, ref in zip(result.trace.players, reference):
+            assert player.strategies.tobytes() == ref["strategies"].tobytes()
+            assert player.losses.tobytes() == ref["losses"].tobytes()
+            if inner_field:
+                assert getattr(player, inner_field).tobytes() == ref["inner"].tobytes()
+            if "pair_losses" in ref:
+                assert player.pair_losses.tobytes() == ref["pair_losses"].tobytes()
+        assert result.summary["final"]["adaptive_switch_round"] == switches
+        return result
+
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    def test_ragged_game_bitwise(self, dynamics):
+        # Action counts (3, 4, 3): players 0 and 2 are the two members of one learner.
+        self.assert_matches_reference(
+            small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=300)
+        )
+
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    def test_one_member_switches(self, dynamics):
+        budget = ONE_SWITCH_BUDGET[dynamics.split("-")[0]]
+        config = small_config(
+            dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=300, game_seed=0,
+            eta_rule="adaptive", eta=None, adaptive_budget=budget,
+        )
+        final = self.assert_matches_reference(config).summary["final"]
+        switches = final["adaptive_switch_round"]
+        assert switches[0] is None and switches[2] is not None
+        assert final["eta_final"][0] == final["eta_initial"][0]
+        assert final["eta_final"][2] != final["eta_initial"][2]
+
+
 class TestUncheckedFeedback:
     """The round loop and the equivalence replay skip the profile and feedback checks."""
 
@@ -427,19 +531,17 @@ class TestStrategyCheck:
 
     @pytest.fixture
     def off_simplex_round_5(self, monkeypatch):
-        """Player 1's learner emits one off-simplex strategy, at round 5."""
+        """Player 1's row of the shared learner emits one off-simplex strategy, at round 5."""
         build = runner._build_dynamics
-        built = []
 
         def build_spy(name, n, eta):
             dyn = build(name, n, eta)
-            built.append(dyn)
-            if len(built) == 2:
-                # The step the round loop calls: SL and BM play an unchecked solve.
-                step = "_next_strategy" if hasattr(dyn, "_next_strategy") else "next_strategy"
-                emit = getattr(dyn, step)
-                rounds = itertools.count(1)
-                setattr(dyn, step, lambda: emit() * (1.5 if next(rounds) == 5 else 1.0))
+            # The step the round loop calls: SL and BM play an unchecked solve.
+            step = "_next_strategy" if hasattr(dyn, "_next_strategy") else "next_strategy"
+            emit = getattr(dyn, step)
+            rounds = itertools.count(1)
+            scale = np.array([[1.0], [1.5]])  # both players have 3 actions: members 0 and 1
+            setattr(dyn, step, lambda: emit() * (scale if next(rounds) == 5 else 1.0))
             return dyn
 
         monkeypatch.setattr(runner, "_build_dynamics", build_spy)
@@ -470,12 +572,12 @@ class TestStationaryGate:
         def install(dynamics, round_index, scale=1.0):
             module = swap_dynamics if dynamics.startswith("bm") else internal_dynamics
             solve = module._gth_stationary
-            calls = itertools.count()  # two players solve in turn, player 0 first
+            calls = itertools.count()  # one solve per round: both players are members of it
 
             def faulty(A):
                 pi = solve(A)
-                if next(calls) == 2 * (round_index - 1) + 1:
-                    return scale * np.eye(pi.size)[0]  # finite, and not stationary
+                if next(calls) == round_index - 1:
+                    pi[1] = scale * np.eye(pi.shape[-1])[0]  # finite, and not stationary
                 return pi
 
             monkeypatch.setattr(module, "_gth_stationary", faulty)
@@ -557,6 +659,17 @@ class TestOutputs:
         paths = emit_outputs(result, cfg, tmp_path / "t")
         again = RunTrace.load(paths["trace"])
         assert internal_regret(again, 0) == internal_regret(result.trace, 0)
+
+    def test_csv_matches_csv_writer(self):
+        # Every field is an int or a float, so the plain join gives csv.writer's bytes.
+        cfg = small_config(dynamics="bm-omwu", horizon=50, players=3, action_counts=(3, 3, 3))
+        rows = run_dynamics(cfg).rows
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        assert render_csv(rows) == buf.getvalue().encode("ascii")
 
     def test_csv_renders_full_precision(self):
         rows = [(1, 0, 0.1 + 0.2, 0.0, 0.0, 0.0, 0.0, 0.05, 1.0)]

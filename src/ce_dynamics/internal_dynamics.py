@@ -30,7 +30,7 @@ from .markov_tree import _gth_stationary, all_arborescences, check_stationary
 from .metrics import REGRET_CHUNK_ROUNDS
 from .omwu import Composite, Omwu
 
-# The tree space has n^(n-1) points: 3125 at n = 5.
+# The tree space has n^(n-1) points: 625 at n = 5.
 MAX_ARBO_NODES = 5
 
 
@@ -196,43 +196,46 @@ def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) 
 
     ``run_dynamics`` plays the pair-space learners (GTH stationary solve) in
     self-play. Each player's recorded loss stream is then fed to a fresh
-    tree-space learner, and per round we record the largest strategy gap and,
+    tree-space learner, one stacked learner per group of equal action counts
+    as in ``run_dynamics``, and per round we record the largest strategy gap and,
     per tree, the relative spread of (product of pair masses along tree
     edges) / (tree mass), which should be a tree-independent constant. The
     tree learners are built first, so their size and learning-rate guards
     fail before any play. ``tol`` is kept on the report as the default of
     :meth:`EquivalenceReport.passes`.
     """
-    from .runner import RunConfig, run_dynamics  # runner imports this module
+    from .runner import RunConfig, player_groups, run_dynamics  # runner imports this module
 
-    arbos = [ArboDynamics(n, eta) for n in game.action_counts]
-    config = RunConfig(
-        "sl-omwu", horizon, eta=eta, players=game.num_players, action_counts=game.action_counts
-    )
+    counts = game.action_counts
+    groups = player_groups(counts)
+    arbos = [ArboDynamics(counts[group[0]], np.full(len(group), eta)) for group in groups]
+    config = RunConfig("sl-omwu", horizon, eta=eta, players=game.num_players, action_counts=counts)
     trace = run_dynamics(config, game).trace
 
-    deviation = np.zeros(horizon)
-    residual = np.zeros(horizon)
-    for arbo, player in zip(arbos, trace.players):
-        strategies = np.empty((horizon, arbo.n))
-        tree_dists = np.empty((horizon, arbo.inner_dim))
-        for t, loss in enumerate(player.losses):
-            strategies[t] = arbo.next_strategy()
-            tree_dists[t] = arbo.inner_dist[0]
-            arbo._update(loss)
-        deviation = np.maximum(deviation, np.abs(strategies - player.strategies).max(axis=1))
-        # Proportionality constant taken from the first tree; the residual is
-        # the largest relative departure of any other tree from it. Blocks of
-        # rounds bound the (rounds, trees, n-1) edge gather.
+    deviation, residual = np.zeros(horizon), np.zeros(horizon)
+    for group, arbo in zip(groups, arbos):
+        players = [trace.players[i] for i in group]
+        losses = np.stack([p.losses for p in players], axis=1)  # (T, members, n)
+        # Blocks of rounds bound the tree distributions kept and the (rounds, trees, n-1)
+        # edge gather. The proportionality constant is taken from the first tree; the
+        # residual is the largest relative departure of any other tree from it.
         for s in range(0, horizon, REGRET_CHUNK_ROUNDS):
             rounds = slice(s, s + REGRET_CHUNK_ROUNDS)
-            log_ratio = (
-                np.log(player.pair_dists[rounds])[:, arbo.edge_pairs].sum(axis=2)
-                - np.log(tree_dists[rounds])
-            )
-            residual[rounds] = np.maximum(
-                residual[rounds], np.abs(np.exp(log_ratio - log_ratio[:, :1]) - 1.0).max(axis=1)
-            )
+            steps = []
+            for loss in losses[rounds]:
+                steps.append((arbo.next_strategy(), arbo.inner_dist[:, 0]))
+                arbo._update(loss)
+            strategies, tree_dists = map(np.array, zip(*steps))  # (rounds, members, ...)
+            for b, player in enumerate(players):
+                gap = np.abs(strategies[:, b] - player.strategies[rounds]).max(axis=1)
+                deviation[rounds] = np.maximum(deviation[rounds], gap)
+                log_ratio = (
+                    np.log(player.pair_dists[rounds])[:, arbo.edge_pairs].sum(axis=2)
+                    - np.log(tree_dists[:, b])
+                )
+                residual[rounds] = np.maximum(
+                    residual[rounds], np.abs(np.exp(log_ratio - log_ratio[:, :1]) - 1.0).max(axis=1)
+                )
 
     return EquivalenceReport(
         horizon=horizon,

@@ -177,22 +177,31 @@ def _gth_stationary(A: np.ndarray) -> np.ndarray:
     overhead at the sizes met here. Leading axes of ``A`` carry over: one
     ``tolist`` feeds the elimination of every chain, and one division
     normalises them all. Callers gate the result.
+
+    Sums are left-to-right loops from int 0, not the builtin ``sum()``, which
+    compensates float sums from Python 3.12 on; the bits do not depend on it.
     """
     n = A.shape[-1]
     pis = []
     for a in A.reshape(-1, n, n).tolist():
         for k in range(n - 1, 0, -1):
-            row = a[k]
-            out = sum(row[:k])
-            for i in range(k):
-                ai = a[i]
+            pivot = a[k][:k]
+            out = 0
+            for r in pivot:
+                out += r
+            for ai in a[:k]:
                 f = ai[k] / out
                 ai[k] = f
-                for j in range(k):
-                    ai[j] += f * row[j]
+                j = 0
+                for r in pivot:
+                    ai[j] += f * r
+                    j += 1
         pi = [1.0]
         for k in range(1, n):
-            pi.append(sum(pi[i] * a[i][k] for i in range(k)))
+            inflow = 0
+            for p, ai in zip(pi, a):
+                inflow += p * ai[k]
+            pi.append(inflow)
         pis.append(pi)
     pi = np.array(pis)
     pi /= pi.sum(axis=-1, keepdims=True)

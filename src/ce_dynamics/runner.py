@@ -4,23 +4,23 @@ A run executes the two-phase self-play protocol: freeze every player's
 strategy, compute every expected-loss vector from the frozen profile, then
 deliver all feedback. Players with equal action counts are the members of one
 learner, so a round plays, updates and writes the trace once per group; each
-player's loss is :func:`games._contract` of the validated game with the
-strategies just emitted. The round loop only plays, with no per-round checks:
-SL and BM play their unchecked stationary solve (``_next_strategy``), feedback
-goes through the unchecked ``_update``, and a player's adaptive controller
-resets only its own member. Trace arrays are (members, T, ...), so a player's
-field is a contiguous slice. After the loop, before any output is built, one
-pass gates every recorded stationary solve by its residual, keeping each
-player's worst, then one vectorised pass checks every recorded strategy
-against the simplex. Every per-round CSV column is computed from the trace, by
-:func:`metrics.running_regrets` and :func:`metrics.running_max_ratio`, and the
-summary's final regrets are the table's last round; BM's loss-decomposition
-residual is read from the trace by :func:`swap_dynamics.decomposition_residuals`.
-Up to ``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the
-dense average product distribution and is checked against max internal
-regret / T; above, it is that ratio and its identity residual is null.
-Everything is deterministic given the configuration; no wall-clock or
-randomness enters the outputs.
+player's loss is :func:`games._contract` of the game with the strategies just
+emitted. The round loop only plays: SL and BM play their unchecked stationary
+solve (``_next_strategy``) and feedback goes through the unchecked
+``_update``. Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS``
+rounds from the trace; at a block's first breach the learners are restored to
+its start and replayed up to that round, where each breaching player's member
+is reset alone. After the loop, one pass gates every recorded stationary solve
+by its residual, keeping each player's worst, then one pass checks every
+recorded strategy against the simplex. Every per-round CSV column comes from
+the trace, by :func:`metrics.running_regrets` and
+:func:`metrics.running_max_ratio`; the summary's final regrets are the table's
+last round, and BM's loss-decomposition residual is
+:func:`swap_dynamics.decomposition_residuals` of the trace. Up to
+``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the dense
+average product distribution and is checked against max internal regret / T;
+above, it is that ratio and its identity residual is null. Outputs are
+deterministic given the configuration; no wall-clock or randomness enters.
 """
 
 from __future__ import annotations
@@ -183,6 +183,10 @@ class AdaptiveEtaController:
     Tracks, per inner stream, the running sums of Var_q(z_t - z_{t-1}) and
     Var_q(z_{t-1}); a round where the first exceeds half the second plus
     budget_constant * ceil(log2 T)^5 triggers the switch.
+
+    :meth:`scan` finds a block of rounds' first breach and folds nothing in;
+    :meth:`advance` folds the block in up to a round. :meth:`update` is the
+    one-round case.
     """
 
     def __init__(self, horizon: int, dim: int, budget_constant: float):
@@ -192,37 +196,56 @@ class AdaptiveEtaController:
         self.lhs = 0.0
         self.prev_variance_sum = 0.0
         self._prev_rows = None
+        self._block = None
         self.switch_round: int | None = None
 
     @property
     def switched(self) -> bool:
         return self.switch_round is not None
 
+    def scan(self, first_round: int, q: np.ndarray, z: np.ndarray) -> int | None:
+        """The first round of a block of inner feedback, (rounds, ..., dim), to breach; or None.
+
+        The carry is folded into each sum's first term before ``np.cumsum``, so
+        the running sums are those of adding round by round.
+        """
+        prev = np.concatenate(
+            [np.zeros_like(z[:1]) if self._prev_rows is None else self._prev_rows[None], z[:-1]]
+        )
+        lhs = variance(q, z - prev).reshape(len(q), -1).sum(axis=-1)
+        prev_sum = variance(q, prev).reshape(len(q), -1).sum(axis=-1)
+        lhs[0] += self.lhs
+        prev_sum[0] += self.prev_variance_sum
+        np.cumsum(lhs, out=lhs)
+        np.cumsum(prev_sum, out=prev_sum)
+        self._block = first_round, lhs, prev_sum, z
+        breach = np.flatnonzero(lhs > 0.5 * prev_sum + self.allowance)
+        return first_round + int(breach[0]) if breach.size else None
+
+    def advance(self, last_round: int, switch: bool = False) -> None:
+        """Fold in the last scanned block up to ``last_round``; switch there if ``switch``."""
+        first_round, lhs, prev_sum, z = self._block
+        k = last_round - first_round
+        self.lhs, self.prev_variance_sum = float(lhs[k]), float(prev_sum[k])
+        self._prev_rows = z[k].copy()
+        if switch:
+            self.switch_round = last_round
+
     def update(self, round_index: int, q_rows: np.ndarray, z_rows: np.ndarray) -> bool:
         """Fold in one round of inner feedback; True when the switch fires now."""
         if self.switched:
             return False
-        prev = self._prev_rows if self._prev_rows is not None else np.zeros_like(z_rows)
-        self.lhs += float(variance(q_rows, z_rows - prev).sum())
-        self.prev_variance_sum += float(variance(q_rows, prev).sum())
-        self._prev_rows = np.array(z_rows, copy=True)
-        if self.lhs > 0.5 * self.prev_variance_sum + self.allowance:
-            self.switch_round = round_index
-            return True
-        return False
+        fired = self.scan(round_index, q_rows[None], z_rows[None]) is not None
+        self.advance(round_index, fired)
+        return fired
+
+
+_LEARNERS = {"omwu": Omwu, "mwu": Omwu, "sl": SlOmwu, "bm": BmOmwu, "arbo": ArboDynamics}
 
 
 def _build_dynamics(name: str, n: int, eta):
     optimistic = name != "mwu" and not name.endswith("-mwu")
-    if name in ("omwu", "mwu"):
-        return Omwu(n, eta, optimistic=optimistic)
-    if name in ("sl-omwu", "sl-mwu"):
-        return SlOmwu(n, eta, optimistic=optimistic)
-    if name in ("bm-omwu", "bm-mwu"):
-        return BmOmwu(n, eta, optimistic=optimistic)
-    if name == "arbo":
-        return ArboDynamics(n, eta)
-    raise ValidationError(f"unknown dynamics {name!r}")
+    return _LEARNERS[name.split("-")[0]](n, eta, optimistic=optimistic)
 
 
 # Trace fields shaped like a member's inner state: the inner distribution, then SL's pair losses.
@@ -239,6 +262,11 @@ class RunResult:
     game: Game
 
 
+def player_groups(counts) -> list[list[int]]:
+    """Players with equal action counts, in player order: the members of one learner."""
+    return [[i for i, c in enumerate(counts) if c == n] for n in dict.fromkeys(counts)]
+
+
 def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
     config.validate()
     if game is None:
@@ -248,8 +276,7 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
     T = config.horizon
 
     etas = [resolve_eta(config, m, n) for n in counts]
-    # Players with equal action counts are the members of one learner, in player order.
-    groups = [[i for i in range(m) if counts[i] == n] for n in dict.fromkeys(counts)]
+    groups = player_groups(counts)
     slots = sorted((i, g, b) for g, group in enumerate(groups) for b, i in enumerate(group))
     dyns = [_build_dynamics(config.dynamics, counts[g[0]], np.take(etas, g)) for g in groups]
     controllers = [
@@ -258,36 +285,66 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
 
     family = config.dynamics.split("-")[0]
     inner_fields = _INNER_TRACE_FIELDS.get(family, ())
+    # The controllers read their inner stream (q, z) from the trace; the inner losses it
+    # lacks (BM's x[g] * loss, arbo's tree losses) are held for one block at a time.
+    q_field, z_field = (*inner_fields, None)[:2] if inner_fields else ("strategies", "losses")
     # Each trace array is (members, T, ...), so a player's field is a contiguous slice.
-    records = []
+    records, held = [], []
     for group, dyn in zip(groups, dyns):
         n, inner = counts[group[0]], getattr(dyn, "learner", dyn).shape[1:]
         shapes = {"strategies": (n,), "losses": (n,), **dict.fromkeys(inner_fields, inner)}
         records.append({k: np.empty((len(group), T, *shape)) for k, shape in shapes.items()})
+        holds = controllers is not None and z_field is None
+        held.append(np.empty((len(group), REGRET_CHUNK_ROUNDS, *inner)) if holds else None)
     # SL and BM play their unchecked stationary solve; the gate runs once, after the loop.
     solves = family in ("sl", "bm")
-    plays = [dyn._next_strategy if solves else dyn.next_strategy for dyn in dyns]
 
-    for t in range(T):
-        played = [play() for play in plays]
-        # C-contiguous rows, as a lone learner's strategy is: _contract runs the same matmuls.
-        profile = [played[g][b] for _, g, b in slots]
-        for x, group, dyn, rec in zip(played, groups, dyns, records):
-            rec["strategies"][:, t] = x
-            if inner_fields:
-                rec[inner_fields[0]][:, t] = dyn.learner.last_strategy
-            for b, i in enumerate(group):
-                rec["losses"][b, t] = _contract(game, profile, i)
-
-        for group, dyn, rec in zip(groups, dyns, records):
-            dyn._update(rec["losses"][:, t])
-            if family == "sl":
-                rec["pair_losses"][:, t] = dyn.learner.last_loss
-            if controllers is not None:
-                q, z = dyn.inner_dist, dyn.inner_loss
+    def play(rounds: range) -> None:
+        steps = [dyn._next_strategy if solves else dyn.next_strategy for dyn in dyns]
+        for t in rounds:
+            played = [step() for step in steps]
+            # C-contiguous rows, as a lone learner's strategy is: _contract runs the same matmuls.
+            profile = [played[g][b] for _, g, b in slots]
+            for x, group, dyn, rec in zip(played, groups, dyns, records):
+                rec["strategies"][:, t] = x
+                if inner_fields:
+                    rec[inner_fields[0]][:, t] = dyn.learner.last_strategy
                 for b, i in enumerate(group):
-                    if controllers[i].update(t + 1, q[b], z[b]):
-                        dyn.reset(controllers[i].eta_adversarial, b)
+                    rec["losses"][b, t] = _contract(game, profile, i)
+
+            for dyn, rec, kept in zip(dyns, records, held):
+                dyn._update(rec["losses"][:, t])
+                if family == "sl":
+                    rec["pair_losses"][:, t] = dyn.learner.last_loss
+                if kept is not None:
+                    kept[:, t - rounds.start] = dyn.learner.last_loss
+
+    done = 0  # rounds played so far
+    while done < T:
+        block = range(done, min(done + REGRET_CHUNK_ROUNDS, T))
+        # Every step replaces the arrays it changes, so copies of the attributes restore a learner.
+        start = [(o, vars(o).copy()) for dyn in dyns for o in {dyn, getattr(dyn, "learner", dyn)}]
+        play(block)
+        done = block.stop
+        if controllers is None:
+            continue
+        breaches = {}  # player -> round of the first breach in the block, or None
+        rounds = slice(block.start, done)
+        for i, g, b in slots:
+            if not controllers[i].switched:
+                q = records[g][q_field][b, rounds]
+                z = records[g][z_field][b, rounds] if z_field else held[g][b, : len(block)]
+                breaches[i] = controllers[i].scan(block.start + 1, q, z)
+        done = min((r for r in breaches.values() if r is not None), default=done)
+        if done < block.stop:  # replay the block from its start up to the first switch
+            for obj, attrs in start:
+                vars(obj).update(attrs)
+            play(range(block.start, done))
+        for i, g, b in slots:
+            if i in breaches:
+                controllers[i].advance(done, breaches[i] == done)
+                if breaches[i] == done:
+                    dyns[g].reset(controllers[i].eta_adversarial, b)
 
     trace = RunTrace(
         horizon=T,
@@ -395,27 +452,23 @@ def _summarize(config, game, trace, final, switch_rounds, eta_final, residuals):
             for p in trace.players
         )
 
-    no_switch = all(r is None for r in switch_rounds)
-    if no_switch:
-        summary["diagnostics"]["stability"] = [
-            stability_check(trace, i).to_dict() for i in range(m)
-        ]
-    has_pair_data = trace.players[0].pair_dists is not None
-    if config.smoothness_order is not None and has_pair_data:
-        summary["diagnostics"]["smoothness"] = [
-            smoothness_report(trace, i, config.smoothness_order, config.smoothness_alpha).to_dict()
-            for i in range(m)
-        ]
-    if config.rvu_constant is not None and has_pair_data:
-        summary["diagnostics"]["rvu"] = [
-            rvu_check(trace, i, trace.etas[i], config.rvu_constant).to_dict()
-            for i in range(m)
-        ]
-    if config.variance_budget is not None and has_pair_data:
-        summary["diagnostics"]["variance_check"] = [
-            check_variance_inequality(trace, i, config.variance_budget).to_dict()
-            for i in range(m)
-        ]
+    def each(check, *args):
+        return [check(trace, i, *args).to_dict() for i in range(m)]
+
+    diagnostics = summary["diagnostics"]
+    if all(r is None for r in switch_rounds):
+        diagnostics["stability"] = each(stability_check)
+    if trace.players[0].pair_dists is not None:  # the pair-space diagnostics
+        if config.smoothness_order is not None:
+            diagnostics["smoothness"] = each(
+                smoothness_report, config.smoothness_order, config.smoothness_alpha
+            )
+        if config.rvu_constant is not None:
+            diagnostics["rvu"] = [
+                rvu_check(trace, i, trace.etas[i], config.rvu_constant).to_dict() for i in range(m)
+            ]
+        if config.variance_budget is not None:
+            diagnostics["variance_check"] = each(check_variance_inequality, config.variance_budget)
     return summary
 
 

@@ -212,8 +212,8 @@ class TestEquivalence:
             verify_equivalence(game, eta=0.1, horizon=5)
 
     def test_memory_bounded_on_five_actions(self):
-        # 3125 trees per player: unblocked, the (T, trees, n-1) edge gather
-        # alone is 25 MB at T = 1000.
+        # 625 trees per player: unblocked, the (T, trees, n-1) edge gather
+        # alone is 20 MB at T = 1000.
         game = random_game(2, (5, 5), seed=0)
         tracemalloc.start()
         try:
@@ -226,7 +226,7 @@ class TestEquivalence:
 
 
 def reference_equivalence(game, eta, horizon):
-    """Slow reference: its own self-play loop, then a round-by-round tree replay."""
+    """Slow reference: its own self-play loop, then a round-by-round tree replay per player."""
     m = game.num_players
     sl_players = [SlOmwu(n, eta) for n in game.action_counts]
     strategies = [[] for _ in range(m)]
@@ -277,6 +277,10 @@ class TestAgainstSelfPlayOracle:
             (3, (3, 3, 3), 2, 0.02, 40),
             (2, (3, 3), 7, 5.0, 100),
             (2, (3, 3), 0, 0.05, 1),
+            # Stacked replays: members of one tree learner, and a lone member beside them.
+            (3, (3, 4, 3), 1, 0.05, 300),
+            (3, (2, 2, 2), 4, 0.1, 300),
+            (2, (4, 4), 6, 0.05, 257),
         ],
     )
     def test_report_bitwise_equal(self, players, counts, seed, eta, horizon):

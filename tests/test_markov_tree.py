@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,3 +188,77 @@ class TestSolveStationary:
     def test_residual_error_carries_value(self):
         err = StationaryResidualError("failed", residual=0.5)
         assert err.residual == 0.5
+
+
+def reference_gth(A):
+    """GTH elimination indexed a[i][j], as the package first wrote it, sums spelled out.
+
+    The sums run left to right from int 0, which is what Python 3.11's
+    ``sum()`` computes, so this reference gives the same bits on every
+    Python version.
+    """
+    n = A.shape[-1]
+    pis = []
+    for a in A.reshape(-1, n, n).tolist():
+        for k in range(n - 1, 0, -1):
+            row = a[k]
+            out = 0
+            for j in range(k):
+                out += row[j]
+            for i in range(k):
+                ai = a[i]
+                f = ai[k] / out
+                ai[k] = f
+                for j in range(k):
+                    ai[j] += f * row[j]
+        pi = [1.0]
+        for k in range(1, n):
+            total = 0
+            for i in range(k):
+                total += pi[i] * a[i][k]
+            pi.append(total)
+        pis.append(pi)
+    pi = np.array(pis)
+    pi /= pi.sum(axis=-1, keepdims=True)
+    return pi.reshape(A.shape[:-1])
+
+
+def golden_chains():
+    """A fixed seeded set of rate arrays: n = 2..10, 1-3 members, three rate scales."""
+    rng = np.random.default_rng(20211111)
+    for n in range(2, 11):
+        for members in (1, 2, 3):
+            for scale in (1.0, 1e-150, 1e-300):
+                yield rng.uniform(0.01, 1.0, (members, n, n)) * scale
+        yield np.exp(rng.uniform(-40.0, 0.0, (n, n)))  # rates spanning 17 decades, no member axis
+
+
+# sha256 of _gth_stationary over golden_chains(), recorded with the index-loop
+# elimination and Python 3.11's left-to-right sum().
+GTH_GOLDEN_SHA256 = "784e61301076445987b6540cfbe4826792c7f62c785f8176c400ddc3ef57f0e9"
+
+
+class TestGthPinned:
+    """The elimination's bits are pinned: to the index-loop reference, and to a recorded digest."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("members", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-300])
+    def test_bitwise_equal_to_the_index_loop(self, n, members, scale):
+        rng = np.random.default_rng(1000 * n + members)
+        A = rng.uniform(0.01, 1.0, (members, n, n)) * scale
+        pi = _gth_stationary(A)
+        assert pi.shape == (members, n)
+        assert pi.tobytes() == reference_gth(A).tobytes()
+
+    def test_golden_digest(self):
+        digest = hashlib.sha256()
+        for A in golden_chains():
+            digest.update(_gth_stationary(A).tobytes())
+        assert digest.hexdigest() == GTH_GOLDEN_SHA256
+
+    def test_reference_gives_the_golden_digest(self):
+        digest = hashlib.sha256()
+        for A in golden_chains():
+            digest.update(reference_gth(A).tobytes())
+        assert digest.hexdigest() == GTH_GOLDEN_SHA256

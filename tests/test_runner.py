@@ -9,6 +9,7 @@ import pytest
 
 from ce_dynamics import games, internal_dynamics, metrics, runner, swap_dynamics
 from ce_dynamics.cli import main
+from ce_dynamics.diagnostics import variance
 from ce_dynamics.errors import StationaryResidualError, ValidationError
 from ce_dynamics.games import Game, expected_loss, random_game
 from ce_dynamics.internal_dynamics import SlOmwu, verify_equivalence
@@ -414,6 +415,80 @@ class TestAdaptiveMode:
         assert all(s is not None for s in result.summary["final"]["adaptive_switch_round"])
 
 
+def adversarial_stream(switch_round, rounds=600, rows=2, dim=4, seed=0):
+    """Inner feedback (q, z), (rounds, rows, dim): wiggles around a loss, a jump at ``switch_round``.
+
+    Under ``STREAM_BUDGET`` the wiggles never breach the variance budget and
+    the jump does, so the controller switches exactly at ``switch_round``.
+    """
+    rng = np.random.default_rng(seed)
+    q = rng.dirichlet(np.ones(dim), size=(rounds, rows))
+    base = rng.uniform(-0.1, 0.1, (rows, dim))
+    z = base + 1e-3 * rng.uniform(-1.0, 1.0, (rounds, rows, dim))
+    if switch_round is not None:
+        z[switch_round - 1] = -100.0 * base
+    return q, z
+
+
+STREAM_BUDGET = 1e-5  # allowance 1e-5 * ceil(log2 600)^5 = 1.0, above round 1's variance
+
+
+def per_round_sums(q, z, budget):
+    """The controller's sums as first written: a Python float += per round; stops at the switch."""
+    allowance = budget * AdaptiveEtaController(len(q), q.shape[-1], budget).depth ** 5
+    lhs = prev_sum = 0.0
+    prev = np.zeros_like(z[0])
+    for t in range(len(q)):
+        lhs += float(variance(q[t], z[t] - prev).sum())
+        prev_sum += float(variance(q[t], prev).sum())
+        prev = z[t]
+        if lhs > 0.5 * prev_sum + allowance:
+            return t + 1, lhs, prev_sum
+    return None, lhs, prev_sum
+
+
+def scan_in_blocks(q, z, budget, size):
+    """Feed a stream to a controller ``size`` rounds at a time, the way the round loop does."""
+    ctl = AdaptiveEtaController(len(q), q.shape[-1], budget)
+    t = 0
+    while t < len(q) and not ctl.switched:
+        block = slice(t, min(t + size, len(q)))
+        breach = ctl.scan(t + 1, q[block], z[block])
+        t = block.stop if breach is None else breach
+        ctl.advance(t, breach == t)
+    return ctl.switch_round, ctl.lhs, ctl.prev_variance_sum
+
+
+class TestControllerBlocks:
+    """A block scan of the variance budget gives the per-round switch round and sums, bitwise."""
+
+    # Rows and dims of 8 or more take numpy's pairwise sums, as BM's and SL's 10x10 streams do.
+    @pytest.mark.parametrize("rows, dim", [(2, 4), (10, 10), (1, 90)])
+    @pytest.mark.parametrize("switch_round", [1, 255, 256, 257, 300, None])
+    @pytest.mark.parametrize("size", [1, 7, 256])
+    def test_blocks_match_per_round_sums(self, switch_round, size, rows, dim):
+        q, z = adversarial_stream(switch_round, rows=rows, dim=dim)
+        want = per_round_sums(q, z, STREAM_BUDGET)
+        assert want[0] == switch_round
+        assert scan_in_blocks(q, z, STREAM_BUDGET, size) == want
+
+    @pytest.mark.parametrize("switch_round", [1, 257])
+    def test_update_is_the_one_round_case(self, switch_round):
+        q, z = adversarial_stream(switch_round)
+        ctl = AdaptiveEtaController(len(q), q.shape[-1], STREAM_BUDGET)
+        fired = [t + 1 for t in range(len(q)) if ctl.update(t + 1, q[t], z[t])]
+        assert fired == [switch_round]
+        assert (ctl.switch_round, ctl.lhs, ctl.prev_variance_sum) == per_round_sums(
+            q, z, STREAM_BUDGET
+        )
+
+    def test_scan_folds_nothing_in(self):
+        q, z = adversarial_stream(300)
+        ctl = AdaptiveEtaController(len(q), q.shape[-1], STREAM_BUDGET)
+        assert ctl.scan(1, q[:256], z[:256]) is None
+        assert (ctl.lhs, ctl.prev_variance_sum, ctl.switched) == (0.0, 0.0, False)
+
+
 def reference_run(config):
     """The per-player round loop: one public single-player learner per player.
 
@@ -428,7 +503,7 @@ def reference_run(config):
         runner._build_dynamics(config.dynamics, n, resolve_eta(config, m, n)) for n in counts
     ]
     controllers = [
-        AdaptiveEtaController(T, dyn.inner_dim, config.adaptive_budget) for dyn in dyns
+        runner.AdaptiveEtaController(T, dyn.inner_dim, config.adaptive_budget) for dyn in dyns
     ] if config.eta_rule == "adaptive" else None
     solves = config.dynamics.startswith(("sl", "bm"))
     record = [{"strategies": [], "losses": [], "inner": [], "pair_losses": []} for _ in dyns]
@@ -456,28 +531,30 @@ def reference_run(config):
 ONE_SWITCH_BUDGET = {"omwu": 5.5e-8, "mwu": 5.5e-8, "sl": 1.9e-8, "bm": 1.9e-8, "arbo": 3.2e-8}
 
 
+def assert_matches_reference(config):
+    """``run_dynamics`` records the trace and switch rounds of :func:`reference_run`, bitwise."""
+    result = run_dynamics(config)
+    reference, switches = reference_run(config)
+    family = config.dynamics.split("-")[0]
+    inner_field = {"sl": "pair_dists", "bm": "copy_dists", "arbo": "tree_dists"}.get(family)
+    for player, ref in zip(result.trace.players, reference):
+        assert player.strategies.tobytes() == ref["strategies"].tobytes()
+        assert player.losses.tobytes() == ref["losses"].tobytes()
+        if inner_field:
+            assert getattr(player, inner_field).tobytes() == ref["inner"].tobytes()
+        if "pair_losses" in ref:
+            assert player.pair_losses.tobytes() == ref["pair_losses"].tobytes()
+    assert result.summary["final"]["adaptive_switch_round"] == switches
+    return result
+
+
 class TestGroupedLoop:
     """Players with equal action counts share one learner; the trace is the per-player loop's."""
-
-    def assert_matches_reference(self, config):
-        result = run_dynamics(config)
-        reference, switches = reference_run(config)
-        family = config.dynamics.split("-")[0]
-        inner_field = {"sl": "pair_dists", "bm": "copy_dists", "arbo": "tree_dists"}.get(family)
-        for player, ref in zip(result.trace.players, reference):
-            assert player.strategies.tobytes() == ref["strategies"].tobytes()
-            assert player.losses.tobytes() == ref["losses"].tobytes()
-            if inner_field:
-                assert getattr(player, inner_field).tobytes() == ref["inner"].tobytes()
-            if "pair_losses" in ref:
-                assert player.pair_losses.tobytes() == ref["pair_losses"].tobytes()
-        assert result.summary["final"]["adaptive_switch_round"] == switches
-        return result
 
     @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
     def test_ragged_game_bitwise(self, dynamics):
         # Action counts (3, 4, 3): players 0 and 2 are the two members of one learner.
-        self.assert_matches_reference(
+        assert_matches_reference(
             small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=300)
         )
 
@@ -488,11 +565,78 @@ class TestGroupedLoop:
             dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=300, game_seed=0,
             eta_rule="adaptive", eta=None, adaptive_budget=budget,
         )
-        final = self.assert_matches_reference(config).summary["final"]
+        final = assert_matches_reference(config).summary["final"]
         switches = final["adaptive_switch_round"]
         assert switches[0] is None and switches[2] is not None
         assert final["eta_final"][0] == final["eta_initial"][0]
         assert final["eta_final"][2] != final["eta_initial"][2]
+
+
+def force_switches(monkeypatch, rounds):
+    """Controllers whose scan reports a breach exactly at ``rounds[k]`` (None: never).
+
+    The k-th controller made in a run gets ``rounds[k]``; ``run_dynamics`` and
+    :func:`reference_run` both make one per player, in player order. The
+    variance sums run as usual.
+    """
+    made = itertools.count()
+
+    class Forced(AdaptiveEtaController):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.forced = rounds[next(made) % len(rounds)]
+
+        def scan(self, first_round, q, z):
+            super().scan(first_round, q, z)
+            inside = self.forced is not None and first_round <= self.forced < first_round + len(q)
+            return self.forced if inside else None
+
+    monkeypatch.setattr(runner, "AdaptiveEtaController", Forced)
+
+
+class TestForcedSwitches:
+    """Switches inside, at the end of and after a block of rounds replay the per-player loop."""
+
+    # Per player of a (3, 4, 3) game; players 0 and 2 are the members of one learner.
+    @pytest.mark.parametrize(
+        "rounds",
+        [
+            (256, 300, 256),  # two members at a block's last round, one in the next block
+            (257, 257, 300),  # two learners in one round, then a later block
+            (300, None, 1),  # round 1, then mid-block; one player never switches
+        ],
+    )
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    def test_forced_rounds_bitwise(self, monkeypatch, dynamics, rounds):
+        force_switches(monkeypatch, rounds)
+        config = small_config(
+            dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=600, game_seed=0,
+            eta_rule="adaptive", eta=None,
+        )
+        final = assert_matches_reference(config).summary["final"]
+        assert final["adaptive_switch_round"] == list(rounds)
+        for i, r in enumerate(rounds):
+            assert (final["eta_final"][i] == final["eta_initial"][i]) is (r is None)
+
+
+class TestPlayedRows:
+    """Byte identity relies on every learner playing C-contiguous rows, which _contract reads."""
+
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    def test_stacked_members_play_c_contiguous_rows(self, dynamics):
+        dyn = runner._build_dynamics(dynamics, 3, np.array([0.05, 0.5]))
+        steps = [dyn.next_strategy]
+        if hasattr(dyn, "_next_strategy"):
+            steps.append(dyn._next_strategy)
+        rng = np.random.default_rng(0)
+        for t in range(4):
+            for step in steps:
+                x = step()
+                assert x.shape == (2, 3) and x.flags.c_contiguous
+                assert all(row.flags.c_contiguous for row in x)
+            dyn._update(rng.uniform(0.0, 1.0, (2, 3)))
+            if t == 1:
+                dyn.reset(0.1, 1)
 
 
 class TestUncheckedFeedback:

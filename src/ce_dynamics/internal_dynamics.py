@@ -12,9 +12,9 @@ Two :class:`~ce_dynamics.omwu.Composite` learners are implemented:
 Fed the same loss stream, the two produce identical strategy sequences; the
 pair products over any tree's edges stay proportional to the tree weight
 round after round. :func:`verify_equivalence` replays the loss streams of a
-:func:`~ce_dynamics.runner.run_dynamics` sl-omwu trace into tree space through
-the unchecked ``_update`` (the trace's losses are valid by construction) and
-reports the worst deviations of both facts.
+checked :func:`~ce_dynamics.runner.play_dynamics` sl-omwu trace into tree
+space through the unchecked ``_update`` (the trace's losses are valid by
+construction) and reports the worst deviations of both facts.
 """
 
 from __future__ import annotations
@@ -192,25 +192,26 @@ class EquivalenceReport:
 
 
 def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) -> EquivalenceReport:
-    """Replay the loss streams of a ``run_dynamics`` sl-omwu trace in tree space, compare.
+    """Replay the loss streams of a ``play_dynamics`` sl-omwu trace in tree space, compare.
 
-    ``run_dynamics`` plays the pair-space learners (GTH stationary solve) in
-    self-play. Each player's recorded loss stream is then fed to a fresh
+    ``play_dynamics`` plays the pair-space learners (GTH stationary solve) in
+    self-play, with every check of a run and none of its per-round table or
+    summary. Each player's recorded loss stream is then fed to a fresh
     tree-space learner, one stacked learner per group of equal action counts
-    as in ``run_dynamics``, and per round we record the largest strategy gap and,
+    as in the run, and per round we record the largest strategy gap and,
     per tree, the relative spread of (product of pair masses along tree
     edges) / (tree mass), which should be a tree-independent constant. The
     tree learners are built first, so their size and learning-rate guards
     fail before any play. ``tol`` is kept on the report as the default of
     :meth:`EquivalenceReport.passes`.
     """
-    from .runner import RunConfig, player_groups, run_dynamics  # runner imports this module
+    from .runner import RunConfig, play_dynamics, player_groups  # runner imports this module
 
     counts = game.action_counts
     groups = player_groups(counts)
     arbos = [ArboDynamics(counts[group[0]], np.full(len(group), eta)) for group in groups]
     config = RunConfig("sl-omwu", horizon, eta=eta, players=game.num_players, action_counts=counts)
-    trace = run_dynamics(config, game).trace
+    trace = play_dynamics(config, game).trace
 
     deviation, residual = np.zeros(horizon), np.zeros(horizon)
     for group, arbo in zip(groups, arbos):

@@ -6,7 +6,9 @@ convention, ``Q^T pi = pi``):
 * :func:`tree_theorem_stationary` -- the closed-form Markov chain tree
   theorem: pi[j] is proportional to the sum, over directed trees rooted at j,
   of the product of transition probabilities along tree edges. Exact up to
-  rounding, but exponential in n, so guarded to n <= 7.
+  rounding, but exponential in n, so guarded to n <= 7. A chain costs one
+  gather of every tree's edge weights through a cached index (0.3 MB at n = 6,
+  5.6 MB at n = 7), one product over edges and one sum per root.
 * :func:`solve_stationary` -- GTH elimination (Grassmann, Taksar and Heyman,
   Oper. Res. 33, 1985), O(n^3). It never subtracts, so every entry of pi,
   however small, carries a small relative error (O'Cinneide, Numer. Math. 65,
@@ -114,6 +116,8 @@ def check_transition_matrix(Q) -> np.ndarray:
         raise ValidationError("transition matrix has non-finite entries")
     if Q.min() <= 0.0:
         raise ValidationError(f"transition matrix must have strictly positive entries, min={Q.min()}")
+    if Q.max() > 1.0 + ROW_SUM_ATOL:  # its row cannot sum to 1, and summing it could overflow
+        raise ValidationError(f"transition matrix entries must not exceed 1, max={Q.max()}")
     rows = Q.sum(axis=1)
     worst = np.abs(rows - 1.0).max()
     if worst > ROW_SUM_ATOL:
@@ -121,16 +125,22 @@ def check_transition_matrix(Q) -> np.ndarray:
     return Q
 
 
+@lru_cache(maxsize=None)
+def _tree_edge_index(n: int) -> np.ndarray:
+    """Flat index into ``Q.ravel()`` of edge e of tree t rooted at r, at [e, r, t].
+
+    Edges run child -> parent, children in node order; trees in canonical order.
+    """
+    per_root = [[n * v + _rooted_parent_arrays(n, r)[:, v] for v in range(n) if v != r] for r in range(n)]
+    index = np.ascontiguousarray(np.swapaxes(per_root, 0, 1))
+    index.setflags(write=False)
+    return index
+
+
 def _tree_weight_sums(Q: np.ndarray) -> np.ndarray:
-    """Per-root sums of edge-weight products over all rooted trees."""
-    n = Q.shape[0]
-    sums = np.empty(n)
-    for root in range(n):
-        arrays = _rooted_parent_arrays(n, root)
-        children = np.array([v for v in range(n) if v != root])
-        weights = Q[children[None, :], arrays[:, children]]
-        sums[root] = weights.prod(axis=1).sum()
-    return sums
+    """Per-root sums of edge-weight products over all rooted trees: one gather for every tree."""
+    weights = Q.ravel().take(_tree_edge_index(Q.shape[0]))
+    return np.multiply.reduce(weights, axis=0).sum(axis=-1)
 
 
 def tree_theorem_stationary(Q) -> np.ndarray:

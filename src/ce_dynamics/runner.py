@@ -12,8 +12,10 @@ rounds from the trace; at a block's first breach the learners are restored to
 its start and replayed up to that round, where each breaching player's member
 is reset alone. After the loop, one pass gates every recorded stationary solve
 by its residual, keeping each player's worst, then one pass checks every
-recorded strategy against the simplex. Every per-round CSV column comes from
-the trace, by :func:`metrics.running_regrets` and
+recorded strategy against the simplex. That checked play is
+:func:`play_dynamics`; :func:`run_dynamics` adds the accounting, which
+:func:`internal_dynamics.verify_equivalence` skips. Every per-round CSV column
+comes from the trace, by :func:`metrics.running_regrets` and
 :func:`metrics.running_max_ratio`; the summary's final regrets are the table's
 last round, and BM's loss-decomposition residual is
 :func:`swap_dynamics.decomposition_residuals` of the trace. Up to
@@ -109,11 +111,6 @@ class RunConfig:
             if self.eta is None or not 0.0 < self.eta < math.inf:
                 raise ValidationError(
                     f"fixed eta rule requires a positive finite eta, got {self.eta}"
-                )
-            # -eta * (cumulative + last loss) spans up to 2 eta (T+1) for losses in [-1, 1].
-            if 2.0 * self.eta * (self.horizon + 1) > sys.float_info.max:
-                raise ValidationError(
-                    f"eta {self.eta} overflows the softmax exponent: 2 eta (T+1) > largest float"
                 )
         elif self.eta is not None:
             raise ValidationError(f"eta rule {self.eta_rule!r} does not take an explicit eta")
@@ -255,11 +252,20 @@ _INNER_TRACE_FIELDS = {
 
 
 @dataclass
-class RunResult:
+class Play:
+    """A run's checked play: its trace and what the accounting reads beside it."""
+
     trace: RunTrace
+    game: Game
+    switch_rounds: list[int | None]
+    eta_final: list[float]
+    residuals: list[float] | None  # each player's worst stationary residual, SL and BM only
+
+
+@dataclass
+class RunResult(Play):
     summary: dict
     rows: list[tuple]  # per-(round, player) CSV rows
-    game: Game
 
 
 def player_groups(counts) -> list[list[int]]:
@@ -268,6 +274,20 @@ def player_groups(counts) -> list[list[int]]:
 
 
 def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
+    """The checked play of :func:`play_dynamics`, then its accounting: CSV rows and summary."""
+    play = play_dynamics(config, game)
+    table = _round_table(play)
+    rows = [
+        (t, i, *values)
+        for t, per_round in zip(range(1, config.horizon + 1), table.tolist())
+        for i, values in enumerate(per_round)
+    ]
+    summary = _summarize(config, play, table[-1])
+    return RunResult(**vars(play), summary=summary, rows=rows)
+
+
+def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
+    """A run's checked play: every stationary solve gated, every strategy on the simplex."""
     config.validate()
     if game is None:
         game = load_config_game(config)
@@ -276,6 +296,12 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
     T = config.horizon
 
     etas = [resolve_eta(config, m, n) for n in counts]
+    # -eta * (cumulative + last loss) spans up to 2 eta (T+1) for losses in [-1, 1].
+    if 2.0 * max(etas) * (T + 1) > sys.float_info.max:
+        raise ValidationError(
+            f"eta {max(etas)} overflows the softmax exponent: 2 eta (T+1) > largest float "
+            f"(eta rule {config.eta_rule!r})"
+        )
     groups = player_groups(counts)
     slots = sorted((i, g, b) for g, group in enumerate(groups) for b, i in enumerate(group))
     dyns = [_build_dynamics(config.dynamics, counts[g[0]], np.take(etas, g)) for g in groups]
@@ -364,14 +390,7 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
 
     switch_rounds = [c.switch_round for c in controllers] if controllers else [None] * m
     eta_final = [float(dyns[g].eta[b]) for _, g, b in slots]
-    table = _round_table(trace, switch_rounds, eta_final)
-    rows = [
-        (t, i, *values)
-        for t, per_round in zip(range(1, T + 1), table.tolist())
-        for i, values in enumerate(per_round)
-    ]
-    summary = _summarize(config, game, trace, table[-1], switch_rounds, eta_final, residuals)
-    return RunResult(trace=trace, summary=summary, rows=rows, game=game)
+    return Play(trace, game, switch_rounds, eta_final, residuals)
 
 
 def _check_stationary_solves(trace: RunTrace, is_bm: bool) -> list[float]:
@@ -400,24 +419,25 @@ def _check_stationary_solves(trace: RunTrace, is_bm: bool) -> list[float]:
     return worst
 
 
-def _round_table(trace, switch_rounds, eta_final) -> np.ndarray:
+def _round_table(play: Play) -> np.ndarray:
     """The CSV columns after ``t, player`` for every round and player, shape (T, m, 7)."""
-    T = trace.horizon
+    trace, T, switch_rounds = play.trace, play.trace.horizon, play.switch_rounds
     regrets = [running_regrets(trace, i) for i in range(trace.num_players)]
     gap = np.max([raw for _, raw, _ in regrets], axis=0) / np.arange(1, T + 1)
     players = []
     for i, (ext, raw, swap) in enumerate(regrets):
         eta = np.full(T, trace.etas[i])
         if switch_rounds[i] is not None:
-            eta[switch_rounds[i] :] = eta_final[i]
+            eta[switch_rounds[i] :] = play.eta_final[i]
         clamped = np.where(raw > 0.0, raw, 0.0)  # max(0.0, raw): 0.0 also for -0.0 and NaN
         ratio = running_max_ratio(trace, i, restart=switch_rounds[i])
         players.append(np.stack([ext, raw, clamped, swap, gap, eta, ratio], axis=1))
     return np.stack(players, axis=1)
 
 
-def _summarize(config, game, trace, final, switch_rounds, eta_final, residuals):
+def _summarize(config: RunConfig, play: Play, final: np.ndarray) -> dict:
     """Summary document; ``final`` is the last round of :func:`_round_table`."""
+    game, trace, switch_rounds = play.game, play.trace, play.switch_rounds
     m = game.num_players
     T = trace.horizon
     ext, raw, clamped, swap = final[:, :4].T.tolist()
@@ -439,13 +459,13 @@ def _summarize(config, game, trace, final, switch_rounds, eta_final, residuals):
             "ce_gap_identity_residual": identity_residual,
             "cce_gap": max(ext) / T,
             "eta_initial": list(trace.etas),
-            "eta_final": eta_final,
+            "eta_final": play.eta_final,
             "adaptive_switch_round": switch_rounds,
         },
         "diagnostics": {},
     }
-    if residuals is not None:
-        summary["final"]["stationary_max_residual"] = residuals
+    if play.residuals is not None:
+        summary["final"]["stationary_max_residual"] = play.residuals
     if config.dynamics.startswith("bm"):
         summary["final"]["bm_decomposition_max_residual"] = max(
             float(decomposition_residuals(p.copy_dists, p.strategies, p.losses).max())

@@ -55,6 +55,16 @@ def test_stationary_rejects_bad_matrix(tmp_path, capsys):
     assert main(["stationary", "--matrix", str(path)]) == 2
 
 
+@pytest.mark.parametrize("method", ["linear", "tree"])
+def test_stationary_rejects_huge_entries_without_overflow(tmp_path, capsys, method):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[1e308, 1e308], [1.0, 1.0]]))
+    assert main(["stationary", "--matrix", str(path), "--method", method]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: transition matrix entries must not exceed 1")
+    assert "RuntimeWarning" not in err
+
+
 @pytest.mark.parametrize("matrix", [[[0.5, 0.5], [1.0]], [["a", "b"], [0.5, 0.5]]],
                          ids=["ragged", "non-numeric"])
 def test_stationary_rejects_non_matrix(tmp_path, capsys, matrix):
@@ -201,6 +211,23 @@ def test_run_rejects_an_overflowing_eta_before_play(
     err = capsys.readouterr().err
     assert err.startswith("validation error: eta 1e+308 overflows the softmax exponent")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rule", ["theorem-internal", "theorem-swap", "adaptive"])
+@pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu", "arbo"])
+def test_run_rejects_a_schedule_that_resolves_to_an_overflowing_eta(
+    game_file, tmp_path, capsys, dynamics, rule
+):
+    # A subnormal schedule constant passes the config check, and 1 / (c m log^4 T) is inf.
+    out = tmp_path / "run"
+    argv = ["run", "--game", game_file, "--dynamics", dynamics, "--horizon", "50",
+            "--eta-rule", rule, "--schedule-constant", "1e-320", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: eta inf overflows the softmax exponent")
+    assert f"(eta rule {rule!r})" in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -9,8 +9,11 @@ from ce_dynamics.errors import StationaryResidualError, ValidationError
 from ce_dynamics.markov_tree import (
     Arborescence,
     _gth_stationary,
+    _rooted_parent_arrays,
+    _tree_weight_sums,
     all_arborescences,
     check_stationary,
+    check_transition_matrix,
     enumerate_arborescences,
     solve_stationary,
     stationary_residual,
@@ -122,6 +125,13 @@ class TestTreeTheorem:
         Q = np.full((8, 8), 1 / 8)
         with pytest.raises(ValidationError):
             tree_theorem_stationary(Q)
+
+    @pytest.mark.parametrize("solver", [tree_theorem_stationary, solve_stationary])
+    def test_rejects_huge_entries_without_overflow(self, solver):
+        # Summing the first row would overflow; under the suite's warning filter an
+        # overflow raises RuntimeWarning, so only a ValidationError passes here.
+        with pytest.raises(ValidationError, match="must not exceed 1"):
+            solver([[1e308, 1e308], [1.0, 1.0]])
 
 
 class TestSolveStationary:
@@ -262,3 +272,56 @@ class TestGthPinned:
         for A in golden_chains():
             digest.update(reference_gth(A).tobytes())
         assert digest.hexdigest() == GTH_GOLDEN_SHA256
+
+
+def reference_tree_weight_sums(Q):
+    """Per-root tree weights gathered root by root, as the package first computed them."""
+    n = Q.shape[0]
+    sums = np.empty(n)
+    for root in range(n):
+        arrays = _rooted_parent_arrays(n, root)
+        children = np.array([v for v in range(n) if v != root])
+        weights = Q[children[None, :], arrays[:, children]]
+        sums[root] = weights.prod(axis=1).sum()
+    return sums
+
+
+def tree_golden_chains():
+    """A fixed seeded set of positive row-stochastic matrices, n = 2..7."""
+    rng = np.random.default_rng(20211112)
+    for n in range(2, 8):
+        for _ in range(20 if n < 7 else 3):
+            Q = rng.uniform(0.01, 1.0, (n, n))
+            yield Q / Q.sum(axis=1, keepdims=True)
+        Q = np.exp(rng.uniform(-40.0, 0.0, (n, n)))  # entries spanning 17 decades
+        yield Q / Q.sum(axis=1, keepdims=True)
+
+
+# sha256 of tree_theorem_stationary over tree_golden_chains(), recorded with the
+# per-root loop of reference_tree_weight_sums.
+TREE_GOLDEN_SHA256 = "b0ce657f348d74a10f76bf07d6374d2a8f9f146c4beb1838012eb93cdc326d11"
+
+
+class TestTreeWeightsPinned:
+    """The tree weights' bits are pinned: to the per-root loop, and to a recorded digest."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("scale", [1.0, 1e-40, 1e-150])
+    def test_bitwise_equal_to_the_per_root_loop(self, n, scale):
+        rng = np.random.default_rng(100 * n)
+        for _ in range(20 if n < 7 else 2):
+            Q = rng.uniform(0.01, 1.0, (n, n)) * scale
+            assert _tree_weight_sums(Q).tobytes() == reference_tree_weight_sums(Q).tobytes()
+
+    def test_golden_digest(self):
+        digest = hashlib.sha256()
+        for Q in tree_golden_chains():
+            digest.update(tree_theorem_stationary(Q).tobytes())
+        assert digest.hexdigest() == TREE_GOLDEN_SHA256
+
+    def test_reference_gives_the_golden_digest(self):
+        digest = hashlib.sha256()
+        for Q in tree_golden_chains():
+            sums = reference_tree_weight_sums(check_transition_matrix(Q))
+            digest.update((sums / sums.sum()).tobytes())
+        assert digest.hexdigest() == TREE_GOLDEN_SHA256

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -22,6 +23,7 @@ from ce_dynamics.runner import (
     RunConfig,
     adversarial_eta,
     emit_outputs,
+    play_dynamics,
     render_csv,
     render_summary,
     resolve_eta,
@@ -572,6 +574,36 @@ class TestGroupedLoop:
         assert final["eta_final"][2] != final["eta_initial"][2]
 
 
+class TestPlayDynamics:
+    """``run_dynamics`` is ``play_dynamics`` followed by the accounting; the play is the same."""
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive-switch"])
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    def test_run_trace_is_the_play_trace(self, dynamics, adaptive):
+        rule = dict(eta_rule="adaptive", eta=None,
+                    adaptive_budget=ONE_SWITCH_BUDGET[dynamics.split("-")[0]]) if adaptive else {}
+        config = small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=300,
+                              game_seed=0, **rule)
+        run, play = run_dynamics(config), play_dynamics(config)
+        assert (run.switch_rounds, run.eta_final, run.residuals) == (
+            play.switch_rounds, play.eta_final, play.residuals
+        )
+        assert (play.switch_rounds[2] is not None) is adaptive
+        assert run.trace.etas == play.trace.etas
+        for got, want in zip(run.trace.players, play.trace.players):
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    def test_verify_equivalence_skips_the_accounting(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run accounting called")
+
+        monkeypatch.setattr(runner, "_round_table", refuse)
+        monkeypatch.setattr(runner, "_summarize", refuse)
+        assert verify_equivalence(random_game(2, (3, 3), seed=0), eta=0.05, horizon=16).passes()
+
+
 def force_switches(monkeypatch, rounds):
     """Controllers whose scan reports a breach exactly at ``rounds[k]`` (None: never).
 
@@ -752,6 +784,22 @@ class TestStationaryGate:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: stationary solve of player 1 at round 5")
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("round_index", [1, 256, 257, HORIZON])
+    def test_verify_equivalence_plays_through_the_gate(self, monkeypatch, round_index):
+        solve = internal_dynamics._gth_stationary
+        calls = itertools.count()  # one solve per round: both players are members of it
+
+        def off(A):
+            pi = solve(A)
+            if next(calls) == round_index - 1:
+                pi[1, :2] += [1e-6, -1e-6]  # still on the simplex, off the fixed point by 1e-6
+            return pi
+
+        monkeypatch.setattr(internal_dynamics, "_gth_stationary", off)
+        with pytest.raises(StationaryResidualError,
+                           match=f"player 1 at round {round_index} failed: residual"):
+            verify_equivalence(random_game(2, (3, 3), seed=0), eta=0.05, horizon=self.HORIZON)
 
     @pytest.mark.parametrize(
         "learner, module", [(SlOmwu, internal_dynamics), (BmOmwu, swap_dynamics)]

@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 usage error, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -69,6 +70,7 @@ def _add_run_options(p):
     p.add_argument("--adaptive-budget", type=float, default=DEFAULT_VARIANCE_BUDGET_CONSTANT)
 
 
+@functools.cache  # built on the first main() call, not at import, then reused
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ce-dynamics", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -18,7 +18,9 @@ recorded strategy against the simplex. That checked play is
 comes from the trace, by :func:`metrics.running_regrets` and
 :func:`metrics.running_max_ratio`; the summary's final regrets are the table's
 last round, and BM's loss-decomposition residual is
-:func:`swap_dynamics.decomposition_residuals` of the trace. Up to
+:func:`swap_dynamics.decomposition_residuals` of the trace. The (T, m, 7) round
+table is kept on the result, whose CSV rows are built only on demand;
+:func:`render_csv` renders it by block and column, each distinct number once. Up to
 ``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the dense
 average product distribution and is checked against max internal regret / T;
 above, it is that ratio and its identity residual is null. Outputs are
@@ -264,8 +266,17 @@ class Play:
 
 @dataclass
 class RunResult(Play):
+    """A play with its summary and its kept (T, m, 7) round table, the CSV columns after ``t,
+    player`` that :func:`render_csv` renders by column; :attr:`rows` is built on demand."""
+
     summary: dict
-    rows: list[tuple]  # per-(round, player) CSV rows
+    table: np.ndarray
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The CSV rows ``(t, player, *columns)``, in round-then-player order."""
+        rounds = enumerate(self.table.tolist(), 1)
+        return [(t, i, *row) for t, per_round in rounds for i, row in enumerate(per_round)]
 
 
 def player_groups(counts) -> list[list[int]]:
@@ -274,16 +285,10 @@ def player_groups(counts) -> list[list[int]]:
 
 
 def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
-    """The checked play of :func:`play_dynamics`, then its accounting: CSV rows and summary."""
+    """The checked play of :func:`play_dynamics`, then its accounting: round table and summary."""
     play = play_dynamics(config, game)
     table = _round_table(play)
-    rows = [
-        (t, i, *values)
-        for t, per_round in zip(range(1, config.horizon + 1), table.tolist())
-        for i, values in enumerate(per_round)
-    ]
-    summary = _summarize(config, play, table[-1])
-    return RunResult(**vars(play), summary=summary, rows=rows)
+    return RunResult(**vars(play), summary=_summarize(config, play, table[-1]), table=table)
 
 
 def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
@@ -302,6 +307,8 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
             f"eta {max(etas)} overflows the softmax exponent: 2 eta (T+1) > largest float "
             f"(eta rule {config.eta_rule!r})"
         )
+    if not min(etas) > 0.0:
+        raise ValidationError(f"eta underflows to {min(etas)} (eta rule {config.eta_rule!r})")
     groups = player_groups(counts)
     slots = sorted((i, g, b) for g, group in enumerate(groups) for b, i in enumerate(group))
     dyns = [_build_dynamics(config.dynamics, counts[g[0]], np.take(etas, g)) for g in groups]
@@ -492,12 +499,31 @@ def _summarize(config: RunConfig, play: Play, final: np.ndarray) -> dict:
     return summary
 
 
-def render_csv(rows) -> bytes:
-    """The table as CSV; every field is an int or a float, so nothing needs quoting."""
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """repr of each float, once per run of one float in C order; signed zeros and NaNs differ."""
+    flat = values.ravel()
+    new = np.r_[True, (flat[1:] != flat[:-1]) | (np.signbit(flat[1:]) != np.signbit(flat[:-1]))]
+    text = np.array(list(map(repr, flat[new].tolist())), dtype=object)
+    return text[np.cumsum(new) - 1].reshape(values.shape)
+
+
+def render_csv(table: np.ndarray) -> bytes:
+    """The (T, m, 7) round table as CSV: ``",".join(map(repr, (t, player, *table[t - 1, player])))``
+    per row, ``csv.writer``'s bytes. Each block of rounds is rendered by column, formatting each
+    distinct number of the block once."""
     buf = io.BytesIO()
     buf.write((",".join(CSV_COLUMNS) + "\n").encode("ascii"))
-    for row in rows:
-        buf.write((",".join(map(repr, row)) + "\n").encode("ascii"))
+    rounds = np.array(list(map(repr, range(1, len(table) + 1))), dtype=object)[:, None]
+    for s in range(0, len(table), REGRET_CHUNK_ROUNDS):
+        block = table[s : s + REGRET_CHUNK_ROUNDS]
+        text = np.empty((*block.shape[:2], 9), dtype=object)
+        text[..., 0] = rounds[s : s + REGRET_CHUNK_ROUNDS]
+        text[..., 1] = list(map(repr, range(block.shape[1])))
+        text[..., 2:6] = _reprs(block[..., :4])  # clamped reuses raw's string where they agree
+        text[..., 6] = _reprs(block[..., 4])  # a round's players share one running CE gap
+        # eta and the running max ratio, once per change along each player's rounds
+        text[..., 7:] = _reprs(block[..., 5:].transpose(1, 2, 0)).transpose(2, 0, 1)
+        buf.write("\n".join([*map(",".join, text.reshape(-1, 9).tolist()), ""]).encode("ascii"))
     return buf.getvalue()
 
 
@@ -515,13 +541,10 @@ def emit_outputs(result: RunResult, config: RunConfig, out_dir) -> dict:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        paths = {}
-        if config.out_format == "csv":
-            paths["rows"] = out / "run.csv"
-            paths["rows"].write_bytes(render_csv(result.rows))
-        else:
-            paths["rows"] = out / "run.json"
-            paths["rows"].write_bytes(render_rows_json(result.rows))
+        paths = {"rows": out / f"run.{config.out_format}"}  # run.csv or run.json
+        as_csv = config.out_format == "csv"
+        body = render_csv(result.table) if as_csv else render_rows_json(result.rows)
+        paths["rows"].write_bytes(body)
         paths["summary"] = out / "summary.json"
         paths["summary"].write_bytes(render_summary(result.summary))
         if config.save_trace:

@@ -373,7 +373,7 @@ def test_criterion_9_determinism(determinism_run):
     for name, args in reruns.items():
         first = SUITE_RUNS[name]
         second = make_run(*args)
-        ok = ok and render_csv(first.rows) == render_csv(second.rows)
+        ok = ok and render_csv(first.table) == render_csv(second.table)
         ok = ok and render_summary(first.summary) == render_summary(second.summary)
     report(9, "determinism", ok)
     assert ok

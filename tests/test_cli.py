@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ce_dynamics import runner
+from ce_dynamics import cli, runner
 from ce_dynamics.cli import main
 from ce_dynamics.games import load_game, random_game, save_game
 
@@ -229,6 +229,57 @@ def test_run_rejects_a_schedule_that_resolves_to_an_overflowing_eta(
     assert f"(eta rule {rule!r})" in err
     assert "RuntimeWarning" not in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rule", ["theorem-internal", "theorem-swap", "adaptive"])
+@pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu", "arbo"])
+def test_run_rejects_a_schedule_that_resolves_to_a_zero_eta(
+    game_file, tmp_path, capsys, monkeypatch, dynamics, rule
+):
+    # A huge schedule constant passes the config check, and 1 / (c m log^4 T) underflows to 0.
+    def refuse(*args, **kwargs):
+        raise AssertionError("play started")
+
+    monkeypatch.setattr(runner, "_build_dynamics", refuse)
+    out = tmp_path / "run"
+    argv = ["run", "--game", game_file, "--dynamics", dynamics, "--horizon", "50",
+            "--eta-rule", rule, "--schedule-constant", "1e308", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: eta underflows to 0.0")
+    assert f"(eta rule {rule!r})" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_main_reuses_one_parser_and_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    # Each call must parse as a fresh parser would: no value or default of the call before.
+    seen = []
+    for name in ("run", "gen"):
+        command = cli._COMMANDS[name]
+        monkeypatch.setitem(
+            cli._COMMANDS, name, lambda args, command=command: seen.append(vars(args)) or command(args)
+        )
+    game = tmp_path / "game.json"
+    first, second = tmp_path / "first", tmp_path / "second"
+    calls = [
+        (["run", "--players", "2", "--actions", "3,3", "--game-seed", "4", "--dynamics", "bm-omwu",
+          "--horizon", "8", "--eta", "0.1", "--save-trace", "--out", str(first)], 0),
+        (["run", "--horizon", "not-a-number"], 1),
+        (["gen", "--players", "2", "--actions", "3,4", "--out", str(game)], 0),
+        (["run", "--game", str(game), "--horizon", "6", "--eta-rule", "adaptive",
+          "--format", "json", "--out", str(second)], 0),
+    ]
+    for argv, code in calls:
+        assert main(argv) == code
+    assert cli._build_parser() is cli._build_parser()
+    fresh = [vars(cli._build_parser.__wrapped__().parse_args(a)) for a, code in calls if code == 0]
+    assert seen == fresh
+    assert sorted(p.name for p in first.iterdir()) == ["run.csv", "summary.json", "trace.npz"]
+    assert sorted(p.name for p in second.iterdir()) == ["run.json", "summary.json"]
+    config = json.loads((second / "summary.json").read_text())["config"]
+    assert (config["dynamics"], config["eta"], config["game_seed"]) == ("sl-omwu", None, 0)
+    assert config["action_counts"] is None and config["players"] is None
 
 
 def test_run_usage_error():

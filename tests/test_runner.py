@@ -300,6 +300,12 @@ def assert_last_row_is_final(result):
         assert last[5] == final["swap_regret"][i] == swap_regret(trace, i)
 
 
+def plain_csv(rows):
+    """The CSV as the plain per-row join: ``",".join(map(repr, row))`` under the header."""
+    lines = [",".join(CSV_COLUMNS), *(",".join(map(repr, row)) for row in rows)]
+    return "".join(line + "\n" for line in lines).encode("ascii")
+
+
 def reference_rows(result):
     """Per-round CSV rows by round-by-round accounting over the trace.
 
@@ -362,7 +368,7 @@ def test_table_matches_round_by_round_accounting(overrides):
     result = run_dynamics(small_config(**{"horizon": 300, **overrides}))
     if overrides.get("adaptive_budget") == 0.0:
         assert all(s is not None for s in result.summary["final"]["adaptive_switch_round"])
-    assert render_csv(result.rows) == render_csv(reference_rows(result))
+    assert render_csv(result.table) == plain_csv(reference_rows(result))
 
 
 class TestAdaptiveMode:
@@ -855,15 +861,78 @@ class TestOutputs:
     def test_csv_matches_csv_writer(self):
         # Every field is an int or a float, so the plain join gives csv.writer's bytes.
         cfg = small_config(dynamics="bm-omwu", horizon=50, players=3, action_counts=(3, 3, 3))
-        rows = run_dynamics(cfg).rows
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-        assert render_csv(rows) == buf.getvalue().encode("ascii")
+        result = run_dynamics(cfg)
+        assert render_csv(result.table) == csv_writer_bytes(result.rows)
 
     def test_csv_renders_full_precision(self):
-        rows = [(1, 0, 0.1 + 0.2, 0.0, 0.0, 0.0, 0.0, 0.05, 1.0)]
-        text = render_csv(rows).decode()
+        table = np.array([[[0.1 + 0.2, 0.0, 0.0, 0.0, 0.0, 0.05, 1.0]]])
+        text = render_csv(table).decode()
         assert "0.30000000000000004" in text
+
+
+def csv_writer_bytes(rows):
+    """The CSV as ``csv.writer`` writes it, each float given by its repr."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode("ascii")
+
+
+TRICKY_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    1e-5, 1e-4, 1e16, 9999999999999998.0, 0.1 + 0.2,
+]
+
+
+def synthetic_table(pattern, T, m):
+    """A (T, m, 7) round table built to trip a renderer that reuses strings too eagerly."""
+    t, i, k = np.meshgrid(np.arange(T), np.arange(m), np.arange(7), indexing="ij")
+    if pattern == "signed-zeros":
+        # Neighbours along rounds, players and columns differ only in sign, so raw -0.0
+        # sits next to clamped 0.0 and raw 0.0 next to clamped -0.0.
+        return np.where((t + i + k) % 2 == 0, 0.0, -0.0)
+    if pattern == "specials":
+        # NaN, infinities, subnormals and repr's exponent switch in runs of two rounds.
+        return np.take(TRICKY_FLOATS, (t // 2 + 3 * i + k) % len(TRICKY_FLOATS))
+    # "run-like": a ratio that repeats and then changes, and player 0's eta switching mid-run.
+    table = np.take([1e-5, 1e-4, 1e16, 9999999999999998.0, -0.0, 0.0], (t + i + k) % 6)
+    table[..., 2] = np.maximum(table[..., 1], 0.0)
+    table[..., 4] = table[..., 1].max(axis=1, keepdims=True)
+    table[..., 5] = 0.05
+    table[T // 2 :, 0, 5] = 0.2
+    table[..., 6] = 1.0 + (np.arange(T) // 3)[:, None] * 0.5
+    return table
+
+
+# 300 rounds cross the renderer's 256-round block boundary inside runs of eta and ratio.
+@pytest.mark.parametrize("T,m", [(1, 2), (1, 3), (7, 2), (9, 3), (300, 2)])
+@pytest.mark.parametrize("pattern", ["signed-zeros", "specials", "run-like"])
+def test_render_csv_of_synthetic_tables(pattern, T, m):
+    table = synthetic_table(pattern, T, m)
+    rows = [(t + 1, i, *table[t, i].tolist()) for t in range(T) for i in range(m)]
+    assert render_csv(table) == plain_csv(rows) == csv_writer_bytes(rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dynamics", "bm-omwu", "--players", "3", "--actions", "3,3,3", "--eta", "0.1"],
+        ["--dynamics", "sl-omwu", "--players", "2", "--actions", "3,4", "--eta-rule", "adaptive",
+         "--adaptive-budget", "0"],
+    ],
+    ids=["bm-omwu-3p", "adaptive-switch"],
+)
+def test_json_rows_are_the_csv_values(argv, tmp_path, capsys):
+    for out_format in ("csv", "json"):
+        base = ["run", *argv, "--horizon", "300", "--out", str(tmp_path / out_format)]
+        assert main([*base, "--format", out_format]) == 0
+    summary = json.loads((tmp_path / "json" / "summary.json").read_text())
+    if "adaptive" in argv:
+        assert any(s is not None for s in summary["final"]["adaptive_switch_round"])
+    body = list(csv.reader(io.StringIO((tmp_path / "csv" / "run.csv").read_text())))[1:]
+    docs = json.loads((tmp_path / "json" / "run.json").read_text())
+    # repr round-trips a float, so equal text is the same float, row for row.
+    assert [[repr(doc[c]) for c in CSV_COLUMNS] for doc in docs] == body
+    assert all(type(doc["t"]) is int and type(doc["eta"]) is float for doc in docs)

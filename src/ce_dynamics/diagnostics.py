@@ -204,14 +204,10 @@ class RvuReport:
     def holds(self) -> bool:
         return self.slack >= 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "regret": self.regret,
-            "bound": self.bound,
-            "bound_action_log": self.bound_action_log,
-            "slack": self.slack,
-            "holds": self.holds,
-        }
+    def to_dict(self) -> dict:  # a side that overflowed to +-inf is None; holds compares it as is
+        sides = {"regret": self.regret, "bound": self.bound,
+                 "bound_action_log": self.bound_action_log, "slack": self.slack}
+        return {**{k: v if math.isfinite(v) else None for k, v in sides.items()}, "holds": self.holds}
 
 
 def rvu_check(trace: RunTrace, player: int, eta: float, curvature_constant: float) -> RvuReport:
@@ -228,10 +224,16 @@ def rvu_check(trace: RunTrace, player: int, eta: float, curvature_constant: floa
     n = trace.action_counts[player]
     regret = float((pt.pair_dists * pt.pair_losses).sum()) - float(pt.pair_losses.sum(axis=0).min())
     log_term = 2.0 * math.log(n * (n - 1)) / eta
-    pos_coeff = eta / 2.0 + curvature_constant * eta**2
+    try:
+        curvature = curvature_constant * eta**2
+    except OverflowError:  # eta^2 is past the largest float; C * eta * eta fits or is +-inf
+        curvature = curvature_constant * eta * eta
+    pos_coeff = eta / 2.0 + curvature
     neg_coeff = (1.0 - curvature_constant * eta) * eta / 2.0
-    bound = log_term + pos_coeff * pos_sum - neg_coeff * neg_sum
-    bound_action = 2.0 * math.log(n) / eta + pos_coeff * pos_sum - neg_coeff * neg_sum
+    pos_term = pos_coeff * pos_sum if pos_sum else 0.0  # 0, not inf * 0 = NaN, for a zero sum
+    neg_term = neg_coeff * neg_sum if neg_sum else 0.0
+    bound = log_term + pos_term - neg_term
+    bound_action = 2.0 * math.log(n) / eta + pos_term - neg_term
     return RvuReport(
         regret=regret,
         bound=bound,

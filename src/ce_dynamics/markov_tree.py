@@ -14,9 +14,10 @@ convention, ``Q^T pi = pi``):
   however small, carries a small relative error (O'Cinneide, Numer. Math. 65,
   1993); a small residual alone would not promise that.
 
-The elimination itself (``_gth_stationary``) is unchecked; its residual gate
-is :func:`check_stationary`, and :func:`stationary_residual` takes any
-leading axes.
+The elimination itself (``_gth_stationary``) is unchecked; up to 16 states it
+runs as straight-line code generated per state count, with the loop's bits.
+Its residual gate is :func:`check_stationary`, and :func:`stationary_residual`
+takes any leading axes.
 
 A directed tree rooted at j ("arborescence") has no cycles, no outgoing edge
 from j, and exactly one outgoing edge from every other node. Trees are
@@ -36,6 +37,7 @@ from .errors import StationaryResidualError, ValidationError
 MAX_TREE_NODES = 7
 STATIONARY_RESIDUAL_TOL = 1e-10
 ROW_SUM_ATOL = 1e-12
+GTH_KERNEL_MAX_STATES = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -177,42 +179,66 @@ def check_stationary(A: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return pi
 
 
+@lru_cache(maxsize=GTH_KERNEL_MAX_STATES - 1)
+def _gth_kernel(n: int):
+    """The elimination loop of :func:`_gth_stationary` for one n-state chain as straight-line
+    code, built from n alone: its n^2 rates are the arguments ``a{i}_{j}``, each float operation
+    is one statement, in the loop's order, and the diagonal updates, never read, are dropped."""
+    lines = ["def gth(" + ", ".join(f"a{i}_{j}" for i in range(n) for j in range(n)) + "):"]
+    for k in range(n - 1, 0, -1):
+        lines += ["out = 0", *(f"out += a{k}_{j}" for j in range(k))]
+        for i in range(k):
+            lines.append(f"f = a{i}_{k} = a{i}_{k} / out")
+            lines += [f"a{i}_{j} += f * a{k}_{j}" for j in range(k) if j != i]
+    for k in range(n):
+        lines += [f"p{k} = 0" if k else "p0 = 1.0", *(f"p{k} += p{i} * a{i}_{k}" for i in range(k))]
+    lines.append("return [" + ", ".join(f"p{k}" for k in range(n)) + "]")
+    exec(compile("\n    ".join(lines), f"<gth n={n}>", "exec"), namespace := {})
+    return namespace["gth"]
+
+
 def _gth_stationary(A: np.ndarray) -> np.ndarray:
     """Stationary distribution of the chain with off-diagonal rates ``A[..., j, k]``, unchecked.
 
     GTH elimination: states are censored out from the last one down, each
     one's incoming rates rerouted along its outgoing ones, then pi is rebuilt
     from the first state up. The elimination never reads the diagonal of
-    ``A`` and never subtracts. Plain Python floats beat numpy's per-call
-    overhead at the sizes met here. Leading axes of ``A`` carry over: one
-    ``tolist`` feeds the elimination of every chain, and one division
+    ``A`` and never subtracts. Up to ``GTH_KERNEL_MAX_STATES`` states a chain
+    runs :func:`_gth_kernel`, the loop below unrolled for its state count:
+    plain floats in locals, no indexing, no loop counters, the same bits.
+    Larger chains run the loop, as unrolled code grows as n^3. Leading axes
+    of ``A`` carry over: one ``tolist`` feeds every chain, and one division
     normalises them all. Callers gate the result.
 
     Sums are left-to-right loops from int 0, not the builtin ``sum()``, which
     compensates float sums from Python 3.12 on; the bits do not depend on it.
     """
     n = A.shape[-1]
-    pis = []
-    for a in A.reshape(-1, n, n).tolist():
-        for k in range(n - 1, 0, -1):
-            pivot = a[k][:k]
-            out = 0
-            for r in pivot:
-                out += r
-            for ai in a[:k]:
-                f = ai[k] / out
-                ai[k] = f
-                j = 0
+    if 2 <= n <= GTH_KERNEL_MAX_STATES:
+        kernel = _gth_kernel(n)
+        pis = [kernel(*a) for a in A.reshape(-1, n * n).tolist()]
+    else:
+        pis = []
+        for a in A.reshape(-1, n, n).tolist():
+            for k in range(n - 1, 0, -1):
+                pivot = a[k][:k]
+                out = 0
                 for r in pivot:
-                    ai[j] += f * r
-                    j += 1
-        pi = [1.0]
-        for k in range(1, n):
-            inflow = 0
-            for p, ai in zip(pi, a):
-                inflow += p * ai[k]
-            pi.append(inflow)
-        pis.append(pi)
+                    out += r
+                for ai in a[:k]:
+                    f = ai[k] / out
+                    ai[k] = f
+                    j = 0
+                    for r in pivot:
+                        ai[j] += f * r
+                        j += 1
+            pi = [1.0]
+            for k in range(1, n):
+                inflow = 0
+                for p, ai in zip(pi, a):
+                    inflow += p * ai[k]
+                pi.append(inflow)
+            pis.append(pi)
     pi = np.array(pis)
     pi /= pi.sum(axis=-1, keepdims=True)
     return pi.reshape(A.shape[:-1])

@@ -507,12 +507,9 @@ def _reprs(values: np.ndarray) -> np.ndarray:
     return text[np.cumsum(new) - 1].reshape(values.shape)
 
 
-def render_csv(table: np.ndarray) -> bytes:
-    """The (T, m, 7) round table as CSV: ``",".join(map(repr, (t, player, *table[t - 1, player])))``
-    per row, ``csv.writer``'s bytes. Each block of rounds is rendered by column, formatting each
-    distinct number of the block once."""
-    buf = io.BytesIO()
-    buf.write((",".join(CSV_COLUMNS) + "\n").encode("ascii"))
+def _text_blocks(table: np.ndarray):
+    """Each block of rounds of the (T, m, 7) round table, with a row of 9 strings per (round,
+    player): ``repr`` of ``t, player, *table[t - 1, player]``, each distinct number once."""
     rounds = np.array(list(map(repr, range(1, len(table) + 1))), dtype=object)[:, None]
     for s in range(0, len(table), REGRET_CHUNK_ROUNDS):
         block = table[s : s + REGRET_CHUNK_ROUNDS]
@@ -523,13 +520,29 @@ def render_csv(table: np.ndarray) -> bytes:
         text[..., 6] = _reprs(block[..., 4])  # a round's players share one running CE gap
         # eta and the running max ratio, once per change along each player's rounds
         text[..., 7:] = _reprs(block[..., 5:].transpose(1, 2, 0)).transpose(2, 0, 1)
-        buf.write("\n".join([*map(",".join, text.reshape(-1, 9).tolist()), ""]).encode("ascii"))
+        yield block, text.reshape(-1, 9)
+
+
+def render_csv(table: np.ndarray) -> bytes:
+    """The (T, m, 7) round table as CSV: ``",".join(map(repr, (t, player, *table[t - 1, player])))``
+    per row, ``csv.writer``'s bytes, rendered by block and column."""
+    buf = io.BytesIO()
+    buf.write((",".join(CSV_COLUMNS) + "\n").encode("ascii"))
+    for _, text in _text_blocks(table):
+        buf.write("\n".join([*map(",".join, text.tolist()), ""]).encode("ascii"))
     return buf.getvalue()
 
 
-def render_rows_json(rows) -> bytes:
-    docs = [dict(zip(CSV_COLUMNS, row)) for row in rows]
-    return (json.dumps(docs, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+def render_rows_json(table: np.ndarray) -> bytes:
+    """The round table as compact ``json.dumps`` of its rows, each a dict keyed by CSV column,
+    keys sorted: the CSV's strings by block, with json's tokens for NaN and the infinities."""
+    row = "{{" + ",".join(f'"{k}":{{{CSV_COLUMNS.index(k)}}}' for k in sorted(CSV_COLUMNS)) + "}}"
+    specials, blocks = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}, []
+    for block, text in _text_blocks(table):
+        bad = ~np.isfinite(block.reshape(-1, 7))
+        text[:, 2:][bad] = [specials[s] for s in text[:, 2:][bad].tolist()]
+        blocks.append(",".join([row.format(*r) for r in text.tolist()]))
+    return ("[" + ",".join(blocks) + "]\n").encode("ascii")
 
 
 def render_summary(summary: dict) -> bytes:
@@ -542,9 +555,8 @@ def emit_outputs(result: RunResult, config: RunConfig, out_dir) -> dict:
     try:
         out.mkdir(parents=True, exist_ok=True)
         paths = {"rows": out / f"run.{config.out_format}"}  # run.csv or run.json
-        as_csv = config.out_format == "csv"
-        body = render_csv(result.table) if as_csv else render_rows_json(result.rows)
-        paths["rows"].write_bytes(body)
+        render = render_csv if config.out_format == "csv" else render_rows_json
+        paths["rows"].write_bytes(render(result.table))
         paths["summary"] = out / "summary.json"
         paths["summary"].write_bytes(render_summary(result.summary))
         if config.save_trace:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -176,6 +177,13 @@ def test_run_command_produces_outputs(game_file, tmp_path, capsys):
     assert header == "t,player,external_regret,internal_regret_raw,internal_regret_clamped,swap_regret,ce_gap_running,eta,max_consec_ratio"
 
 
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.mark.parametrize("eta", ["119", "1e10"])
 @pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu"])
 def test_run_past_exp_overflow_writes_strict_json(game_file, tmp_path, capsys, dynamics, eta):
@@ -185,14 +193,37 @@ def test_run_past_exp_overflow_writes_strict_json(game_file, tmp_path, capsys, d
     argv = ["run", "--game", game_file, "--dynamics", dynamics, "--horizon", "50",
             "--eta", eta, "--out", str(out)]
     assert main(argv) == 0
-
-    def reject(token):
-        raise ValueError(f"non-JSON constant {token}")
-
-    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    summary = strict_json((out / "summary.json").read_text())
     for report in summary["diagnostics"]["stability"]:
         assert report["exp_bound"] is None
         assert report["within_exp_bound"] is True
+
+
+def assert_rvu_sides_are_null(summary):
+    # C eta^2 overflows a float; each side built on it is null, and holds compares with +inf.
+    for report in summary["diagnostics"]["rvu"]:
+        assert report["bound"] is None and report["bound_action_log"] is None
+        assert report["slack"] is None and report["holds"] is True
+        assert math.isfinite(report["regret"])
+
+
+# eta**2 raised OverflowError at eta = 1e200; at eta = 1e100, C = 1e300 the bound was inf.
+@pytest.mark.parametrize("eta, constant", [("1e200", "1"), ("1e100", "1e300")])
+def test_run_with_an_overflowing_rvu_bound_writes_strict_json(tmp_path, capsys, eta, constant):
+    out = tmp_path / "d"
+    argv = ["run", "--players", "2", "--actions", "3,3", "--horizon", "40", "--dynamics",
+            "sl-omwu", "--eta", eta, "--rvu-constant", constant, "--out", str(out)]
+    assert main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert_rvu_sides_are_null(strict_json((out / "summary.json").read_text()))
+
+
+def test_diagnose_with_an_overflowing_rvu_bound_prints_strict_json(capsys):
+    # diagnose checks RVU by default, with C = 64.
+    argv = ["diagnose", "--players", "2", "--actions", "3,3", "--horizon", "40", "--dynamics",
+            "sl-omwu", "--eta", "1e200"]
+    assert main(argv) == 0
+    assert_rvu_sides_are_null(strict_json(capsys.readouterr().out))
 
 
 @pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu"])

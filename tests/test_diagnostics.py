@@ -196,6 +196,14 @@ class TestRvuCheck:
         assert report.bound == pytest.approx(2 * math.log(6) / 0.01)
         assert report.holds
 
+    @pytest.mark.parametrize("constant", [1.0, -1.0])
+    def test_overflowing_curvature_beside_zero_sums_adds_nothing(self, constant):
+        # C eta^2 overflows to +-inf; times an empty variance sum it adds 0, not NaN.
+        report = rvu_check(empty_pair_trace(), 0, eta=1e200, curvature_constant=constant)
+        assert report.bound == report.log_term == 2 * math.log(6) / 1e200
+        assert report.holds
+        assert report.to_dict()["bound"] == report.bound
+
     def test_constant_losses_variances_vanish(self):
         game = Game((3, 3), (np.full((3, 3), 0.4), np.full((3, 3), 0.4)))
         trace = sl_trace(game, eta=0.01, T=20)

@@ -251,7 +251,8 @@ GTH_GOLDEN_SHA256 = "784e61301076445987b6540cfbe4826792c7f62c785f8176c400ddc3ef5
 class TestGthPinned:
     """The elimination's bits are pinned: to the index-loop reference, and to a recorded digest."""
 
-    @pytest.mark.parametrize("n", range(2, 11))
+    # n = 2..16 runs the generated kernel of every state count, n = 17 the loop above the cap.
+    @pytest.mark.parametrize("n", range(2, 18))
     @pytest.mark.parametrize("members", [1, 2, 3])
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-300])
     def test_bitwise_equal_to_the_index_loop(self, n, members, scale):

@@ -25,6 +25,7 @@ from ce_dynamics.runner import (
     emit_outputs,
     play_dynamics,
     render_csv,
+    render_rows_json,
     render_summary,
     resolve_eta,
     run_dynamics,
@@ -913,6 +914,30 @@ def test_render_csv_of_synthetic_tables(pattern, T, m):
     table = synthetic_table(pattern, T, m)
     rows = [(t + 1, i, *table[t, i].tolist()) for t in range(T) for i in range(m)]
     assert render_csv(table) == plain_csv(rows) == csv_writer_bytes(rows)
+
+
+def per_row_json(rows):
+    """``run.json`` as one ``json.dumps`` of every row as a dict, the first renderer's bytes."""
+    docs = [dict(zip(CSV_COLUMNS, row)) for row in rows]
+    return (json.dumps(docs, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("T,m", [(1, 2), (1, 3), (7, 2), (9, 3), (300, 2)])
+@pytest.mark.parametrize("pattern", ["signed-zeros", "specials", "run-like"])
+def test_render_rows_json_of_synthetic_tables(pattern, T, m):
+    # json writes NaN, Infinity and -Infinity where repr writes nan, inf and -inf.
+    table = synthetic_table(pattern, T, m)
+    rows = [(t + 1, i, *table[t, i].tolist()) for t in range(T) for i in range(m)]
+    assert render_rows_json(table) == per_row_json(rows)
+
+
+# T = 300 crosses the renderer's 256-round block boundary.
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+def test_render_rows_json_of_runs(dynamics, m):
+    cfg = small_config(dynamics=dynamics, horizon=300, players=m, action_counts=(3,) * m)
+    result = run_dynamics(cfg)
+    assert render_rows_json(result.table) == per_row_json(result.rows)
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .games import Game
-from .markov_tree import _gth_stationary, all_arborescences, check_stationary
+from .markov_tree import _gth_rates, all_arborescences, check_stationary
 from .metrics import REGRET_CHUNK_ROUNDS
 from .omwu import Composite, Omwu
 
@@ -84,8 +84,8 @@ def transition_from_pairs(p: np.ndarray, n: int) -> np.ndarray:
 class SlOmwu(Composite):
     """Internal-regret learner: pair-space OMWU plus a stationary-distribution step.
 
-    The pair masses are the off-diagonal rates of the round's chain, which is
-    all that GTH elimination reads.
+    The pair masses, in canonical order, are the round's chain's off-diagonal
+    rates in row-major order: what GTH elimination reads, with no matrix built.
     """
 
     def __init__(self, n: int, eta: float, optimistic: bool = True):
@@ -94,13 +94,13 @@ class SlOmwu(Composite):
         super().__init__(n, Omwu(n * (n - 1), eta, optimistic=optimistic))
 
     def next_strategy(self) -> np.ndarray:
-        A = _pair_rates(self.learner.next_strategy(), self.n)
-        self.last_strategy = check_stationary(A, _gth_stationary(A))
+        p = self.learner.next_strategy()
+        self.last_strategy = check_stationary(_pair_rates(p, self.n), _gth_rates(p, self.n))
         return self.last_strategy
 
     def _next_strategy(self) -> np.ndarray:
         """Unchecked step of :meth:`next_strategy`."""
-        self.last_strategy = _gth_stationary(_pair_rates(self.learner.next_strategy(), self.n))
+        self.last_strategy = _gth_rates(self.learner.next_strategy(), self.n)
         return self.last_strategy
 
     def observe(self, loss) -> None:

@@ -14,10 +14,10 @@ convention, ``Q^T pi = pi``):
   however small, carries a small relative error (O'Cinneide, Numer. Math. 65,
   1993); a small residual alone would not promise that.
 
-The elimination itself (``_gth_stationary``) is unchecked; up to 16 states it
-runs as straight-line code generated per state count, with the loop's bits.
-Its residual gate is :func:`check_stationary`, and :func:`stationary_residual`
-takes any leading axes.
+The elimination itself is unchecked: ``_gth_rates`` takes chains' off-diagonal
+rates, ``_gth_stationary`` matrices. Up to 16 states a chain is one call of code
+generated per state count, rates in and normalised pi out, with the loop's bits.
+Its residual gate is :func:`check_stationary`; :func:`stationary_residual` takes any leading axes.
 
 A directed tree rooted at j ("arborescence") has no cycles, no outgoing edge
 from j, and exactly one outgoing edge from every other node. Trees are
@@ -28,7 +28,7 @@ ordering that array lexicographically gives the canonical enumeration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -114,17 +114,18 @@ def check_transition_matrix(Q) -> np.ndarray:
         raise ValidationError(f"transition matrix is not a numeric matrix: {exc}") from exc
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValidationError(f"transition matrix must be square, got shape {Q.shape}")
+    # NaN fails every comparison: one test accepts exactly the valid matrices, the rest explain.
+    low, high = Q.min(), Q.max()
+    if low > 0.0 and high <= 1.0 + ROW_SUM_ATOL and np.abs(Q.sum(axis=1) - 1.0).max() <= ROW_SUM_ATOL:
+        return Q
     if not np.all(np.isfinite(Q)):
         raise ValidationError("transition matrix has non-finite entries")
-    if Q.min() <= 0.0:
-        raise ValidationError(f"transition matrix must have strictly positive entries, min={Q.min()}")
-    if Q.max() > 1.0 + ROW_SUM_ATOL:  # its row cannot sum to 1, and summing it could overflow
-        raise ValidationError(f"transition matrix entries must not exceed 1, max={Q.max()}")
-    rows = Q.sum(axis=1)
-    worst = np.abs(rows - 1.0).max()
-    if worst > ROW_SUM_ATOL:
-        raise ValidationError(f"rows must sum to 1 within {ROW_SUM_ATOL}, worst error {worst}")
-    return Q
+    if low <= 0.0:
+        raise ValidationError(f"transition matrix must have strictly positive entries, min={low}")
+    if high > 1.0 + ROW_SUM_ATOL:  # its row cannot sum to 1, and summing it could overflow
+        raise ValidationError(f"transition matrix entries must not exceed 1, max={high}")
+    worst = np.abs(Q.sum(axis=1) - 1.0).max()
+    raise ValidationError(f"rows must sum to 1 within {ROW_SUM_ATOL}, worst error {worst}")
 
 
 @lru_cache(maxsize=None)
@@ -179,12 +180,23 @@ def check_stationary(A: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return pi
 
 
+def _row_sum_source(terms: list[str]) -> str:
+    """Source summing ``terms`` as numpy's ``add.reduce`` sums a row: from 0.0, left to right
+    below 8 terms, else in eight running sums over blocks of 8, combined pairwise, then the tail."""
+    if len(terms) < 8:
+        return " + ".join(["0.0", *terms])
+    cut = len(terms) - len(terms) % 8
+    r = [reduce(lambda a, b: f"({a} + {b})", terms[j:cut:8]) for j in range(8)]
+    blocks = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+    return f"0.0 + ({' + '.join([blocks, *terms[cut:]])})"
+
+
 @lru_cache(maxsize=GTH_KERNEL_MAX_STATES - 1)
 def _gth_kernel(n: int):
-    """The elimination loop of :func:`_gth_stationary` for one n-state chain as straight-line
-    code, built from n alone: its n^2 rates are the arguments ``a{i}_{j}``, each float operation
-    is one statement, in the loop's order, and the diagonal updates, never read, are dropped."""
-    lines = ["def gth(" + ", ".join(f"a{i}_{j}" for i in range(n) for j in range(n)) + "):"]
+    """The loop of :func:`_gth_rates` for one n-state chain as straight-line code, built from n:
+    the chain's rates are its arguments ``a{i}_{j}``, each float operation is one statement, in
+    the loop's order, minus the unread diagonal updates; pi comes out normalised, in numpy's order."""
+    lines = ["def gth(" + ", ".join(f"a{i}_{j}" for i in range(n) for j in range(n) if j != i) + "):"]
     for k in range(n - 1, 0, -1):
         lines += ["out = 0", *(f"out += a{k}_{j}" for j in range(k))]
         for i in range(k):
@@ -192,56 +204,69 @@ def _gth_kernel(n: int):
             lines += [f"a{i}_{j} += f * a{k}_{j}" for j in range(k) if j != i]
     for k in range(n):
         lines += [f"p{k} = 0" if k else "p0 = 1.0", *(f"p{k} += p{i} * a{i}_{k}" for i in range(k))]
-    lines.append("return [" + ", ".join(f"p{k}" for k in range(n)) + "]")
+    lines += ["s = " + _row_sum_source([f"p{k}" for k in range(n)]),
+              "return [" + ", ".join(f"p{k} / s" for k in range(n)) + "]"]
     exec(compile("\n    ".join(lines), f"<gth n={n}>", "exec"), namespace := {})
     return namespace["gth"]
 
 
-def _gth_stationary(A: np.ndarray) -> np.ndarray:
-    """Stationary distribution of the chain with off-diagonal rates ``A[..., j, k]``, unchecked.
+@lru_cache(maxsize=None)
+def _offdiagonal_index(n: int) -> np.ndarray:
+    """Flat index of an n x n matrix's off-diagonal entries, row-major."""
+    index = np.flatnonzero(~np.eye(n, dtype=bool))
+    index.setflags(write=False)
+    return index
 
-    GTH elimination: states are censored out from the last one down, each
-    one's incoming rates rerouted along its outgoing ones, then pi is rebuilt
-    from the first state up. The elimination never reads the diagonal of
-    ``A`` and never subtracts. Up to ``GTH_KERNEL_MAX_STATES`` states a chain
-    runs :func:`_gth_kernel`, the loop below unrolled for its state count:
-    plain floats in locals, no indexing, no loop counters, the same bits.
-    Larger chains run the loop, as unrolled code grows as n^3. Leading axes
-    of ``A`` carry over: one ``tolist`` feeds every chain, and one division
-    normalises them all. Callers gate the result.
 
-    Sums are left-to-right loops from int 0, not the builtin ``sum()``, which
-    compensates float sums from Python 3.12 on; the bits do not depend on it.
+def _gth_rates(R: np.ndarray, n: int) -> np.ndarray:
+    """Stationary distribution of the n-state chains with off-diagonal rates ``R``, unchecked.
+
+    ``R`` holds n(n-1) rates per chain in row-major order, the order of SL's pair
+    masses. GTH elimination: states are censored out from the last one down, each
+    one's incoming rates rerouted along its outgoing ones, then pi is rebuilt from
+    the first state up; it never subtracts. Up to ``GTH_KERNEL_MAX_STATES`` states
+    a chain is one call of :func:`_gth_kernel`, rates in and normalised pi out; larger
+    chains run the loop, as unrolled code grows as n^3. Its sums run left to right from
+    int 0, not by the builtin ``sum()``, which compensates float sums from Python 3.12
+    on. Leading axes of ``R`` carry over, one ``tolist`` feeds every chain, and callers
+    gate the result.
     """
-    n = A.shape[-1]
-    if 2 <= n <= GTH_KERNEL_MAX_STATES:
+    chains = R.reshape(-1, n * n - n).tolist()
+    if n <= GTH_KERNEL_MAX_STATES:
         kernel = _gth_kernel(n)
-        pis = [kernel(*a) for a in A.reshape(-1, n * n).tolist()]
-    else:
-        pis = []
-        for a in A.reshape(-1, n, n).tolist():
-            for k in range(n - 1, 0, -1):
-                pivot = a[k][:k]
-                out = 0
+        return np.array([kernel(*r) for r in chains]).reshape(R.shape[:-1] + (n,))
+    pis = []
+    for rates in chains:
+        a = [rates[i * (n - 1):i * n] + [0.0] + rates[i * n:(i + 1) * (n - 1)] for i in range(n)]
+        for k in range(n - 1, 0, -1):
+            pivot = a[k][:k]
+            out = 0
+            for r in pivot:
+                out += r
+            for ai in a[:k]:
+                f = ai[k] = ai[k] / out
+                j = 0
                 for r in pivot:
-                    out += r
-                for ai in a[:k]:
-                    f = ai[k] / out
-                    ai[k] = f
-                    j = 0
-                    for r in pivot:
-                        ai[j] += f * r
-                        j += 1
-            pi = [1.0]
-            for k in range(1, n):
-                inflow = 0
-                for p, ai in zip(pi, a):
-                    inflow += p * ai[k]
-                pi.append(inflow)
-            pis.append(pi)
+                    ai[j] += f * r
+                    j += 1
+        pi = [1.0]
+        for k in range(1, n):
+            inflow = 0
+            for p, ai in zip(pi, a):
+                inflow += p * ai[k]
+            pi.append(inflow)
+        pis.append(pi)
     pi = np.array(pis)
     pi /= pi.sum(axis=-1, keepdims=True)
-    return pi.reshape(A.shape[:-1])
+    return pi.reshape(R.shape[:-1] + (n,))
+
+
+def _gth_stationary(A: np.ndarray) -> np.ndarray:
+    """:func:`_gth_rates` of the chains ``A[..., j, k]``, whose diagonal is never read."""
+    n = A.shape[-1]
+    if n == 1:  # no rates; the lone state holds all the mass
+        return np.ones(A.shape[:-1])
+    return _gth_rates(A.reshape(A.shape[:-2] + (n * n,)).take(_offdiagonal_index(n), axis=-1), n)
 
 
 def solve_stationary(Q) -> np.ndarray:

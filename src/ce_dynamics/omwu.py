@@ -65,10 +65,10 @@ class Omwu:
     def next_strategy(self) -> np.ndarray:
         """Current iterate: softmax of -eta * (cumulative + predicted) losses."""
         z = self.cumulative_loss + self.last_loss if self.optimistic else self.cumulative_loss
-        z = self._neg_eta * z
-        z = z - z.max(axis=-1, keepdims=True)
-        w = np.maximum(np.exp(z), _WEIGHT_FLOOR)
-        self.last_strategy = w / w.sum(axis=-1, keepdims=True)
+        z = self._neg_eta * z  # a new array: the rest runs in place, with the methods' ufuncs
+        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+        np.maximum(np.exp(z, out=z), _WEIGHT_FLOOR, out=z)
+        self.last_strategy = np.divide(z, np.add.reduce(z, axis=-1, keepdims=True), out=z)
         return self.last_strategy
 
     def observe(self, loss) -> None:

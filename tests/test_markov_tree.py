@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ce_dynamics.errors import StationaryResidualError, ValidationError
+from ce_dynamics.internal_dynamics import SlOmwu, _pair_rates
 from ce_dynamics.markov_tree import (
     Arborescence,
     _gth_stationary,
     _rooted_parent_arrays,
+    _row_sum_source,
     _tree_weight_sums,
     all_arborescences,
     check_stationary,
@@ -19,6 +22,8 @@ from ce_dynamics.markov_tree import (
     stationary_residual,
     tree_theorem_stationary,
 )
+from ce_dynamics.runner import RunConfig, play_dynamics
+from ce_dynamics.swap_dynamics import BmOmwu
 
 # The 16 directed trees on 4 nodes rooted at node 0, written as the parents
 # of nodes 1, 2, 3. Transcribed by hand from the three-edge drawings: each
@@ -151,6 +156,10 @@ class TestSolveStationary:
         with pytest.raises(ValidationError):
             solve_stationary(np.eye(3))
 
+    def test_one_state_chain(self):
+        # No off-diagonal rates to eliminate: the lone state holds all the mass.
+        assert solve_stationary([[1.0]]).tolist() == [1.0]
+
     @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2])
     def test_perturbed_permutation(self, eps):
         n = 4
@@ -261,6 +270,25 @@ class TestGthPinned:
         pi = _gth_stationary(A)
         assert pi.shape == (members, n)
         assert pi.tobytes() == reference_gth(A).tobytes()
+        # The learners' solves: SL's from its pair masses, which are A's off-diagonal
+        # rates with the diagonal dropped, and BM's from its copy matrix A.
+        p = A[:, ~np.eye(n, dtype=bool)]
+        assert reference_gth(_pair_rates(p, n)).tobytes() == pi.tobytes()
+        for dyn, rates in ((SlOmwu(n, np.ones(members)), p), (BmOmwu(n, np.ones(members)), A)):
+            dyn.learner.next_strategy = lambda: rates
+            assert dyn._next_strategy().tobytes() == pi.tobytes()
+            assert dyn.next_strategy().tobytes() == pi.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_kernel_row_sum_is_numpys(self, n):
+        # The kernel normalises pi itself, in the order numpy's row sum adds, so the
+        # bits equal the index loop's pi / pi.sum(axis=-1). A numpy whose reduction
+        # order changed fails here first.
+        rows = np.exp(np.random.default_rng(n).uniform(-46.0, 46.0, (2000, n)))  # 40 decades
+        names = [f"p{k}" for k in range(n)]
+        row_sum = eval(f"lambda {', '.join(names)}: {_row_sum_source(names)}")
+        sums = np.array([row_sum(*row) for row in rows.tolist()])
+        assert sums.tobytes() == np.add.reduce(rows, axis=-1).tobytes()
 
     def test_golden_digest(self):
         digest = hashlib.sha256()
@@ -273,6 +301,40 @@ class TestGthPinned:
         for A in golden_chains():
             digest.update(reference_gth(A).tobytes())
         assert digest.hexdigest() == GTH_GOLDEN_SHA256
+
+
+def exact_gth(A):
+    """GTH elimination in exact rationals: the exact stationary distribution of the float rates."""
+    n = len(A)
+    a = [[Fraction(x) for x in row] for row in A.tolist()]
+    for k in range(n - 1, 0, -1):
+        out = sum(a[k][:k])
+        for i in range(k):
+            f = a[i][k] = a[i][k] / out
+            for j in range(k):
+                a[i][j] += f * a[k][j]
+    pi = [Fraction(1)]
+    for k in range(1, n):
+        pi.append(sum(pi[i] * a[i][k] for i in range(k)))
+    return [p / sum(pi) for p in pi]
+
+
+class TestGthExact:
+    """The played pi against the exact pi of its chain, on the stiffest chains of seeded runs."""
+
+    # SL 5x5 at eta = 5 plays chains whose rates span up to ~140 decades; BM 4x4 at
+    # eta = 50 puts copy rows on the 1e-300 weight floor, ~300 decades from their top.
+    @pytest.mark.parametrize("dynamics, n, eta", [("sl-omwu", 5, 5.0), ("bm-omwu", 4, 50.0)])
+    def test_relative_error_within_8_n_ulps(self, dynamics, n, eta):
+        config = RunConfig(dynamics, 300, eta=eta, players=2, action_counts=(n, n), game_seed=3)
+        for player in play_dynamics(config).trace.players:
+            A = _pair_rates(player.pair_dists, n) if dynamics == "sl-omwu" else player.copy_dists
+            rates = A[:, ~np.eye(n, dtype=bool)]
+            stiffest = np.argsort(rates.max(axis=1) / rates.min(axis=1))[-25:]
+            for t in stiffest:
+                exact = exact_gth(A[t])
+                worst = max(abs(Fraction(x) - e) / e for x, e in zip(player.strategies[t].tolist(), exact))
+                assert worst <= 8 * n * Fraction(2) ** -53
 
 
 def reference_tree_weight_sums(Q):

@@ -743,6 +743,10 @@ class TestStrategyCheck:
         assert not (out / "summary.json").exists()
 
 
+# The unchecked solve each stationary learner calls, by the name its module binds.
+SOLVES = {"sl": (internal_dynamics, "_gth_rates"), "bm": (swap_dynamics, "_gth_stationary")}
+
+
 class TestStationaryGate:
     """A run's stationary solves are gated once, after the round loop."""
 
@@ -753,17 +757,18 @@ class TestStationaryGate:
         """Make the unchecked solve of player 1 return ``scale`` times a point mass at one round."""
 
         def install(dynamics, round_index, scale=1.0):
-            module = swap_dynamics if dynamics.startswith("bm") else internal_dynamics
-            solve = module._gth_stationary
+            # BM solves its copy matrix, SL its pair masses as rates.
+            module, name = SOLVES["bm" if dynamics.startswith("bm") else "sl"]
+            solve = getattr(module, name)
             calls = itertools.count()  # one solve per round: both players are members of it
 
-            def faulty(A):
-                pi = solve(A)
+            def faulty(*args):
+                pi = solve(*args)
                 if next(calls) == round_index - 1:
                     pi[1] = scale * np.eye(pi.shape[-1])[0]  # finite, and not stationary
                 return pi
 
-            monkeypatch.setattr(module, "_gth_stationary", faulty)
+            monkeypatch.setattr(module, name, faulty)
 
         return install
 
@@ -794,16 +799,16 @@ class TestStationaryGate:
 
     @pytest.mark.parametrize("round_index", [1, 256, 257, HORIZON])
     def test_verify_equivalence_plays_through_the_gate(self, monkeypatch, round_index):
-        solve = internal_dynamics._gth_stationary
+        solve = internal_dynamics._gth_rates
         calls = itertools.count()  # one solve per round: both players are members of it
 
-        def off(A):
-            pi = solve(A)
+        def off(*args):
+            pi = solve(*args)
             if next(calls) == round_index - 1:
                 pi[1, :2] += [1e-6, -1e-6]  # still on the simplex, off the fixed point by 1e-6
             return pi
 
-        monkeypatch.setattr(internal_dynamics, "_gth_stationary", off)
+        monkeypatch.setattr(internal_dynamics, "_gth_rates", off)
         with pytest.raises(StationaryResidualError,
                            match=f"player 1 at round {round_index} failed: residual"):
             verify_equivalence(random_game(2, (3, 3), seed=0), eta=0.05, horizon=self.HORIZON)
@@ -812,7 +817,8 @@ class TestStationaryGate:
         "learner, module", [(SlOmwu, internal_dynamics), (BmOmwu, swap_dynamics)]
     )
     def test_public_next_strategy_gates_every_call(self, monkeypatch, learner, module):
-        monkeypatch.setattr(module, "_gth_stationary", lambda A: np.eye(A.shape[0])[0])
+        name = SOLVES["bm" if learner is BmOmwu else "sl"][1]
+        monkeypatch.setattr(module, name, lambda *args: np.eye(3)[0])
         dyn = learner(3, 0.05)
         with pytest.raises(StationaryResidualError, match="stationary solve failed"):
             dyn.next_strategy()

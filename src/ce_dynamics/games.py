@@ -3,7 +3,8 @@
 A game is stored densely: one loss tensor per player, indexed by the joint
 action profile ``(a_1, ..., a_m)`` with player 1's action on the first axis.
 All tensors are immutable after construction so games can be shared freely
-across threads.
+across threads. Expected losses contract one opponent at a time, by ``ndarray.dot``
+where ``@`` would give the same bits at a dearer call.
 """
 
 from __future__ import annotations
@@ -105,14 +106,15 @@ def expected_loss(game: Game, profile, player: int) -> np.ndarray:
 def _contract(game: Game, strategies, player: int) -> np.ndarray:
     """Unchecked step of :func:`expected_loss` for float simplex ``strategies``.
 
-    The later players' axes are contracted from the last one down, then the
-    earlier players' axes from the first one up, one matmul per opponent.
+    The later players' axes are contracted from the last one down, then the earlier players'
+    axes from the first one up: ``ndarray.dot``, ``@``'s bits at a cheaper call, except ``@``
+    on a 3+-player game's stacked first step, where ``dot`` adds in another order.
     """
     tensor = game.losses[player]
     for x in strategies[:player:-1]:
-        tensor = tensor @ x
+        tensor = tensor.dot(x) if tensor.ndim == 2 else tensor @ x
     for x in strategies[:player]:
-        tensor = x @ tensor.reshape(len(x), -1)
+        tensor = x.dot(tensor.reshape(len(x), -1))
     return tensor
 
 

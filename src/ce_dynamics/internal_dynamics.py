@@ -42,16 +42,23 @@ def ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _pair_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = ordered_pairs(n)
-    src = np.array([j for j, _ in pairs])
-    dst = np.array([k for _, k in pairs])
-    return src, dst
+    return tuple(np.array(ordered_pairs(n)).T)  # (src, dst)
+
+
+@lru_cache(maxsize=None)
+def _pair_loss_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, n(n-1)) matrices whose column of pair (j, k) is e_j, and e_k - e_j."""
+    src, dst = _pair_index_arrays(n)
+    select = np.eye(n).take(src, axis=1)
+    return select, np.eye(n).take(dst, axis=1) - select
 
 
 def pair_loss_vector(strategy: np.ndarray, loss: np.ndarray) -> np.ndarray:
-    """Per-pair loss x[j] * (loss[k] - loss[j]) in canonical pair order, over any leading axes."""
-    src, dst = _pair_index_arrays(strategy.shape[-1])
-    return strategy.take(src, axis=-1) * (loss.take(dst, axis=-1) - loss.take(src, axis=-1))
+    """Per-pair loss x[j] * (loss[k] - loss[j]) in canonical pair order, over any leading axes:
+    the products with :func:`_pair_loss_matrices` add exact terms to zeros, so bits hold (an
+    input's -0.0 aside)."""
+    select, diff = _pair_loss_matrices(strategy.shape[-1])
+    return strategy.dot(select) * loss.dot(diff)
 
 
 def _pair_rates(p: np.ndarray, n: int) -> np.ndarray:
@@ -158,7 +165,7 @@ class ArboDynamics(Composite):
 
     def _update(self, loss: np.ndarray) -> None:
         L = pair_loss_vector(self.last_strategy, loss)
-        self.learner._update(L.take(self.edge_pairs, axis=-1).sum(axis=-1))
+        self.learner._update(np.add.reduce(L.take(self.edge_pairs, axis=-1), axis=-1))
 
 
 @dataclass

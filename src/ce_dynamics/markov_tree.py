@@ -15,8 +15,8 @@ convention, ``Q^T pi = pi``):
   1993); a small residual alone would not promise that.
 
 The elimination itself is unchecked: ``_gth_rates`` takes chains' off-diagonal
-rates, ``_gth_stationary`` matrices. Up to 16 states a chain is one call of code
-generated per state count, rates in and normalised pi out, with the loop's bits.
+rates, ``_gth_stationary`` whole matrix rows, whose diagonal is never read. Up to 16
+states a chain is one call of code generated per state count and form, with the loop's bits.
 Its residual gate is :func:`check_stationary`; :func:`stationary_residual` takes any leading axes.
 
 A directed tree rooted at j ("arborescence") has no cycles, no outgoing edge
@@ -112,8 +112,8 @@ def check_transition_matrix(Q) -> np.ndarray:
         Q = np.asarray(Q, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"transition matrix is not a numeric matrix: {exc}") from exc
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValidationError(f"transition matrix must be square, got shape {Q.shape}")
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or not Q.size:  # an empty Q has no minimum
+        raise ValidationError(f"transition matrix must be square, non-empty, got shape {Q.shape}")
     # NaN fails every comparison: one test accepts exactly the valid matrices, the rest explain.
     low, high = Q.min(), Q.max()
     if low > 0.0 and high <= 1.0 + ROW_SUM_ATOL and np.abs(Q.sum(axis=1) - 1.0).max() <= ROW_SUM_ATOL:
@@ -191,12 +191,14 @@ def _row_sum_source(terms: list[str]) -> str:
     return f"0.0 + ({' + '.join([blocks, *terms[cut:]])})"
 
 
-@lru_cache(maxsize=GTH_KERNEL_MAX_STATES - 1)
-def _gth_kernel(n: int):
+@lru_cache(maxsize=None)
+def _gth_kernel(n: int, diagonal: bool):
     """The loop of :func:`_gth_rates` for one n-state chain as straight-line code, built from n:
-    the chain's rates are its arguments ``a{i}_{j}``, each float operation is one statement, in
-    the loop's order, minus the unread diagonal updates; pi comes out normalised, in numpy's order."""
-    lines = ["def gth(" + ", ".join(f"a{i}_{j}" for i in range(n) for j in range(n) if j != i) + "):"]
+    its arguments ``a{i}_{j}`` are the chain's rates, row-major, with the unread diagonal if
+    ``diagonal``; each float operation is one statement, in the loop's order, minus the unread
+    diagonal updates; pi comes out normalised, in numpy's order."""
+    names = (f"a{i}_{j}" for i in range(n) for j in range(n) if diagonal or j != i)
+    lines = ["def gth(" + ", ".join(names) + "):"]
     for k in range(n - 1, 0, -1):
         lines += ["out = 0", *(f"out += a{k}_{j}" for j in range(k))]
         for i in range(k):
@@ -210,34 +212,28 @@ def _gth_kernel(n: int):
     return namespace["gth"]
 
 
-@lru_cache(maxsize=None)
-def _offdiagonal_index(n: int) -> np.ndarray:
-    """Flat index of an n x n matrix's off-diagonal entries, row-major."""
-    index = np.flatnonzero(~np.eye(n, dtype=bool))
-    index.setflags(write=False)
-    return index
-
-
 def _gth_rates(R: np.ndarray, n: int) -> np.ndarray:
     """Stationary distribution of the n-state chains with off-diagonal rates ``R``, unchecked.
 
-    ``R`` holds n(n-1) rates per chain in row-major order, the order of SL's pair
-    masses. GTH elimination: states are censored out from the last one down, each
-    one's incoming rates rerouted along its outgoing ones, then pi is rebuilt from
-    the first state up; it never subtracts. Up to ``GTH_KERNEL_MAX_STATES`` states
-    a chain is one call of :func:`_gth_kernel`, rates in and normalised pi out; larger
-    chains run the loop, as unrolled code grows as n^3. Its sums run left to right from
-    int 0, not by the builtin ``sum()``, which compensates float sums from Python 3.12
-    on. Leading axes of ``R`` carry over, one ``tolist`` feeds every chain, and callers
-    gate the result.
+    ``R`` holds n(n-1) rates per chain in row-major order, the order of SL's pair masses,
+    or a matrix's n^2 entries, row-major, whose diagonal is never read. GTH elimination:
+    states are censored out from the last one down, each one's incoming rates rerouted
+    along its outgoing ones, then pi is rebuilt from the first state up; it never
+    subtracts. Up to ``GTH_KERNEL_MAX_STATES`` states a chain is one call of
+    :func:`_gth_kernel`, entries in and normalised pi out; larger chains run the loop, as
+    unrolled code grows as n^3. Its sums run left to right from int 0, not by the builtin
+    ``sum()``, which compensates float sums from Python 3.12 on. Leading axes of ``R``
+    carry over, one ``tolist`` feeds every chain, and callers gate the result.
     """
-    chains = R.reshape(-1, n * n - n).tolist()
+    width = R.shape[-1]  # n(n-1) rates per chain, or n^2 entries with the diagonal
+    chains = R.reshape(-1, width).tolist()
     if n <= GTH_KERNEL_MAX_STATES:
-        kernel = _gth_kernel(n)
+        kernel = _gth_kernel(n, width == n * n)
         return np.array([kernel(*r) for r in chains]).reshape(R.shape[:-1] + (n,))
     pis = []
-    for rates in chains:
-        a = [rates[i * (n - 1):i * n] + [0.0] + rates[i * n:(i + 1) * (n - 1)] for i in range(n)]
+    for row in chains:  # the diagonal, given or zero-filled, only ever adds into itself
+        a = [row[i * n:(i + 1) * n] if width == n * n else
+             row[i * (n - 1):i * n] + [0.0] + row[i * n:(i + 1) * (n - 1)] for i in range(n)]
         for k in range(n - 1, 0, -1):
             pivot = a[k][:k]
             out = 0
@@ -262,11 +258,8 @@ def _gth_rates(R: np.ndarray, n: int) -> np.ndarray:
 
 
 def _gth_stationary(A: np.ndarray) -> np.ndarray:
-    """:func:`_gth_rates` of the chains ``A[..., j, k]``, whose diagonal is never read."""
-    n = A.shape[-1]
-    if n == 1:  # no rates; the lone state holds all the mass
-        return np.ones(A.shape[:-1])
-    return _gth_rates(A.reshape(A.shape[:-2] + (n * n,)).take(_offdiagonal_index(n), axis=-1), n)
+    """:func:`_gth_rates` of the chains ``A[..., j, k]``, row by row, diagonal included."""
+    return _gth_rates(A.reshape(*A.shape[:-2], A.shape[-1] ** 2), A.shape[-1])
 
 
 def solve_stationary(Q) -> np.ndarray:

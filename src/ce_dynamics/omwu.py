@@ -2,8 +2,9 @@
 
 The iterate is always recomputed from the cumulative loss vector in shifted
 log-space rather than by iterating the multiplicative recursion; this avoids
-compounding floating-point drift round over round. With optimism enabled the
-most recent loss is counted twice, which is the standard one-step prediction.
+compounding floating-point drift round over round, and the negated rates, kept at
+the state's shape, make each step a same-shape ufunc in place. With optimism
+enabled the most recent loss is counted twice, the standard one-step prediction.
 
 Each dynamics is one such learner composed with a map to a strategy
 (:class:`Composite`). One rate per member stacks independent learners on a
@@ -64,8 +65,8 @@ class Omwu:
 
     def next_strategy(self) -> np.ndarray:
         """Current iterate: softmax of -eta * (cumulative + predicted) losses."""
-        z = self.cumulative_loss + self.last_loss if self.optimistic else self.cumulative_loss
-        z = self._neg_eta * z  # a new array: the rest runs in place, with the methods' ufuncs
+        z = self.cumulative_loss + self.last_loss if self.optimistic else self.cumulative_loss.copy()
+        z *= self._neg_eta  # rates of z's shape: every step runs in place, with the methods' ufuncs
         z -= np.maximum.reduce(z, axis=-1, keepdims=True)
         np.maximum(np.exp(z, out=z), _WEIGHT_FLOOR, out=z)
         self.last_strategy = np.divide(z, np.add.reduce(z, axis=-1, keepdims=True), out=z)
@@ -99,9 +100,9 @@ class Omwu:
             rates = np.array(np.broadcast_to(self.eta, self.members), dtype=float)
             rates[rows] = eta
             self.eta = rates if self.members else float(rates)
-            # One rate per member, broadcast along the leading axis; a lone rate stays 0-d.
-            trailing = (1,) * (len(self.shape) - rates.ndim) if self.members else ()
-            self._neg_eta = -rates.reshape(rates.shape + trailing)
+            # Each member's rate over all its entries, so the softmax multiplies by its own shape.
+            trailing = (1,) * (len(self.shape) - rates.ndim)
+            self._neg_eta = -np.broadcast_to(rates.reshape(rates.shape + trailing), self.shape)
         # Zeroed copies, not in place: the last loss belongs to the caller.
         self.cumulative_loss, self.last_loss = self.cumulative_loss.copy(), self.last_loss.copy()
         self.cumulative_loss[rows] = self.last_loss[rows] = 0.0

@@ -1,30 +1,30 @@
 """Experiment runner: configuration, learning-rate schedules, output files.
 
-A run executes the two-phase self-play protocol: freeze every player's
-strategy, compute every expected-loss vector from the frozen profile, then
-deliver all feedback. Players with equal action counts are the members of one
-learner, so a round plays, updates and writes the trace once per group; each
-player's loss is :func:`games._contract` of the game with the strategies just
-emitted. The round loop only plays: SL and BM play their unchecked stationary
-solve (``_next_strategy``) and feedback goes through the unchecked
+A run executes the two-phase self-play protocol: freeze every player's strategy,
+compute every expected-loss vector from the frozen profile, then deliver all
+feedback. Players with equal action counts are the members of one learner, so a
+round plays, updates and writes the trace once per group; each player's loss is
+:func:`games._contract` of the game with the strategies just emitted. The round
+loop only plays, on operands bound once per run: SL and BM play their unchecked
+stationary solve (``_next_strategy``) and feedback goes through the unchecked
 ``_update``. Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS``
 rounds from the trace; at a block's first breach the learners are restored to
-its start and replayed up to that round, where each breaching player's member
-is reset alone. After the loop, one pass gates every recorded stationary solve
-by its residual, keeping each player's worst, then one pass checks every
-recorded strategy against the simplex. That checked play is
-:func:`play_dynamics`; :func:`run_dynamics` adds the accounting, which
-:func:`internal_dynamics.verify_equivalence` skips. Every per-round CSV column
-comes from the trace, by :func:`metrics.running_regrets` and
-:func:`metrics.running_max_ratio`; the summary's final regrets are the table's
-last round, and BM's loss-decomposition residual is
+the block's start (snapshotted only for controllers) and replayed up to that
+round, where each breaching player's member is reset alone. After the loop, one
+pass gates every recorded stationary solve by its residual, keeping each
+player's worst, then one pass checks every recorded strategy against the
+simplex. That checked play is :func:`play_dynamics`; :func:`run_dynamics` adds
+the accounting, which :func:`internal_dynamics.verify_equivalence` skips. Every
+per-round CSV column comes from the trace, by :func:`metrics.running_regrets`
+and :func:`metrics.running_max_ratio`; the summary's final regrets are the
+table's last round, and BM's loss-decomposition residual is
 :func:`swap_dynamics.decomposition_residuals` of the trace. The (T, m, 7) round
 table is kept on the result, whose CSV rows are built only on demand;
-:func:`render_csv` renders it by block and column, each distinct number once. Up to
-``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the dense
-average product distribution and is checked against max internal regret / T;
-above, it is that ratio and its identity residual is null. Outputs are
-deterministic given the configuration; no wall-clock or randomness enters.
+:func:`render_csv` renders it by block and column, each distinct number once. Up
+to ``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the
+dense average product distribution and is checked against max internal
+regret / T; above, it is that ratio and its identity residual is null. Outputs
+are deterministic given the configuration; no wall-clock or randomness enters.
 """
 
 from __future__ import annotations
@@ -321,42 +321,49 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     # The controllers read their inner stream (q, z) from the trace; the inner losses it
     # lacks (BM's x[g] * loss, arbo's tree losses) are held for one block at a time.
     q_field, z_field = (*inner_fields, None)[:2] if inner_fields else ("strategies", "losses")
-    # Each trace array is (members, T, ...), so a player's field is a contiguous slice.
-    records, held = [], []
+    # Each trace array is (members, T, ...), so a player's field is a contiguous slice. The
+    # round loop's operands are bound once per group: its learner, trace arrays (None where the
+    # run records no inner distribution or pair losses), held block and players to contract.
+    records, held, writes, feeds = [], [], [], []
     for group, dyn in zip(groups, dyns):
-        n, inner = counts[group[0]], getattr(dyn, "learner", dyn).shape[1:]
+        learner = getattr(dyn, "learner", dyn)
+        n, inner = counts[group[0]], learner.shape[1:]
         shapes = {"strategies": (n,), "losses": (n,), **dict.fromkeys(inner_fields, inner)}
-        records.append({k: np.empty((len(group), T, *shape)) for k, shape in shapes.items()})
+        records.append(rec := {k: np.empty((len(group), T, *s)) for k, s in shapes.items()})
         holds = controllers is not None and z_field is None
-        held.append(np.empty((len(group), REGRET_CHUNK_ROUNDS, *inner)) if holds else None)
+        held.append(kept := np.empty((len(group), REGRET_CHUNK_ROUNDS, *inner)) if holds else None)
+        writes.append((learner, rec["strategies"], rec.get((*inner_fields, None)[0]), rec["losses"],
+                       list(enumerate(group))))
+        feeds.append((dyn._update, learner, rec["losses"], rec.get("pair_losses"), kept))
     # SL and BM play their unchecked stationary solve; the gate runs once, after the loop.
     solves = family in ("sl", "bm")
+    steps = [dyn._next_strategy if solves else dyn.next_strategy for dyn in dyns]
 
     def play(rounds: range) -> None:
-        steps = [dyn._next_strategy if solves else dyn.next_strategy for dyn in dyns]
         for t in rounds:
             played = [step() for step in steps]
-            # C-contiguous rows, as a lone learner's strategy is: _contract runs the same matmuls.
+            # C-contiguous rows, as a lone learner's strategy is: _contract runs the same products.
             profile = [played[g][b] for _, g, b in slots]
-            for x, group, dyn, rec in zip(played, groups, dyns, records):
-                rec["strategies"][:, t] = x
-                if inner_fields:
-                    rec[inner_fields[0]][:, t] = dyn.learner.last_strategy
-                for b, i in enumerate(group):
-                    rec["losses"][b, t] = _contract(game, profile, i)
+            for x, (learner, strategies, inner, losses, members) in zip(played, writes):
+                strategies[:, t] = x
+                if inner is not None:
+                    inner[:, t] = learner.last_strategy
+                for b, i in members:
+                    losses[b, t] = _contract(game, profile, i)
 
-            for dyn, rec, kept in zip(dyns, records, held):
-                dyn._update(rec["losses"][:, t])
-                if family == "sl":
-                    rec["pair_losses"][:, t] = dyn.learner.last_loss
+            for update, learner, losses, pair_losses, kept in feeds:
+                update(losses[:, t])
+                if pair_losses is not None:
+                    pair_losses[:, t] = learner.last_loss
                 if kept is not None:
-                    kept[:, t - rounds.start] = dyn.learner.last_loss
+                    kept[:, t - rounds.start] = learner.last_loss
 
     done = 0  # rounds played so far
     while done < T:
         block = range(done, min(done + REGRET_CHUNK_ROUNDS, T))
         # Every step replaces the arrays it changes, so copies of the attributes restore a learner.
-        start = [(o, vars(o).copy()) for dyn in dyns for o in {dyn, getattr(dyn, "learner", dyn)}]
+        if controllers:  # only a controller's breach replays a block from its start
+            start = [(o, vars(o).copy()) for d in dyns for o in {d, getattr(d, "learner", d)}]
         play(block)
         done = block.stop
         if controllers is None:

@@ -108,6 +108,16 @@ def contract_axes(tensor, strategies, player):
     return tensor
 
 
+def matmul_contract(game, strategies, player):
+    """The contraction as the round loop first ran it: one ``@`` per opponent."""
+    tensor = game.losses[player]
+    for x in strategies[:player:-1]:
+        tensor = tensor @ x
+    for x in strategies[:player]:
+        tensor = x @ tensor.reshape(len(x), -1)
+    return tensor
+
+
 class TestContract:
     """The unchecked step behind ``expected_loss``, which the round loop calls."""
 
@@ -140,6 +150,21 @@ class TestContract:
                 want = contract_axes(game.losses[player], profile, player)
                 assert got.shape == (counts[player],)
                 np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(3, 3), (2, 7), (10, 4), (3, 3, 3), (2, 5, 3), (4, 2, 6), (3, 2, 4, 2), (2, 3, 2, 5)],
+    )
+    def test_bitwise_equal_to_the_matmul_chain(self, counts):
+        # _contract calls ndarray.dot wherever the tensor is 2-D; on this BLAS those calls
+        # must give the bits of the matmul chain the round loop first ran, for every player.
+        game = random_game(len(counts), counts, seed=len(counts) + sum(counts))
+        rng = np.random.default_rng(10 * sum(counts) + len(counts))
+        for _ in range(50):
+            profile = [rng.dirichlet(np.ones(n) * rng.choice([0.2, 1.0, 5.0])) for n in counts]
+            for player in range(len(counts)):
+                want = matmul_contract(game, profile, player)
+                assert _contract(game, profile, player).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("counts", [(2, 7), (3, 3), (2, 3, 2), (3, 3, 3)])
     def test_expected_loss_is_check_plus_contract(self, counts):

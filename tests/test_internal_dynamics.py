@@ -43,6 +43,22 @@ class TestPairSpace:
         ell = rng.uniform(0, 1, n)
         assert np.abs(pair_loss_vector(x, ell)).max() <= 1.0
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (4, 2)])
+    def test_bitwise_equal_to_the_indexed_formula(self, n, lead):
+        # The matrix form adds exact products to zeros; a BLAS that summed otherwise, or
+        # let a zero's sign through, fails here. Ties and zeros come from a coarse grid.
+        rng = np.random.default_rng(100 * n + len(lead))
+        src = np.array([j for j, _ in ordered_pairs(n)])
+        dst = np.array([k for _, k in ordered_pairs(n)])
+        for _ in range(40):
+            x = rng.dirichlet(np.ones(n), size=lead)
+            x[rng.random(x.shape) < 0.1] = 0.0
+            ell = rng.uniform(-1.0, 1.0, (*lead, n))
+            ell[rng.random(ell.shape) < 0.5] = rng.choice([0.0, 0.25, 1.0, -0.5])
+            want = x[..., src] * (ell[..., dst] - ell[..., src])
+            assert pair_loss_vector(x, ell).tobytes() == want.tobytes()
+
     def test_transition_matrix_shape(self):
         p = np.full(6, 1.0 / 6)
         M = transition_from_pairs(p, 3)

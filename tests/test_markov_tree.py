@@ -132,6 +132,12 @@ class TestTreeTheorem:
             tree_theorem_stationary(Q)
 
     @pytest.mark.parametrize("solver", [tree_theorem_stationary, solve_stationary])
+    def test_rejects_empty_matrix(self, solver):
+        # An empty matrix has no minimum to take: the typed error comes first.
+        with pytest.raises(ValidationError, match=r"square, non-empty, got shape \(0, 0\)"):
+            solver(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("solver", [tree_theorem_stationary, solve_stationary])
     def test_rejects_huge_entries_without_overflow(self, solver):
         # Summing the first row would overflow; under the suite's warning filter an
         # overflow raises RuntimeWarning, so only a ValidationError passes here.
@@ -270,6 +276,11 @@ class TestGthPinned:
         pi = _gth_stationary(A)
         assert pi.shape == (members, n)
         assert pi.tobytes() == reference_gth(A).tobytes()
+        # Whole rows go in, and the diagonal is never read: a NaN there changes no bit.
+        A_nan = A.copy()
+        A_nan[:, range(n), range(n)] = np.nan
+        assert _gth_stationary(A_nan).tobytes() == pi.tobytes()
+        assert _gth_stationary(A_nan[0]).tobytes() == pi[0].tobytes()
         # The learners' solves: SL's from its pair masses, which are A's off-diagonal
         # rates with the diagonal dropped, and BM's from its copy matrix A.
         p = A[:, ~np.eye(n, dtype=bool)]
@@ -388,3 +399,26 @@ class TestTreeWeightsPinned:
             sums = reference_tree_weight_sums(check_transition_matrix(Q))
             digest.update((sums / sums.sum()).tobytes())
         assert digest.hexdigest() == TREE_GOLDEN_SHA256
+
+
+class TestTreeTheoremExact:
+    """The tree theorem's pi against the exact pi of its chain, entry by entry."""
+
+    @staticmethod
+    def worst_relative_error(Q):
+        exact = exact_gth(Q)
+        pi = tree_theorem_stationary(Q).tolist()
+        return max(abs(Fraction(x) - e) / e for x, e in zip(pi, exact))
+
+    def test_golden_chains_within_8_n_ulps(self):
+        for Q in tree_golden_chains():
+            assert self.worst_relative_error(Q) <= 8 * len(Q) * Fraction(2) ** -53
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_stiff_chains_within_8_n_ulps(self, n):
+        # Entries spanning 26 decades, down to e^-60 before the rows are normalised.
+        rng = np.random.default_rng(7000 + n)
+        for _ in range(10 if n < 7 else 3):
+            Q = np.exp(rng.uniform(-60.0, 0.0, (n, n)))
+            Q /= Q.sum(axis=1, keepdims=True)
+            assert self.worst_relative_error(Q) <= 8 * n * Fraction(2) ** -53

@@ -184,23 +184,30 @@ def _cmd_diagnose(args) -> int:
         config.variance_budget = DEFAULT_VARIANCE_BUDGET_CONSTANT
     result = run_dynamics(config)
     report = json.dumps(result.summary, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(report)
-    else:
+    # Both texts first, then the table, then the report: a failed write leaves nothing behind.
+    files = [(Path(args.table), _smoothness_table(result, config))] if args.table else []
+    files += [(Path(args.out), report)] if args.out else []
+    for k, (path, text) in enumerate(files):
+        new = not path.exists()  # a failed write of a new file can leave it created, cut short
+        try:
+            path.write_text(text)
+        except OSError:
+            for written in [p for p, _ in files[:k]] + [path] * new:
+                written.unlink(missing_ok=True)
+            raise
+    if not args.out:
         sys.stdout.write(report)
-    if args.table:
-        _write_smoothness_table(result, config, Path(args.table))
     return EXIT_OK
 
 
-def _write_smoothness_table(result, config, path) -> None:
+def _smoothness_table(result, config) -> str:
     lines = ["player,order,t,observed,bound"]
     for i in range(result.trace.num_players):
         rep = smoothness_report(result.trace, i, config.smoothness_order, config.smoothness_alpha)
         for h, observed in enumerate(rep.observed):
             for t, value in enumerate(observed):
                 lines.append(f"{i},{h},{t + 1},{float(value)!r},{float(rep.bounds[h])!r}")
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_gen(args) -> int:

@@ -1,14 +1,15 @@
-"""Numerical diagnostics for recorded runs.
-
-Covers four families of checks:
+"""Numerical diagnostics for recorded runs, each read from a player's
+:func:`~ce_dynamics.metrics.inner_stream` for every dynamics, by block of
+``REGRET_CHUNK_ROUNDS`` rounds; a caller that built the stream passes it as
+``stream``. Covers four families:
 
 * finite-difference tables of time-indexed vector sequences, with an
   independent binomial-form evaluation as a conditioning cross-check;
-* the higher-order smoothness certificate for pair-space self-play runs
-  (h-th differences of the pair losses against the bound alpha^h h^(3h+1));
+* the higher-order smoothness certificate (h-th differences of the inner
+  losses against the bound alpha^h h^(3h+1)), enforced for SL runs only;
 * variance-based regret accounting: the optimistic regret inequality with
   its positive/negative variance terms, and the variance budget inequality
-  that the adaptive learning-rate mode watches;
+  that the adaptive learning-rate mode watches, both from its :func:`running_variance_sums`;
 * multiplicative stability of consecutive inner distributions against
   exp(6 eta) and its linearized form 1 + 7 eta.
 """
@@ -16,12 +17,12 @@ Covers four families of checks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import RunTrace, running_max_ratio
+from .metrics import REGRET_CHUNK_ROUNDS, RunTrace, inner_stream, running_max_ratio
 
 # Smoothness certificate constants: the learning-rate threshold eta <=
 # alpha / (36 e^5 m) activates pass/fail mode; the looser alpha / (36 m) is
@@ -82,19 +83,29 @@ def variance(q, z):
     return float(out) if out.ndim == 0 else out
 
 
-def _pair_variance_sums(trace: RunTrace, player: int) -> tuple[float, float]:
-    """(sum_t Var_{p_t}(L_t - L_{t-1}), sum_t Var_{p_t}(L_{t-1})) with L_0 = 0."""
-    pt = trace.players[player]
-    if pt.pair_dists is None or pt.pair_losses is None:
-        raise ValidationError("variance inequality needs a pair-space trace")
-    L = pt.pair_losses
-    prev = np.concatenate([np.zeros_like(L[:1]), L[:-1]])
-    p = pt.pair_dists
-    return float(variance(p, L - prev).sum()), float(variance(p, prev).sum())
+def running_variance_sums(q, z, last=None, carry=(0.0, 0.0)):
+    """Running sums over rows and rounds of Var_q(z_t - z_{t-1}) and Var_q(z_{t-1}), (rounds,),
+    of a block (q, z) of an inner stream; ``last`` is the z before it (zero before round 1),
+    ``carry`` both sums through it, added to each first term before ``np.cumsum``: sequential."""
+    prev = np.concatenate([np.zeros_like(z[:1]) if last is None else last[None], z[:-1]])
+    lhs, prev_sum = variance(q, z - prev).sum(axis=-1), variance(q, prev).sum(axis=-1)
+    lhs[:1] += carry[0]
+    prev_sum[:1] += carry[1]
+    return np.cumsum(lhs, out=lhs), np.cumsum(prev_sum, out=prev_sum)
+
+
+def _variance_sums(q, z) -> tuple[float, float]:
+    """Both sums of :func:`running_variance_sums` over a whole inner stream, fed by block."""
+    sums, last = (0.0, 0.0), None
+    for s in range(0, len(z), REGRET_CHUNK_ROUNDS):
+        b = slice(s, s + REGRET_CHUNK_ROUNDS)
+        lhs, prev_sum = running_variance_sums(q[b], z[b], last, sums)
+        sums, last = (float(lhs[-1]), float(prev_sum[-1])), z[b][-1]
+    return sums
 
 
 def smoothness_bound(order: int, alpha: float) -> float:
-    """Certified ceiling for |D_h| of the pair losses: alpha^h h^(3h+1).
+    """Certified ceiling for |D_h| of SL's pair losses: alpha^h h^(3h+1).
 
     Order zero is the plain boundedness of the pair losses, so the ceiling
     there is 1 (the h^(3h+1) factor is read with the 0^0 = 1 convention at
@@ -110,10 +121,10 @@ class SmoothnessReport:
     max_order: int
     alpha: float
     eta: float
-    enforced: bool  # eta meets the strict precondition, so failures are real
+    enforced: bool  # an SL run whose eta meets the strict precondition: failures are real
     eta_threshold: float
     eta_threshold_loose: float
-    observed: list[np.ndarray]  # observed[h][t] = inf-norm of D_h pair loss at t
+    observed: list[np.ndarray]  # observed[h][t] = inf-norm of D_h inner loss at t
     bounds: np.ndarray  # bound per order
     failures: list[tuple[int, int]]  # (order, round) pairs above the bound
 
@@ -147,25 +158,29 @@ def resolve_smoothness_alpha(max_order: int, alpha: float | None = None) -> floa
 
 
 def smoothness_report(
-    trace: RunTrace, player: int, max_order: int, alpha: float | None = None
+    trace: RunTrace, player: int, max_order: int, alpha: float | None = None, stream=None
 ) -> SmoothnessReport:
-    """Check h-th differences of the recorded pair losses against the bound.
+    """Check h-th differences of the inner losses z of :func:`inner_stream` against the bound.
 
-    Requires a pair-space self-play trace. The check is enforced (failures
-    are certificate violations) only when the run's learning rate satisfies
-    eta <= alpha / (36 e^5 m); for larger rates the report is observational.
-    ``alpha`` defaults to 1/(H+3), its largest valid value.
+    Enforced (failures are certificate violations) only for an SL run, whose
+    pair losses the certificate is proved for, with eta <= alpha / (36 e^5 m);
+    otherwise the report is an observation. ``alpha`` defaults to 1/(H+3), its
+    largest valid value.
     """
-    pt = trace.players[player]
-    if pt.pair_losses is None:
-        raise ValidationError("smoothness check needs a pair-space trace with recorded pair losses")
     alpha = resolve_smoothness_alpha(max_order, alpha)
     eta = trace.etas[player]
     m = trace.num_players
     threshold = alpha / (SMOOTHNESS_ETA_DIVISOR * m)
     threshold_loose = alpha / (SMOOTHNESS_ETA_DIVISOR_LOOSE * m)
-    table = finite_differences(pt.pair_losses, max_order)
-    observed = [np.abs(d).max(axis=1) if d.size else np.zeros(0) for d in table]
+    z = (stream or inner_stream(trace, player))[1]
+    if max_order > len(z) - 1:
+        raise ValidationError(f"order {max_order} too large for horizon {len(z)}")
+    observed = [[] for _ in range(max_order + 1)]
+    for s in range(0, len(z), REGRET_CHUNK_ROUNDS):
+        window = z[s : s + REGRET_CHUNK_ROUNDS + max_order]
+        for h, d in enumerate(finite_differences(window, min(max_order, len(window) - 1))):
+            observed[h].append(np.abs(d[:REGRET_CHUNK_ROUNDS]).max(axis=(1, 2)))
+    observed = [np.concatenate(o) for o in observed]
     bounds = np.array([smoothness_bound(h, alpha) for h in range(max_order + 1)])
     failures = [
         (h, t)
@@ -176,7 +191,7 @@ def smoothness_report(
         max_order=max_order,
         alpha=alpha,
         eta=eta,
-        enforced=eta <= threshold,
+        enforced=trace.dynamics.startswith("sl") and eta <= threshold,
         eta_threshold=threshold,
         eta_threshold_loose=threshold_loose,
         observed=observed,
@@ -187,9 +202,9 @@ def smoothness_report(
 
 @dataclass
 class RvuReport:
-    """Both sides of the optimistic regret inequality on a pair-space trace."""
+    """Both sides of the optimistic regret inequality, summed over the inner learner's rows."""
 
-    regret: float  # measured pair-space external regret (LHS)
+    regret: float  # measured inner external regret (LHS)
     bound: float  # RHS with the dimension-correct log term
     bound_action_log: float  # RHS variant with log of the action count only
     log_term: float
@@ -210,20 +225,29 @@ class RvuReport:
         return {**{k: v if math.isfinite(v) else None for k, v in sides.items()}, "holds": self.holds}
 
 
-def rvu_check(trace: RunTrace, player: int, eta: float, curvature_constant: float) -> RvuReport:
-    """Evaluate the regret-vs-variance inequality for the pair-space learner.
+def rvu_check(
+    trace: RunTrace, player: int, eta: float, curvature_constant: float, stream=None
+) -> RvuReport:
+    """Evaluate the regret-vs-variance inequality for the inner stream's rows, summed.
 
-    LHS: realized pair-space regret against the best fixed pair. RHS:
-    2 log(d)/eta plus (eta/2 + C eta^2) times the summed variance of loss
-    differences, minus (1 - C eta) eta / 2 times the summed variance of the
-    previous losses. The log term uses the pair-space dimension d = n(n-1);
-    the variant with log(n) is reported alongside.
+    A row is one learner on d points: SL's pair learner, d = n(n-1); one of BM's
+    n copies, d = n; arbo's tree learner, d = n^(n-1); else the learner, d = n.
+    LHS: their realized external regret. RHS: rows 2 log(d)/eta plus (eta/2 + C
+    eta^2) times the summed variance of loss differences, minus (1 - C eta) eta/2
+    times that of the previous losses; a variant with log(n) is reported alongside.
     """
-    pos_sum, neg_sum = _pair_variance_sums(trace, player)
-    pt = trace.players[player]
-    n = trace.action_counts[player]
-    regret = float((pt.pair_dists * pt.pair_losses).sum()) - float(pt.pair_losses.sum(axis=0).min())
-    log_term = 2.0 * math.log(n * (n - 1)) / eta
+    q, z = stream or inner_stream(trace, player)
+    pos_sum, neg_sum = _variance_sums(q, z)
+    # Each row's regret, max_k sum_t (<q_t, z_t> - z_t[k]): one sequential sum per k.
+    gains = np.zeros(q.shape[1:])
+    for s in range(0, len(z), REGRET_CHUNK_ROUNDS):
+        b = slice(s, s + REGRET_CHUNK_ROUNDS)
+        block = (q[b] * z[b]).sum(axis=-1, keepdims=True) - z[b]
+        block[0] += gains
+        gains = np.cumsum(block, axis=0)[-1]
+    regret = float(gains.max(axis=-1).sum())
+    (rows, dim), n = q.shape[1:], trace.action_counts[player]
+    log_term = rows * 2.0 * math.log(dim) / eta
     try:
         curvature = curvature_constant * eta**2
     except OverflowError:  # eta^2 is past the largest float; C * eta * eta fits or is +-inf
@@ -233,7 +257,7 @@ def rvu_check(trace: RunTrace, player: int, eta: float, curvature_constant: floa
     pos_term = pos_coeff * pos_sum if pos_sum else 0.0  # 0, not inf * 0 = NaN, for a zero sum
     neg_term = neg_coeff * neg_sum if neg_sum else 0.0
     bound = log_term + pos_term - neg_term
-    bound_action = 2.0 * math.log(n) / eta + pos_term - neg_term
+    bound_action = rows * 2.0 * math.log(n) / eta + pos_term - neg_term
     return RvuReport(
         regret=regret,
         bound=bound,
@@ -253,9 +277,9 @@ def budget_depth(horizon: int) -> int:
 class VarianceBudgetReport:
     """The variance budget inequality watched by the adaptive-rate mode.
 
-    lhs = sum_t Var_{p_t}(L_t - L_{t-1}) must stay below half the summed
-    variance of the previous losses plus budget_constant * H^5, with
-    H = ceil(log2 T).
+    lhs = sum_t Var_{q_t}(z_t - z_{t-1}) of the inner stream must stay below
+    half the summed variance of the previous losses plus budget_constant * H^5,
+    with H = ceil(log2 T).
     """
 
     lhs: float
@@ -273,22 +297,16 @@ class VarianceBudgetReport:
         return self.lhs <= self.bound
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "prev_variance_sum": self.prev_variance_sum,
-            "depth": self.depth,
-            "budget_constant": self.budget_constant,
-            "minimal_constant": self.minimal_constant,
-            "holds": self.holds,
-        }
+        return {**asdict(self), "holds": self.holds}
 
 
 def check_variance_inequality(
     trace: RunTrace,
     player: int,
     budget_constant: float = DEFAULT_VARIANCE_BUDGET_CONSTANT,
+    stream=None,
 ) -> VarianceBudgetReport:
-    lhs, prev_sum = _pair_variance_sums(trace, player)
+    lhs, prev_sum = _variance_sums(*(stream or inner_stream(trace, player)))
     depth = budget_depth(trace.horizon)
     minimal = max(0.0, (lhs - 0.5 * prev_sum) / depth**5)
     return VarianceBudgetReport(
@@ -319,13 +337,9 @@ class StabilityReport:
         return self.max_ratio <= self.linear_bound
 
     def to_dict(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "exp_bound": self.exp_bound,
-            "linear_bound": self.linear_bound,
-            "within_exp_bound": self.within_exp_bound,
-            "within_linear_bound": self.within_linear_bound,
-        }
+        within = {"within_exp_bound": self.within_exp_bound,
+                  "within_linear_bound": self.within_linear_bound}
+        return {**asdict(self), **within}
 
 
 def stability_check(trace: RunTrace, player: int) -> StabilityReport:

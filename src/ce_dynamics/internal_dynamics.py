@@ -95,6 +95,9 @@ class SlOmwu(Composite):
     rates in row-major order: what GTH elimination reads, with no matrix built.
     """
 
+    trace_field = "pair_dists"
+    inner_losses = staticmethod(pair_loss_vector)
+
     def __init__(self, n: int, eta: float, optimistic: bool = True):
         if n < 2:
             raise ValidationError(f"need at least 2 actions, got {n}")
@@ -112,9 +115,6 @@ class SlOmwu(Composite):
 
     def observe(self, loss) -> None:
         self._update(self._checked(loss))
-
-    def _update(self, loss: np.ndarray) -> None:
-        self.learner._update(pair_loss_vector(self.last_strategy, loss))
 
 
 @lru_cache(maxsize=None)
@@ -143,6 +143,8 @@ class ArboDynamics(Composite):
     the pair losses. Guarded to n <= 5.
     """
 
+    trace_field = "tree_dists"
+
     def __init__(self, n: int, eta: float, optimistic: bool = True):
         if not 2 <= n <= MAX_ARBO_NODES:
             raise ValidationError(
@@ -163,9 +165,11 @@ class ArboDynamics(Composite):
     def observe(self, loss) -> None:
         self._update(self._checked(loss))
 
-    def _update(self, loss: np.ndarray) -> None:
-        L = pair_loss_vector(self.last_strategy, loss)
-        self.learner._update(np.add.reduce(L.take(self.edge_pairs, axis=-1), axis=-1))
+    @staticmethod
+    def inner_losses(x: np.ndarray, loss: np.ndarray) -> np.ndarray:
+        """Each tree's loss, the sum of its edges' pair losses, over any leading axes."""
+        edge_pairs = _tree_structure(x.shape[-1])[1]
+        return np.add.reduce(pair_loss_vector(x, loss).take(edge_pairs, axis=-1), axis=-1)
 
 
 @dataclass

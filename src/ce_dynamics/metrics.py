@@ -1,10 +1,10 @@
 """Regret accounting and correlated-equilibrium gaps over recorded runs.
 
 A :class:`RunTrace` stores everything a run produced, per player and round:
-strategies, expected-loss vectors, and (when the dynamics expose them) the
-inner pair or per-copy distributions used by the stability and variance
-diagnostics. Traces serialize to ``.npz`` with bit-exact float64 arrays, so
-every regret recomputes identically from a reloaded trace.
+strategies, expected-loss vectors, and (for SL, BM and arbo) the inner distributions,
+plus SL's pair losses; :func:`inner_stream` reads a run's inner stream from them. Traces
+serialize to ``.npz`` with bit-exact float64 arrays, so every regret recomputes
+identically from a reloaded trace.
 
 Every regret reads one running sum of small per-round terms,
 P[j, k] = sum_t x_t[j] (loss_t[j] - loss_t[k]), kept by :func:`_running_pair_sums`,
@@ -35,16 +35,6 @@ class PlayerTrace:
     pair_losses: np.ndarray | None = None  # (T, n(n-1))
     copy_dists: np.ndarray | None = None  # (T, n, n) for swap-dynamics runs
     tree_dists: np.ndarray | None = None  # (T, n^(n-1)) for tree-space runs
-
-    def stability_rows(self) -> np.ndarray:
-        """Inner distributions as a (T, rows, dim) stack for ratio checks."""
-        if self.pair_dists is not None:
-            return self.pair_dists[:, None, :]
-        if self.copy_dists is not None:
-            return self.copy_dists
-        if self.tree_dists is not None:
-            return self.tree_dists[:, None, :]
-        return self.strategies[:, None, :]
 
 
 @dataclass
@@ -134,19 +124,42 @@ def running_regrets(trace: RunTrace, player: int) -> tuple[np.ndarray, np.ndarra
     return out[0], out[1], out[2]
 
 
+def _inner_dists(trace: RunTrace, player: int, rounds: slice):
+    """A player's recorded inner distributions over ``rounds``, (rounds, rows, dim), and the
+    learner class that recorded them: the dynamics', or ``Omwu``'s for an unknown name."""
+    from .runner import _LEARNERS  # runner imports this module
+
+    cls = _LEARNERS.get(trace.dynamics.split("-")[0], _LEARNERS["omwu"])
+    q = getattr(trace.players[player], getattr(cls, "trace_field", "strategies"))[rounds]
+    return (q[:, None] if q.ndim == 2 else q), cls
+
+
+def inner_stream(trace: RunTrace, player: int, rounds: slice = slice(None)):
+    """A player's inner stream over ``rounds``: (q, z), each (rounds, rows, dim). q is the
+    recorded inner distribution, the strategy for ``omwu``/``mwu``; z is the dynamics'
+    ``inner_losses`` of the recorded strategies and losses, the bits its learner saw, built
+    by block: arbo's (rounds, trees, n - 1) edge stack is one block's."""
+    (q, cls), pt = _inner_dists(trace, player, rounds), trace.players[player]
+    x, loss, z = pt.strategies[rounds], pt.losses[rounds], np.empty(q.shape)
+    for s in range(0, len(z), REGRET_CHUNK_ROUNDS):
+        b = slice(s, s + REGRET_CHUNK_ROUNDS)
+        z[b] = cls.inner_losses(x[b], loss[b]).reshape(z[b].shape)
+    return q, z
+
+
 def running_max_ratio(trace: RunTrace, player: int, restart: int | None = None) -> np.ndarray:
     """Running max of the two-sided consecutive ratio of the inner distributions, (T,).
 
-    Round t contributes max(rows_t / rows_{t-1}, rows_{t-1} / rows_t) over all
-    entries; round 1 contributes 1. ``restart`` is the round after which the
-    learner was reset, so the next round starts a new chain and contributes 1.
+    Round t contributes max(q_t / q_{t-1}, q_{t-1} / q_t) over all entries of
+    :func:`inner_stream`'s q, read without computing z; round 1 contributes 1. ``restart`` is the
+    round after which the learner was reset, so the next round starts a chain and contributes 1.
     """
-    rows = trace.players[player].stability_rows()
-    T, chunk = rows.shape[0], REGRET_CHUNK_ROUNDS
+    T, chunk = trace.horizon, REGRET_CHUNK_ROUNDS
     per_round = np.ones(T)
     for s in range(1, T, chunk):
         e = min(s + chunk, T)
-        ratio = rows[s:e] / rows[s - 1 : e - 1]
+        rows = _inner_dists(trace, player, slice(s - 1, e))[0]
+        ratio = rows[1:] / rows[:-1]
         per_round[s:e] = np.maximum(ratio.max(axis=(1, 2)), (1.0 / ratio).max(axis=(1, 2)))
     if restart is not None and restart < T:
         per_round[restart] = 1.0

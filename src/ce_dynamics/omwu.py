@@ -44,7 +44,7 @@ class Omwu:
     Every learner in the package exposes its inner learner's view through
     ``inner_dim``, ``inner_dist`` (the last played inner distribution) and
     ``inner_loss`` (the last observed inner loss), both (*members, rows,
-    inner_dim). Here the inner learners are the rows of the state.
+    inner_dim). Here the inner learners are the rows of the state, fed the loss as is.
     """
 
     def __init__(self, dim: int | tuple[int, int], eta, optimistic: bool = True):
@@ -62,6 +62,7 @@ class Omwu:
     inner_dim = property(lambda self: self.dim)
     inner_dist = property(lambda self: self.last_strategy.reshape(*self.members, -1, self.dim))
     inner_loss = property(lambda self: self.last_loss.reshape(*self.members, -1, self.dim))
+    inner_losses = staticmethod(lambda x, loss: loss)
 
     def next_strategy(self) -> np.ndarray:
         """Current iterate: softmax of -eta * (cumulative + predicted) losses."""
@@ -113,11 +114,11 @@ class Omwu:
 class Composite:
     """An :class:`Omwu` ``learner`` composed with a map to a strategy on n actions.
 
-    Subclasses define ``next_strategy``, ``_update`` (action-space loss to
-    ``learner._update``) and ``observe`` as ``self._update(self._checked(loss))``,
-    each public method in its own body so it can be wrapped on the class; a
-    stationary solve's ``_next_strategy`` skips its residual gate.
-    ``loss_low`` is the floor of the accepted action-space loss range.
+    Subclasses define ``next_strategy``, ``observe`` as ``self._update(self._checked(loss))``,
+    each public method in its own body so it can be wrapped on the class, and
+    the static ``inner_losses(x, loss)`` (the learner's loss, any leading axes);
+    a stationary solve's ``_next_strategy`` skips its residual gate. ``trace_field``
+    is the trace record of the inner distribution, ``loss_low`` the loss floor.
     """
 
     loss_low = -1.0
@@ -148,6 +149,9 @@ class Composite:
                 f"loss entries must lie in [{self.loss_low:g}, 1], got range [{low}, {high}]"
             )
         return loss
+
+    def _update(self, loss: np.ndarray) -> None:
+        self.learner._update(self.inner_losses(self.last_strategy, loss))
 
     def reset(self, eta=None, member: int | None = None) -> None:
         self.learner.reset(eta, member)

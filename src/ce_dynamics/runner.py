@@ -8,7 +8,7 @@ round plays, updates and writes the trace once per group; each player's loss is
 loop only plays, on operands bound once per run: SL and BM play their unchecked
 stationary solve (``_next_strategy``) and feedback goes through the unchecked
 ``_update``. Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS``
-rounds from the trace; at a block's first breach the learners are restored to
+inner-stream rounds of the trace; at a block's first breach the learners are restored to
 the block's start (snapshotted only for controllers) and replayed up to that
 round, where each breaching player's member is reset alone. After the loop, one
 pass gates every recorded stationary solve by its residual, keeping each
@@ -44,10 +44,10 @@ from .diagnostics import (
     budget_depth,
     check_variance_inequality,
     resolve_smoothness_alpha,
+    running_variance_sums,
     rvu_check,
     smoothness_report,
     stability_check,
-    variance,
 )
 from .errors import StationaryResidualError, ValidationError
 # expected_loss stays bound here: perfbench's smoke test reads runner.expected_loss.
@@ -60,6 +60,7 @@ from .metrics import (
     RunTrace,
     average_product_distribution,
     ce_gap,
+    inner_stream,
     running_max_ratio,
     running_regrets,
 )
@@ -180,8 +181,8 @@ class AdaptiveEtaController:
     """Permanent one-way switch to the robust rate on a variance-budget breach.
 
     Tracks, per inner stream, the running sums of Var_q(z_t - z_{t-1}) and
-    Var_q(z_{t-1}); a round where the first exceeds half the second plus
-    budget_constant * ceil(log2 T)^5 triggers the switch.
+    Var_q(z_{t-1}) (:func:`running_variance_sums`); a round where the first
+    exceeds half the second plus budget_constant * ceil(log2 T)^5 switches.
 
     :meth:`scan` finds a block of rounds' first breach and folds nothing in;
     :meth:`advance` folds the block in up to a round. :meth:`update` is the
@@ -203,20 +204,9 @@ class AdaptiveEtaController:
         return self.switch_round is not None
 
     def scan(self, first_round: int, q: np.ndarray, z: np.ndarray) -> int | None:
-        """The first round of a block of inner feedback, (rounds, ..., dim), to breach; or None.
-
-        The carry is folded into each sum's first term before ``np.cumsum``, so
-        the running sums are those of adding round by round.
-        """
-        prev = np.concatenate(
-            [np.zeros_like(z[:1]) if self._prev_rows is None else self._prev_rows[None], z[:-1]]
-        )
-        lhs = variance(q, z - prev).reshape(len(q), -1).sum(axis=-1)
-        prev_sum = variance(q, prev).reshape(len(q), -1).sum(axis=-1)
-        lhs[0] += self.lhs
-        prev_sum[0] += self.prev_variance_sum
-        np.cumsum(lhs, out=lhs)
-        np.cumsum(prev_sum, out=prev_sum)
+        """The first round of a block of inner feedback, (rounds, rows, dim), to breach; or None."""
+        carry = self.lhs, self.prev_variance_sum
+        lhs, prev_sum = running_variance_sums(q, z, self._prev_rows, carry)
         self._block = first_round, lhs, prev_sum, z
         breach = np.flatnonzero(lhs > 0.5 * prev_sum + self.allowance)
         return first_round + int(breach[0]) if breach.size else None
@@ -245,12 +235,6 @@ _LEARNERS = {"omwu": Omwu, "mwu": Omwu, "sl": SlOmwu, "bm": BmOmwu, "arbo": Arbo
 def _build_dynamics(name: str, n: int, eta):
     optimistic = name != "mwu" and not name.endswith("-mwu")
     return _LEARNERS[name.split("-")[0]](n, eta, optimistic=optimistic)
-
-
-# Trace fields shaped like a member's inner state: the inner distribution, then SL's pair losses.
-_INNER_TRACE_FIELDS = {
-    "sl": ("pair_dists", "pair_losses"), "bm": ("copy_dists",), "arbo": ("tree_dists",)
-}
 
 
 @dataclass
@@ -317,24 +301,22 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     ] if config.eta_rule == "adaptive" else None
 
     family = config.dynamics.split("-")[0]
-    inner_fields = _INNER_TRACE_FIELDS.get(family, ())
-    # The controllers read their inner stream (q, z) from the trace; the inner losses it
-    # lacks (BM's x[g] * loss, arbo's tree losses) are held for one block at a time.
-    q_field, z_field = (*inner_fields, None)[:2] if inner_fields else ("strategies", "losses")
-    # Each trace array is (members, T, ...), so a player's field is a contiguous slice. The
-    # round loop's operands are bound once per group: its learner, trace arrays (None where the
-    # run records no inner distribution or pair losses), held block and players to contract.
-    records, held, writes, feeds = [], [], [], []
+    field = getattr(dyns[0], "trace_field", None)  # the inner distribution's trace record
+    # Each trace array is (members, T, ...), so a player's field is a contiguous slice; the trace
+    # is built on them before play, for the controllers. The round loop's operands are bound
+    # once per group: its learner, trace arrays (None for no inner record), players to contract.
+    records, writes, feeds = [], [], []
     for group, dyn in zip(groups, dyns):
         learner = getattr(dyn, "learner", dyn)
-        n, inner = counts[group[0]], learner.shape[1:]
-        shapes = {"strategies": (n,), "losses": (n,), **dict.fromkeys(inner_fields, inner)}
+        shapes = dict.fromkeys(("strategies", "losses"), (counts[group[0]],))
+        shapes.update({field: learner.shape[1:]} if field else {})
         records.append(rec := {k: np.empty((len(group), T, *s)) for k, s in shapes.items()})
-        holds = controllers is not None and z_field is None
-        held.append(kept := np.empty((len(group), REGRET_CHUNK_ROUNDS, *inner)) if holds else None)
-        writes.append((learner, rec["strategies"], rec.get((*inner_fields, None)[0]), rec["losses"],
+        writes.append((learner, rec["strategies"], rec.get(field), rec["losses"],
                        list(enumerate(group))))
-        feeds.append((dyn._update, learner, rec["losses"], rec.get("pair_losses"), kept))
+        feeds.append((dyn._update, rec["losses"]))
+    players = [PlayerTrace(**{k: v[b] for k, v in records[g].items()}) for _, g, b in slots]
+    trace = RunTrace(horizon=T, dynamics=config.dynamics, action_counts=counts,
+                     etas=tuple(etas), players=players)
     # SL and BM play their unchecked stationary solve; the gate runs once, after the loop.
     solves = family in ("sl", "bm")
     steps = [dyn._next_strategy if solves else dyn.next_strategy for dyn in dyns]
@@ -351,12 +333,8 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
                 for b, i in members:
                     losses[b, t] = _contract(game, profile, i)
 
-            for update, learner, losses, pair_losses, kept in feeds:
+            for update, losses in feeds:
                 update(losses[:, t])
-                if pair_losses is not None:
-                    pair_losses[:, t] = learner.last_loss
-                if kept is not None:
-                    kept[:, t - rounds.start] = learner.last_loss
 
     done = 0  # rounds played so far
     while done < T:
@@ -370,11 +348,9 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
             continue
         breaches = {}  # player -> round of the first breach in the block, or None
         rounds = slice(block.start, done)
-        for i, g, b in slots:
-            if not controllers[i].switched:
-                q = records[g][q_field][b, rounds]
-                z = records[g][z_field][b, rounds] if z_field else held[g][b, : len(block)]
-                breaches[i] = controllers[i].scan(block.start + 1, q, z)
+        for i, controller in enumerate(controllers):
+            if not controller.switched:
+                breaches[i] = controller.scan(block.start + 1, *inner_stream(trace, i, rounds))
         done = min((r for r in breaches.values() if r is not None), default=done)
         if done < block.stop:  # replay the block from its start up to the first switch
             for obj, attrs in start:
@@ -386,13 +362,9 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
                 if breaches[i] == done:
                     dyns[g].reset(controllers[i].eta_adversarial, b)
 
-    trace = RunTrace(
-        horizon=T,
-        dynamics=config.dynamics,
-        action_counts=counts,
-        etas=tuple(etas),
-        players=[PlayerTrace(**{k: v[b] for k, v in records[g].items()}) for _, g, b in slots],
-    )
+    if family == "sl":  # the pair losses the learners were fed: the inner stream's z
+        for i, p in enumerate(players):
+            p.pair_losses = inner_stream(trace, i)[1][:, 0]
     residuals = _check_stationary_solves(trace, family == "bm") if solves else None
     for i, p in enumerate(trace.players):  # the one simplex check of the run's strategies
         bad = np.flatnonzero(~is_distribution(p.strategies))
@@ -486,23 +458,22 @@ def _summarize(config: RunConfig, play: Play, final: np.ndarray) -> dict:
             for p in trace.players
         )
 
-    def each(check, *args):
-        return [check(trace, i, *args).to_dict() for i in range(m)]
-
     diagnostics = summary["diagnostics"]
     if all(r is None for r in switch_rounds):
-        diagnostics["stability"] = each(stability_check)
-    if trace.players[0].pair_dists is not None:  # the pair-space diagnostics
-        if config.smoothness_order is not None:
-            diagnostics["smoothness"] = each(
-                smoothness_report, config.smoothness_order, config.smoothness_alpha
-            )
-        if config.rvu_constant is not None:
-            diagnostics["rvu"] = [
-                rvu_check(trace, i, trace.etas[i], config.rvu_constant).to_dict() for i in range(m)
-            ]
-        if config.variance_budget is not None:
-            diagnostics["variance_check"] = each(check_variance_inequality, config.variance_budget)
+        diagnostics["stability"] = [stability_check(trace, i).to_dict() for i in range(m)]
+    order, rvu, budget = config.smoothness_order, config.rvu_constant, config.variance_budget
+    for i in range(m if {order, rvu, budget} != {None} else 0):
+        stream = inner_stream(trace, i)  # each player's, built once for the reports that read it
+        if order is not None:
+            rep = smoothness_report(trace, i, order, config.smoothness_alpha, stream)
+            diagnostics.setdefault("smoothness", []).append(rep.to_dict())
+        if rvu is not None:
+            rep = rvu_check(trace, i, trace.etas[i], rvu, stream)
+            diagnostics.setdefault("rvu", []).append(rep.to_dict())
+        if budget is not None:
+            rep = check_variance_inequality(trace, i, budget, stream)
+            diagnostics.setdefault("variance_check", []).append(rep.to_dict())
+        del stream  # freed before the next player's is built
     return summary
 
 

@@ -22,7 +22,7 @@ from .omwu import Composite, Omwu
 class BmOmwu(Composite):
     """One player's swap-regret state: the (n, n) copy learner plus the fixed point."""
 
-    loss_low = 0.0
+    loss_low, trace_field = 0.0, "copy_dists"
 
     def __init__(self, n: int, eta: float, optimistic: bool = True):
         if n < 2:
@@ -45,8 +45,10 @@ class BmOmwu(Composite):
     def observe(self, loss) -> None:
         self._update(self._checked(loss))
 
-    def _update(self, loss: np.ndarray) -> None:
-        self.learner._update(self.last_strategy[..., :, None] * loss[..., None, :])
+    @staticmethod
+    def inner_losses(x: np.ndarray, loss: np.ndarray) -> np.ndarray:
+        """Copy g's loss x[g] * loss, over any leading axes."""
+        return x[..., :, None] * loss[..., None, :]
 
     def loss_decomposition_residual(self, loss) -> float:
         """The last round's residual, the worst member's, by :func:`decomposition_residuals`."""

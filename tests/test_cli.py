@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,3 +388,67 @@ def test_diagnose_command(game_file, tmp_path, capsys):
 
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("dynamics", ["bm-omwu", "arbo", "omwu"])
+def test_run_emits_every_requested_report_for_every_dynamics(game_file, tmp_path, capsys, dynamics):
+    out = tmp_path / "run"
+    argv = ["run", "--game", game_file, "--dynamics", dynamics, "--horizon", "32", "--eta", "1e-6",
+            "--rvu-constant", "64", "--variance-budget", "165262", "--smoothness-order", "3",
+            "--out", str(out)]
+    assert main(argv) == 0
+    diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
+    assert {"rvu", "variance_check", "smoothness"} <= set(diagnostics)
+    assert all(len(diagnostics[k]) == 2 for k in ("rvu", "variance_check", "smoothness"))
+    # eta is far below the strict threshold, but the certificate is proved for SL only.
+    assert [r["enforced"] for r in diagnostics["smoothness"]] == [False, False]
+
+
+@pytest.mark.parametrize("dynamics", ["omwu", "bm-omwu", "arbo"])
+def test_diagnose_table_for_every_dynamics(game_file, tmp_path, capsys, dynamics):
+    table = tmp_path / "table.csv"
+    argv = ["diagnose", "--game", game_file, "--dynamics", dynamics, "--horizon", "16",
+            "--eta", "0.05", "--table", str(table)]
+    assert main(argv) == 0
+    assert "smoothness" in json.loads(capsys.readouterr().out)["diagnostics"]
+    # Two players, orders 0..3 over 16 rounds: 16 + 15 + 14 + 13 rows each.
+    assert len(table.read_text().splitlines()) == 1 + 2 * 58
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_diagnose_table_that_cannot_be_written_leaves_nothing(game_file, tmp_path, capsys, to_file):
+    argv = ["diagnose", "--game", game_file, "--horizon", "16", "--eta", "0.05",
+            "--table", str(tmp_path / "missing" / "t.csv")]
+    if to_file:
+        argv += ["--out", str(tmp_path / "rep.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("validation error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["game.json"]
+
+
+def test_diagnose_report_that_cannot_be_written_removes_the_table(game_file, tmp_path, capsys):
+    argv = ["diagnose", "--game", game_file, "--horizon", "16", "--eta", "0.05",
+            "--table", str(tmp_path / "t.csv"), "--out", str(tmp_path / "missing" / "rep.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("validation error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["game.json"]
+
+
+@pytest.mark.parametrize("fail_on", ["t.csv", "rep.json"])
+def test_diagnose_write_that_fails_midway_leaves_nothing(game_file, tmp_path, monkeypatch, fail_on):
+    """A write that creates its file and then fails (a full disk) leaves no file behind."""
+    write_text = Path.write_text
+
+    def cut_short(path, text, *args, **kwargs):
+        if path.name == fail_on:
+            write_text(path, text[:10])
+            raise OSError(28, "No space left on device")
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", cut_short)
+    argv = ["diagnose", "--game", game_file, "--horizon", "16", "--eta", "0.05",
+            "--table", str(tmp_path / "t.csv"), "--out", str(tmp_path / "rep.json")]
+    assert main(argv) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["game.json"]

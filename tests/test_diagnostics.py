@@ -11,6 +11,7 @@ from ce_dynamics.diagnostics import (
     budget_depth,
     check_variance_inequality,
     finite_differences,
+    running_variance_sums,
     rvu_check,
     smoothness_bound,
     smoothness_report,
@@ -18,9 +19,11 @@ from ce_dynamics.diagnostics import (
     variance,
 )
 from ce_dynamics.errors import ValidationError
+from ce_dynamics import runner
 from ce_dynamics.games import Game, random_game
-from ce_dynamics.metrics import PlayerTrace, RunTrace
-from ce_dynamics.runner import RunConfig, run_dynamics
+from ce_dynamics.internal_dynamics import ArboDynamics
+from ce_dynamics.metrics import PlayerTrace, RunTrace, inner_stream, running_max_ratio
+from ce_dynamics.runner import DYNAMICS, AdaptiveEtaController, RunConfig, run_dynamics
 
 
 def sl_trace(game, eta, T, seed=0):
@@ -307,3 +310,130 @@ class TestStability:
             report = stability_check(trace, i)
             assert report.within_exp_bound
             assert report.within_linear_bound
+
+
+def ragged_run(dynamics, counts, horizon=300, eta=0.05):
+    config = RunConfig(dynamics=dynamics, horizon=horizon, eta=eta, players=len(counts),
+                       action_counts=counts, game_seed=3)
+    return run_dynamics(config)
+
+
+COUNTS = pytest.mark.parametrize("counts", [(3, 3), (3, 4, 3)], ids=["3x3", "3x4x3"])
+
+
+class TestInnerStream:
+    """Every dynamics has one inner stream (q, z); the controller and every diagnostic read it."""
+
+    @COUNTS
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_stream_is_what_each_learner_played_and_was_fed(self, dynamics, counts):
+        trace = ragged_run(dynamics, counts, horizon=40).trace
+        for i, n in enumerate(counts):
+            q, z = inner_stream(trace, i)
+            dyn = runner._build_dynamics(dynamics, n, trace.etas[i])
+            step = getattr(dyn, "_next_strategy", dyn.next_strategy)
+            for t in range(trace.horizon):
+                step()
+                dyn._update(trace.players[i].losses[t])
+                assert q[t].tobytes() == dyn.inner_dist.tobytes()
+                assert z[t].tobytes() == dyn.inner_loss.tobytes()
+
+    @COUNTS
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_variance_report_sums_are_the_controllers(self, dynamics, counts):
+        # The controller takes the stream in 100-round blocks; the reports add it in their own.
+        trace = ragged_run(dynamics, counts).trace
+        for i in range(len(counts)):
+            ctl = AdaptiveEtaController(trace.horizon, 2, 0.0)
+            for s in range(0, trace.horizon, 100):
+                rounds = slice(s, min(s + 100, trace.horizon))
+                ctl.scan(s + 1, *inner_stream(trace, i, rounds))
+                ctl.advance(rounds.stop)
+            want = (ctl.lhs, ctl.prev_variance_sum)
+            budget = check_variance_inequality(trace, i)
+            rvu = rvu_check(trace, i, eta=0.05, curvature_constant=64.0)
+            assert (budget.lhs, budget.prev_variance_sum) == want
+            assert (rvu.positive_variance_sum, rvu.negative_variance_sum) == want
+            assert want[0] > 0.0 and want[1] > 0.0
+
+    @pytest.mark.parametrize(
+        "dynamics, column",
+        [("sl-omwu", "internal_regret_raw"), ("sl-mwu", "internal_regret_raw"),
+         ("bm-omwu", "swap_regret"), ("bm-mwu", "swap_regret"),
+         ("omwu", "external_regret"), ("mwu", "external_regret")],
+    )
+    def test_rvu_left_side_is_the_runs_regret(self, dynamics, column):
+        # Through the stationary identity for SL and the fixed point for BM, summed over copies.
+        result = ragged_run(dynamics, (3, 4, 3), horizon=1024)
+        for i in range(3):
+            report = rvu_check(result.trace, i, eta=0.05, curvature_constant=64.0)
+            assert abs(report.regret - result.summary["final"][column][i]) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "dynamics, rows, dim", [("sl-omwu", 1, 12), ("bm-omwu", 4, 4), ("arbo", 1, 64), ("omwu", 1, 4)]
+    )
+    def test_rvu_log_term_counts_rows_and_inner_dimension(self, dynamics, rows, dim):
+        trace = ragged_run(dynamics, (4, 4), horizon=16).trace
+        report = rvu_check(trace, 0, eta=0.05, curvature_constant=64.0)
+        assert report.log_term == rows * 2.0 * math.log(dim) / 0.05
+        assert report.bound_action_log - report.bound == pytest.approx(
+            rows * 2.0 * (math.log(4) - math.log(dim)) / 0.05, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_smoothness_is_enforced_for_sl_only(self, dynamics):
+        # Far below the strict threshold: only an SL run's certificate is enforced.
+        trace = ragged_run(dynamics, (3, 3), horizon=16, eta=1e-6).trace
+        report = smoothness_report(trace, 0, max_order=3)
+        assert report.enforced is dynamics.startswith("sl")
+        assert [len(o) for o in report.observed] == [16, 15, 14, 13]
+        z = inner_stream(trace, 0)[1]
+        assert report.observed[1].tolist() == np.abs(z[1:] - z[:-1]).max(axis=(1, 2)).tolist()
+
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    @pytest.mark.parametrize("horizon, order", [(600, 3), (300, 40), (260, 10), (5, 4)])
+    def test_reports_by_block_give_the_whole_stream_bits(self, dynamics, horizon, order):
+        # The reports read the stream by block; one pass over the whole stream gives the same bits.
+        trace = ragged_run(dynamics, (3, 3), horizon=horizon).trace
+        q, z = inner_stream(trace, 0)
+        smooth = smoothness_report(trace, 0, max_order=order, alpha=1e-3)
+        for got, d in zip(smooth.observed, finite_differences(z, order), strict=True):
+            assert got.tobytes() == np.abs(d).max(axis=(1, 2)).tobytes()
+        lhs, prev_sum = (s[-1] for s in running_variance_sums(q, z))
+        budget = check_variance_inequality(trace, 0)
+        assert (budget.lhs, budget.prev_variance_sum) == (lhs, prev_sum)
+        gains = np.cumsum((q * z).sum(axis=-1, keepdims=True) - z, axis=0)[-1]
+        rvu = rvu_check(trace, 0, eta=0.05, curvature_constant=64.0)
+        assert rvu.regret == float(gains.max(axis=-1).sum())
+
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu", "arbo", "omwu"])
+    def test_reports_take_the_stream_their_caller_built(self, dynamics):
+        trace = ragged_run(dynamics, (3, 4, 3), horizon=40).trace
+        for i in range(3):
+            stream = inner_stream(trace, i)
+            pairs = [(smoothness_report(trace, i, 2), smoothness_report(trace, i, 2, None, stream)),
+                     (rvu_check(trace, i, 0.05, 64.0), rvu_check(trace, i, 0.05, 64.0, stream)),
+                     (check_variance_inequality(trace, i),
+                      check_variance_inequality(trace, i, stream=stream))]
+            for own, given_stream in pairs:
+                assert own.to_dict() == given_stream.to_dict()
+
+    def test_summary_builds_each_players_stream_once(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(runner, "inner_stream", lambda *a: built.append(a) or inner_stream(*a))
+        config = RunConfig(dynamics="arbo", horizon=40, eta=0.05, players=3,
+                           action_counts=(3, 4, 3), smoothness_order=3, rvu_constant=64.0,
+                           variance_budget=1.0)
+        summary = run_dynamics(config).summary
+        assert [a[1:] for a in built] == [(0,), (1,), (2,)]
+        assert {"smoothness", "rvu", "variance_check"} <= summary["diagnostics"].keys()
+
+    def test_ratio_reads_the_inner_distributions_alone(self, monkeypatch):
+        trace = ragged_run("arbo", (3, 3), horizon=40).trace
+        want = running_max_ratio(trace, 0)
+
+        def fail(x, loss):
+            raise AssertionError("the ratio computed inner losses")
+
+        monkeypatch.setattr(ArboDynamics, "inner_losses", staticmethod(fail))
+        assert running_max_ratio(trace, 0).tobytes() == want.tobytes()

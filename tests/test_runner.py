@@ -15,6 +15,7 @@ from ce_dynamics.errors import StationaryResidualError, ValidationError
 from ce_dynamics.games import Game, expected_loss, random_game
 from ce_dynamics.internal_dynamics import SlOmwu, verify_equivalence
 from ce_dynamics.markov_tree import stationary_residual
+from ce_dynamics.metrics import inner_stream
 from ce_dynamics.omwu import Composite, Omwu
 from ce_dynamics.swap_dynamics import BmOmwu
 from ce_dynamics.runner import (
@@ -321,12 +322,13 @@ def reference_rows(result):
     pair_sums = [np.zeros((n, n)) for n in counts]
     offdiag = [~np.eye(n, dtype=bool) for n in counts]
     max_ratio = [1.0] * len(counts)
+    inner_dists = [inner_stream(trace, i)[0] for i in range(len(counts))]
     rows = []
     for t in range(trace.horizon):
         for i, pt in enumerate(trace.players):
             x, loss = pt.strategies[t], pt.losses[t]
             pair_sums[i] += x[:, None] * (loss[:, None] - loss[None, :])
-            inner = pt.stability_rows()
+            inner = inner_dists[i]
             if t > 0 and t != switches[i]:
                 ratio = inner[t] / inner[t - 1]
                 max_ratio[i] = max(max_ratio[i], float(ratio.max()), float((1.0 / ratio).max()))

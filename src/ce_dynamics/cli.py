@@ -27,7 +27,7 @@ from .markov_tree import (
     solve_stationary,
     tree_theorem_stationary,
 )
-from .runner import ETA_RULES, RunConfig, emit_outputs, run_dynamics
+from .runner import ETA_RULES, RunConfig, emit_outputs, render_summary, run_dynamics
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,6 +106,8 @@ def _build_parser() -> _Parser:
     _add_run_options(p_diag)
     p_diag.add_argument("--out", help="write the JSON report here instead of stdout")
     p_diag.add_argument("--table", help="write the per-(order, round) smoothness CSV here")
+    p_diag.set_defaults(smoothness_order=3, rvu_constant=64.0,
+                        variance_budget=DEFAULT_VARIANCE_BUDGET_CONSTANT)
 
     p_gen = sub.add_parser("gen", help="generate a random game file")
     p_gen.add_argument("--players", type=int, required=True)
@@ -176,14 +178,8 @@ def _cmd_stationary(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     config = _config_from_args(args)
-    if config.smoothness_order is None:
-        config.smoothness_order = 3
-    if config.rvu_constant is None:
-        config.rvu_constant = 64.0
-    if config.variance_budget is None:
-        config.variance_budget = DEFAULT_VARIANCE_BUDGET_CONSTANT
     result = run_dynamics(config)
-    report = json.dumps(result.summary, sort_keys=True, indent=2) + "\n"
+    report = render_summary(result.summary).decode("ascii")
     # Both texts first, then the table, then the report: a failed write leaves nothing behind.
     files = [(Path(args.table), _smoothness_table(result, config))] if args.table else []
     files += [(Path(args.out), report)] if args.out else []

@@ -32,6 +32,8 @@ SMOOTHNESS_ETA_DIVISOR_LOOSE = 36.0
 # Default budget constant for the variance-check inequality; empirical runs
 # sit far below it.
 DEFAULT_VARIANCE_BUDGET_CONSTANT = 165262.0
+# Inner losses lie in [-4, 4] and each order at most doubles them: every |D_h| <= 2^(h+2) is finite.
+MAX_SMOOTHNESS_ORDER = 1000
 
 
 def finite_differences(sequence, max_order: int) -> list[np.ndarray]:
@@ -113,7 +115,11 @@ def smoothness_bound(order: int, alpha: float) -> float:
     """
     if order == 0:
         return 1.0
-    return alpha**order * order ** (3 * order + 1)
+    try:
+        return alpha**order * order ** (3 * order + 1)
+    except OverflowError:  # h^(3h+1) is past the largest float, the product need not be
+        log_bound = order * math.log(alpha) + (3 * order + 1) * math.log(order)
+        return math.exp(log_bound) if log_bound <= np.log(np.finfo(float).max) else math.inf
 
 
 @dataclass
@@ -136,19 +142,22 @@ class SmoothnessReport:
             "enforced": self.enforced,
             "eta_threshold": self.eta_threshold,
             "eta_threshold_loose": self.eta_threshold_loose,
-            "bounds": self.bounds.tolist(),
+            "bounds": [b if math.isfinite(b) else None for b in self.bounds.tolist()],
             "max_observed_per_order": [float(o.max()) if o.size else 0.0 for o in self.observed],
             "num_failures": len(self.failures),
         }
 
 
-def resolve_smoothness_alpha(max_order: int, alpha: float | None = None) -> float:
-    """The certificate's alpha for order H: ``alpha``, or 1/(H+3) when it is None.
+def resolve_smoothness_alpha(max_order: int, horizon: int, alpha: float | None = None) -> float:
+    """The certificate's alpha for order H over T rounds: ``alpha``, or 1/(H+3) when it is None.
 
-    Raises :class:`ValidationError` for H < 0 or an alpha outside (0, 1/(H+3)].
+    Raises :class:`ValidationError` for H outside [0, MAX_SMOOTHNESS_ORDER], H > T - 1 or an
+    alpha outside (0, 1/(H+3)].
     """
-    if max_order < 0:
-        raise ValidationError(f"order must be nonnegative, got {max_order}")
+    if not 0 <= max_order <= MAX_SMOOTHNESS_ORDER:
+        raise ValidationError(f"order must lie in [0, {MAX_SMOOTHNESS_ORDER}], got {max_order}")
+    if max_order > horizon - 1:
+        raise ValidationError(f"order {max_order} too large for horizon {horizon}")
     ceiling = 1.0 / (max_order + 3)
     if alpha is None:
         return ceiling
@@ -167,14 +176,12 @@ def smoothness_report(
     otherwise the report is an observation. ``alpha`` defaults to 1/(H+3), its
     largest valid value.
     """
-    alpha = resolve_smoothness_alpha(max_order, alpha)
+    alpha = resolve_smoothness_alpha(max_order, trace.horizon, alpha)
     eta = trace.etas[player]
     m = trace.num_players
     threshold = alpha / (SMOOTHNESS_ETA_DIVISOR * m)
     threshold_loose = alpha / (SMOOTHNESS_ETA_DIVISOR_LOOSE * m)
     z = (stream or inner_stream(trace, player))[1]
-    if max_order > len(z) - 1:
-        raise ValidationError(f"order {max_order} too large for horizon {len(z)}")
     observed = [[] for _ in range(max_order + 1)]
     for s in range(0, len(z), REGRET_CHUNK_ROUNDS):
         window = z[s : s + REGRET_CHUNK_ROUNDS + max_order]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .games import Game
-from .markov_tree import _gth_rates, all_arborescences, check_stationary
+from .markov_tree import _gth_rates, _tree_edge_index, check_stationary
 from .metrics import REGRET_CHUNK_ROUNDS
 from .omwu import Composite, Omwu
 
@@ -119,17 +119,14 @@ class SlOmwu(Composite):
 
 @lru_cache(maxsize=None)
 def _tree_structure(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tree root labels and edge-to-pair index table, canonical tree order.
+    """Per-tree root labels and edge-to-pair index table, in the tree theorem's tree order.
 
-    Returns ``(roots, edge_pairs)`` where ``edge_pairs[t]`` lists, for tree t,
-    the canonical pair index of each of its n-1 edges (child -> parent).
+    ``edge_pairs[t]`` lists the canonical pair index of each of tree t's n-1 edges (child ->
+    parent): entry j*n + k of :func:`_tree_edge_index` is pair j*(n-1) + k - (k > j).
     """
-    pairs = {pair: idx for idx, pair in enumerate(ordered_pairs(n))}
-    trees = all_arborescences(n)
-    roots = np.array([tree.root for tree in trees])
-    edge_pairs = np.array(
-        [[pairs[edge] for edge in tree.edges()] for tree in trees], dtype=np.int64
-    )
+    j, k = np.divmod(_tree_edge_index(n).reshape(n - 1, -1).T.copy(), n)  # (trees, n-1)
+    edge_pairs = j * (n - 1) + k - (k > j)
+    roots = np.repeat(np.arange(n), n ** (n - 2))
     roots.setflags(write=False)
     edge_pairs.setflags(write=False)
     return roots, edge_pairs

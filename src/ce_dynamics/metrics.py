@@ -3,8 +3,9 @@
 A :class:`RunTrace` stores everything a run produced, per player and round:
 strategies, expected-loss vectors, and (for SL, BM and arbo) the inner distributions,
 plus SL's pair losses; :func:`inner_stream` reads a run's inner stream from them. Traces
-serialize to ``.npz`` with bit-exact float64 arrays, so every regret recomputes
-identically from a reloaded trace.
+serialize to ``.npz`` with bit-exact float64 arrays, one per :class:`RunTrace` field but
+``players``, then ``p{i}_<field>`` per set :class:`PlayerTrace` field of player i, in field
+order, so every regret recomputes identically from a reloaded trace.
 
 Every regret reads one running sum of small per-round terms,
 P[j, k] = sum_t x_t[j] (loss_t[j] - loss_t[k]), kept by :func:`_running_pair_sums`,
@@ -14,7 +15,7 @@ is computed here and nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .games import Game
 DENSE_JOINT_MAX_ENTRIES = 10**6
 # Rounds per block of the running pair sums; bounds the (chunk, n, n) stack.
 REGRET_CHUNK_ROUNDS = 256
-OPTIONAL_TRACE_FIELDS = ("pair_dists", "pair_losses", "copy_dists", "tree_dists")
 
 
 @dataclass
@@ -50,42 +50,24 @@ class RunTrace:
         return len(self.action_counts)
 
     def save(self, path) -> None:
-        arrays = {
-            "horizon": np.array(self.horizon),
-            "dynamics": np.array(self.dynamics),
-            "action_counts": np.array(self.action_counts),
-            "etas": np.array(self.etas),
-        }
+        arrays = {f.name: np.array(getattr(self, f.name)) for f in fields(self) if f.name != "players"}
         for i, pt in enumerate(self.players):
-            for name in ("strategies", "losses", *OPTIONAL_TRACE_FIELDS):
-                value = getattr(pt, name)
-                if value is not None:
-                    arrays[f"p{i}_{name}"] = value
+            for f in fields(pt):
+                if (value := getattr(pt, f.name)) is not None:
+                    arrays[f"p{i}_{f.name}"] = value
         np.savez(path, **arrays)
 
     @classmethod
     def load(cls, path) -> "RunTrace":
+        """The trace :meth:`save` wrote; a required array it lacks fails naming its key."""
         with np.load(path, allow_pickle=False) as data:
-            action_counts = tuple(int(n) for n in data["action_counts"])
-            trace = cls(
-                horizon=int(data["horizon"]),
-                dynamics=str(data["dynamics"]),
-                action_counts=action_counts,
-                etas=tuple(float(e) for e in data["etas"]),
-            )
-            for i in range(len(action_counts)):
-                kwargs = {}
-                for name in OPTIONAL_TRACE_FIELDS:
-                    key = f"p{i}_{name}"
-                    if key in data:
-                        kwargs[name] = data[key]
-                trace.players.append(
-                    PlayerTrace(
-                        strategies=data[f"p{i}_strategies"],
-                        losses=data[f"p{i}_losses"],
-                        **kwargs,
-                    )
-                )
+            # Each header array comes back a Python scalar, or a list that was a tuple.
+            header = {f.name: data[f.name].tolist() for f in fields(cls) if f.name != "players"}
+            trace = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in header.items()})
+            for i in range(trace.num_players):
+                keys = {f.name: f"p{i}_{f.name}" for f in fields(PlayerTrace)
+                        if f.default is MISSING or f"p{i}_{f.name}" in data}
+                trace.players.append(PlayerTrace(**{name: data[key] for name, key in keys.items()}))
         return trace
 
 

@@ -130,7 +130,7 @@ class RunConfig:
             if value is not None and not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
         if self.smoothness_order is not None:
-            resolve_smoothness_alpha(self.smoothness_order, self.smoothness_alpha)
+            resolve_smoothness_alpha(self.smoothness_order, self.horizon, self.smoothness_alpha)
         elif self.smoothness_alpha is not None:
             raise ValidationError("smoothness alpha needs a smoothness order")
         if self.log_base not in ("e", "2"):
@@ -528,18 +528,25 @@ def render_summary(summary: dict) -> bytes:
 
 
 def emit_outputs(result: RunResult, config: RunConfig, out_dir) -> dict:
-    """Write the per-round table, the summary, and optionally the trace."""
+    """Write the per-round table, the summary, and optionally the trace. If a write fails, the
+    call leaves nothing: the files and directories it created are removed."""
     out = Path(out_dir)
+    paths = {"rows": out / f"run.{config.out_format}", "summary": out / "summary.json"}
+    paths.update({"trace": out / "trace.npz"} if config.save_trace else {})
+    render = render_csv if config.out_format == "csv" else render_rows_json
+    fresh = []  # the files that are new, then the directories that mkdir makes, deepest first
     try:
+        fresh = [p for p in (*paths.values(), out, *out.parents) if not p.exists()]
         out.mkdir(parents=True, exist_ok=True)
-        paths = {"rows": out / f"run.{config.out_format}"}  # run.csv or run.json
-        render = render_csv if config.out_format == "csv" else render_rows_json
         paths["rows"].write_bytes(render(result.table))
-        paths["summary"] = out / "summary.json"
         paths["summary"].write_bytes(render_summary(result.summary))
         if config.save_trace:
-            paths["trace"] = out / "trace.npz"
             result.trace.save(paths["trace"])
-        return {k: str(v) for k, v in paths.items()}
     except OSError as exc:
+        for path in filter(Path.exists, fresh):
+            if path.is_dir():
+                path.rmdir()
+            else:
+                path.unlink()
         raise ValidationError(f"cannot write outputs under {out}: {exc}") from exc
+    return {k: str(v) for k, v in paths.items()}

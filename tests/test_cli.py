@@ -227,6 +227,42 @@ def test_diagnose_with_an_overflowing_rvu_bound_prints_strict_json(capsys):
     assert_rvu_sides_are_null(strict_json(capsys.readouterr().out))
 
 
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+@pytest.mark.parametrize(
+    "horizon, order, alpha, limit",
+    [(100, 60, None, None), (100, 99, None, None), (1200, 1100, None, "[0, 1000]"),
+     (1200, 1100, "1e-300", "[0, 1000]"), (5, 10, None, "too large for horizon 5")],
+    ids=["T100-H60", "T100-H99", "T1200-H1100", "T1200-H1100-tiny-alpha", "T5-H10"],
+)
+def test_smoothness_order_finishes_with_strict_json_or_fails_before_play(
+    tmp_path, capsys, monkeypatch, command, horizon, order, alpha, limit
+):
+    """Past h = 57, h^(3h+1) is past the largest float; from h = 81 at the default alpha so
+    is the bound, reported as null. Above order 1000 the differences themselves could
+    overflow, and above T - 1 there are none: those orders fail before play, naming the limit."""
+    if limit is not None:
+        def refuse(*args, **kwargs):
+            raise AssertionError("play started")
+
+        monkeypatch.setattr(runner, "_build_dynamics", refuse)
+    out = tmp_path / "out"
+    argv = [command, "--players", "2", "--actions", "3,3", "--horizon", str(horizon),
+            "--eta", "0.05", "--smoothness-order", str(order), "--out", str(out)]
+    code = main(argv + (["--smoothness-alpha", alpha] if alpha else []))
+    err = capsys.readouterr().err
+    if limit is not None:
+        assert code == 2 and err.startswith("validation error:") and limit in err
+        assert not out.exists()
+        return
+    assert code == 0
+    doc = strict_json((out / "summary.json" if command == "run" else out).read_text())
+    for report in doc["diagnostics"]["smoothness"]:
+        bounds = report["bounds"]
+        assert len(bounds) == order + 1 and len(report["max_observed_per_order"]) == order + 1
+        assert (None in bounds) == (order > 80)
+        assert all(b is None or b >= 0.0 for b in bounds)
+
+
 @pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu"])
 def test_run_rejects_an_overflowing_eta_before_play(
     game_file, tmp_path, capsys, monkeypatch, dynamics
@@ -433,6 +469,35 @@ def test_diagnose_report_that_cannot_be_written_removes_the_table(game_file, tmp
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("validation error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["game.json"]
+
+
+def test_run_that_cannot_write_its_summary_leaves_no_file_it_made(game_file, tmp_path, capsys):
+    out = tmp_path / "ro"
+    (out / "summary.json").mkdir(parents=True)
+    argv = ["run", "--game", game_file, "--horizon", "10", "--eta", "0.05", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
+    assert not any((out / "summary.json").iterdir())
+
+
+@pytest.mark.parametrize("fail_on", ["run.csv", "summary.json"])
+def test_run_write_that_fails_midway_removes_what_it_made(game_file, tmp_path, monkeypatch, fail_on):
+    """A write that creates its file and then fails (a full disk) leaves no file, and no
+    directory that the call made, behind."""
+    write_bytes = Path.write_bytes
+
+    def cut_short(path, data):
+        if path.name == fail_on:
+            write_bytes(path, data[:10])
+            raise OSError(28, "No space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", cut_short)
+    argv = ["run", "--game", game_file, "--horizon", "10", "--eta", "0.05", "--save-trace",
+            "--out", str(tmp_path / "a" / "b")]
+    assert main(argv) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["game.json"]
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,6 +151,15 @@ class TestSmoothness:
         assert smoothness_bound(0, 0.125) == 1.0
         assert smoothness_bound(1, 0.125) == pytest.approx(0.125)
         assert smoothness_bound(2, 0.125) == pytest.approx(0.125**2 * 2**7)
+
+    def test_bound_past_the_float_range(self):
+        # Up to h = 57 the plain product, with its bits; from 58 on h^(3h+1) is past the largest
+        # float, and the bound comes from logs: finite, underflowing to 0, or inf.
+        assert smoothness_bound(57, 1 / 60) == (1 / 60) ** 57 * 57**172
+        exact = Fraction(1 / 63) ** 60 * 60**181
+        assert smoothness_bound(60, 1 / 63) == pytest.approx(float(exact), rel=1e-12)
+        assert smoothness_bound(60, 1e-300) == 0.0
+        assert smoothness_bound(99, 1 / 102) == math.inf
 
     def test_constant_game_all_orders_vanish(self):
         game = Game((2, 2), (np.full((2, 2), 0.5), np.full((2, 2), 0.5)))

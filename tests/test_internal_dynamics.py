@@ -167,18 +167,24 @@ class TestArboDynamics:
             assert abs(x.sum() - arbo.inner_dist.sum()) <= 1e-12
             arbo.observe(rng.uniform(0, 1, 4))
 
-    def test_tree_loss_is_edge_sum(self):
-        arbo = ArboDynamics(3, eta=0.1)
-        x = arbo.next_strategy()
-        ell = np.array([0.2, 0.9, 0.4])
-        arbo.observe(ell)
-        L = pair_loss_vector(x, ell)
-        pairs = {pair: idx for idx, pair in enumerate(ordered_pairs(3))}
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_tree_loss_is_edge_sum(self, n):
         from ce_dynamics.markov_tree import all_arborescences
 
-        want = np.array(
-            [sum(L[pairs[e]] for e in tree.edges()) for tree in all_arborescences(3)]
-        )
+        arbo = ArboDynamics(n, eta=0.1)
+        x = arbo.next_strategy()
+        ell = np.array([0.2, 0.9, 0.4, 0.7, 0.1])[:n]
+        arbo.observe(ell)
+        L = pair_loss_vector(x, ell)
+        pairs = {pair: idx for idx, pair in enumerate(ordered_pairs(n))}
+        trees = all_arborescences(n)
+        # The tables read off the tree theorem's edge index are those of the tree objects.
+        roots = np.array([tree.root for tree in trees])
+        edge_pairs = np.array([[pairs[e] for e in tree.edges()] for tree in trees], dtype=np.int64)
+        for got, want in ((arbo.roots, roots), (arbo.edge_pairs, edge_pairs)):
+            assert got.dtype == want.dtype and not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+        want = np.array([sum(L[pairs[e]] for e in tree.edges()) for tree in trees])
         np.testing.assert_array_equal(arbo.learner.last_loss, want)
         assert np.abs(want).max() <= 1.0
 

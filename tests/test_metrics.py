@@ -21,7 +21,7 @@ from ce_dynamics.metrics import (
     running_regrets,
     swap_regret,
 )
-from ce_dynamics.runner import RunConfig, run_dynamics
+from ce_dynamics.runner import DYNAMICS, RunConfig, run_dynamics
 
 
 def make_trace(strategies_by_player, losses_by_player, dynamics="test"):
@@ -329,3 +329,35 @@ class TestTraceSerialization:
             assert external_regret(again, i) == external_regret(trace, i)
             assert internal_regret(again, i) == internal_regret(trace, i)
             assert swap_regret(again, i) == swap_regret(trace, i)
+
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_every_field_round_trips_bit_for_bit(self, tmp_path, dynamics):
+        config = RunConfig(dynamics=dynamics, horizon=20, eta=0.05, players=3,
+                           action_counts=(3, 4, 3))
+        trace = run_dynamics(config).trace
+        path = tmp_path / "trace.npz"
+        trace.save(path)
+        inner = {"sl": ["pair_dists", "pair_losses"], "bm": ["copy_dists"], "arbo": ["tree_dists"]}
+        fields = ["strategies", "losses", *inner.get(dynamics.split("-")[0], [])]
+        with np.load(path) as data:
+            assert data.files == ["horizon", "dynamics", "action_counts", "etas",
+                                  *(f"p{i}_{f}" for i in range(3) for f in fields)]
+        again = RunTrace.load(path)
+        assert (again.horizon, again.dynamics) == (trace.horizon, trace.dynamics)
+        assert again.action_counts == trace.action_counts == (3, 4, 3)
+        assert again.etas == trace.etas and type(again.etas[0]) is float
+        for old, new in zip(trace.players, again.players):
+            for name in vars(old):
+                if name in fields:
+                    assert getattr(new, name).dtype == getattr(old, name).dtype
+                    assert getattr(new, name).tobytes() == getattr(old, name).tobytes()
+                else:
+                    assert getattr(old, name) is None and getattr(new, name) is None
+
+    @pytest.mark.parametrize("name", ["strategies", "losses"])
+    def test_a_missing_required_array_is_named(self, tmp_path, name):
+        trace = self_play_trace(random_game(2, (3, 3), seed=13), T=5)
+        setattr(trace.players[1], name, None)
+        trace.save(tmp_path / "trace.npz")
+        with pytest.raises(KeyError, match=f"p1_{name}"):
+            RunTrace.load(tmp_path / "trace.npz")

@@ -18,7 +18,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .diagnostics import DEFAULT_VARIANCE_BUDGET_CONSTANT, smoothness_report
+from .diagnostics import DEFAULT_VARIANCE_BUDGET_CONSTANT
 from .errors import StationaryResidualError, ValidationError
 from .games import load_game, random_game, save_game
 from .internal_dynamics import verify_equivalence
@@ -181,7 +181,7 @@ def _cmd_diagnose(args) -> int:
     result = run_dynamics(config)
     report = render_summary(result.summary).decode("ascii")
     # Both texts first, then the table, then the report: a failed write leaves nothing behind.
-    files = [(Path(args.table), _smoothness_table(result, config))] if args.table else []
+    files = [(Path(args.table), _smoothness_table(result))] if args.table else []
     files += [(Path(args.out), report)] if args.out else []
     for k, (path, text) in enumerate(files):
         new = not path.exists()  # a failed write of a new file can leave it created, cut short
@@ -196,10 +196,9 @@ def _cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def _smoothness_table(result, config) -> str:
+def _smoothness_table(result) -> str:
     lines = ["player,order,t,observed,bound"]
-    for i in range(result.trace.num_players):
-        rep = smoothness_report(result.trace, i, config.smoothness_order, config.smoothness_alpha)
+    for i, rep in enumerate(result.smoothness):  # the reports the run's summary was built from
         for h, observed in enumerate(rep.observed):
             for t, value in enumerate(observed):
                 lines.append(f"{i},{h},{t + 1},{float(value)!r},{float(rep.bounds[h])!r}")

@@ -47,11 +47,14 @@ def finite_differences(sequence, max_order: int) -> list[np.ndarray]:
         raise ValidationError(f"order must be nonnegative, got {max_order}")
     if max_order > T - 1:
         raise ValidationError(f"order {max_order} too large for horizon {T}")
-    table = [seq]
-    for _ in range(max_order):
-        prev = table[-1]
-        table.append(prev[1:] - prev[:-1])
-    return table
+    return list(_differences(seq, max_order))
+
+
+def _differences(seq: np.ndarray, max_order: int):
+    """D_0, ..., D_H of :func:`finite_differences`, one order at a time."""
+    for h in range(max_order + 1):
+        seq = seq[1:] - seq[:-1] if h else seq
+        yield seq
 
 
 def binomial_difference(sequence, order: int) -> np.ndarray:
@@ -185,7 +188,7 @@ def smoothness_report(
     observed = [[] for _ in range(max_order + 1)]
     for s in range(0, len(z), REGRET_CHUNK_ROUNDS):
         window = z[s : s + REGRET_CHUNK_ROUNDS + max_order]
-        for h, d in enumerate(finite_differences(window, min(max_order, len(window) - 1))):
+        for h, d in enumerate(_differences(window, min(max_order, len(window) - 1))):
             observed[h].append(np.abs(d[:REGRET_CHUNK_ROUNDS]).max(axis=(1, 2)))
     observed = [np.concatenate(o) for o in observed]
     bounds = np.array([smoothness_bound(h, alpha) for h in range(max_order + 1)])
@@ -349,15 +352,17 @@ class StabilityReport:
         return {**asdict(self), **within}
 
 
-def stability_check(trace: RunTrace, player: int) -> StabilityReport:
-    """Max over rounds and entries of the two-sided consecutive ratio."""
+def stability_check(trace: RunTrace, player: int, ratio=None) -> StabilityReport:
+    """Max over rounds and entries of the two-sided consecutive ratio; ``ratio`` is a caller's
+    finished :func:`running_max_ratio` column, else it is computed here."""
     eta = trace.etas[player]
     try:
         exp_bound = math.exp(6.0 * eta)
     except OverflowError:  # eta > log(DBL_MAX) / 6, about 118.3
         exp_bound = None
+    ratio = running_max_ratio(trace, player) if ratio is None else ratio
     return StabilityReport(
-        max_ratio=float(running_max_ratio(trace, player).max(initial=1.0)),
+        max_ratio=float(ratio.max(initial=1.0)),
         exp_bound=exp_bound,
         linear_bound=1.0 + 7.0 * eta,
     )

@@ -104,18 +104,31 @@ def expected_loss(game: Game, profile, player: int) -> np.ndarray:
 
 
 def _contract(game: Game, strategies, player: int) -> np.ndarray:
-    """Unchecked step of :func:`expected_loss` for float simplex ``strategies``.
+    """Unchecked step of :func:`expected_loss` for float simplex ``strategies``."""
+    return _contraction(game, player)(strategies)
+
+
+def _contraction(game: Game, player: int):
+    """:func:`_contract` for ``player``, bound once to the game: a function of the strategies.
 
     The later players' axes are contracted from the last one down, then the earlier players'
     axes from the first one up: ``ndarray.dot``, ``@``'s bits at a cheaper call, except ``@``
-    on a 3+-player game's stacked first step, where ``dot`` adds in another order.
-    """
-    tensor = game.losses[player]
-    for x in strategies[:player:-1]:
-        tensor = tensor.dot(x) if tensor.ndim == 2 else tensor @ x
-    for x in strategies[:player]:
-        tensor = x.dot(tensor.reshape(len(x), -1))
-    return tensor
+    on a 3+-player game's stacked first step, where ``dot`` adds in another order."""
+    tensor, m = game.losses[player], game.num_players
+    if m == 2:  # one dot, on the tensor as it is
+        return (lambda s: tensor.dot(s[1])) if player == 0 else (lambda s: s[0].dot(tensor))
+    later = [(j, np.ndarray.dot if j == 1 else np.matmul) for j in range(m - 1, player, -1)]
+    earlier = [(j, (n, -1)) for j, n in enumerate(game.action_counts[:player])]
+
+    def contract(strategies):
+        t = tensor
+        for j, step in later:
+            t = step(t, strategies[j])
+        for j, shape in earlier:
+            t = strategies[j].dot(t.reshape(shape))
+        return t
+
+    return contract
 
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .games import Game
-from .markov_tree import _gth_rates, _tree_edge_index, check_stationary
+from .markov_tree import _gth_solver, _tree_edge_index, check_stationary
 from .metrics import REGRET_CHUNK_ROUNDS
 from .omwu import Composite, Omwu
 
@@ -46,19 +46,19 @@ def _pair_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _pair_loss_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, n(n-1)) matrices whose column of pair (j, k) is e_j, and e_k - e_j."""
+def _pair_losses(n: int):
+    """:func:`pair_loss_vector` bound to n actions, by its (n, n(n-1)) matrices whose column of
+    pair (j, k) is e_j, and e_k - e_j: the products add exact terms to zeros, so bits hold (an
+    input's -0.0 aside)."""
     src, dst = _pair_index_arrays(n)
     select = np.eye(n).take(src, axis=1)
-    return select, np.eye(n).take(dst, axis=1) - select
+    diff = np.eye(n).take(dst, axis=1) - select
+    return lambda x, loss: x.dot(select) * loss.dot(diff)
 
 
 def pair_loss_vector(strategy: np.ndarray, loss: np.ndarray) -> np.ndarray:
-    """Per-pair loss x[j] * (loss[k] - loss[j]) in canonical pair order, over any leading axes:
-    the products with :func:`_pair_loss_matrices` add exact terms to zeros, so bits hold (an
-    input's -0.0 aside)."""
-    select, diff = _pair_loss_matrices(strategy.shape[-1])
-    return strategy.dot(select) * loss.dot(diff)
+    """Per-pair loss x[j] * (loss[k] - loss[j]) in canonical pair order, over any leading axes."""
+    return _pair_losses(strategy.shape[-1])(strategy, loss)
 
 
 def _pair_rates(p: np.ndarray, n: int) -> np.ndarray:
@@ -95,22 +95,23 @@ class SlOmwu(Composite):
     rates in row-major order: what GTH elimination reads, with no matrix built.
     """
 
-    trace_field = "pair_dists"
+    trace_field, inner_span = "pair_dists", 2.0
     inner_losses = staticmethod(pair_loss_vector)
 
     def __init__(self, n: int, eta: float, optimistic: bool = True):
         if n < 2:
             raise ValidationError(f"need at least 2 actions, got {n}")
         super().__init__(n, Omwu(n * (n - 1), eta, optimistic=optimistic))
+        self._solve, self._inner_losses = _gth_solver(n, False, self.learner.members), _pair_losses(n)
 
     def next_strategy(self) -> np.ndarray:
         p = self.learner.next_strategy()
-        self.last_strategy = check_stationary(_pair_rates(p, self.n), _gth_rates(p, self.n))
+        self.last_strategy = check_stationary(_pair_rates(p, self.n), self._solve(p))
         return self.last_strategy
 
     def _next_strategy(self) -> np.ndarray:
         """Unchecked step of :meth:`next_strategy`."""
-        self.last_strategy = _gth_rates(self.learner.next_strategy(), self.n)
+        self.last_strategy = self._solve(self.learner.next_strategy())
         return self.last_strategy
 
     def observe(self, loss) -> None:
@@ -141,6 +142,7 @@ class ArboDynamics(Composite):
     """
 
     trace_field = "tree_dists"
+    inner_losses = staticmethod(lambda x, loss: _tree_losses(x.shape[-1])(x, loss))
 
     def __init__(self, n: int, eta: float, optimistic: bool = True):
         if not 2 <= n <= MAX_ARBO_NODES:
@@ -149,24 +151,27 @@ class ArboDynamics(Composite):
             )
         self.roots, self.edge_pairs = _tree_structure(n)
         super().__init__(n, Omwu(len(self.roots), eta, optimistic=optimistic))
+        self.inner_span, self._inner_losses = 2.0 * (n - 1), _tree_losses(n)
         # Member b's trees fall into root bins b*n .. b*n + n-1; bincount sums each in tree order.
         members = np.arange(np.prod(self.learner.members, dtype=int))
         self._root_bins = (self.roots + n * members[:, None]).ravel()
+        self._shape = (*self.learner.members, n)
 
     def next_strategy(self) -> np.ndarray:
         X = self.learner.next_strategy()
-        x = np.bincount(self._root_bins, weights=X.ravel()).reshape(*X.shape[:-1], self.n)
-        self.last_strategy = x
-        return x
+        self.last_strategy = np.bincount(self._root_bins, weights=X.ravel()).reshape(self._shape)
+        return self.last_strategy
 
     def observe(self, loss) -> None:
         self._update(self._checked(loss))
 
-    @staticmethod
-    def inner_losses(x: np.ndarray, loss: np.ndarray) -> np.ndarray:
-        """Each tree's loss, the sum of its edges' pair losses, over any leading axes."""
-        edge_pairs = _tree_structure(x.shape[-1])[1]
-        return np.add.reduce(pair_loss_vector(x, loss).take(edge_pairs, axis=-1), axis=-1)
+
+@lru_cache(maxsize=None)
+def _tree_losses(n: int):
+    """Each tree's loss, the sum of its edges' pair losses, over any leading axes, for n actions:
+    :meth:`ArboDynamics.inner_losses` bound to n."""
+    pair_losses, edge_pairs = _pair_losses(n), _tree_structure(n)[1]
+    return lambda x, loss: np.add.reduce(pair_losses(x, loss).take(edge_pairs, axis=-1), axis=-1)
 
 
 @dataclass

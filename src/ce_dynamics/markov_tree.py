@@ -14,10 +14,11 @@ convention, ``Q^T pi = pi``):
   however small, carries a small relative error (O'Cinneide, Numer. Math. 65,
   1993); a small residual alone would not promise that.
 
-The elimination itself is unchecked: ``_gth_rates`` takes chains' off-diagonal
-rates, ``_gth_stationary`` whole matrix rows, whose diagonal is never read. Up to 16
-states a chain is one call of code generated per state count and form, with the loop's bits.
-Its residual gate is :func:`check_stationary`; :func:`stationary_residual` takes any leading axes.
+The elimination itself is unchecked: ``_gth_solver``, bound once per stack of chains,
+takes their off-diagonal rates or whole matrix rows, whose diagonal is never read;
+``_gth_stationary`` solves matrices. Up to 16 states a chain is one call of code generated
+per state count and form, with the loop's bits. Its residual gate is
+:func:`check_stationary`; :func:`stationary_residual` takes any leading axes.
 
 A directed tree rooted at j ("arborescence") has no cycles, no outgoing edge
 from j, and exactly one outgoing edge from every other node. Trees are
@@ -28,7 +29,7 @@ ordering that array lexicographically gives the canonical enumeration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -193,7 +194,7 @@ def _row_sum_source(terms: list[str]) -> str:
 
 @lru_cache(maxsize=None)
 def _gth_kernel(n: int, diagonal: bool):
-    """The loop of :func:`_gth_rates` for one n-state chain as straight-line code, built from n:
+    """The loop of :func:`_gth_solver` for one n-state chain as straight-line code, built from n:
     its arguments ``a{i}_{j}`` are the chain's rates, row-major, with the unread diagonal if
     ``diagonal``; each float operation is one statement, in the loop's order, minus the unread
     diagonal updates; pi comes out normalised, in numpy's order."""
@@ -212,54 +213,55 @@ def _gth_kernel(n: int, diagonal: bool):
     return namespace["gth"]
 
 
-def _gth_rates(R: np.ndarray, n: int) -> np.ndarray:
-    """Stationary distribution of the n-state chains with off-diagonal rates ``R``, unchecked.
+def _gth_solver(n: int, diagonal: bool, members: tuple):
+    """Unchecked stationary distributions of n-state chains stacked ``members`` deep, as a
+    function of their rates, bound once: n(n-1) off-diagonal rates per chain, row-major (SL's
+    pair masses), or with ``diagonal`` a matrix's n^2 entries, whose diagonal is never read.
 
-    ``R`` holds n(n-1) rates per chain in row-major order, the order of SL's pair masses,
-    or a matrix's n^2 entries, row-major, whose diagonal is never read. GTH elimination:
-    states are censored out from the last one down, each one's incoming rates rerouted
-    along its outgoing ones, then pi is rebuilt from the first state up; it never
+    GTH elimination censors states out from the last one down, rerouting each one's incoming
+    rates along its outgoing ones, then rebuilds pi from the first state up; it never
     subtracts. Up to ``GTH_KERNEL_MAX_STATES`` states a chain is one call of
-    :func:`_gth_kernel`, entries in and normalised pi out; larger chains run the loop, as
-    unrolled code grows as n^3. Its sums run left to right from int 0, not by the builtin
-    ``sum()``, which compensates float sums from Python 3.12 on. Leading axes of ``R``
-    carry over, one ``tolist`` feeds every chain, and callers gate the result.
+    :func:`_gth_kernel`, entries in and normalised pi out, above it one of :func:`_gth_loop`.
+    Sums run left to right from int 0, not by the builtin ``sum()``, which compensates float
+    sums from Python 3.12 on. One ``tolist`` feeds every chain; callers gate the result.
     """
-    width = R.shape[-1]  # n(n-1) rates per chain, or n^2 entries with the diagonal
-    chains = R.reshape(-1, width).tolist()
-    if n <= GTH_KERNEL_MAX_STATES:
-        kernel = _gth_kernel(n, width == n * n)
-        return np.array([kernel(*r) for r in chains]).reshape(R.shape[:-1] + (n,))
-    pis = []
-    for row in chains:  # the diagonal, given or zero-filled, only ever adds into itself
-        a = [row[i * n:(i + 1) * n] if width == n * n else
-             row[i * (n - 1):i * n] + [0.0] + row[i * n:(i + 1) * (n - 1)] for i in range(n)]
-        for k in range(n - 1, 0, -1):
-            pivot = a[k][:k]
-            out = 0
+    rows, shape = (-1, n * n if diagonal else n * (n - 1)), (*members, n)
+    large = n > GTH_KERNEL_MAX_STATES
+    kernel = partial(_gth_loop, n, diagonal) if large else _gth_kernel(n, diagonal)
+    if len(members) == 1 and not diagonal:  # stacked rates are the kernel's rows, pi its rows
+        return lambda R: np.array([kernel(*r) for r in R.tolist()])
+    return lambda R: np.array([kernel(*r) for r in R.reshape(rows).tolist()]).reshape(shape)
+
+
+def _gth_loop(n: int, diagonal: bool, *row) -> np.ndarray:
+    """:func:`_gth_kernel`'s elimination and normalisation as a loop over one chain's rows."""
+    # The diagonal, given or zero-filled, only ever adds into itself.
+    a = [list(row[i * n:(i + 1) * n]) if diagonal else
+         [*row[i * (n - 1):i * n], 0.0, *row[i * n:(i + 1) * (n - 1)]] for i in range(n)]
+    for k in range(n - 1, 0, -1):
+        pivot = a[k][:k]
+        out = 0
+        for r in pivot:
+            out += r
+        for ai in a[:k]:
+            f = ai[k] = ai[k] / out
+            j = 0
             for r in pivot:
-                out += r
-            for ai in a[:k]:
-                f = ai[k] = ai[k] / out
-                j = 0
-                for r in pivot:
-                    ai[j] += f * r
-                    j += 1
-        pi = [1.0]
-        for k in range(1, n):
-            inflow = 0
-            for p, ai in zip(pi, a):
-                inflow += p * ai[k]
-            pi.append(inflow)
-        pis.append(pi)
-    pi = np.array(pis)
-    pi /= pi.sum(axis=-1, keepdims=True)
-    return pi.reshape(R.shape[:-1] + (n,))
+                ai[j] += f * r
+                j += 1
+    pi = [1.0]
+    for k in range(1, n):
+        inflow = 0
+        for p, ai in zip(pi, a):
+            inflow += p * ai[k]
+        pi.append(inflow)
+    pi = np.array(pi)
+    return pi / pi.sum()
 
 
 def _gth_stationary(A: np.ndarray) -> np.ndarray:
-    """:func:`_gth_rates` of the chains ``A[..., j, k]``, row by row, diagonal included."""
-    return _gth_rates(A.reshape(*A.shape[:-2], A.shape[-1] ** 2), A.shape[-1])
+    """:func:`_gth_solver` of the chains ``A[..., j, k]``, row by row, diagonal included."""
+    return _gth_solver(A.shape[-1], True, A.shape[:-2])(A)
 
 
 def solve_stationary(Q) -> np.ndarray:

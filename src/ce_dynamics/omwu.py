@@ -22,8 +22,9 @@ from .errors import DimensionMismatchError, ValidationError
 # Exponentials are strictly positive mathematically, but exp(z - z_max)
 # underflows to exact zero past ~745 in the exponent spread. Flooring keeps
 # the iterate interior, which downstream fixed-point solvers rely on; the
-# perturbation is far below every tolerance in the package.
-_WEIGHT_FLOOR = 1e-300
+# perturbation is far below every tolerance in the package. exp(-690) > 2.2e-300, so
+# exponents that spread no further than FLOOR_FREE_SPREAD never meet the floor.
+_WEIGHT_FLOOR, FLOOR_FREE_SPREAD = 1e-300, 690.0
 # Float slack on the [loss_low, 1] loss range the composite learners accept.
 LOSS_RANGE_ATOL = 1e-9
 
@@ -63,13 +64,17 @@ class Omwu:
     inner_dist = property(lambda self: self.last_strategy.reshape(*self.members, -1, self.dim))
     inner_loss = property(lambda self: self.last_loss.reshape(*self.members, -1, self.dim))
     inner_losses = staticmethod(lambda x, loss: loss)
+    # The inner losses' range is inner_span wide for losses in [0, 1]; floored: the floor applies.
+    inner_span, floored = 1.0, True
 
     def next_strategy(self) -> np.ndarray:
         """Current iterate: softmax of -eta * (cumulative + predicted) losses."""
         z = self.cumulative_loss + self.last_loss if self.optimistic else self.cumulative_loss.copy()
         z *= self._neg_eta  # rates of z's shape: every step runs in place, with the methods' ufuncs
         z -= np.maximum.reduce(z, axis=-1, keepdims=True)
-        np.maximum(np.exp(z, out=z), _WEIGHT_FLOOR, out=z)
+        np.exp(z, out=z)
+        if self.floored:
+            np.maximum(z, _WEIGHT_FLOOR, out=z)
         self.last_strategy = np.divide(z, np.add.reduce(z, axis=-1, keepdims=True), out=z)
         return self.last_strategy
 
@@ -116,9 +121,11 @@ class Composite:
 
     Subclasses define ``next_strategy``, ``observe`` as ``self._update(self._checked(loss))``,
     each public method in its own body so it can be wrapped on the class, and
-    the static ``inner_losses(x, loss)`` (the learner's loss, any leading axes);
+    the static ``inner_losses(x, loss)`` (the learner's loss, any leading axes), which
+    ``_update`` calls as ``_inner_losses``, bound to n where it reads tables;
     a stationary solve's ``_next_strategy`` skips its residual gate. ``trace_field``
-    is the trace record of the inner distribution, ``loss_low`` the loss floor.
+    is the trace record of the inner distribution, ``loss_low`` the loss floor, ``inner_span``
+    the width of the inner losses' range.
     """
 
     loss_low = -1.0
@@ -127,6 +134,7 @@ class Composite:
         self.n = int(n)
         self.learner = learner
         self.last_strategy: np.ndarray | None = None
+        self._inner_losses = self.inner_losses
 
     eta = property(lambda self: self.learner.eta)
     inner_dim = property(lambda self: self.learner.inner_dim)
@@ -151,7 +159,7 @@ class Composite:
         return loss
 
     def _update(self, loss: np.ndarray) -> None:
-        self.learner._update(self.inner_losses(self.last_strategy, loss))
+        self.learner._update(self._inner_losses(self.last_strategy, loss))
 
     def reset(self, eta=None, member: int | None = None) -> None:
         self.learner.reset(eta, member)

@@ -1,30 +1,33 @@
 """Experiment runner: configuration, learning-rate schedules, output files.
 
-A run executes the two-phase self-play protocol: freeze every player's strategy,
-compute every expected-loss vector from the frozen profile, then deliver all
-feedback. Players with equal action counts are the members of one learner, so a
-round plays, updates and writes the trace once per group; each player's loss is
-:func:`games._contract` of the game with the strategies just emitted. The round
-loop only plays, on operands bound once per run: SL and BM play their unchecked
+A run executes the two-phase self-play protocol: freeze every player's strategy, compute
+every expected-loss vector from the frozen profile, then deliver all feedback. Players
+with equal action counts are the members of one learner, so a round plays, updates and
+writes the trace once per group; each player's loss is :func:`games._contract` of the
+game with the strategies just emitted. The round loop only plays, on operands bound once
+per run: each player's contraction (:func:`games._contraction`), each learner's solve
+and inner-loss tables, and the trace's round-major rows. SL and BM play their unchecked
 stationary solve (``_next_strategy``) and feedback goes through the unchecked
-``_update``. Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS``
-inner-stream rounds of the trace; at a block's first breach the learners are restored to
-the block's start (snapshotted only for controllers) and replayed up to that
-round, where each breaching player's member is reset alone. After the loop, one
-pass gates every recorded stationary solve by its residual, keeping each
-player's worst, then one pass checks every recorded strategy against the
-simplex. That checked play is :func:`play_dynamics`; :func:`run_dynamics` adds
-the accounting, which :func:`internal_dynamics.verify_equivalence` skips. Every
-per-round CSV column comes from the trace, by :func:`metrics.running_regrets`
-and :func:`metrics.running_max_ratio`; the summary's final regrets are the
-table's last round, and BM's loss-decomposition residual is
-:func:`swap_dynamics.decomposition_residuals` of the trace. The (T, m, 7) round
-table is kept on the result, whose CSV rows are built only on demand;
-:func:`render_csv` renders it by block and column, each distinct number once. Up
-to ``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the
-dense average product distribution and is checked against max internal
-regret / T; above, it is that ratio and its identity residual is null. Outputs
-are deterministic given the configuration; no wall-clock or randomness enters.
+``_update``. The softmax's weight floor is skipped where it cannot bind: game losses in
+[0, 1] bound each learner's exponent spread by eta (T+1) times its ``inner_span``;
+learners built outside a run keep it, as their losses come from outside. Adaptive
+controllers scan each block of ``REGRET_CHUNK_ROUNDS`` inner-stream rounds of the trace;
+at a block's first breach the learners are restored to the block's start (snapshotted
+only for controllers) and replayed up to that round, where each breaching player's
+member is reset alone. After the loop, one pass gates every recorded stationary solve by
+its residual, keeping each player's worst, then one pass checks every recorded strategy
+against the simplex. That checked play is :func:`play_dynamics`; :func:`run_dynamics`
+adds the accounting, which :func:`internal_dynamics.verify_equivalence` skips. Every
+per-round CSV column comes from the trace, by :func:`metrics.running_regrets` and
+:func:`metrics.running_max_ratio`; the summary's final regrets are the table's last
+round, and BM's loss-decomposition residual is
+:func:`swap_dynamics.decomposition_residuals` of the trace. The (T, m, 7) round table is
+kept on the result, whose CSV rows are built only on demand; :func:`render_csv` renders
+it by block and column, each distinct number once. Up to
+``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the dense average
+product distribution and is checked against max internal regret / T; above, it is that
+ratio and its identity residual is null. Outputs are deterministic given the
+configuration; no wall-clock or randomness enters.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .diagnostics import (
 )
 from .errors import StationaryResidualError, ValidationError
 # expected_loss stays bound here: perfbench's smoke test reads runner.expected_loss.
-from .games import Game, _contract, expected_loss, is_distribution, load_game, random_game
+from .games import Game, _contraction, expected_loss, is_distribution, load_game, random_game
 from .internal_dynamics import ArboDynamics, SlOmwu, _pair_rates
 from .markov_tree import STATIONARY_RESIDUAL_TOL, stationary_residual
 from .metrics import (
@@ -64,7 +67,7 @@ from .metrics import (
     running_max_ratio,
     running_regrets,
 )
-from .omwu import Omwu
+from .omwu import FLOOR_FREE_SPREAD, Omwu
 from .swap_dynamics import BmOmwu, decomposition_residuals
 
 DYNAMICS = ("omwu", "mwu", "sl-omwu", "sl-mwu", "bm-omwu", "bm-mwu", "arbo")
@@ -250,11 +253,12 @@ class Play:
 
 @dataclass
 class RunResult(Play):
-    """A play with its summary and its kept (T, m, 7) round table, the CSV columns after ``t,
-    player`` that :func:`render_csv` renders by column; :attr:`rows` is built on demand."""
+    """A play with its summary, each player's smoothness report (None without an order) and its
+    kept (T, m, 7) round table, rendered by :func:`render_csv`; :attr:`rows` is built on demand."""
 
     summary: dict
     table: np.ndarray
+    smoothness: list | None
 
     @property
     def rows(self) -> list[tuple]:
@@ -272,7 +276,8 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
     """The checked play of :func:`play_dynamics`, then its accounting: round table and summary."""
     play = play_dynamics(config, game)
     table = _round_table(play)
-    return RunResult(**vars(play), summary=_summarize(config, play, table[-1]), table=table)
+    summary, smoothness = _summarize(config, play, table)
+    return RunResult(**vars(play), summary=summary, table=table, smoothness=smoothness)
 
 
 def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
@@ -301,19 +306,25 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     ] if config.eta_rule == "adaptive" else None
 
     family = config.dynamics.split("-")[0]
+    eta_max = max([*etas, *(c.eta_adversarial for c in controllers or ())])
     field = getattr(dyns[0], "trace_field", None)  # the inner distribution's trace record
     # Each trace array is (members, T, ...), so a player's field is a contiguous slice; the trace
     # is built on them before play, for the controllers. The round loop's operands are bound
-    # once per group: its learner, trace arrays (None for no inner record), players to contract.
+    # once per group: its learner, the trace arrays' round-major views (None for no inner
+    # record), and its members' contractions.
     records, writes, feeds = [], [], []
     for group, dyn in zip(groups, dyns):
         learner = getattr(dyn, "learner", dyn)
+        # Game losses lie in [0, 1], so the exponents -eta (cumulative + last inner loss) spread
+        # at most eta (T+1) inner_span: up to FLOOR_FREE_SPREAD the floor is the identity, skipped.
+        learner.floored = eta_max * (T + 1) * dyn.inner_span > FLOOR_FREE_SPREAD
         shapes = dict.fromkeys(("strategies", "losses"), (counts[group[0]],))
         shapes.update({field: learner.shape[1:]} if field else {})
         records.append(rec := {k: np.empty((len(group), T, *s)) for k, s in shapes.items()})
-        writes.append((learner, rec["strategies"], rec.get(field), rec["losses"],
-                       list(enumerate(group))))
-        feeds.append((dyn._update, rec["losses"]))
+        rows = {k: v.swapaxes(0, 1) for k, v in rec.items()}
+        writes.append((learner, rows["strategies"], rows.get(field), rows["losses"],
+                       [(b, _contraction(game, i)) for b, i in enumerate(group)]))
+        feeds.append((dyn._update, rows["losses"]))
     players = [PlayerTrace(**{k: v[b] for k, v in records[g].items()}) for _, g, b in slots]
     trace = RunTrace(horizon=T, dynamics=config.dynamics, action_counts=counts,
                      etas=tuple(etas), players=players)
@@ -326,15 +337,15 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
             played = [step() for step in steps]
             # C-contiguous rows, as a lone learner's strategy is: _contract runs the same products.
             profile = [played[g][b] for _, g, b in slots]
-            for x, (learner, strategies, inner, losses, members) in zip(played, writes):
-                strategies[:, t] = x
+            for x, (learner, strategies, inner, losses, contractions) in zip(played, writes):
+                strategies[t] = x
                 if inner is not None:
-                    inner[:, t] = learner.last_strategy
-                for b, i in members:
-                    losses[b, t] = _contract(game, profile, i)
+                    inner[t] = learner.last_strategy
+                for b, contract in contractions:
+                    losses[t, b] = contract(profile)
 
             for update, losses in feeds:
-                update(losses[:, t])
+                update(losses[t])
 
     done = 0  # rounds played so far
     while done < T:
@@ -421,12 +432,12 @@ def _round_table(play: Play) -> np.ndarray:
     return np.stack(players, axis=1)
 
 
-def _summarize(config: RunConfig, play: Play, final: np.ndarray) -> dict:
-    """Summary document; ``final`` is the last round of :func:`_round_table`."""
+def _summarize(config: RunConfig, play: Play, table: np.ndarray) -> tuple[dict, list | None]:
+    """Summary document from the play and its :func:`_round_table`, and the smoothness reports."""
     game, trace, switch_rounds = play.game, play.trace, play.switch_rounds
     m = game.num_players
     T = trace.horizon
-    ext, raw, clamped, swap = final[:, :4].T.tolist()
+    ext, raw, clamped, swap = table[-1, :, :4].T.tolist()
     if math.prod(game.action_counts) <= metrics.DENSE_JOINT_MAX_ENTRIES:
         gap = ce_gap(game, average_product_distribution(trace)).max_gap
         identity_residual = abs(gap - max(raw) / T)
@@ -460,13 +471,15 @@ def _summarize(config: RunConfig, play: Play, final: np.ndarray) -> dict:
 
     diagnostics = summary["diagnostics"]
     if all(r is None for r in switch_rounds):
-        diagnostics["stability"] = [stability_check(trace, i).to_dict() for i in range(m)]
+        diagnostics["stability"] = [stability_check(trace, i, table[:, i, 6]).to_dict()
+                                    for i in range(m)]
     order, rvu, budget = config.smoothness_order, config.rvu_constant, config.variance_budget
+    smoothness = [] if order is not None else None
     for i in range(m if {order, rvu, budget} != {None} else 0):
         stream = inner_stream(trace, i)  # each player's, built once for the reports that read it
         if order is not None:
-            rep = smoothness_report(trace, i, order, config.smoothness_alpha, stream)
-            diagnostics.setdefault("smoothness", []).append(rep.to_dict())
+            smoothness.append(smoothness_report(trace, i, order, config.smoothness_alpha, stream))
+            diagnostics.setdefault("smoothness", []).append(smoothness[-1].to_dict())
         if rvu is not None:
             rep = rvu_check(trace, i, trace.etas[i], rvu, stream)
             diagnostics.setdefault("rvu", []).append(rep.to_dict())
@@ -474,7 +487,7 @@ def _summarize(config: RunConfig, play: Play, final: np.ndarray) -> dict:
             rep = check_variance_inequality(trace, i, budget, stream)
             diagnostics.setdefault("variance_check", []).append(rep.to_dict())
         del stream  # freed before the next player's is built
-    return summary
+    return summary, smoothness
 
 
 def _reprs(values: np.ndarray) -> np.ndarray:

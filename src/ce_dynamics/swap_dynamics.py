@@ -15,31 +15,32 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .markov_tree import _gth_stationary, check_stationary
+from .markov_tree import _gth_solver, check_stationary
 from .omwu import Composite, Omwu
 
 
 class BmOmwu(Composite):
     """One player's swap-regret state: the (n, n) copy learner plus the fixed point."""
 
-    loss_low, trace_field = 0.0, "copy_dists"
+    loss_low, trace_field, inner_span = 0.0, "copy_dists", 1.0
 
     def __init__(self, n: int, eta: float, optimistic: bool = True):
         if n < 2:
             raise ValidationError(f"need at least 2 actions, got {n}")
         super().__init__(n, Omwu((n, n), eta, optimistic=optimistic))
+        self._solve = _gth_solver(n, True, self.learner.members)
 
     # The copies' last rows and losses: the played matrix, and row g = x[g] * loss.
     last_matrix = property(lambda self: self.learner.last_strategy)
 
     def next_strategy(self) -> np.ndarray:
         Q = self.learner.next_strategy()
-        self.last_strategy = check_stationary(Q, _gth_stationary(Q))
+        self.last_strategy = check_stationary(Q, self._solve(Q))
         return self.last_strategy
 
     def _next_strategy(self) -> np.ndarray:
         """Unchecked step of :meth:`next_strategy`."""
-        self.last_strategy = _gth_stationary(self.learner.next_strategy())
+        self.last_strategy = self._solve(self.learner.next_strategy())
         return self.last_strategy
 
     def observe(self, loss) -> None:

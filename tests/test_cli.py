@@ -422,6 +422,24 @@ def test_diagnose_command(game_file, tmp_path, capsys):
     assert len(lines) > 1
 
 
+def test_diagnose_table_reads_the_runs_reports(monkeypatch, tmp_path, capsys):
+    built, build = [], runner.smoothness_report
+    for module in (runner, cli):  # wherever the report is bound
+        if getattr(module, "smoothness_report", None) is build:
+            monkeypatch.setattr(module, "smoothness_report", lambda *a: built.append(a[1]) or build(*a))
+    table = tmp_path / "table.csv"
+    argv = ["diagnose", "--players", "3", "--actions", "3,4,3", "--dynamics", "arbo",
+            "--horizon", "40", "--eta", "0.05", "--table", str(table)]
+    assert main(argv) == 0
+    assert built == [0, 1, 2]  # one report per player, for the summary and the table
+    doc = json.loads(capsys.readouterr().out)["diagnostics"]["smoothness"]
+    rows = [line.split(",") for line in table.read_text().splitlines()[1:]]
+    for i, rep in enumerate(doc):
+        for h, top in enumerate(rep["max_observed_per_order"]):
+            observed = [float(r[3]) for r in rows if r[:2] == [str(i), str(h)]]
+            assert len(observed) == 40 - h and max(observed) == top
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
 

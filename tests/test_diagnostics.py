@@ -20,7 +20,7 @@ from ce_dynamics.diagnostics import (
     variance,
 )
 from ce_dynamics.errors import ValidationError
-from ce_dynamics import runner
+from ce_dynamics import diagnostics, runner
 from ce_dynamics.games import Game, random_game
 from ce_dynamics.internal_dynamics import ArboDynamics
 from ce_dynamics.metrics import PlayerTrace, RunTrace, inner_stream, running_max_ratio
@@ -184,6 +184,17 @@ class TestSmoothness:
         trace = sl_trace(game, eta=0.05, T=16)
         assert not smoothness_report(trace, 0, 5, alpha).enforced
 
+    @pytest.mark.parametrize("order", [1, 5, 300])
+    def test_observed_is_the_whole_streams_differences(self, order):
+        # Orders from 1 to past a 256-round block: each block keeps one order's differences at a
+        # time, of a window that reaches into the next blocks, and the bits stay the recursion's.
+        trace = ragged_run("arbo", (2, 4), horizon=600).trace
+        for i in range(2):
+            z = inner_stream(trace, i)[1]
+            report = smoothness_report(trace, i, order)
+            for h, d in enumerate(finite_differences(z, order)):
+                assert report.observed[h].tobytes() == np.abs(d).max(axis=(1, 2)).tobytes()
+
     def test_alpha_guard(self):
         game = random_game(2, (3, 3), seed=19)
         trace = sl_trace(game, eta=0.05, T=16)
@@ -309,6 +320,19 @@ class TestStability:
         # exp(6 eta) <= 1 + 7 eta holds through eta = 1/64 with room to spare.
         for eta in np.linspace(1e-6, 1 / 64, 200):
             assert math.exp(6 * eta) <= 1 + 7 * eta
+
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_summary_reads_the_tables_ratio_column(self, monkeypatch, dynamics):
+        result = ragged_run(dynamics, (3, 4, 3), horizon=40)
+        for i, doc in enumerate(result.summary["diagnostics"]["stability"]):
+            assert doc == stability_check(result.trace, i).to_dict()
+            assert doc["max_ratio"] == result.table[-1, i, 6]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stability check computed the ratio again")
+
+        monkeypatch.setattr(diagnostics, "running_max_ratio", refuse)  # not the round table's
+        assert ragged_run(dynamics, (3, 4, 3), horizon=40).summary == result.summary
 
     def test_bm_trace_rows(self):
         cfg = RunConfig(

@@ -16,7 +16,7 @@ from ce_dynamics.games import Game, expected_loss, random_game
 from ce_dynamics.internal_dynamics import SlOmwu, verify_equivalence
 from ce_dynamics.markov_tree import stationary_residual
 from ce_dynamics.metrics import inner_stream
-from ce_dynamics.omwu import Composite, Omwu
+from ce_dynamics.omwu import FLOOR_FREE_SPREAD, Composite, Omwu
 from ce_dynamics.swap_dynamics import BmOmwu
 from ce_dynamics.runner import (
     CSV_COLUMNS,
@@ -745,8 +745,19 @@ class TestStrategyCheck:
         assert not (out / "summary.json").exists()
 
 
-# The unchecked solve each stationary learner calls, by the name its module binds.
-SOLVES = {"sl": (internal_dynamics, "_gth_rates"), "bm": (swap_dynamics, "_gth_stationary")}
+# The module whose ``_gth_solver`` binds each stationary learner's unchecked solve.
+SOLVES = {"sl": internal_dynamics, "bm": swap_dynamics}
+
+
+def patch_solves(monkeypatch, module, fault):
+    """Every solve that ``module``'s learners bind from now on passes its pi through ``fault``."""
+    bind = module._gth_solver
+
+    def bind_faulty(*args):
+        solve = bind(*args)
+        return lambda R: fault(solve(R))
+
+    monkeypatch.setattr(module, "_gth_solver", bind_faulty)
 
 
 class TestStationaryGate:
@@ -760,17 +771,14 @@ class TestStationaryGate:
 
         def install(dynamics, round_index, scale=1.0):
             # BM solves its copy matrix, SL its pair masses as rates.
-            module, name = SOLVES["bm" if dynamics.startswith("bm") else "sl"]
-            solve = getattr(module, name)
             calls = itertools.count()  # one solve per round: both players are members of it
 
-            def faulty(*args):
-                pi = solve(*args)
+            def faulty(pi):
                 if next(calls) == round_index - 1:
                     pi[1] = scale * np.eye(pi.shape[-1])[0]  # finite, and not stationary
                 return pi
 
-            monkeypatch.setattr(module, name, faulty)
+            patch_solves(monkeypatch, SOLVES["bm" if dynamics.startswith("bm") else "sl"], faulty)
 
         return install
 
@@ -801,16 +809,14 @@ class TestStationaryGate:
 
     @pytest.mark.parametrize("round_index", [1, 256, 257, HORIZON])
     def test_verify_equivalence_plays_through_the_gate(self, monkeypatch, round_index):
-        solve = internal_dynamics._gth_rates
         calls = itertools.count()  # one solve per round: both players are members of it
 
-        def off(*args):
-            pi = solve(*args)
+        def off(pi):
             if next(calls) == round_index - 1:
                 pi[1, :2] += [1e-6, -1e-6]  # still on the simplex, off the fixed point by 1e-6
             return pi
 
-        monkeypatch.setattr(internal_dynamics, "_gth_rates", off)
+        patch_solves(monkeypatch, internal_dynamics, off)
         with pytest.raises(StationaryResidualError,
                            match=f"player 1 at round {round_index} failed: residual"):
             verify_equivalence(random_game(2, (3, 3), seed=0), eta=0.05, horizon=self.HORIZON)
@@ -819,12 +825,49 @@ class TestStationaryGate:
         "learner, module", [(SlOmwu, internal_dynamics), (BmOmwu, swap_dynamics)]
     )
     def test_public_next_strategy_gates_every_call(self, monkeypatch, learner, module):
-        name = SOLVES["bm" if learner is BmOmwu else "sl"][1]
-        monkeypatch.setattr(module, name, lambda *args: np.eye(3)[0])
+        monkeypatch.setattr(module, "_gth_solver", lambda *args: lambda R: np.eye(3)[0])
         dyn = learner(3, 0.05)
         with pytest.raises(StationaryResidualError, match="stationary solve failed"):
             dyn.next_strategy()
         dyn._next_strategy()  # the loop's step is unchecked
+
+
+class TestPublicReplay:
+    """A run is its public, checked API, bit for bit: every player replayed through a lone
+    learner's ``next_strategy`` (SL and BM through the residual gate), ``expected_loss`` and
+    ``observe`` plays the strategies, losses and inner distributions of ``play_dynamics``.
+    The lone learners keep the weight floor; the run skips it only where it cannot bind."""
+
+    COUNTS, HORIZON = (3, 4, 3), 64
+
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    @pytest.mark.parametrize("case", ["eta-0.05", "just-under", "just-over", "eta-50"])
+    def test_replay_is_the_run(self, monkeypatch, dynamics, case):
+        T = self.HORIZON
+        widest = runner._build_dynamics(dynamics, max(self.COUNTS), 1.0).inner_span
+        bound = FLOOR_FREE_SPREAD / ((T + 1) * widest)  # the widest learner's eta at the bound
+        eta = {"eta-0.05": 0.05, "just-under": (1 - 1e-9) * bound,
+               "just-over": (1 + 1e-9) * bound, "eta-50": 50.0}[case]
+        built, build = [], runner._build_dynamics
+        monkeypatch.setattr(runner, "_build_dynamics", lambda *a: built.append(build(*a)) or built[-1])
+        play = play_dynamics(RunConfig(dynamics, T, eta=eta, players=3,
+                                       action_counts=self.COUNTS, game_seed=0))
+        floored = [getattr(d, "learner", d).floored for d in built]  # past the bound: the widest
+        assert any(floored) is (case in ("just-over", "eta-50"))
+        field = getattr(built[0], "trace_field", "strategies")
+        if case == "eta-50":  # and it binds: some weight of the run sits on the floor
+            assert min(getattr(p, field).min() for p in play.trace.players) <= 1e-300
+
+        learners = [build(dynamics, n, eta) for n in self.COUNTS]
+        for t in range(T):
+            profile = [dyn.next_strategy() for dyn in learners]
+            for i, (dyn, p) in enumerate(zip(learners, play.trace.players)):
+                loss = expected_loss(play.game, profile, i)
+                assert profile[i].tobytes() == p.strategies[t].tobytes()
+                assert loss.tobytes() == p.losses[t].tobytes()
+                inner = getattr(dyn, "learner", dyn).last_strategy
+                assert inner.tobytes() == getattr(p, field)[t].tobytes()
+                dyn.observe(loss)
 
 
 class TestOutputs:

@@ -1,33 +1,35 @@
 """Experiment runner: configuration, learning-rate schedules, output files.
 
-A run executes the two-phase self-play protocol: freeze every player's strategy, compute
-every expected-loss vector from the frozen profile, then deliver all feedback. Players
-with equal action counts are the members of one learner, so a round plays, updates and
-writes the trace once per group; each player's loss is :func:`games._contract` of the
-game with the strategies just emitted. The round loop only plays, on operands bound once
-per run: each player's contraction (:func:`games._contraction`), each learner's solve
-and inner-loss tables, and the trace's round-major rows. SL and BM play their unchecked
+A run executes the two-phase self-play protocol: freeze every player's strategy,
+compute every expected-loss vector from the frozen profile, then deliver all
+feedback. Players with equal action counts are the members of one learner, so a
+round plays, updates and writes the trace once per group; each player's loss is
+:func:`games._contract` of the game with the strategies just emitted. The round
+loop only plays, on operands bound once per run: each player's contraction
+(:func:`games._contraction`), each learner's solve and inner-loss tables, and the
+trace's round-major rows. SL and BM play their unchecked
 stationary solve (``_next_strategy``) and feedback goes through the unchecked
-``_update``. The softmax's weight floor is skipped where it cannot bind: game losses in
-[0, 1] bound each learner's exponent spread by eta (T+1) times its ``inner_span``;
-learners built outside a run keep it, as their losses come from outside. Adaptive
-controllers scan each block of ``REGRET_CHUNK_ROUNDS`` inner-stream rounds of the trace;
-at a block's first breach the learners are restored to the block's start (snapshotted
-only for controllers) and replayed up to that round, where each breaching player's
-member is reset alone. After the loop, one pass gates every recorded stationary solve by
-its residual, keeping each player's worst, then one pass checks every recorded strategy
-against the simplex. That checked play is :func:`play_dynamics`; :func:`run_dynamics`
-adds the accounting, which :func:`internal_dynamics.verify_equivalence` skips. Every
-per-round CSV column comes from the trace, by :func:`metrics.running_regrets` and
-:func:`metrics.running_max_ratio`; the summary's final regrets are the table's last
-round, and BM's loss-decomposition residual is
-:func:`swap_dynamics.decomposition_residuals` of the trace. The (T, m, 7) round table is
-kept on the result, whose CSV rows are built only on demand; :func:`render_csv` renders
-it by block and column, each distinct number once. Up to
-``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the dense average
-product distribution and is checked against max internal regret / T; above, it is that
-ratio and its identity residual is null. Outputs are deterministic given the
-configuration; no wall-clock or randomness enters.
+``_update``. The softmax's weight floor is skipped where it cannot bind: game
+losses in [0, 1] bound each learner's exponent spread by eta (T+1) times its
+``inner_span``; learners built outside a run keep it, as their losses come from
+outside. Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS``
+inner-stream rounds of the trace; at a block's first breach the learners are restored to
+the block's start (snapshotted only for controllers) and replayed up to that
+round, where each breaching player's member is reset alone. After the loop, one
+pass gates every recorded stationary solve by its residual, keeping each
+player's worst, then one pass checks every recorded strategy against the
+simplex. That checked play is :func:`play_dynamics`; :func:`run_dynamics` adds
+the accounting, which :func:`internal_dynamics.verify_equivalence` skips. Every
+per-round CSV column comes from the trace, by :func:`metrics.running_regrets`
+and :func:`metrics.running_max_ratio`; the summary's final regrets are the
+table's last round, and BM's loss-decomposition residual is
+:func:`swap_dynamics.decomposition_residuals` of the trace. The (T, m, 7) round
+table is kept on the result, whose CSV rows are built only on demand;
+:func:`render_csv` renders it by block and column, each distinct number once. Up
+to ``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the
+dense average product distribution and is checked against max internal
+regret / T; above, it is that ratio and its identity residual is null. Outputs
+are deterministic given the configuration; no wall-clock or randomness enters.
 """
 
 from __future__ import annotations

@@ -109,9 +109,8 @@ def _contract(game: Game, strategies, player: int) -> np.ndarray:
 
 
 def _contraction(game: Game, player: int):
-    """:func:`_contract` for ``player``, bound once to the game: a function of the strategies.
-
-    The later players' axes are contracted from the last one down, then the earlier players'
+    """:func:`_contract` for ``player`` bound once to the game, a function of the strategies:
+    the later players' axes are contracted from the last one down, then the earlier players'
     axes from the first one up: ``ndarray.dot``, ``@``'s bits at a cheaper call, except ``@``
     on a 3+-player game's stacked first step, where ``dot`` adds in another order."""
     tensor, m = game.losses[player], game.num_players

@@ -47,9 +47,8 @@ def _pair_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _pair_losses(n: int):
-    """:func:`pair_loss_vector` bound to n actions, by its (n, n(n-1)) matrices whose column of
-    pair (j, k) is e_j, and e_k - e_j: the products add exact terms to zeros, so bits hold (an
-    input's -0.0 aside)."""
+    """:func:`pair_loss_vector` bound to n actions, by (n, n(n-1)) matrices whose column of pair
+    (j, k) is e_j, and e_k - e_j: exact terms add to zeros, so bits hold (an input's -0.0 aside)."""
     src, dst = _pair_index_arrays(n)
     select = np.eye(n).take(src, axis=1)
     diff = np.eye(n).take(dst, axis=1) - select
@@ -102,7 +101,7 @@ class SlOmwu(Composite):
         if n < 2:
             raise ValidationError(f"need at least 2 actions, got {n}")
         super().__init__(n, Omwu(n * (n - 1), eta, optimistic=optimistic))
-        self._solve, self._inner_losses = _gth_solver(n, False, self.learner.members), _pair_losses(n)
+        self._solve, self.inner_losses = _gth_solver(n, False, self.learner.members), _pair_losses(n)
 
     def next_strategy(self) -> np.ndarray:
         p = self.learner.next_strategy()
@@ -151,7 +150,7 @@ class ArboDynamics(Composite):
             )
         self.roots, self.edge_pairs = _tree_structure(n)
         super().__init__(n, Omwu(len(self.roots), eta, optimistic=optimistic))
-        self.inner_span, self._inner_losses = 2.0 * (n - 1), _tree_losses(n)
+        self.inner_span, self.inner_losses = 2.0 * (n - 1), _tree_losses(n)
         # Member b's trees fall into root bins b*n .. b*n + n-1; bincount sums each in tree order.
         members = np.arange(np.prod(self.learner.members, dtype=int))
         self._root_bins = (self.roots + n * members[:, None]).ravel()
@@ -168,8 +167,7 @@ class ArboDynamics(Composite):
 
 @lru_cache(maxsize=None)
 def _tree_losses(n: int):
-    """Each tree's loss, the sum of its edges' pair losses, over any leading axes, for n actions:
-    :meth:`ArboDynamics.inner_losses` bound to n."""
+    """:meth:`ArboDynamics.inner_losses` bound to n: each tree's summed edge pair losses."""
     pair_losses, edge_pairs = _pair_losses(n), _tree_structure(n)[1]
     return lambda x, loss: np.add.reduce(pair_losses(x, loss).take(edge_pairs, axis=-1), axis=-1)
 

@@ -14,11 +14,10 @@ convention, ``Q^T pi = pi``):
   however small, carries a small relative error (O'Cinneide, Numer. Math. 65,
   1993); a small residual alone would not promise that.
 
-The elimination itself is unchecked: ``_gth_solver``, bound once per stack of chains,
-takes their off-diagonal rates or whole matrix rows, whose diagonal is never read;
-``_gth_stationary`` solves matrices. Up to 16 states a chain is one call of code generated
-per state count and form, with the loop's bits. Its residual gate is
-:func:`check_stationary`; :func:`stationary_residual` takes any leading axes.
+The elimination itself is unchecked: ``_gth_solver``, bound once per stack of chains, takes
+their off-diagonal rates or whole matrix rows, whose diagonal is never read. Up to 16 states a
+chain is one call of code generated per state count and form, with the loop's bits. Its
+residual gate is :func:`check_stationary`; :func:`stationary_residual` takes any leading axes.
 
 A directed tree rooted at j ("arborescence") has no cycles, no outgoing edge
 from j, and exactly one outgoing edge from every other node. Trees are
@@ -228,8 +227,6 @@ def _gth_solver(n: int, diagonal: bool, members: tuple):
     rows, shape = (-1, n * n if diagonal else n * (n - 1)), (*members, n)
     large = n > GTH_KERNEL_MAX_STATES
     kernel = partial(_gth_loop, n, diagonal) if large else _gth_kernel(n, diagonal)
-    if len(members) == 1 and not diagonal:  # stacked rates are the kernel's rows, pi its rows
-        return lambda R: np.array([kernel(*r) for r in R.tolist()])
     return lambda R: np.array([kernel(*r) for r in R.reshape(rows).tolist()]).reshape(shape)
 
 

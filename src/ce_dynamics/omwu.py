@@ -64,8 +64,7 @@ class Omwu:
     inner_dist = property(lambda self: self.last_strategy.reshape(*self.members, -1, self.dim))
     inner_loss = property(lambda self: self.last_loss.reshape(*self.members, -1, self.dim))
     inner_losses = staticmethod(lambda x, loss: loss)
-    # The inner losses' range is inner_span wide for losses in [0, 1]; floored: the floor applies.
-    inner_span, floored = 1.0, True
+    inner_span, floored = 1.0, True  # inner losses' range width for losses in [0, 1]; floor on
 
     def next_strategy(self) -> np.ndarray:
         """Current iterate: softmax of -eta * (cumulative + predicted) losses."""
@@ -121,11 +120,10 @@ class Composite:
 
     Subclasses define ``next_strategy``, ``observe`` as ``self._update(self._checked(loss))``,
     each public method in its own body so it can be wrapped on the class, and
-    the static ``inner_losses(x, loss)`` (the learner's loss, any leading axes), which
-    ``_update`` calls as ``_inner_losses``, bound to n where it reads tables;
-    a stationary solve's ``_next_strategy`` skips its residual gate. ``trace_field``
-    is the trace record of the inner distribution, ``loss_low`` the loss floor, ``inner_span``
-    the width of the inner losses' range.
+    the static ``inner_losses(x, loss)`` (the learner's loss, any leading axes), which an
+    instance binds to n where it reads tables; a stationary solve's ``_next_strategy`` skips
+    its residual gate. ``trace_field`` is the trace record of the inner distribution,
+    ``loss_low`` the loss floor, ``inner_span`` the inner losses' range.
     """
 
     loss_low = -1.0
@@ -134,7 +132,6 @@ class Composite:
         self.n = int(n)
         self.learner = learner
         self.last_strategy: np.ndarray | None = None
-        self._inner_losses = self.inner_losses
 
     eta = property(lambda self: self.learner.eta)
     inner_dim = property(lambda self: self.learner.inner_dim)
@@ -159,7 +156,7 @@ class Composite:
         return loss
 
     def _update(self, loss: np.ndarray) -> None:
-        self.learner._update(self._inner_losses(self.last_strategy, loss))
+        self.learner._update(self.inner_losses(self.last_strategy, loss))
 
     def reset(self, eta=None, member: int | None = None) -> None:
         self.learner.reset(eta, member)

@@ -3,19 +3,18 @@
 A run executes the two-phase self-play protocol: freeze every player's strategy,
 compute every expected-loss vector from the frozen profile, then deliver all
 feedback. Players with equal action counts are the members of one learner, so a
-round plays, updates and writes the trace once per group; each player's loss is
-:func:`games._contract` of the game with the strategies just emitted. The round
-loop only plays, on operands bound once per run: each player's contraction
-(:func:`games._contraction`), each learner's solve and inner-loss tables, and the
-trace's round-major rows. SL and BM play their unchecked
-stationary solve (``_next_strategy``) and feedback goes through the unchecked
-``_update``. The softmax's weight floor is skipped where it cannot bind: game
-losses in [0, 1] bound each learner's exponent spread by eta (T+1) times its
-``inner_span``; learners built outside a run keep it, as their losses come from
-outside. Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS``
-inner-stream rounds of the trace; at a block's first breach the learners are restored to
-the block's start (snapshotted only for controllers) and replayed up to that
-round, where each breaching player's member is reset alone. After the loop, one
+round plays, updates and writes the trace once per group. The round loop only
+plays, on operands bound once per run: each player's contraction of the game
+(:func:`games._contraction`, :func:`games._contract`'s bits), each learner's solve
+and inner-loss tables, and the trace's round-major rows. SL and BM play their
+unchecked stationary solve (``_next_strategy``), feedback goes through the
+unchecked ``_update``, and the softmax's weight floor is skipped where it cannot
+bind: game losses in [0, 1] bound each learner's exponent spread by eta (T+1) times
+its ``inner_span`` (learners built outside a run keep it, as their losses come from
+outside). Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS`` inner-stream
+rounds of the trace; at a block's first breach the learners are restored to the
+block's start (snapshotted only for controllers) and replayed up to that round,
+where each breaching player's member is reset alone. After the loop, one
 pass gates every recorded stationary solve by its residual, keeping each
 player's worst, then one pass checks every recorded strategy against the
 simplex. That checked play is :func:`play_dynamics`; :func:`run_dynamics` adds
@@ -311,14 +310,13 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     eta_max = max([*etas, *(c.eta_adversarial for c in controllers or ())])
     field = getattr(dyns[0], "trace_field", None)  # the inner distribution's trace record
     # Each trace array is (members, T, ...), so a player's field is a contiguous slice; the trace
-    # is built on them before play, for the controllers. The round loop's operands are bound
-    # once per group: its learner, the trace arrays' round-major views (None for no inner
-    # record), and its members' contractions.
+    # is built on them before play, for the controllers. Bound once per group: its learner, the
+    # arrays' round-major views (None for no inner record), and its members' contractions.
     records, writes, feeds = [], [], []
     for group, dyn in zip(groups, dyns):
         learner = getattr(dyn, "learner", dyn)
-        # Game losses lie in [0, 1], so the exponents -eta (cumulative + last inner loss) spread
-        # at most eta (T+1) inner_span: up to FLOOR_FREE_SPREAD the floor is the identity, skipped.
+        # Losses in [0, 1] spread the exponents at most eta (T+1) inner_span: up to
+        # FLOOR_FREE_SPREAD the floor is the identity, skipped.
         learner.floored = eta_max * (T + 1) * dyn.inner_span > FLOOR_FREE_SPREAD
         shapes = dict.fromkeys(("strategies", "losses"), (counts[group[0]],))
         shapes.update({field: learner.shape[1:]} if field else {})

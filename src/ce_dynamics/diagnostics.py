@@ -1,7 +1,7 @@
 """Numerical diagnostics for recorded runs, each read from a player's
 :func:`~ce_dynamics.metrics.inner_stream` for every dynamics, by block of
-``REGRET_CHUNK_ROUNDS`` rounds; a caller that built the stream passes it as
-``stream``. Covers four families:
+``REGRET_CHUNK_ROUNDS`` rounds sent in turn to a generator that keeps the report's carry and
+yields the report after the last; the runner's walk sends it the blocks it reads. Four families:
 
 * finite-difference tables of time-indexed vector sequences, with an
   independent binomial-form evaluation as a conditioning cross-check;
@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import REGRET_CHUNK_ROUNDS, RunTrace, inner_stream, running_max_ratio
+from .metrics import RunTrace, _blocks, _inner_dists, inner_stream, running_max_ratio
 
 # Smoothness certificate constants: the learning-rate threshold eta <=
 # alpha / (36 e^5 m) activates pass/fail mode; the looser alpha / (36 m) is
@@ -99,14 +99,12 @@ def running_variance_sums(q, z, last=None, carry=(0.0, 0.0)):
     return np.cumsum(lhs, out=lhs), np.cumsum(prev_sum, out=prev_sum)
 
 
-def _variance_sums(q, z) -> tuple[float, float]:
-    """Both sums of :func:`running_variance_sums` over a whole inner stream, fed by block."""
-    sums, last = (0.0, 0.0), None
-    for s in range(0, len(z), REGRET_CHUNK_ROUNDS):
-        b = slice(s, s + REGRET_CHUNK_ROUNDS)
-        lhs, prev_sum = running_variance_sums(q[b], z[b], last, sums)
-        sums, last = (float(lhs[-1]), float(prev_sum[-1])), z[b][-1]
-    return sums
+def _fed(trace: RunTrace, player: int, steps):
+    """The report of a report's block steps sent every block of the player's inner stream."""
+    report = next(steps)
+    for rounds in _blocks(trace.horizon):
+        report = steps.send(inner_stream(trace, player, rounds))
+    return report
 
 
 def smoothness_bound(order: int, alpha: float) -> float:
@@ -170,7 +168,7 @@ def resolve_smoothness_alpha(max_order: int, horizon: int, alpha: float | None =
 
 
 def smoothness_report(
-    trace: RunTrace, player: int, max_order: int, alpha: float | None = None, stream=None
+    trace: RunTrace, player: int, max_order: int, alpha: float | None = None
 ) -> SmoothnessReport:
     """Check h-th differences of the inner losses z of :func:`inner_stream` against the bound.
 
@@ -179,17 +177,26 @@ def smoothness_report(
     otherwise the report is an observation. ``alpha`` defaults to 1/(H+3), its
     largest valid value.
     """
+    return _fed(trace, player, _smoothness_steps(trace, player, max_order, alpha))
+
+
+def _smoothness_steps(trace: RunTrace, player: int, max_order: int, alpha: float | None):
+    """:func:`smoothness_report`'s block steps. Order h at round t reads z up to round t + h, so
+    a block completes each order up to its last round less h; the carry is the last H rows of z
+    sent, differenced with the block one order at a time."""
     alpha = resolve_smoothness_alpha(max_order, trace.horizon, alpha)
     eta = trace.etas[player]
     m = trace.num_players
     threshold = alpha / (SMOOTHNESS_ETA_DIVISOR * m)
     threshold_loose = alpha / (SMOOTHNESS_ETA_DIVISOR_LOOSE * m)
-    z = (stream or inner_stream(trace, player))[1]
-    observed = [[] for _ in range(max_order + 1)]
-    for s in range(0, len(z), REGRET_CHUNK_ROUNDS):
-        window = z[s : s + REGRET_CHUNK_ROUNDS + max_order]
+    observed, held = [[] for _ in range(max_order + 1)], None
+    for rounds in _blocks(trace.horizon):
+        z = (yield)[1]
+        window = z if held is None else np.concatenate([held, z])
         for h, d in enumerate(_differences(window, min(max_order, len(window) - 1))):
-            observed[h].append(np.abs(d[:REGRET_CHUNK_ROUNDS]).max(axis=(1, 2)))
+            done = max(0, rounds.start - h) - (rounds.stop - len(window))  # by earlier blocks
+            observed[h].append(np.abs(d[done:]).max(axis=(1, 2)))
+        held = window[max(0, len(window) - max_order) :]
     observed = [np.concatenate(o) for o in observed]
     bounds = np.array([smoothness_bound(h, alpha) for h in range(max_order + 1)])
     failures = [
@@ -197,7 +204,7 @@ def smoothness_report(
         for h in range(max_order + 1)
         for t in np.flatnonzero(observed[h] > bounds[h])
     ]
-    return SmoothnessReport(
+    yield SmoothnessReport(
         max_order=max_order,
         alpha=alpha,
         eta=eta,
@@ -235,9 +242,7 @@ class RvuReport:
         return {**{k: v if math.isfinite(v) else None for k, v in sides.items()}, "holds": self.holds}
 
 
-def rvu_check(
-    trace: RunTrace, player: int, eta: float, curvature_constant: float, stream=None
-) -> RvuReport:
+def rvu_check(trace: RunTrace, player: int, eta: float, curvature_constant: float) -> RvuReport:
     """Evaluate the regret-vs-variance inequality for the inner stream's rows, summed.
 
     A row is one learner on d points: SL's pair learner, d = n(n-1); one of BM's
@@ -246,17 +251,22 @@ def rvu_check(
     eta^2) times the summed variance of loss differences, minus (1 - C eta) eta/2
     times that of the previous losses; a variant with log(n) is reported alongside.
     """
-    q, z = stream or inner_stream(trace, player)
-    pos_sum, neg_sum = _variance_sums(q, z)
-    # Each row's regret, max_k sum_t (<q_t, z_t> - z_t[k]): one sequential sum per k.
-    gains = np.zeros(q.shape[1:])
-    for s in range(0, len(z), REGRET_CHUNK_ROUNDS):
-        b = slice(s, s + REGRET_CHUNK_ROUNDS)
-        block = (q[b] * z[b]).sum(axis=-1, keepdims=True) - z[b]
+    return _fed(trace, player, _rvu_steps(trace, player, eta, curvature_constant))
+
+
+def _rvu_steps(trace: RunTrace, player: int, eta: float, curvature_constant: float):
+    """:func:`rvu_check`'s block steps; the variance sums are :func:`_budget_steps`' two sums."""
+    (rows, dim), n = _inner_dists(trace, player, slice(0))[0].shape[1:], trace.action_counts[player]
+    variance, gains = _budget_steps(trace, 0.0), np.zeros((rows, dim))
+    budget = next(variance)
+    for _ in _blocks(trace.horizon):
+        q, z = yield
+        budget = variance.send((q, z))
+        # Each row's regret, max_k sum_t (<q_t, z_t> - z_t[k]): one sequential sum per k.
+        block = (q * z).sum(axis=-1, keepdims=True) - z
         block[0] += gains
         gains = np.cumsum(block, axis=0)[-1]
-    regret = float(gains.max(axis=-1).sum())
-    (rows, dim), n = q.shape[1:], trace.action_counts[player]
+    pos_sum, neg_sum = budget.lhs, budget.prev_variance_sum
     log_term = rows * 2.0 * math.log(dim) / eta
     try:
         curvature = curvature_constant * eta**2
@@ -268,8 +278,8 @@ def rvu_check(
     neg_term = neg_coeff * neg_sum if neg_sum else 0.0
     bound = log_term + pos_term - neg_term
     bound_action = rows * 2.0 * math.log(n) / eta + pos_term - neg_term
-    return RvuReport(
-        regret=regret,
+    yield RvuReport(
+        regret=float(gains.max(axis=-1).sum()),
         bound=bound,
         bound_action_log=bound_action,
         log_term=log_term,
@@ -311,15 +321,23 @@ class VarianceBudgetReport:
 
 
 def check_variance_inequality(
-    trace: RunTrace,
-    player: int,
-    budget_constant: float = DEFAULT_VARIANCE_BUDGET_CONSTANT,
-    stream=None,
+    trace: RunTrace, player: int, budget_constant: float = DEFAULT_VARIANCE_BUDGET_CONSTANT
 ) -> VarianceBudgetReport:
-    lhs, prev_sum = _variance_sums(*(stream or inner_stream(trace, player)))
+    return _fed(trace, player, _budget_steps(trace, budget_constant))
+
+
+def _budget_steps(trace: RunTrace, budget_constant: float):
+    """:func:`check_variance_inequality`'s block steps: both sums of :func:`running_variance_sums`
+    and the last z are the carry."""
+    sums, last = (0.0, 0.0), None
+    for _ in _blocks(trace.horizon):
+        q, z = yield
+        lhs, prev_sum = running_variance_sums(q, z, last, sums)
+        sums, last = (float(lhs[-1]), float(prev_sum[-1])), z[-1]
+    lhs, prev_sum = sums
     depth = budget_depth(trace.horizon)
     minimal = max(0.0, (lhs - 0.5 * prev_sum) / depth**5)
-    return VarianceBudgetReport(
+    yield VarianceBudgetReport(
         lhs=lhs,
         prev_variance_sum=prev_sum,
         depth=depth,

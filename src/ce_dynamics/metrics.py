@@ -1,21 +1,22 @@
 """Regret accounting and correlated-equilibrium gaps over recorded runs.
 
 A :class:`RunTrace` stores everything a run produced, per player and round:
-strategies, expected-loss vectors, and (for SL, BM and arbo) the inner distributions,
-plus SL's pair losses; :func:`inner_stream` reads a run's inner stream from them. Traces
-serialize to ``.npz`` with bit-exact float64 arrays, one per :class:`RunTrace` field but
-``players``, then ``p{i}_<field>`` per set :class:`PlayerTrace` field of player i, in field
-order, so every regret recomputes identically from a reloaded trace.
+strategies, expected-loss vectors, and (for SL, BM and arbo) the inner distributions;
+:func:`inner_stream` reads a run's inner stream from them. Traces serialize to ``.npz``
+with bit-exact float64 arrays, one per :class:`RunTrace` field but ``players``, then
+``p{i}_<field>`` per set :class:`PlayerTrace` field of player i, in field order, so every
+regret recomputes identically from a reloaded trace. SL's pair losses, the inner stream's
+z, are written from the stream: a played trace does not hold them.
 
-Every regret reads one running sum of small per-round terms,
-P[j, k] = sum_t x_t[j] (loss_t[j] - loss_t[k]), kept by :func:`_running_pair_sums`,
-and the running consecutive-ratio max is kept by :func:`running_max_ratio`; each
-is computed here and nowhere else.
+Each quantity over a finished trace is one generator over its :func:`_blocks`, whose carry
+goes from block to block: the running pair sums P[j, k] = sum_t x_t[j] (loss_t[j] -
+loss_t[k]) that every regret reads, the running consecutive-ratio max and the average
+product distribution. The whole-trace functions and the runner's walk both step it.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .games import Game
 
 DENSE_JOINT_MAX_ENTRIES = 10**6
-# Rounds per block of the running pair sums; bounds the (chunk, n, n) stack.
+# Rounds per block of a finished trace's walk; bounds the (chunk, n, n) stack of pair sums.
 REGRET_CHUNK_ROUNDS = 256
 
 
@@ -32,7 +33,7 @@ class PlayerTrace:
     strategies: np.ndarray  # (T, n)
     losses: np.ndarray  # (T, n)
     pair_dists: np.ndarray | None = None  # (T, n(n-1)) for pair-space runs
-    pair_losses: np.ndarray | None = None  # (T, n(n-1))
+    pair_losses: np.ndarray | None = None  # (T, n(n-1)), SL's inner losses: loaded, not played
     copy_dists: np.ndarray | None = None  # (T, n, n) for swap-dynamics runs
     tree_dists: np.ndarray | None = None  # (T, n^(n-1)) for tree-space runs
 
@@ -52,6 +53,8 @@ class RunTrace:
     def save(self, path) -> None:
         arrays = {f.name: np.array(getattr(self, f.name)) for f in fields(self) if f.name != "players"}
         for i, pt in enumerate(self.players):
+            if pt.pair_dists is not None and pt.pair_losses is None:  # SL's, from the stream's z
+                pt = replace(pt, pair_losses=inner_stream(self, i)[1][:, 0])
             for f in fields(pt):
                 if (value := getattr(pt, f.name)) is not None:
                     arrays[f"p{i}_{f.name}"] = value
@@ -71,39 +74,31 @@ class RunTrace:
         return trace
 
 
-def _running_pair_sums(trace: RunTrace, player: int):
-    """Yields (rounds, P): P[t, j, k] = sum_{s <= t} x_s[j] (loss_s[j] - loss_s[k]).
+def _blocks(horizon: int) -> list[slice]:
+    """A run's rounds in order, as slices of at most ``REGRET_CHUNK_ROUNDS`` rounds."""
+    size = REGRET_CHUNK_ROUNDS
+    return [slice(s, min(s + size, horizon)) for s in range(0, horizon, size)]
 
-    The carry is folded into each REGRET_CHUNK_ROUNDS block's first round before
-    the cumsum, so every entry is the plain sequential sum; the diagonal is zero.
+
+def _regret_blocks(trace: RunTrace, player: int):
+    """Yields each block's running external, raw internal and swap regret, each (rounds,), read
+    off the running pair sums P[t, j, k] = sum_{s <= t} x_s[j] (loss_s[j] - loss_s[k]): external
+    max_k sum_j P[j, k], raw internal max_{j != k} P[j, k], swap sum_j max_k P[j, k]. The carry
+    is folded into each block's first round before the cumsum: each entry is a sequential sum.
     """
-    pt = trace.players[player]
-    n = trace.action_counts[player]
-    carry = np.zeros((n, n))
-    for s in range(0, trace.horizon, REGRET_CHUNK_ROUNDS):
-        rounds = slice(s, s + REGRET_CHUNK_ROUNDS)
+    pt, n = trace.players[player], trace.action_counts[player]
+    offdiag, carry = ~np.eye(n, dtype=bool), np.zeros((n, n))
+    for rounds in _blocks(trace.horizon):
         x, loss = pt.strategies[rounds], pt.losses[rounds]
         P = x[:, :, None] * (loss[:, :, None] - loss[:, None, :])
         P[0] += carry
-        np.cumsum(P, axis=0, out=P)
-        carry = P[-1]
-        yield rounds, P
+        carry = np.cumsum(P, axis=0, out=P)[-1]
+        yield P.sum(axis=1).max(axis=1), P[:, offdiag].max(axis=1), P.max(axis=2).sum(axis=1)
 
 
 def running_regrets(trace: RunTrace, player: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Running external, raw internal and swap regret after each round, each (T,).
-
-    Read off the running pair sums P: external max_k sum_j P[j, k], raw
-    internal max_{j != k} P[j, k], swap sum_j max_k P[j, k].
-    """
-    n = trace.action_counts[player]
-    offdiag = ~np.eye(n, dtype=bool)
-    out = np.empty((3, trace.horizon))
-    for rounds, P in _running_pair_sums(trace, player):
-        out[0, rounds] = P.sum(axis=1).max(axis=1)
-        out[1, rounds] = P[:, offdiag].max(axis=1)
-        out[2, rounds] = P.max(axis=2).sum(axis=1)
-    return out[0], out[1], out[2]
+    """Running external, raw internal and swap regret after each round, each (T,)."""
+    return tuple(np.concatenate([np.empty((3, 0)), *map(np.stack, _regret_blocks(trace, player))], 1))
 
 
 def _inner_dists(trace: RunTrace, player: int, rounds: slice):
@@ -123,10 +118,27 @@ def inner_stream(trace: RunTrace, player: int, rounds: slice = slice(None)):
     by block: arbo's (rounds, trees, n - 1) edge stack is one block's."""
     (q, cls), pt = _inner_dists(trace, player, rounds), trace.players[player]
     x, loss, z = pt.strategies[rounds], pt.losses[rounds], np.empty(q.shape)
-    for s in range(0, len(z), REGRET_CHUNK_ROUNDS):
-        b = slice(s, s + REGRET_CHUNK_ROUNDS)
+    for b in _blocks(len(z)):
         z[b] = cls.inner_losses(x[b], loss[b]).reshape(z[b].shape)
     return q, z
+
+
+def _ratio_blocks(trace: RunTrace, player: int, restart: int | None = None):
+    """Yields each block's running max of the consecutive ratio; the carry is the last inner
+    distribution and the max so far."""
+    last, top = None, -np.inf
+    for rounds in _blocks(trace.horizon):
+        q = _inner_dists(trace, player, rounds)[0]
+        rows = q if last is None else np.concatenate([last, q])
+        ratio, per_round = rows[1:] / rows[:-1], np.ones(len(q))  # round 1 contributes 1
+        per_round[len(q) - len(ratio) :] = np.maximum(ratio.max(axis=(1, 2)),
+                                                      (1.0 / ratio).max(axis=(1, 2)))
+        if restart in range(rounds.start, rounds.stop):
+            per_round[restart - rounds.start] = 1.0
+        per_round[0] = np.maximum(per_round[0], top)
+        per_round = np.maximum.accumulate(per_round)
+        last, top = q[-1:], per_round[-1]
+        yield per_round
 
 
 def running_max_ratio(trace: RunTrace, player: int, restart: int | None = None) -> np.ndarray:
@@ -136,16 +148,7 @@ def running_max_ratio(trace: RunTrace, player: int, restart: int | None = None) 
     :func:`inner_stream`'s q, read without computing z; round 1 contributes 1. ``restart`` is the
     round after which the learner was reset, so the next round starts a chain and contributes 1.
     """
-    T, chunk = trace.horizon, REGRET_CHUNK_ROUNDS
-    per_round = np.ones(T)
-    for s in range(1, T, chunk):
-        e = min(s + chunk, T)
-        rows = _inner_dists(trace, player, slice(s - 1, e))[0]
-        ratio = rows[1:] / rows[:-1]
-        per_round[s:e] = np.maximum(ratio.max(axis=(1, 2)), (1.0 / ratio).max(axis=(1, 2)))
-    if restart is not None and restart < T:
-        per_round[restart] = 1.0
-    return np.maximum.accumulate(per_round)
+    return np.concatenate([np.empty(0), *_ratio_blocks(trace, player, restart)])
 
 
 def _last(values: np.ndarray) -> float:
@@ -172,31 +175,35 @@ def swap_regret(trace: RunTrace, player: int) -> float:
     return _last(running_regrets(trace, player)[2])
 
 
-def average_product_distribution(trace: RunTrace) -> np.ndarray:
-    """Time average of the per-round product distributions, a dense joint tensor.
+def _product_blocks(trace: RunTrace):
+    """Yields the running total of the per-round product distributions through each block, in
+    parts of at most DENSE_JOINT_MAX_ENTRIES cells; the total is folded into each part's first
+    round before the part's sum, so every cell is the plain sequential sum over rounds."""
+    chunk, total = max(1, DENSE_JOINT_MAX_ENTRIES // int(np.prod(trace.action_counts))), 0.0
+    for rounds in _blocks(trace.horizon):
+        for s in range(rounds.start, rounds.stop, chunk):
+            part = slice(s, min(s + chunk, rounds.stop))
+            block = trace.players[0].strategies[part].copy()
+            for i in range(1, trace.num_players):
+                x = trace.players[i].strategies[part]
+                block = block[..., None] * x.reshape(x.shape[0], *(1,) * i, x.shape[1])
+            block[0] += total
+            total = block.sum(axis=0)
+        yield total
 
-    Raises :class:`ValidationError` when the joint profile space has more
-    than DENSE_JOINT_MAX_ENTRIES cells. Rounds go in blocks of at most
-    REGRET_CHUNK_ROUNDS, fewer when a block would pass that many cells; the
-    running total is folded into each block's first round before the block
-    sum, so every cell is the plain sequential sum over rounds.
-    """
+
+def average_product_distribution(trace: RunTrace) -> np.ndarray:
+    """Time average of the per-round product distributions, a dense joint tensor. Raises
+    :class:`ValidationError` above DENSE_JOINT_MAX_ENTRIES joint profile cells."""
     cells = int(np.prod(trace.action_counts))
     if cells > DENSE_JOINT_MAX_ENTRIES:
         raise ValidationError(
             f"joint profile space has {cells} cells, above {DENSE_JOINT_MAX_ENTRIES}"
         )
-    chunk = max(1, min(REGRET_CHUNK_ROUNDS, DENSE_JOINT_MAX_ENTRIES // cells))
-    acc = np.zeros(trace.action_counts)
-    for s in range(0, trace.horizon, chunk):
-        rounds = slice(s, s + chunk)
-        block = trace.players[0].strategies[rounds].copy()
-        for i in range(1, trace.num_players):
-            x = trace.players[i].strategies[rounds]
-            block = block[..., None] * x.reshape(x.shape[0], *(1,) * i, x.shape[1])
-        block[0] += acc
-        acc = block.sum(axis=0)
-    return acc / trace.horizon
+    total = np.zeros(trace.action_counts)
+    for total in _product_blocks(trace):  # the last block's total
+        pass
+    return total / trace.horizon
 
 
 @dataclass

@@ -3,32 +3,28 @@
 A run executes the two-phase self-play protocol: freeze every player's strategy,
 compute every expected-loss vector from the frozen profile, then deliver all
 feedback. Players with equal action counts are the members of one learner, so a
-round plays, updates and writes the trace once per group. The round loop only
-plays, on operands bound once per run: each player's contraction of the game
-(:func:`games._contraction`, :func:`games._contract`'s bits), each learner's solve
-and inner-loss tables, and the trace's round-major rows. SL and BM play their
-unchecked stationary solve (``_next_strategy``), feedback goes through the
-unchecked ``_update``, and the softmax's weight floor is skipped where it cannot
+round plays, updates and writes the trace once per group, on operands bound once
+per run: each player's contraction of the game (:func:`games._contraction`), each
+learner's solve and inner-loss tables, and the trace's round-major rows. SL and BM
+play their unchecked stationary solve (``_next_strategy``), feedback goes through
+the unchecked ``_update``, and the softmax's weight floor is skipped where it cannot
 bind: game losses in [0, 1] bound each learner's exponent spread by eta (T+1) times
-its ``inner_span`` (learners built outside a run keep it, as their losses come from
-outside). Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS`` inner-stream
-rounds of the trace; at a block's first breach the learners are restored to the
-block's start (snapshotted only for controllers) and replayed up to that round,
-where each breaching player's member is reset alone. After the loop, one
-pass gates every recorded stationary solve by its residual, keeping each
-player's worst, then one pass checks every recorded strategy against the
-simplex. That checked play is :func:`play_dynamics`; :func:`run_dynamics` adds
-the accounting, which :func:`internal_dynamics.verify_equivalence` skips. Every
-per-round CSV column comes from the trace, by :func:`metrics.running_regrets`
-and :func:`metrics.running_max_ratio`; the summary's final regrets are the
-table's last round, and BM's loss-decomposition residual is
-:func:`swap_dynamics.decomposition_residuals` of the trace. The (T, m, 7) round
-table is kept on the result, whose CSV rows are built only on demand;
-:func:`render_csv` renders it by block and column, each distinct number once. Up
-to ``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the
-dense average product distribution and is checked against max internal
-regret / T; above, it is that ratio and its identity residual is null. Outputs
-are deterministic given the configuration; no wall-clock or randomness enters.
+its ``inner_span``. Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS``
+inner-stream rounds; at a block's first breach the learners are restored to the
+block's start and replayed up to that round, where each breaching player's member
+is reset alone. After the loop, :func:`_walk` reads the finished trace once, by
+block: it gates every stationary solve by its residual and checks every strategy
+against the simplex. That checked play is :func:`play_dynamics`; :func:`run_dynamics`
+adds the accounting, which :func:`internal_dynamics.verify_equivalence` skips. Each
+of its quantities is a generator that takes one step per block of the same walk and
+keeps its carry: the round table's regret and ratio columns (:mod:`metrics`), and
+the summary's average product distribution, BM's loss-decomposition residual and
+reports (:mod:`diagnostics`), which read each player's inner stream once per block.
+The (T, m, 7) round table is kept on the result; :func:`render_csv` renders it by
+block and column, each distinct number once. Up to ``metrics.DENSE_JOINT_MAX_ENTRIES``
+joint cells the CE gap comes from the average product distribution and is checked
+against max internal regret / T; above, it is that ratio and its identity residual
+is null. Outputs are deterministic given the configuration.
 """
 
 from __future__ import annotations
@@ -45,12 +41,12 @@ import numpy as np
 from . import metrics
 from .diagnostics import (
     DEFAULT_VARIANCE_BUDGET_CONSTANT,
+    _budget_steps,
+    _rvu_steps,
+    _smoothness_steps,
     budget_depth,
-    check_variance_inequality,
     resolve_smoothness_alpha,
     running_variance_sums,
-    rvu_check,
-    smoothness_report,
     stability_check,
 )
 from .errors import StationaryResidualError, ValidationError
@@ -62,11 +58,12 @@ from .metrics import (
     REGRET_CHUNK_ROUNDS,
     PlayerTrace,
     RunTrace,
-    average_product_distribution,
+    _blocks,
+    _product_blocks,
+    _ratio_blocks,
+    _regret_blocks,
     ce_gap,
     inner_stream,
-    running_max_ratio,
-    running_regrets,
 )
 from .omwu import FLOOR_FREE_SPREAD, Omwu
 from .swap_dynamics import BmOmwu, decomposition_residuals
@@ -274,15 +271,25 @@ def player_groups(counts) -> list[list[int]]:
 
 
 def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
-    """The checked play of :func:`play_dynamics`, then its accounting: round table and summary."""
-    play = play_dynamics(config, game)
-    table = _round_table(play)
-    summary, smoothness = _summarize(config, play, table)
+    """The checked play of :func:`play_dynamics` and its accounting, the round table and the
+    summary, whose block steps take each block of the same walk."""
+    play = _play(config, game)
+    table = np.empty((config.horizon, play.game.num_players, 7))
+    summary = _summarize(config, play, table)
+    _walk(play, _round_table(play, table), summary)
+    summary, smoothness = next(summary)
     return RunResult(**vars(play), summary=summary, table=table, smoothness=smoothness)
 
 
 def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     """A run's checked play: every stationary solve gated, every strategy on the simplex."""
+    play = _play(config, game)
+    _walk(play)
+    return play
+
+
+def _play(config: RunConfig, game: Game | None) -> Play:
+    """A run's play, unchecked: the round loop, with its adaptive controllers' replays."""
     config.validate()
     if game is None:
         game = load_config_game(config)
@@ -373,121 +380,126 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
                 if breaches[i] == done:
                     dyns[g].reset(controllers[i].eta_adversarial, b)
 
-    if family == "sl":  # the pair losses the learners were fed: the inner stream's z
-        for i, p in enumerate(players):
-            p.pair_losses = inner_stream(trace, i)[1][:, 0]
-    residuals = _check_stationary_solves(trace, family == "bm") if solves else None
-    for i, p in enumerate(trace.players):  # the one simplex check of the run's strategies
-        bad = np.flatnonzero(~is_distribution(p.strategies))
-        if bad.size:
-            raise ValidationError(
-                f"strategy of player {i} at round {bad[0] + 1} is not a probability vector: "
-                f"{p.strategies[bad[0]]!r}"
-            )
-
     switch_rounds = [c.switch_round for c in controllers] if controllers else [None] * m
     eta_final = [float(dyns[g].eta[b]) for _, g, b in slots]
-    return Play(trace, game, switch_rounds, eta_final, residuals)
+    return Play(trace, game, switch_rounds, eta_final, None)
 
 
-def _check_stationary_solves(trace: RunTrace, is_bm: bool) -> list[float]:
-    """The residual gate of every stationary solve of a run; each player's worst residual.
-
-    Each round's chain is rebuilt from the recorded inner distributions: the
-    copy matrices for BM, the pair masses as rates for SL. Raises
-    :class:`StationaryResidualError` naming the first failing player and round.
-    """
-    worst = [0.0] * trace.num_players
-    for i, p in enumerate(trace.players):
-        x, inner = p.strategies, p.copy_dists if is_bm else p.pair_dists
-        for s in range(0, trace.horizon, REGRET_CHUNK_ROUNDS):
-            rounds = slice(s, s + REGRET_CHUNK_ROUNDS)
-            A = inner[rounds] if is_bm else _pair_rates(inner[rounds], x.shape[1])
-            residual = stationary_residual(A, x[rounds])
-            bad = np.flatnonzero(~(residual <= STATIONARY_RESIDUAL_TOL))  # NaN fails too
-            if bad.size:
-                failed = float(residual[bad[0]])
-                raise StationaryResidualError(
-                    f"stationary solve of player {i} at round {s + bad[0] + 1} failed: "
-                    f"residual {failed} above {STATIONARY_RESIDUAL_TOL}",
-                    residual=failed,
-                )
-            worst[i] = max(worst[i], float(residual.max()))
-    return worst
-
-
-def _round_table(play: Play) -> np.ndarray:
-    """The CSV columns after ``t, player`` for every round and player, shape (T, m, 7)."""
-    trace, T, switch_rounds = play.trace, play.trace.horizon, play.switch_rounds
-    regrets = [running_regrets(trace, i) for i in range(trace.num_players)]
-    gap = np.max([raw for _, raw, _ in regrets], axis=0) / np.arange(1, T + 1)
-    players = []
-    for i, (ext, raw, swap) in enumerate(regrets):
-        eta = np.full(T, trace.etas[i])
-        if switch_rounds[i] is not None:
-            eta[switch_rounds[i] :] = play.eta_final[i]
-        clamped = np.where(raw > 0.0, raw, 0.0)  # max(0.0, raw): 0.0 also for -0.0 and NaN
-        ratio = running_max_ratio(trace, i, restart=switch_rounds[i])
-        players.append(np.stack([ext, raw, clamped, swap, gap, eta, ratio], axis=1))
-    return np.stack(players, axis=1)
+def _walk(play: Play, *steps) -> None:
+    """The one walk over a finished play: each block of rounds takes a step of every generator
+    in ``steps`` until one fails the residual gate of its stationary solves (SL's chains rebuilt
+    from the pair masses as rates, BM's from the copy matrices) or has a strategy off the
+    simplex. Then, after the last block, the first failure raises: a failed solve before a
+    strategy off the simplex, then the lowest player, at its earliest round. Else it sets each
+    SL or BM player's worst residual. It passes no step its block: each step, and each generator
+    a step drives, loops over ``_blocks(trace.horizon)`` itself and advances once per block."""
+    trace, family = play.trace, play.trace.dynamics.split("-")[0]
+    worst, failed = [0.0] * trace.num_players, {}  # (check, player) -> error; the gate is check 0
+    for rounds in _blocks(trace.horizon):
+        for i, p in enumerate(trace.players):
+            x = p.strategies[rounds]
+            if family in ("sl", "bm"):
+                A = (p.copy_dists[rounds] if family == "bm"
+                     else _pair_rates(p.pair_dists[rounds], x.shape[1]))
+                residual = stationary_residual(A, x)
+                bad = np.flatnonzero(~(residual <= STATIONARY_RESIDUAL_TOL))  # NaN fails too
+                if bad.size and (0, i) not in failed:
+                    value = float(residual[bad[0]])
+                    failed[0, i] = StationaryResidualError(
+                        f"stationary solve of player {i} at round {rounds.start + bad[0] + 1} "
+                        f"failed: residual {value} above {STATIONARY_RESIDUAL_TOL}", residual=value)
+                worst[i] = max(worst[i], float(residual.max()))
+            if (bad := np.flatnonzero(~is_distribution(x))).size and (1, i) not in failed:
+                failed[1, i] = ValidationError(
+                    f"strategy of player {i} at round {rounds.start + bad[0] + 1} is not a "
+                    f"probability vector: {x[bad[0]]!r}")
+        for step in () if failed else steps:
+            next(step)
+    if failed:
+        raise failed[min(failed)]
+    play.residuals = worst if family in ("sl", "bm") else None
 
 
-def _summarize(config: RunConfig, play: Play, table: np.ndarray) -> tuple[dict, list | None]:
-    """Summary document from the play and its :func:`_round_table`, and the smoothness reports."""
+def _round_table(play: Play, table: np.ndarray):
+    """Fills the (T, m, 7) round table, the CSV columns after ``t, player``, a block per step."""
+    trace, switch_rounds = play.trace, play.switch_rounds
+    regrets = [_regret_blocks(trace, i) for i in range(trace.num_players)]
+    ratios = [_ratio_blocks(trace, i, restart=r) for i, r in enumerate(switch_rounds)]
+    for rounds in _blocks(trace.horizon):
+        block = table[rounds]
+        for i, switch in enumerate(switch_rounds):
+            block[:, i, 0], block[:, i, 1], block[:, i, 3] = next(regrets[i])
+            block[:, i, 5] = trace.etas[i]
+            if switch is not None:
+                block[max(0, switch - rounds.start) :, i, 5] = play.eta_final[i]
+            block[:, i, 6] = next(ratios[i])
+        raw = block[:, :, 1]
+        block[:, :, 2] = np.where(raw > 0.0, raw, 0.0)  # max(0.0, raw): 0.0 also for -0.0 and NaN
+        block[:, :, 4] = (raw.max(axis=1) / np.arange(rounds.start + 1, rounds.stop + 1))[:, None]
+        yield
+
+
+def _summarize(config: RunConfig, play: Play, table: np.ndarray):
+    """Takes a step per block of the walk, then yields the summary document, from the trace and
+    the filled :func:`_round_table`, and the smoothness reports."""
     game, trace, switch_rounds = play.game, play.trace, play.switch_rounds
     m = game.num_players
     T = trace.horizon
+    dense = math.prod(game.action_counts) <= metrics.DENSE_JOINT_MAX_ENTRIES
+    products = _product_blocks(trace) if dense else None
+    bm = config.dynamics.startswith("bm")
+    order, rvu, budget = config.smoothness_order, config.rvu_constant, config.variance_budget
+    kinds = [(key, make) for key, value, make in (  # the requested reports, by summary key
+        ("smoothness", order, lambda i: _smoothness_steps(trace, i, order, config.smoothness_alpha)),
+        ("rvu", rvu, lambda i: _rvu_steps(trace, i, trace.etas[i], rvu)),
+        ("variance_check", budget, lambda i: _budget_steps(trace, budget))) if value is not None]
+    steps = [{key: make(i) for key, make in kinds} for i in range(m)]
+    reports = [{key: next(s) for key, s in player_steps.items()} for player_steps in steps]
+    decomposition = 0.0
+    for rounds in _blocks(T):
+        mu = next(products) if products else None
+        for i, p in enumerate(trace.players):
+            if bm:
+                residuals = decomposition_residuals(p.copy_dists[rounds], p.strategies[rounds],
+                                                    p.losses[rounds])
+                decomposition = np.maximum(decomposition, residuals.max())
+            if steps[i]:
+                q, z = inner_stream(trace, i, rounds)  # each player's block, once for its reports
+                reports[i] = {key: s.send((q, z)) for key, s in steps[i].items()}
+        yield
+
     ext, raw, clamped, swap = table[-1, :, :4].T.tolist()
-    if math.prod(game.action_counts) <= metrics.DENSE_JOINT_MAX_ENTRIES:
-        gap = ce_gap(game, average_product_distribution(trace)).max_gap
+    if dense:
+        gap = ce_gap(game, mu / T).max_gap
         identity_residual = abs(gap - max(raw) / T)
     else:  # too many cells to average densely: report the identity's side, no check ran
         gap, identity_residual = max(raw) / T, None
-
-    summary = {
-        "config": config.echo(),
-        "final": {
-            "horizon": T,
-            "external_regret": ext,
-            "internal_regret_raw": raw,
-            "internal_regret_clamped": clamped,
-            "swap_regret": swap,
-            "ce_gap": gap,
-            "ce_gap_identity_residual": identity_residual,
-            "cce_gap": max(ext) / T,
-            "eta_initial": list(trace.etas),
-            "eta_final": play.eta_final,
-            "adaptive_switch_round": switch_rounds,
-        },
-        "diagnostics": {},
+    final = {
+        "horizon": T,
+        "external_regret": ext,
+        "internal_regret_raw": raw,
+        "internal_regret_clamped": clamped,
+        "swap_regret": swap,
+        "ce_gap": gap,
+        "ce_gap_identity_residual": identity_residual,
+        "cce_gap": max(ext) / T,
+        "eta_initial": list(trace.etas),
+        "eta_final": play.eta_final,
+        "adaptive_switch_round": switch_rounds,
     }
     if play.residuals is not None:
-        summary["final"]["stationary_max_residual"] = play.residuals
-    if config.dynamics.startswith("bm"):
-        summary["final"]["bm_decomposition_max_residual"] = max(
-            float(decomposition_residuals(p.copy_dists, p.strategies, p.losses).max())
-            for p in trace.players
-        )
-
-    diagnostics = summary["diagnostics"]
+        final["stationary_max_residual"] = play.residuals
+    if bm:
+        final["bm_decomposition_max_residual"] = float(decomposition)
+    diagnostics = {}
     if all(r is None for r in switch_rounds):
         diagnostics["stability"] = [stability_check(trace, i, table[:, i, 6]).to_dict()
                                     for i in range(m)]
-    order, rvu, budget = config.smoothness_order, config.rvu_constant, config.variance_budget
-    smoothness = [] if order is not None else None
-    for i in range(m if {order, rvu, budget} != {None} else 0):
-        stream = inner_stream(trace, i)  # each player's, built once for the reports that read it
-        if order is not None:
-            smoothness.append(smoothness_report(trace, i, order, config.smoothness_alpha, stream))
-            diagnostics.setdefault("smoothness", []).append(smoothness[-1].to_dict())
-        if rvu is not None:
-            rep = rvu_check(trace, i, trace.etas[i], rvu, stream)
-            diagnostics.setdefault("rvu", []).append(rep.to_dict())
-        if budget is not None:
-            rep = check_variance_inequality(trace, i, budget, stream)
-            diagnostics.setdefault("variance_check", []).append(rep.to_dict())
-        del stream  # freed before the next player's is built
-    return summary, smoothness
+    for player_reports in reports:
+        for key, report in player_reports.items():
+            diagnostics.setdefault(key, []).append(report.to_dict())
+    summary = {"config": config.echo(), "final": final, "diagnostics": diagnostics}
+    yield summary, [r["smoothness"] for r in reports] if order is not None else None
 
 
 def _reprs(values: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from ce_dynamics.markov_tree import (
     stationary_residual,
     tree_theorem_stationary,
 )
-from ce_dynamics.metrics import internal_regret, swap_regret
+from ce_dynamics.metrics import inner_stream, internal_regret, swap_regret
 from ce_dynamics.runner import RunConfig, render_csv, render_summary, run_dynamics
 
 GROWTH_SEED = 42
@@ -271,10 +271,11 @@ def test_criterion_7_regret_growth_literal_schedule(growth_runs):
 
     sl_gap = 0.0
     bm_gap = 0.0
+    pair_losses = [inner_stream(sl.trace, i)[1][:, 0] for i in range(m)]  # the losses SL was fed
     for t in (T // 2, T):
         for i in range(m):
             pt = sl.trace.players[i]
-            pair_regret = learners_external_regret(pt.pair_dists[:t], pt.pair_losses[:t])
+            pair_regret = learners_external_regret(pt.pair_dists[:t], pair_losses[i][:t])
             sl_gap = max(sl_gap, abs(row_value(sl, t, i, 3) - pair_regret))
             pt = bm.trace.players[i]
             copy_losses = pt.strategies[:t, :, None] * pt.losses[:t, None, :]

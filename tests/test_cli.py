@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ce_dynamics import cli, runner
+from ce_dynamics import cli, diagnostics, runner
 from ce_dynamics.cli import main
 from ce_dynamics.games import load_game, random_game, save_game
 
@@ -423,10 +423,10 @@ def test_diagnose_command(game_file, tmp_path, capsys):
 
 
 def test_diagnose_table_reads_the_runs_reports(monkeypatch, tmp_path, capsys):
-    built, build = [], runner.smoothness_report
-    for module in (runner, cli):  # wherever the report is bound
-        if getattr(module, "smoothness_report", None) is build:
-            monkeypatch.setattr(module, "smoothness_report", lambda *a: built.append(a[1]) or build(*a))
+    built, build = [], runner._smoothness_steps  # the report's block step, which the walk feeds
+    for module in (runner, cli, diagnostics):  # wherever the step is bound, its home included
+        if getattr(module, "_smoothness_steps", None) is build:
+            monkeypatch.setattr(module, "_smoothness_steps", lambda *a: built.append(a[1]) or build(*a))
     table = tmp_path / "table.csv"
     argv = ["diagnose", "--players", "3", "--actions", "3,4,3", "--dynamics", "arbo",
             "--horizon", "40", "--eta", "0.05", "--table", str(table)]

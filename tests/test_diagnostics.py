@@ -137,7 +137,7 @@ class TestVarianceSumsAgainstLoop:
         trace = sl_trace(game, eta=0.05, T=200)
         for i in range(2):
             pt = trace.players[i]
-            pos, neg = loop_variance_sums(pt.pair_dists, pt.pair_losses)
+            pos, neg = loop_variance_sums(pt.pair_dists, inner_stream(trace, i)[1][:, 0])
             rvu = rvu_check(trace, i, eta=0.05, curvature_constant=64.0)
             budget = check_variance_inequality(trace, i)
             assert rvu.positive_variance_sum == pytest.approx(pos, rel=1e-12)
@@ -434,25 +434,31 @@ class TestInnerStream:
         assert rvu.regret == float(gains.max(axis=-1).sum())
 
     @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu", "arbo", "omwu"])
-    def test_reports_take_the_stream_their_caller_built(self, dynamics):
-        trace = ragged_run(dynamics, (3, 4, 3), horizon=40).trace
+    def test_summary_reports_are_the_report_functions(self, dynamics):
+        # The run's walk feeds each report's block steps; the report functions run the same steps.
+        config = RunConfig(dynamics=dynamics, horizon=300, eta=0.05, players=3,
+                           action_counts=(3, 4, 3), smoothness_order=2, rvu_constant=64.0,
+                           variance_budget=1.0)
+        result = run_dynamics(config)
+        trace, reports = result.trace, result.summary["diagnostics"]
         for i in range(3):
-            stream = inner_stream(trace, i)
-            pairs = [(smoothness_report(trace, i, 2), smoothness_report(trace, i, 2, None, stream)),
-                     (rvu_check(trace, i, 0.05, 64.0), rvu_check(trace, i, 0.05, 64.0, stream)),
-                     (check_variance_inequality(trace, i),
-                      check_variance_inequality(trace, i, stream=stream))]
-            for own, given_stream in pairs:
-                assert own.to_dict() == given_stream.to_dict()
+            smooth = smoothness_report(trace, i, 2)
+            for got, want in zip(result.smoothness[i].observed, smooth.observed, strict=True):
+                assert got.tobytes() == want.tobytes()
+            assert reports["smoothness"][i] == smooth.to_dict()
+            assert reports["rvu"][i] == rvu_check(trace, i, 0.05, 64.0).to_dict()
+            assert reports["variance_check"][i] == check_variance_inequality(trace, i, 1.0).to_dict()
 
     def test_summary_builds_each_players_stream_once(self, monkeypatch):
         built = []
         monkeypatch.setattr(runner, "inner_stream", lambda *a: built.append(a) or inner_stream(*a))
-        config = RunConfig(dynamics="arbo", horizon=40, eta=0.05, players=3,
+        config = RunConfig(dynamics="arbo", horizon=300, eta=0.05, players=3,
                            action_counts=(3, 4, 3), smoothness_order=3, rvu_constant=64.0,
                            variance_budget=1.0)
         summary = run_dynamics(config).summary
-        assert [a[1:] for a in built] == [(0,), (1,), (2,)]
+        # Once per block of the walk: rounds 1-256, then 257-300.
+        blocks = [slice(0, 256), slice(256, 300)]
+        assert [a[1:] for a in built] == [(i, b) for b in blocks for i in range(3)]
         assert {"smoothness", "rvu", "variance_check"} <= summary["diagnostics"].keys()
 
     def test_ratio_reads_the_inner_distributions_alone(self, monkeypatch):

@@ -18,6 +18,7 @@ from ce_dynamics.metrics import (
     external_regret,
     internal_regret,
     running_max_ratio,
+    inner_stream,
     running_regrets,
     swap_regret,
 )
@@ -346,13 +347,31 @@ class TestTraceSerialization:
         assert (again.horizon, again.dynamics) == (trace.horizon, trace.dynamics)
         assert again.action_counts == trace.action_counts == (3, 4, 3)
         assert again.etas == trace.etas and type(again.etas[0]) is float
-        for old, new in zip(trace.players, again.players):
-            for name in vars(old):
+        for i, (old, new) in enumerate(zip(trace.players, again.players)):
+            # A played trace holds no pair losses: save writes SL's from the inner stream's z.
+            assert old.pair_losses is None
+            played = {**vars(old), "pair_losses": inner_stream(trace, i)[1][:, 0]
+                      if "pair_losses" in fields else None}
+            for name, want in played.items():
                 if name in fields:
-                    assert getattr(new, name).dtype == getattr(old, name).dtype
-                    assert getattr(new, name).tobytes() == getattr(old, name).tobytes()
+                    assert getattr(new, name).dtype == want.dtype
+                    assert getattr(new, name).tobytes() == want.tobytes()
                 else:
-                    assert getattr(old, name) is None and getattr(new, name) is None
+                    assert want is None and getattr(new, name) is None
+
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "sl-mwu"])
+    def test_saved_pair_losses_are_the_inner_streams_z(self, tmp_path, dynamics):
+        # SL's pair losses are not kept on the played trace; save writes them from the stream.
+        config = RunConfig(dynamics=dynamics, horizon=300, eta=0.05, players=3,
+                           action_counts=(3, 4, 3))
+        trace = run_dynamics(config).trace
+        trace.save(tmp_path / "trace.npz")
+        with np.load(tmp_path / "trace.npz") as data:
+            for i, pt in enumerate(trace.players):
+                assert pt.pair_losses is None
+                want = inner_stream(trace, i)[1][:, 0]
+                assert data[f"p{i}_pair_losses"].tobytes() == want.tobytes()
+                assert data[f"p{i}_pair_losses"].shape == pt.pair_dists.shape
 
     @pytest.mark.parametrize("name", ["strategies", "losses"])
     def test_a_missing_required_array_is_named(self, tmp_path, name):

@@ -548,13 +548,14 @@ def assert_matches_reference(config):
     reference, switches = reference_run(config)
     family = config.dynamics.split("-")[0]
     inner_field = {"sl": "pair_dists", "bm": "copy_dists", "arbo": "tree_dists"}.get(family)
-    for player, ref in zip(result.trace.players, reference):
+    for i, (player, ref) in enumerate(zip(result.trace.players, reference)):
         assert player.strategies.tobytes() == ref["strategies"].tobytes()
         assert player.losses.tobytes() == ref["losses"].tobytes()
         if inner_field:
             assert getattr(player, inner_field).tobytes() == ref["inner"].tobytes()
         if "pair_losses" in ref:
-            assert player.pair_losses.tobytes() == ref["pair_losses"].tobytes()
+            pair_losses = inner_stream(result.trace, i)[1][:, 0]
+            assert pair_losses.tobytes() == ref["pair_losses"].tobytes()
     assert result.summary["final"]["adaptive_switch_round"] == switches
     return result
 
@@ -581,6 +582,43 @@ class TestGroupedLoop:
         assert switches[0] is None and switches[2] is not None
         assert final["eta_final"][0] == final["eta_initial"][0]
         assert final["eta_final"][2] != final["eta_initial"][2]
+
+
+class BlockReads:
+    """A finished trace's array that hands out blocks of at most REGRET_CHUNK_ROUNDS rounds, and
+    nothing else: any pass that takes the whole array fails."""
+
+    def __init__(self, array):
+        self.array, self.ndim = array, array.ndim
+
+    def __getitem__(self, rounds):
+        assert isinstance(rounds, slice) and len(range(len(self.array))[rounds]) <= 256, rounds
+        return self.array[rounds]
+
+
+class TestOneWalk:
+    """After the round loop, every pass reads the trace by block: the checks and the accounting."""
+
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_no_pass_reads_more_than_a_block(self, monkeypatch, dynamics, adaptive):
+        rule = dict(eta_rule="adaptive", eta=None, adaptive_budget=1e-7) if adaptive else {}
+        config = small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=600,
+                              smoothness_order=3, rvu_constant=64.0, variance_budget=1.0, **rule)
+        want, play = run_dynamics(config), runner._play
+
+        def blocks_only(*args):
+            out = play(*args)
+            for p in out.trace.players:
+                for name, array in vars(p).items():
+                    setattr(p, name, None if array is None else BlockReads(array))
+            return out
+
+        monkeypatch.setattr(runner, "_play", blocks_only)
+        got = run_dynamics(config)
+        assert metrics.REGRET_CHUNK_ROUNDS == 256
+        assert got.table.tobytes() == want.table.tobytes()
+        assert render_summary(got.summary) == render_summary(want.summary)
 
 
 class TestPlayDynamics:
@@ -714,9 +752,10 @@ class TestUncheckedFeedback:
 class TestStrategyCheck:
     """Recorded strategies are checked once, after the round loop."""
 
-    @pytest.fixture
-    def off_simplex_round_5(self, monkeypatch):
-        """Player 1's row of the shared learner emits one off-simplex strategy, at round 5."""
+    @staticmethod
+    def scale_strategies(monkeypatch, scales):
+        """At each round of ``scales``, the shared learner's members' strategies are scaled by
+        its (player 0, player 1) factors: a factor other than 1 takes that one off the simplex."""
         build = runner._build_dynamics
 
         def build_spy(name, n, eta):
@@ -725,11 +764,16 @@ class TestStrategyCheck:
             step = "_next_strategy" if hasattr(dyn, "_next_strategy") else "next_strategy"
             emit = getattr(dyn, step)
             rounds = itertools.count(1)
-            scale = np.array([[1.0], [1.5]])  # both players have 3 actions: members 0 and 1
-            setattr(dyn, step, lambda: emit() * (scale if next(rounds) == 5 else 1.0))
+            # Both players have 3 actions: members 0 and 1.
+            setattr(dyn, step, lambda: emit() * np.array(scales.get(next(rounds), (1.0, 1.0)))[:, None])
             return dyn
 
         monkeypatch.setattr(runner, "_build_dynamics", build_spy)
+
+    @pytest.fixture
+    def off_simplex_round_5(self, monkeypatch):
+        """Player 1's row of the shared learner emits one off-simplex strategy, at round 5."""
+        self.scale_strategies(monkeypatch, {5: (1.0, 1.5)})
 
     @pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu", "arbo"])
     def test_run_dynamics_names_player_and_round(self, off_simplex_round_5, dynamics):
@@ -743,6 +787,13 @@ class TestStrategyCheck:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("validation error: strategy of player 1")
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu", "arbo"])
+    def test_the_lowest_player_off_the_simplex_is_named(self, monkeypatch, dynamics):
+        # Player 1 leaves the simplex in block 1, player 0 in block 2: player 0 is named.
+        self.scale_strategies(monkeypatch, {5: (1.0, 1.5), 300: (1.5, 1.0)})
+        with pytest.raises(ValidationError, match="player 0 at round 300 is not a probability"):
+            run_dynamics(small_config(dynamics=dynamics, horizon=400))
 
 
 # The module whose ``_gth_solver`` binds each stationary learner's unchecked solve.
@@ -795,6 +846,47 @@ class TestStationaryGate:
         faulty_solve(dynamics, 5, scale=2.0)  # off the simplex too
         with pytest.raises(StationaryResidualError, match="player 1 at round 5"):
             run_dynamics(small_config(dynamics=dynamics, horizon=16))
+
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_the_lowest_player_fails_first(self, monkeypatch, dynamics):
+        # Player 1's solve fails in block 1, player 0's in block 3: player 0's round is named.
+        faults, calls = {100: 1, 600: 0}, itertools.count(1)  # round -> player
+
+        def faulty(pi):
+            if (player := faults.get(next(calls))) is not None:
+                pi[player] = np.eye(pi.shape[-1])[0]  # on the simplex, not stationary
+            return pi
+
+        patch_solves(monkeypatch, SOLVES[dynamics[:2]], faulty)
+        with pytest.raises(StationaryResidualError, match="player 0 at round 600 failed"):
+            run_dynamics(small_config(dynamics=dynamics, horizon=700))
+
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_a_later_failed_solve_beats_an_earlier_strategy_off_the_simplex(
+        self, monkeypatch, tmp_path, capsys, dynamics
+    ):
+        # Player 1 leaves the simplex in block 1 (scaled, its residual stays within the gate);
+        # player 0's solve fails in block 2. The gate's error is raised, and the CLI exits 3.
+        calls = itertools.count(1)
+
+        def faulty(pi):
+            t = next(calls) % 300 or 300  # the CLI's run counts its solves afresh
+            if t == 5:
+                pi[1] *= 1.5
+            elif t == 300:
+                pi[0] = np.eye(pi.shape[-1])[0]
+            return pi
+
+        patch_solves(monkeypatch, SOLVES[dynamics[:2]], faulty)
+        with pytest.raises(StationaryResidualError, match="player 0 at round 300 failed"):
+            run_dynamics(small_config(dynamics=dynamics, horizon=300))
+        out = tmp_path / "run"
+        argv = ["run", "--players", "2", "--actions", "3,3", "--horizon", "300",
+                "--dynamics", dynamics, "--eta", "0.05", "--game-seed", "1", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: stationary solve of player 0 at round 300")
+        assert not out.exists()
 
     @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
     def test_cli_exits_3_without_outputs(self, faulty_solve, tmp_path, capsys, dynamics):

@@ -179,11 +179,12 @@ def drift(other_src: Path) -> str:
                    for label, v in b["calls"].items() for f, h in v["files"].items()]
         lines = [f"{sum(h != g for h, g in digests)} of {len(digests)} files differ"]
         worst = {}  # (file name, key) -> [worst absolute, worst relative]
-        for k, label in enumerate(b["calls"]):
-            for file in ("run.csv", "summary.json"):
-                if not (new / f"call{k}" / file).exists():
+        for k, call in enumerate(b["calls"].values()):
+            for path in call["files"]:
+                file = Path(path).name
+                if file not in ("run.csv", "summary.json"):
                     continue
-                pairs = zip(_numbers(old / f"call{k}" / file), _numbers(new / f"call{k}" / file))
+                pairs = zip(_numbers(old / f"call{k}" / path), _numbers(new / f"call{k}" / path))
                 for (key, x), (_, y) in pairs:
                     w = worst.setdefault((file, key), [0.0, 0.0])
                     if x != y and not (math.isnan(x) and math.isnan(y)):

@@ -3,8 +3,8 @@
 A game is stored densely: one loss tensor per player, indexed by the joint
 action profile ``(a_1, ..., a_m)`` with player 1's action on the first axis.
 All tensors are immutable after construction so games can be shared freely
-across threads. Expected losses contract one opponent at a time, by ``ndarray.dot``
-where ``@`` would give the same bits at a dearer call.
+across threads. Expected losses contract one opponent at a time, each by one
+``ndarray.dot`` on a 2-D view of what is left of the tensor.
 """
 
 from __future__ import annotations
@@ -111,18 +111,18 @@ def _contract(game: Game, strategies, player: int) -> np.ndarray:
 def _contraction(game: Game, player: int):
     """:func:`_contract` for ``player`` bound once to the game, a function of the strategies:
     the later players' axes are contracted from the last one down, then the earlier players'
-    axes from the first one up: ``ndarray.dot``, ``@``'s bits at a cheaper call, except ``@``
-    on a 3+-player game's stacked first step, where ``dot`` adds in another order."""
+    axes from the first one up, each by one ``ndarray.dot`` on a 2-D view, ``(-1, n)`` or
+    ``(n, -1)``: one BLAS gemv per opponent."""
     tensor, m = game.losses[player], game.num_players
     if m == 2:  # one dot, on the tensor as it is
         return (lambda s: tensor.dot(s[1])) if player == 0 else (lambda s: s[0].dot(tensor))
-    later = [(j, np.ndarray.dot if j == 1 else np.matmul) for j in range(m - 1, player, -1)]
+    later = [(j, (-1, game.action_counts[j])) for j in range(m - 1, player, -1)]
     earlier = [(j, (n, -1)) for j, n in enumerate(game.action_counts[:player])]
 
     def contract(strategies):
         t = tensor
-        for j, step in later:
-            t = step(t, strategies[j])
+        for j, shape in later:
+            t = t.reshape(shape).dot(strategies[j])
         for j, shape in earlier:
             t = strategies[j].dot(t.reshape(shape))
         return t

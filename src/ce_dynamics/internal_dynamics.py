@@ -100,7 +100,7 @@ class SlOmwu(Composite):
     def __init__(self, n: int, eta: float, optimistic: bool = True):
         if n < 2:
             raise ValidationError(f"need at least 2 actions, got {n}")
-        super().__init__(n, Omwu(n * (n - 1), eta, optimistic=optimistic))
+        super().__init__(n, Omwu(n * (n - 1), eta, optimistic, self.inner_span))
         self._solve, self.inner_losses = _gth_solver(n, False, self.learner.members), _pair_losses(n)
 
     def next_strategy(self) -> np.ndarray:
@@ -149,8 +149,8 @@ class ArboDynamics(Composite):
                 f"action count {n} outside supported range [2, {MAX_ARBO_NODES}]"
             )
         self.roots, self.edge_pairs = _tree_structure(n)
-        super().__init__(n, Omwu(len(self.roots), eta, optimistic=optimistic))
         self.inner_span, self.inner_losses = 2.0 * (n - 1), _tree_losses(n)
+        super().__init__(n, Omwu(len(self.roots), eta, optimistic, self.inner_span))
         # Member b's trees fall into root bins b*n .. b*n + n-1; bincount sums each in tree order.
         members = np.arange(np.prod(self.learner.members, dtype=int))
         self._root_bins = (self.roots + n * members[:, None]).ravel()

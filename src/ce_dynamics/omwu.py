@@ -1,10 +1,10 @@
 """(Optimistic) multiplicative weights over a finite index set.
 
-The iterate is always recomputed from the cumulative loss vector in shifted
-log-space rather than by iterating the multiplicative recursion; this avoids
-compounding floating-point drift round over round, and the negated rates, kept at
-the state's shape, make each step a same-shape ufunc in place. With optimism
-enabled the most recent loss is counted twice, the standard one-step prediction.
+The iterate is always recomputed from the cumulative loss vector in log-space (shifted
+where its range needs it) rather than by iterating the multiplicative recursion; this
+avoids compounding floating-point drift round over round, and the negated rates, kept at
+the state's shape, make each step a same-shape ufunc in place. With optimism enabled the
+most recent loss is counted twice, the standard one-step prediction.
 
 Each dynamics is one such learner composed with a map to a strategy
 (:class:`Composite`). One rate per member stacks independent learners on a
@@ -22,8 +22,8 @@ from .errors import DimensionMismatchError, ValidationError
 # Exponentials are strictly positive mathematically, but exp(z - z_max)
 # underflows to exact zero past ~745 in the exponent spread. Flooring keeps
 # the iterate interior, which downstream fixed-point solvers rely on; the
-# perturbation is far below every tolerance in the package. exp(-690) > 2.2e-300, so
-# exponents that spread no further than FLOOR_FREE_SPREAD never meet the floor.
+# perturbation is far below every tolerance in the package. exp(-690) > 2.2e-300 and
+# exp(690) is finite, so exponents within FLOOR_FREE_SPREAD of 0 need no shift or floor.
 _WEIGHT_FLOOR, FLOOR_FREE_SPREAD = 1e-300, 690.0
 # Float slack on the [loss_low, 1] loss range the composite learners accept.
 LOSS_RANGE_ATOL = 1e-9
@@ -42,38 +42,48 @@ class Omwu:
     feedback). ``next_strategy`` only records the iterate it returns;
     ``observe`` mutates. The first strategy is exactly uniform.
 
+    A row's step skips the max-shift and the floor while eta (k + 1) inner_span, after k
+    updates since its reset, is at most ``FLOOR_FREE_SPREAD`` (``inner_span``: the width of
+    its losses' range for action losses in [0, 1], a range that holds 0 at an end or its
+    middle) and ``observe`` fed it no loss outside [0, 1] (a composite's action loss).
+
     Every learner in the package exposes its inner learner's view through
     ``inner_dim``, ``inner_dist`` (the last played inner distribution) and
     ``inner_loss`` (the last observed inner loss), both (*members, rows,
     inner_dim). Here the inner learners are the rows of the state, fed the loss as is.
     """
 
-    def __init__(self, dim: int | tuple[int, int], eta, optimistic: bool = True):
+    def __init__(self, dim: int | tuple[int, int], eta, optimistic: bool = True,
+                 inner_span: float = 1.0):
         dims = tuple(int(d) for d in np.atleast_1d(dim))
         if not 1 <= len(dims) <= 2 or min(dims) < 1:
             raise ValidationError(f"dimension must be positive, got {dim}")
         self.members = np.shape(eta)
         self.shape = (*self.members, *dims)
         self.dim = dims[-1]
-        self.optimistic = bool(optimistic)
+        self.optimistic, self.inner_span = bool(optimistic), inner_span
         self.eta, self.cumulative_loss = eta, np.zeros(self.shape)
-        self.last_loss = self.cumulative_loss
+        self.last_loss, self._updates = self.cumulative_loss, 0
+        self._free_until = np.zeros((*self.shape[:-1], 1))  # per row: updates it steps free to
         self.reset(eta)
 
     inner_dim = property(lambda self: self.dim)
     inner_dist = property(lambda self: self.last_strategy.reshape(*self.members, -1, self.dim))
     inner_loss = property(lambda self: self.last_loss.reshape(*self.members, -1, self.dim))
     inner_losses = staticmethod(lambda x, loss: loss)
-    inner_span, floored = 1.0, True  # inner losses' range width for losses in [0, 1]; floor on
 
     def next_strategy(self) -> np.ndarray:
         """Current iterate: softmax of -eta * (cumulative + predicted) losses."""
         z = self.cumulative_loss + self.last_loss if self.optimistic else self.cumulative_loss.copy()
         z *= self._neg_eta  # rates of z's shape: every step runs in place, with the methods' ufuncs
-        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
-        np.exp(z, out=z)
-        if self.floored:
-            np.maximum(z, _WEIGHT_FLOOR, out=z)
+        if self._updates > self._all_free_until:  # some row shifts and floors
+            shift = np.maximum.reduce(z, axis=-1, keepdims=True)
+            if self._updates <= self._some_free_until:  # the free rows subtract 0.0, exactly
+                shift[self._free_until >= self._updates] = 0.0
+            z -= shift  # the floor is the identity on the free rows: weights above exp(-690)
+            np.maximum(np.exp(z, out=z), _WEIGHT_FLOOR, out=z)
+        else:
+            np.exp(z, out=z)
         self.last_strategy = np.divide(z, np.add.reduce(z, axis=-1, keepdims=True), out=z)
         return self.last_strategy
 
@@ -86,12 +96,20 @@ class Omwu:
             )
         if not np.all(np.isfinite(loss)):
             raise ValidationError("loss vector has non-finite entries")
+        self._free(np.any(np.abs(loss - 0.5) > 0.5 + LOSS_RANGE_ATOL, axis=-1, keepdims=True), -1)
         self._update(loss)
 
     def _update(self, loss: np.ndarray) -> None:
         """Unchecked feedback; ``loss`` is kept as ``last_loss`` and must not be mutated."""
         self.cumulative_loss = self.cumulative_loss + loss
         self.last_loss = loss
+        self._updates += 1
+
+    def _free(self, rows, until) -> None:
+        """``rows`` (an index of the leading axes) step free up to ``until`` updates; -1: never."""
+        self._free_until = free = self._free_until.copy()  # replaced: restoring vars restores it
+        free[rows] = until
+        self._all_free_until, self._some_free_until = float(free.min()), float(free.max())
 
     def reset(self, eta=None, member: int | None = None) -> None:
         """Forget all history, optionally switching the learning rate.
@@ -111,6 +129,9 @@ class Omwu:
         # Zeroed copies, not in place: the last loss belongs to the caller.
         self.cumulative_loss, self.last_loss = self.cumulative_loss.copy(), self.last_loss.copy()
         self.cumulative_loss[rows] = self.last_loss[rows] = 0.0
+        with np.errstate(over="ignore"):  # free for ever at a tiny rate: k + 1 <= 690 / (r eta)
+            until = self._updates - 1 - FLOOR_FREE_SPREAD / self.inner_span / self._neg_eta[..., :1]
+        self._free(rows, until[rows])
         if member is None:
             self.last_strategy = None
 
@@ -153,6 +174,7 @@ class Composite:
             raise ValidationError(
                 f"loss entries must lie in [{self.loss_low:g}, 1], got range [{low}, {high}]"
             )
+        self.learner._free(np.any(np.abs(loss - 0.5) > 0.5 + LOSS_RANGE_ATOL, axis=-1), -1)
         return loss
 
     def _update(self, loss: np.ndarray) -> None:

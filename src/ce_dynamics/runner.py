@@ -6,15 +6,14 @@ feedback. Players with equal action counts are the members of one learner, so a
 round plays, updates and writes the trace once per group, on operands bound once
 per run: each player's contraction of the game (:func:`games._contraction`), each
 learner's solve and inner-loss tables, and the trace's round-major rows. SL and BM
-play their unchecked stationary solve (``_next_strategy``), feedback goes through
-the unchecked ``_update``, and the softmax's weight floor is skipped where it cannot
-bind: game losses in [0, 1] bound each learner's exponent spread by eta (T+1) times
-its ``inner_span``. Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS``
-inner-stream rounds; at a block's first breach the learners are restored to the
-block's start and replayed up to that round, where each breaching player's member
-is reset alone. After the loop, :func:`_walk` reads the finished trace once, by
-block: it gates every stationary solve by its residual and checks every strategy
-against the simplex. That checked play is :func:`play_dynamics`; :func:`run_dynamics`
+play their unchecked stationary solve (``_next_strategy``) and feedback goes through
+the unchecked ``_update``: game losses in [0, 1], which leave each softmax's max-shift
+and floor off while they cannot bind (:class:`omwu.Omwu`, per member since its reset).
+Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS`` inner-stream rounds; at
+a block's first breach the learners are restored to the block's start and replayed up
+to that round, where each breaching player's member is reset alone. After the loop,
+:func:`_walk` reads the finished trace once, by block: it gates every stationary solve
+by its residual and checks every strategy against the simplex. That checked play is :func:`play_dynamics`; :func:`run_dynamics`
 adds the accounting, which :func:`internal_dynamics.verify_equivalence` skips. Each
 of its quantities is a generator that takes one step per block of the same walk and
 keeps its carry: the round table's regret and ratio columns (:mod:`metrics`), and
@@ -65,7 +64,7 @@ from .metrics import (
     ce_gap,
     inner_stream,
 )
-from .omwu import FLOOR_FREE_SPREAD, Omwu
+from .omwu import Omwu
 from .swap_dynamics import BmOmwu, decomposition_residuals
 
 DYNAMICS = ("omwu", "mwu", "sl-omwu", "sl-mwu", "bm-omwu", "bm-mwu", "arbo")
@@ -314,7 +313,6 @@ def _play(config: RunConfig, game: Game | None) -> Play:
     ] if config.eta_rule == "adaptive" else None
 
     family = config.dynamics.split("-")[0]
-    eta_max = max([*etas, *(c.eta_adversarial for c in controllers or ())])
     field = getattr(dyns[0], "trace_field", None)  # the inner distribution's trace record
     # Each trace array is (members, T, ...), so a player's field is a contiguous slice; the trace
     # is built on them before play, for the controllers. Bound once per group: its learner, the
@@ -322,9 +320,6 @@ def _play(config: RunConfig, game: Game | None) -> Play:
     records, writes, feeds = [], [], []
     for group, dyn in zip(groups, dyns):
         learner = getattr(dyn, "learner", dyn)
-        # Losses in [0, 1] spread the exponents at most eta (T+1) inner_span: up to
-        # FLOOR_FREE_SPREAD the floor is the identity, skipped.
-        learner.floored = eta_max * (T + 1) * dyn.inner_span > FLOOR_FREE_SPREAD
         shapes = dict.fromkeys(("strategies", "losses"), (counts[group[0]],))
         shapes.update({field: learner.shape[1:]} if field else {})
         records.append(rec := {k: np.empty((len(group), T, *s)) for k, s in shapes.items()})

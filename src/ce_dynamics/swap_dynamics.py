@@ -27,7 +27,7 @@ class BmOmwu(Composite):
     def __init__(self, n: int, eta: float, optimistic: bool = True):
         if n < 2:
             raise ValidationError(f"need at least 2 actions, got {n}")
-        super().__init__(n, Omwu((n, n), eta, optimistic=optimistic))
+        super().__init__(n, Omwu((n, n), eta, optimistic, self.inner_span))
         self._solve = _gth_solver(n, True, self.learner.members)
 
     # The copies' last rows and losses: the played matrix, and row g = x[g] * loss.

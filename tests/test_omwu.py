@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ce_dynamics.errors import DimensionMismatchError, ValidationError
 from ce_dynamics.internal_dynamics import ArboDynamics, SlOmwu
-from ce_dynamics.omwu import Omwu
+from ce_dynamics.omwu import FLOOR_FREE_SPREAD, Omwu
 from ce_dynamics.swap_dynamics import BmOmwu
 
 
@@ -260,3 +260,94 @@ class TestUncheckedUpdate:
         inner_u = getattr(unchecked, "learner", unchecked)
         assert inner.cumulative_loss.tobytes() == inner_u.cumulative_loss.tobytes()
         assert checked.next_strategy().tobytes() == unchecked.next_strategy().tobytes()
+
+
+def softmax_reference(learner, guarded):
+    """A lone row's next iterate, from its state: shifted by its max and floored if guarded."""
+    z = -learner.eta * (learner.cumulative_loss + learner.last_loss * learner.optimistic)
+    w = np.maximum(np.exp(z - z.max()), 1e-300) if guarded else np.exp(z)
+    return w / w.sum()
+
+
+MAKERS = [Omwu, SlOmwu, BmOmwu, ArboDynamics, lambda n, eta: Omwu((2, n), eta)]
+MAKER_IDS = ["omwu", "sl-omwu", "bm-omwu", "arbo", "omwu-rows"]
+
+
+class TestGuard:
+    """A row skips its max-shift and weight floor while eta (updates + 1) inner_span is at most
+    FLOOR_FREE_SPREAD and every loss it was fed lay in [0, 1]; rows decide alone."""
+
+    @pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
+    def test_members_crossing_the_bound_are_their_lone_learners(self, make):
+        rng = np.random.default_rng(8)
+        span = getattr(make(3, 1.0), "inner_span", 1.0)
+        # Member 0 is guarded from round 8 on, member 2 from round 25, and member 1 from
+        # round 15 until its reset at round 20, then again from round 35: the stack's steps
+        # are all free, then some rows free, then all guarded.
+        etas = [FLOOR_FREE_SPREAD / (span * k) for k in (8.5, 15.5, 25.5)]
+        stacked = make(3, np.array(etas))
+        singles = [make(3, eta) for eta in etas]
+        learner = getattr(stacked, "learner", stacked)
+        kinds = set()
+        for t in range(45):
+            if t == 20:
+                stacked.reset(member=1)
+                singles[1].reset()
+            free = learner._free_until >= learner._updates
+            kinds.add("all free" if free.all() else "some free" if free.any() else "all guarded")
+            X = stacked.next_strategy()
+            for b, single in enumerate(singles):
+                assert X[b].tobytes() == single.next_strategy().tobytes()
+                assert stacked.inner_dist[b].tobytes() == single.inner_dist.tobytes()
+            loss = rng.uniform(0.0, 1.0, X.shape)
+            stacked.observe(loss)
+            for b, single in enumerate(singles):
+                single.observe(loss[b])
+        assert kinds == {"all free", "some free", "all guarded"}
+
+    @pytest.mark.parametrize("optimistic", [True, False])
+    def test_a_loss_outside_the_range_guards_its_row_until_reset(self, optimistic):
+        rng = np.random.default_rng(9)
+        learner = Omwu((3, 4), 0.3, optimistic=optimistic)
+        singles = [Omwu(4, 0.3, optimistic=optimistic) for _ in range(3)]
+        differ = False
+        for t in range(40):
+            if t == 30:
+                learner.reset()
+                for single in singles:
+                    single.reset()
+            X = learner.next_strategy()
+            for r, single in enumerate(singles):
+                guarded = 10 < t < 30 and r == 1
+                want = softmax_reference(single, guarded)
+                differ |= want.tobytes() != softmax_reference(single, not guarded).tobytes()
+                assert X[r].tobytes() == want.tobytes() == single.next_strategy().tobytes()
+            loss = rng.uniform(0.0, 1.0, (3, 4))
+            if t == 10:
+                loss[1, 2] = 1.5  # row 1 only, from the next step on
+            learner.observe(loss)
+            for r, single in enumerate(singles):
+                single.observe(loss[r])
+        assert differ  # the two branches give other bits: the test sees which one ran
+
+    def test_stiff_sl_is_guarded_from_round_70(self):
+        # 5 * 69 * 2 = 690: the step after 68 updates (round 69) is the last free one.
+        assert SlOmwu(5, np.array([5.0, 5.0])).learner._free_until.max() == 68
+
+    @pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
+    def test_exactly_at_the_bound_with_losses_at_the_ends(self, make):
+        # eta (63 + 1) span is exactly FLOOR_FREE_SPREAD: the 64th step is the last free one.
+        span = getattr(make(3, 1.0), "inner_span", 1.0)
+        dyn = make(3, FLOOR_FREE_SPREAD / (64 * span))
+        learner = getattr(dyn, "learner", dyn)
+        tiny = np.finfo(float).tiny
+        for t in range(64):
+            x = dyn.next_strategy()
+            assert learner._free_until.min() == 63 and learner._updates == t
+            for played in (x, learner.last_strategy):
+                assert np.all(np.isfinite(played)) and np.all(played >= tiny)
+            loss = np.zeros(x.shape)
+            loss[..., 1:] = 1.0  # action 0 never loses, the others always do
+            dyn.observe(loss)
+        if make is Omwu:  # its exponents span the whole bound: the least weight is exp(-690)
+            assert x.min() == pytest.approx(math.exp(-FLOOR_FREE_SPREAD), rel=1e-12)

@@ -928,24 +928,29 @@ class TestPublicReplay:
     """A run is its public, checked API, bit for bit: every player replayed through a lone
     learner's ``next_strategy`` (SL and BM through the residual gate), ``expected_loss`` and
     ``observe`` plays the strategies, losses and inner distributions of ``play_dynamics``.
-    The lone learners keep the weight floor; the run skips it only where it cannot bind."""
+    The run and the lone learners keep one guard timeline: a learner's step skips the
+    max-shift and the weight floor while eta (updates + 1) inner_span is at most
+    ``FLOOR_FREE_SPREAD``. The just-under and just-over rates put the widest learner's last
+    free step at round ``BOUNDARY`` and just before it."""
 
-    COUNTS, HORIZON = (3, 4, 3), 64
+    COUNTS, HORIZON, BOUNDARY = (3, 4, 3), 64, 32
 
     @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
     @pytest.mark.parametrize("case", ["eta-0.05", "just-under", "just-over", "eta-50"])
     def test_replay_is_the_run(self, monkeypatch, dynamics, case):
-        T = self.HORIZON
+        T, k = self.HORIZON, self.BOUNDARY
         widest = runner._build_dynamics(dynamics, max(self.COUNTS), 1.0).inner_span
-        bound = FLOOR_FREE_SPREAD / ((T + 1) * widest)  # the widest learner's eta at the bound
+        bound = FLOOR_FREE_SPREAD / ((k + 1) * widest)  # free after k updates, not after k + 1
         eta = {"eta-0.05": 0.05, "just-under": (1 - 1e-9) * bound,
                "just-over": (1 + 1e-9) * bound, "eta-50": 50.0}[case]
         built, build = [], runner._build_dynamics
         monkeypatch.setattr(runner, "_build_dynamics", lambda *a: built.append(build(*a)) or built[-1])
         play = play_dynamics(RunConfig(dynamics, T, eta=eta, players=3,
                                        action_counts=self.COUNTS, game_seed=0))
-        floored = [getattr(d, "learner", d).floored for d in built]  # past the bound: the widest
-        assert any(floored) is (case in ("just-over", "eta-50"))
+        # The most updates after which the widest learner's step is free: the run's boundary.
+        last_free = math.floor(min(getattr(d, "learner", d)._free_until.min() for d in built))
+        assert {"eta-0.05": last_free >= T, "just-under": last_free == k,
+                "just-over": last_free == k - 1, "eta-50": last_free < k - 1}[case]
         field = getattr(built[0], "trace_field", "strategies")
         if case == "eta-50":  # and it binds: some weight of the run sits on the floor
             assert min(getattr(p, field).min() for p in play.trace.players) <= 1e-300

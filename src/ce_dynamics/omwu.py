@@ -64,7 +64,7 @@ class Omwu:
         self.optimistic, self.inner_span = bool(optimistic), inner_span
         self.eta, self.cumulative_loss = eta, np.zeros(self.shape)
         self.last_loss, self._updates = self.cumulative_loss, 0
-        self._free_until = np.zeros((*self.shape[:-1], 1))  # per row: updates it steps free to
+        self._free_until = np.zeros((*self.shape[:-1], 1))  # per row: last update count it is free
         self.reset(eta)
 
     inner_dim = property(lambda self: self.dim)

@@ -105,27 +105,29 @@ def expected_loss(game: Game, profile, player: int) -> np.ndarray:
 
 def _contract(game: Game, strategies, player: int) -> np.ndarray:
     """Unchecked step of :func:`expected_loss` for float simplex ``strategies``."""
-    return _contraction(game, player)(strategies)
+    return _contraction(game, player, [x[None] for x in strategies])(0)
 
 
-def _contraction(game: Game, player: int):
-    """:func:`_contract` for ``player`` bound once to the game, a function of the strategies:
-    the later players' axes are contracted from the last one down, then the earlier players'
-    axes from the first one up, each by one ``ndarray.dot`` on a 2-D view, ``(-1, n)`` or
-    ``(n, -1)``: one BLAS gemv per opponent."""
+def _contraction(game: Game, player: int, rows):
+    """:func:`_contract` for ``player`` bound once to the game and to every player's strategy
+    rows, ``rows[j]`` of shape (T, n_j): a function of the round index t that reads the
+    opponents' round-t rows. The later players' axes are contracted from the last one down,
+    then the earlier players' axes from the first one up, each by one ``ndarray.dot`` on a 2-D
+    view, ``(-1, n)`` or ``(n, -1)``: one BLAS gemv per opponent."""
     tensor, m = game.losses[player], game.num_players
     if m == 2:  # one dot, on the tensor as it is
-        return (lambda s: tensor.dot(s[1])) if player == 0 else (lambda s: s[0].dot(tensor))
-    later = [(j, (-1, game.action_counts[j])) for j in range(m - 1, player, -1)]
-    earlier = [(j, (n, -1)) for j, n in enumerate(game.action_counts[:player])]
+        y = rows[1 - player]
+        return (lambda t: tensor.dot(y[t])) if player == 0 else (lambda t: y[t].dot(tensor))
+    later = [(rows[j], (-1, game.action_counts[j])) for j in range(m - 1, player, -1)]
+    earlier = [(rows[j], (n, -1)) for j, n in enumerate(game.action_counts[:player])]
 
-    def contract(strategies):
-        t = tensor
-        for j, shape in later:
-            t = t.reshape(shape).dot(strategies[j])
-        for j, shape in earlier:
-            t = strategies[j].dot(t.reshape(shape))
-        return t
+    def contract(t):
+        out = tensor
+        for x, shape in later:
+            out = out.reshape(shape).dot(x[t])
+        for x, shape in earlier:
+            out = x[t].dot(out.reshape(shape))
+        return out
 
     return contract
 
@@ -139,9 +141,9 @@ def _splitmix64_stream(seed: int, count: int) -> np.ndarray:
 
     Each step advances the state by the 64-bit golden-ratio increment and
     mixes it; doubles take the top 53 bits. Pure-integer arithmetic keeps the
-    stream identical across platforms and numpy versions.
+    stream identical across platforms and numpy versions. ``seed`` lies in [0, 2^64).
     """
-    state = seed & _MASK64
+    state = seed
     out = np.empty(count, dtype=float)
     for idx in range(count):
         state = (state + _SPLITMIX_GAMMA) & _MASK64
@@ -158,13 +160,16 @@ def random_game(num_players: int, action_counts, seed: int) -> Game:
 
     Identical ``(num_players, action_counts, seed)`` always produces the
     identical game. Entries are drawn player by player in row-major profile
-    order.
+    order. The seed is the stream's 64-bit start state: one outside [0, 2^64)
+    is refused, not wrapped onto another seed's game.
     """
     action_counts = tuple(int(n) for n in action_counts)
     if num_players < 2 or len(action_counts) != num_players or any(n < 2 for n in action_counts):
         raise ValidationError(
             f"invalid shape: players={num_players}, actions={action_counts}"
         )
+    if not 0 <= seed <= _MASK64:
+        raise ValidationError(f"seed {seed} outside [0, 2**64)")
     cells = int(np.prod(action_counts))
     draws = _splitmix64_stream(seed, num_players * cells)
     losses = tuple(

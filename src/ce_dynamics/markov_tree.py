@@ -194,18 +194,25 @@ def _row_sum_source(terms: list[str]) -> str:
 @lru_cache(maxsize=None)
 def _gth_kernel(n: int, diagonal: bool):
     """The loop of :func:`_gth_solver` for one n-state chain as straight-line code, built from n:
-    its arguments ``a{i}_{j}`` are the chain's rates, row-major, with the unread diagonal if
-    ``diagonal``; each float operation is one statement, in the loop's order, minus the unread
-    diagonal updates; pi comes out normalised, in numpy's order."""
-    names = (f"a{i}_{j}" for i in range(n) for j in range(n) if diagonal or j != i)
-    lines = ["def gth(" + ", ".join(names) + "):"]
+    its arguments are the chain's rates ``a{i}_{j}``, off-diagonal and row-major, or with
+    ``diagonal`` its n matrix rows, whose diagonal is never read. Each pivot's out-rate and each
+    pi inflow is one expression summing left to right from its first term: the bits of the
+    loop's sum from int 0 while no rate is -0.0. Every other float operation is one statement,
+    in the loop's order, minus the unread diagonal updates; pi comes out normalised, in numpy's
+    order."""
+    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    if diagonal:  # a row per argument, unpacked
+        lines = [f"def gth({', '.join(f'r{i}' for i in range(n))}):",
+                 *(f"{', '.join(row)} = r{i}" for i, row in enumerate(a))]
+    else:
+        lines = [f"def gth({', '.join(a[i][j] for i in range(n) for j in range(n) if j != i)}):"]
     for k in range(n - 1, 0, -1):
-        lines += ["out = 0", *(f"out += a{k}_{j}" for j in range(k))]
+        lines.append(f"out = {' + '.join(a[k][:k])}")
         for i in range(k):
             lines.append(f"f = a{i}_{k} = a{i}_{k} / out")
             lines += [f"a{i}_{j} += f * a{k}_{j}" for j in range(k) if j != i]
-    for k in range(n):
-        lines += [f"p{k} = 0" if k else "p0 = 1.0", *(f"p{k} += p{i} * a{i}_{k}" for i in range(k))]
+    lines += ["p0 = 1.0", *(f"p{k} = {' + '.join(f'p{i} * a{i}_{k}' for i in range(k))}"
+                            for k in range(1, n))]
     lines += ["s = " + _row_sum_source([f"p{k}" for k in range(n)]),
               "return [" + ", ".join(f"p{k} / s" for k in range(n)) + "]"]
     exec(compile("\n    ".join(lines), f"<gth n={n}>", "exec"), namespace := {})
@@ -215,26 +222,30 @@ def _gth_kernel(n: int, diagonal: bool):
 def _gth_solver(n: int, diagonal: bool, members: tuple):
     """Unchecked stationary distributions of n-state chains stacked ``members`` deep, as a
     function of their rates, bound once: n(n-1) off-diagonal rates per chain, row-major (SL's
-    pair masses), or with ``diagonal`` a matrix's n^2 entries, whose diagonal is never read.
+    pair masses), or with ``diagonal`` a matrix's n rows, whose diagonal is never read.
 
     GTH elimination censors states out from the last one down, rerouting each one's incoming
     rates along its outgoing ones, then rebuilds pi from the first state up; it never
     subtracts. Up to ``GTH_KERNEL_MAX_STATES`` states a chain is one call of
     :func:`_gth_kernel`, entries in and normalised pi out, above it one of :func:`_gth_loop`.
-    Sums run left to right from int 0, not by the builtin ``sum()``, which compensates float
-    sums from Python 3.12 on. One ``tolist`` feeds every chain; callers gate the result.
+    Sums run left to right, not by the builtin ``sum()``, which compensates float sums from
+    Python 3.12 on. One ``tolist`` feeds every chain; callers gate the result. A stack on one
+    leading axis, as a learner's members are, goes in and comes out as it is.
     """
-    rows, shape = (-1, n * n if diagonal else n * (n - 1)), (*members, n)
     large = n > GTH_KERNEL_MAX_STATES
     kernel = partial(_gth_loop, n, diagonal) if large else _gth_kernel(n, diagonal)
-    return lambda R: np.array([kernel(*r) for r in R.reshape(rows).tolist()]).reshape(shape)
+    solve = lambda R: np.array([kernel(*r) for r in R.tolist()])
+    if len(members) == 1:
+        return solve
+    chain = (n, n) if diagonal else (n * (n - 1),)
+    return lambda R: solve(R.reshape(-1, *chain)).reshape(*members, n)
 
 
 def _gth_loop(n: int, diagonal: bool, *row) -> np.ndarray:
     """:func:`_gth_kernel`'s elimination and normalisation as a loop over one chain's rows."""
     # The diagonal, given or zero-filled, only ever adds into itself.
-    a = [list(row[i * n:(i + 1) * n]) if diagonal else
-         [*row[i * (n - 1):i * n], 0.0, *row[i * n:(i + 1) * (n - 1)]] for i in range(n)]
+    a = [list(r) for r in row] if diagonal else [
+        [*row[i * (n - 1):i * n], 0.0, *row[i * n:(i + 1) * (n - 1)]] for i in range(n)]
     for k in range(n - 1, 0, -1):
         pivot = a[k][:k]
         out = 0

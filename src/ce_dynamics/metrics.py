@@ -17,6 +17,7 @@ product distribution. The whole-trace functions and the runner's walk both step 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import reduce
 
 import numpy as np
 
@@ -93,7 +94,9 @@ def _regret_blocks(trace: RunTrace, player: int):
         P = x[:, :, None] * (loss[:, :, None] - loss[:, None, :])
         P[0] += carry
         carry = np.cumsum(P, axis=0, out=P)[-1]
-        yield P.sum(axis=1).max(axis=1), P[:, offdiag].max(axis=1), P.max(axis=2).sum(axis=1)
+        # Maxima over the short action axes are elementwise over the rounds: exact, and cheaper.
+        yield (reduce(np.maximum, P.sum(axis=1).T), P[:, offdiag].max(axis=1),
+               reduce(np.maximum, P.transpose(2, 0, 1)).sum(axis=1))
 
 
 def running_regrets(trace: RunTrace, player: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -77,15 +77,16 @@ class Omwu:
         z = self.cumulative_loss + self.last_loss if self.optimistic else self.cumulative_loss.copy()
         z *= self._neg_eta  # rates of z's shape: every step runs in place, with the methods' ufuncs
         if self._updates > self._all_free_until:  # some row shifts and floors
-            shift = np.maximum.reduce(z, axis=-1, keepdims=True)
+            shift = np.maximum.reduce(z, -1, None, None, True)
             if self._updates <= self._some_free_until:  # the free rows subtract 0.0, exactly
                 shift[self._free_until >= self._updates] = 0.0
             z -= shift  # the floor is the identity on the free rows: weights above exp(-690)
-            np.maximum(np.exp(z, out=z), _WEIGHT_FLOOR, out=z)
+            np.maximum(np.exp(z, z), _WEIGHT_FLOOR, out=z)
         else:
-            np.exp(z, out=z)
-        self.last_strategy = np.divide(z, np.add.reduce(z, axis=-1, keepdims=True), out=z)
-        return self.last_strategy
+            np.exp(z, z)
+        z /= np.add.reduce(z, -1, None, None, True)  # positional: (axis, dtype, out, keepdims)
+        self.last_strategy = z
+        return z
 
     def observe(self, loss) -> None:
         """Feedback from outside: a finite loss of the state's shape, copied."""

@@ -4,11 +4,12 @@ A run executes the two-phase self-play protocol: freeze every player's strategy,
 compute every expected-loss vector from the frozen profile, then deliver all
 feedback. Players with equal action counts are the members of one learner, so a
 round plays, updates and writes the trace once per group, on operands bound once
-per run: each player's contraction of the game (:func:`games._contraction`), each
-learner's solve and inner-loss tables, and the trace's round-major rows. SL and BM
-play their unchecked stationary solve (``_next_strategy``) and feedback goes through
-the unchecked ``_update``: game losses in [0, 1], which leave each softmax's max-shift
-and floor off while they cannot bind (:class:`omwu.Omwu`, per member since its reset).
+per run: the trace's round-major rows, the round's only buffer, each player's contraction
+of the game, which reads the trace's round-t strategy rows (:func:`games._contraction`), and
+each learner's solve and inner-loss tables. SL and BM play their unchecked stationary
+solve (``_next_strategy``) and feedback goes through the unchecked ``_update``: game losses
+in [0, 1], which leave each softmax's max-shift and floor off while they cannot bind
+(:class:`omwu.Omwu`, per member since its reset).
 Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS`` inner-stream rounds; at
 a block's first breach the learners are restored to the block's start and replayed up
 to that round, where each breaching player's member is reset alone. After the loop,
@@ -315,37 +316,35 @@ def _play(config: RunConfig, game: Game | None) -> Play:
     family = config.dynamics.split("-")[0]
     field = getattr(dyns[0], "trace_field", None)  # the inner distribution's trace record
     # Each trace array is (members, T, ...), so a player's field is a contiguous slice; the trace
-    # is built on them before play, for the controllers. Bound once per group: its learner, the
-    # arrays' round-major views (None for no inner record), and its members' contractions.
-    records, writes, feeds = [], [], []
+    # is built on them before play, for the controllers and the round, which reads and writes it.
+    records = []
     for group, dyn in zip(groups, dyns):
-        learner = getattr(dyn, "learner", dyn)
         shapes = dict.fromkeys(("strategies", "losses"), (counts[group[0]],))
-        shapes.update({field: learner.shape[1:]} if field else {})
-        records.append(rec := {k: np.empty((len(group), T, *s)) for k, s in shapes.items()})
-        rows = {k: v.swapaxes(0, 1) for k, v in rec.items()}
-        writes.append((learner, rows["strategies"], rows.get(field), rows["losses"],
-                       [(b, _contraction(game, i)) for b, i in enumerate(group)]))
-        feeds.append((dyn._update, rows["losses"]))
+        shapes.update({field: dyn.learner.shape[1:]} if field else {})
+        records.append({k: np.empty((len(group), T, *s)) for k, s in shapes.items()})
     players = [PlayerTrace(**{k: v[b] for k, v in records[g].items()}) for _, g, b in slots]
     trace = RunTrace(horizon=T, dynamics=config.dynamics, action_counts=counts,
                      etas=tuple(etas), players=players)
     # SL and BM play their unchecked stationary solve; the gate runs once, after the loop.
     solves = family in ("sl", "bm")
-    steps = [dyn._next_strategy if solves else dyn.next_strategy for dyn in dyns]
+    # Bound once per run: each group's step, inner learner and feedback on the round-major views
+    # of its records, and each player's contraction of every player's strategy rows.
+    rows = [{k: v.swapaxes(0, 1) for k, v in rec.items()} for rec in records]
+    plays = [(dyn._next_strategy if solves else dyn.next_strategy, r["strategies"])
+             for dyn, r in zip(dyns, rows)]
+    inners = [(dyn.learner, r[field]) for dyn, r in zip(dyns, rows)] if field else []
+    played = [p.strategies for p in players]
+    contractions = [(p.losses, _contraction(game, i, played)) for i, p in enumerate(players)]
+    feeds = [(dyn._update, r["losses"]) for dyn, r in zip(dyns, rows)]
 
     def play(rounds: range) -> None:
         for t in rounds:
-            played = [step() for step in steps]
-            # C-contiguous rows, as a lone learner's strategy is: _contract runs the same products.
-            profile = [played[g][b] for _, g, b in slots]
-            for x, (learner, strategies, inner, losses, contractions) in zip(played, writes):
-                strategies[t] = x
-                if inner is not None:
-                    inner[t] = learner.last_strategy
-                for b, contract in contractions:
-                    losses[t, b] = contract(profile)
-
+            for step, strategies in plays:
+                strategies[t] = step()
+            for learner, inner in inners:
+                inner[t] = learner.last_strategy
+            for losses, contract in contractions:
+                losses[t] = contract(t)
             for update, losses in feeds:
                 update(losses[t])
 

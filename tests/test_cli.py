@@ -31,6 +31,17 @@ def test_gen_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seeds_outside_64_bits_exit_2(tmp_path, capsys, seed):
+    gen = ["gen", "--players", "2", "--actions", "3,3", "--seed", seed, "--out", str(tmp_path / "g")]
+    run = ["run", "--players", "2", "--actions", "3,3", "--game-seed", seed, "--dynamics", "omwu",
+           "--horizon", "4", "--eta", "0.05", "--out", str(tmp_path / "run")]
+    for argv in (gen, run):
+        assert main(argv) == 2
+        assert f"seed {seed} outside [0, 2**64)" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_trees_command(capsys):
     assert main(["trees", "--n", "4", "--root", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)

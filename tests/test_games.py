@@ -56,7 +56,8 @@ class TestExpectedLoss:
         np.testing.assert_allclose(ell, [0.7, 0.3], atol=1e-15)
         np.testing.assert_allclose(ell, brute_force_expected_loss(game, profile, 0), atol=1e-15)
 
-    @pytest.mark.parametrize("counts,seed", [((2, 2), 0), ((3, 2), 1), ((2, 3, 2), 2), ((3, 3, 3), 3)])
+    @pytest.mark.parametrize("counts,seed", [((2, 2), 0), ((3, 2), 1), ((2, 3, 2), 2), ((3, 3, 3), 3),
+                                             ((2, 3, 2, 3), 4)])
     def test_matches_brute_force(self, counts, seed):
         game = random_game(len(counts), counts, seed)
         rng = np.random.default_rng(seed)
@@ -69,6 +70,7 @@ class TestExpectedLoss:
             want = brute_force_expected_loss(game, profile, player)
             np.testing.assert_allclose(got, want, atol=1e-12)
             assert got.min() >= 0.0 and got.max() <= 1.0
+            assert _contract(game, profile, player).tobytes() == got.tobytes()
 
     def test_range_for_any_profile(self):
         game = random_game(2, (4, 5), seed=9)
@@ -191,6 +193,15 @@ class TestRandomGame:
         a = random_game(2, (3, 3), seed=1)
         b = random_game(2, (3, 3), seed=2)
         assert any(not np.array_equal(x, y) for x, y in zip(a.losses, b.losses))
+
+    def test_seed_range_ends(self):
+        # Seeds are the stream's 64-bit start state: both ends of [0, 2^64) play, each its own
+        # game, and one step past either end is refused, not wrapped onto the other end.
+        first, last = random_game(2, (3, 3), seed=0), random_game(2, (3, 3), seed=2**64 - 1)
+        assert save_game(first) != save_game(last)
+        for seed in (-1, 2**64, 2**65 + 7):
+            with pytest.raises(ValidationError, match=r"outside \[0, 2\*\*64\)"):
+                random_game(2, (3, 3), seed=seed)
 
     def test_invalid_shape(self):
         with pytest.raises(ValidationError):

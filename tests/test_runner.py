@@ -584,6 +584,23 @@ class TestGroupedLoop:
         assert final["eta_final"][2] != final["eta_initial"][2]
 
 
+class TestFourPlayers:
+    """Action counts (2, 3, 2, 3): two learners of two members each, interleaved. Player 0's
+    contraction runs over three later axes and player 3's over three earlier ones."""
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "forced-switch"])
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    def test_interleaved_groups_bitwise(self, monkeypatch, dynamics, adaptive):
+        rounds = (None, 300, 257, None)  # one member of each learner, in different blocks
+        rule = dict(eta_rule="adaptive", eta=None) if adaptive else {}
+        if adaptive:
+            force_switches(monkeypatch, rounds)
+        config = small_config(dynamics=dynamics, players=4, action_counts=(2, 3, 2, 3),
+                              horizon=400, game_seed=3, **rule)
+        final = assert_matches_reference(config).summary["final"]
+        assert final["adaptive_switch_round"] == list(rounds if adaptive else (None,) * 4)
+
+
 class BlockReads:
     """A finished trace's array that hands out blocks of at most REGRET_CHUNK_ROUNDS rounds, and
     nothing else: any pass that takes the whole array fails."""
@@ -699,7 +716,8 @@ class TestForcedSwitches:
 
 
 class TestPlayedRows:
-    """Byte identity relies on every learner playing C-contiguous rows, which _contract reads."""
+    """Byte identity with the per-player loop relies on every learner playing C-contiguous rows:
+    that loop's _contract reads them, and the round reads the trace's own C-contiguous rows."""
 
     @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
     def test_stacked_members_play_c_contiguous_rows(self, dynamics):

@@ -19,10 +19,11 @@ Each call's exit code and each file it wrote are recorded; the temporary directo
 is replaced by ``<tmp>`` before hashing, so the echoed game path compares across
 checkouts. A run's last bits depend on the CPU code paths numpy and OpenBLAS pick, so the
 child caps numpy's dispatch at x86-64-v3 and fixes the OpenBLAS core (``CAPPED``): any
-x86-64-v3 machine with the table's numpy and OpenBLAS versions computes the same table.
+x86-64-v3 machine with the table's numpy and OpenBLAS versions computes the same table. The
+child also reports its machine and whether numpy dispatches x86-64-v3 loops there.
 ``write`` stores the table; ``compare`` recomputes it, reports how many files match and
-exits 1 naming the versions if they differ from the table's, else the first call and file
-that differ. ``drift`` runs the calls on this ``src/`` and on ``OTHER_SRC`` (another
+exits 1 naming the machine if it is not x86-64-v3, else the versions if they differ from the
+table's, else the first call and file that differ. ``drift`` runs the calls on this ``src/`` and on ``OTHER_SRC`` (another
 checkout's ``src/``) and prints how many files differ and, per ``run.csv`` column and per
 numeric ``summary.json`` key, the worst absolute and relative difference: the report a
 change that moves last bits gives beside its regenerated table.
@@ -37,6 +38,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -96,14 +98,27 @@ def calls(tmp: Path):
                         "--out", "<out>/report.json"])
 
 
+def _machine() -> dict:
+    """This process's machine and whether numpy dispatches x86-64-v3 loops on it: the table's
+    bits need both, and a capped numpy reports the level it was capped at."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    return {"machine": platform.machine(), "x86_v3": bool(__cpu_features__.get("X86_V3"))}
+
+
 def _digests(tmp: Path) -> dict:
-    """The table of this process's package: its numpy and BLAS versions, and per call label
-    {"exit": code, "files": {name: sha256}}; each call writes under ``tmp/call<k>``."""
+    """The table of this process's package: its machine (:func:`_machine`), numpy and BLAS
+    versions, and per call label {"exit": code, "files": {name: sha256}}; each call writes under
+    ``tmp/call<k>``."""
     import numpy
     from ce_dynamics import cli
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    table = {"numpy": numpy.__version__, "blas": f"{blas['name']} {blas['version']}", "calls": {}}
+    table = {**_machine(), "numpy": numpy.__version__, "blas": f"{blas['name']} {blas['version']}",
+             "calls": {}}
     for k, (label, argv) in enumerate(calls(tmp)):
         out = tmp / f"call{k}"
         out.mkdir()
@@ -129,7 +144,11 @@ def capped_table(src: Path = ROOT / "src", keep: Path | None = None) -> dict:
 
 
 def compare(want: dict, got: dict) -> list[str]:
-    """Every difference between two tables, in call order: their versions, or else their calls."""
+    """Every difference between two tables, in call order: their versions, or else their calls.
+    A ``got`` computed off x86-64-v3 (see :func:`_machine`) fails first, naming the cause."""
+    if got.get("machine") not in ("x86_64", "AMD64") or not got.get("x86_v3"):
+        return [f"computed on {got.get('machine')} with numpy's X86_V3 {got.get('x86_v3')}: the "
+                f"digests hold only where numpy dispatches x86-64-v3 loops"]
     versions = [f"{k} {want.get(k)} -> {got.get(k)}" for k in ("numpy", "blas")
                 if want.get(k) != got.get(k)]
     if versions:

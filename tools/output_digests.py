@@ -23,10 +23,10 @@ x86-64-v3 machine with the table's numpy and OpenBLAS versions computes the same
 child also reports its machine and whether numpy dispatches x86-64-v3 loops there.
 ``write`` stores the table; ``compare`` recomputes it, reports how many files match and
 exits 1 naming the machine if it is not x86-64-v3, else the versions if they differ from the
-table's, else the first call and file that differ. ``drift`` runs the calls on this ``src/`` and on ``OTHER_SRC`` (another
-checkout's ``src/``) and prints how many files differ and, per ``run.csv`` column and per
-numeric ``summary.json`` key, the worst absolute and relative difference: the report a
-change that moves last bits gives beside its regenerated table.
+table's, else the first call and file that differ. ``drift`` runs the calls on this ``src/``
+and on ``OTHER_SRC`` (another checkout's ``src/``) and prints how many files differ and, per
+``run.csv`` column and per numeric ``summary.json`` key, the worst absolute and relative
+difference: the report a change that moves last bits gives beside its regenerated table.
 """
 
 from __future__ import annotations

@@ -105,29 +105,33 @@ def expected_loss(game: Game, profile, player: int) -> np.ndarray:
 
 def _contract(game: Game, strategies, player: int) -> np.ndarray:
     """Unchecked step of :func:`expected_loss` for float simplex ``strategies``."""
-    return _contraction(game, player, [x[None] for x in strategies])(0)
+    out = np.empty((1, game.action_counts[player]))
+    return _contraction(game, player, [x[None] for x in strategies], out)(0)
 
 
-def _contraction(game: Game, player: int, rows):
-    """:func:`_contract` for ``player`` bound once to the game and to every player's strategy
-    rows, ``rows[j]`` of shape (T, n_j): a function of the round index t that reads the
-    opponents' round-t rows. The later players' axes are contracted from the last one down,
-    then the earlier players' axes from the first one up, each by one ``ndarray.dot`` on a 2-D
-    view, ``(-1, n)`` or ``(n, -1)``: one BLAS gemv per opponent."""
+def _contraction(game: Game, player: int, rows, out):
+    """:func:`_contract` for ``player`` bound once to the game, to every player's strategy rows,
+    ``rows[j]`` of shape (T, n_j), and to its loss rows ``out``, (T, n): a function of the round
+    index t that reads the opponents' round-t rows and computes ``out[t]``, which it returns.
+    The later players' axes are contracted from the last one down, then the earlier players'
+    axes from the first one up, each by one ``ndarray.dot`` on a 2-D view, ``(-1, n)`` or
+    ``(n, -1)``: one BLAS gemv per opponent. The tensor's view is bound here, and the last
+    ``dot`` writes into ``out[t]``; every round-t row is C-contiguous, as ``dot`` needs."""
     tensor, m = game.losses[player], game.num_players
     if m == 2:  # one dot, on the tensor as it is
         y = rows[1 - player]
-        return (lambda t: tensor.dot(y[t])) if player == 0 else (lambda t: y[t].dot(tensor))
-    later = [(rows[j], (-1, game.action_counts[j])) for j in range(m - 1, player, -1)]
-    earlier = [(rows[j], (n, -1)) for j, n in enumerate(game.action_counts[:player])]
+        return (lambda t: tensor.dot(y[t], out[t])) if player == 0 else (
+            lambda t: y[t].dot(tensor, out[t]))
+    steps = [(rows[j], (-1, game.action_counts[j]), True) for j in range(m - 1, player, -1)]
+    steps += [(rows[j], (n, -1), False) for j, n in enumerate(game.action_counts[:player])]
+    (x0, first, right0), *middle, (x1, last, right1) = steps
+    view = tensor.reshape(first)
 
     def contract(t):
-        out = tensor
-        for x, shape in later:
-            out = out.reshape(shape).dot(x[t])
-        for x, shape in earlier:
-            out = x[t].dot(out.reshape(shape))
-        return out
+        v = view.dot(x0[t]) if right0 else x0[t].dot(view)
+        for x, shape, right in middle:
+            v = v.reshape(shape).dot(x[t]) if right else x[t].dot(v.reshape(shape))
+        return v.reshape(last).dot(x1[t], out[t]) if right1 else x1[t].dot(v.reshape(last), out[t])
 
     return contract
 

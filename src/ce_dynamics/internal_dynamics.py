@@ -108,9 +108,9 @@ class SlOmwu(Composite):
         self.last_strategy = check_stationary(_pair_rates(p, self.n), self._solve(p))
         return self.last_strategy
 
-    def _next_strategy(self) -> np.ndarray:
-        """Unchecked step of :meth:`next_strategy`."""
-        self.last_strategy = self._solve(self.learner.next_strategy())
+    def _next_strategy(self, out=None, *inner) -> np.ndarray:
+        """Unchecked :meth:`next_strategy`, computed in round trace rows ``out, inner`` if given."""
+        self.last_strategy = self._solve(self.learner.next_strategy(*inner), out)
         return self.last_strategy
 
     def observe(self, loss) -> None:
@@ -156,9 +156,11 @@ class ArboDynamics(Composite):
         self._root_bins = (self.roots + n * members[:, None]).ravel()
         self._shape = (*self.learner.members, n)
 
-    def next_strategy(self) -> np.ndarray:
-        X = self.learner.next_strategy()
-        self.last_strategy = np.bincount(self._root_bins, weights=X.ravel()).reshape(self._shape)
+    def next_strategy(self, out=None, *inner) -> np.ndarray:
+        """The iterate's root marginals, computed in round trace rows ``out, inner`` if given."""
+        X = self.learner.next_strategy(*inner)
+        self.last_strategy = np.empty(self._shape) if out is None else out
+        self.last_strategy.flat = np.bincount(self._root_bins, weights=X.ravel())
         return self.last_strategy
 
     def observe(self, loss) -> None:

@@ -230,15 +230,20 @@ def _gth_solver(n: int, diagonal: bool, members: tuple):
     :func:`_gth_kernel`, entries in and normalised pi out, above it one of :func:`_gth_loop`.
     Sums run left to right, not by the builtin ``sum()``, which compensates float sums from
     Python 3.12 on. One ``tolist`` feeds every chain; callers gate the result. A stack on one
-    leading axis, as a learner's members are, goes in and comes out as it is.
+    leading axis (a learner's members) goes in and out as it is: ``out`` takes its pi as lists.
     """
     large = n > GTH_KERNEL_MAX_STATES
     kernel = partial(_gth_loop, n, diagonal) if large else _gth_kernel(n, diagonal)
-    solve = lambda R: np.array([kernel(*r) for r in R.tolist()])
+
+    def solve(R, out=None):
+        out = np.empty((len(R), n)) if out is None else out
+        out[...] = [kernel(*r) for r in R.tolist()]
+        return out
+
     if len(members) == 1:
         return solve
     chain = (n, n) if diagonal else (n * (n - 1),)
-    return lambda R: solve(R.reshape(-1, *chain)).reshape(*members, n)
+    return lambda R, out=None: solve(R.reshape(-1, *chain), out).reshape(*members, n)
 
 
 def _gth_loop(n: int, diagonal: bool, *row) -> np.ndarray:

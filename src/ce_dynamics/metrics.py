@@ -31,6 +31,8 @@ REGRET_CHUNK_ROUNDS = 256
 
 @dataclass
 class PlayerTrace:
+    """One player's records; in a played trace, member b's fields are strided ``[:, b]`` views."""
+
     strategies: np.ndarray  # (T, n)
     losses: np.ndarray  # (T, n)
     pair_dists: np.ndarray | None = None  # (T, n(n-1)) for pair-space runs

@@ -72,10 +72,12 @@ class Omwu:
     inner_loss = property(lambda self: self.last_loss.reshape(*self.members, -1, self.dim))
     inner_losses = staticmethod(lambda x, loss: loss)
 
-    def next_strategy(self) -> np.ndarray:
-        """Current iterate: softmax of -eta * (cumulative + predicted) losses."""
-        z = self.cumulative_loss + self.last_loss if self.optimistic else self.cumulative_loss.copy()
-        z *= self._neg_eta  # rates of z's shape: every step runs in place, with the methods' ufuncs
+    def next_strategy(self, out=None) -> np.ndarray:
+        """Current iterate, in ``out`` if given: softmax of -eta (cumulative + predicted) losses."""
+        out = np.empty(self.shape) if out is None else out  # C-contiguous: a round's trace row
+        z = (np.add(self.cumulative_loss, self.last_loss, out) if self.optimistic
+             else self.cumulative_loss)
+        z = np.multiply(z, self._neg_eta, out)  # rates of out's shape: every step runs in place
         if self._updates > self._all_free_until:  # some row shifts and floors
             shift = np.maximum.reduce(z, -1, None, None, True)
             if self._updates <= self._some_free_until:  # the free rows subtract 0.0, exactly
@@ -119,8 +121,8 @@ class Omwu:
         """
         rows = ... if member is None else member
         if eta is not None:
-            if not np.all(np.asarray(eta) > 0.0):
-                raise ValidationError(f"learning rate must be positive, got {eta}")
+            if not np.all((np.asarray(eta) > 0.0) & np.isfinite(eta)):
+                raise ValidationError(f"learning rate must be positive and finite, got {eta}")
             rates = np.array(np.broadcast_to(self.eta, self.members), dtype=float)
             rates[rows] = eta
             self.eta = rates if self.members else float(rates)
@@ -144,8 +146,9 @@ class Composite:
     each public method in its own body so it can be wrapped on the class, and
     the static ``inner_losses(x, loss)`` (the learner's loss, any leading axes), which an
     instance binds to n where it reads tables; a stationary solve's ``_next_strategy`` skips
-    its residual gate. ``trace_field`` is the trace record of the inner distribution,
-    ``loss_low`` the loss floor, ``inner_span`` the inner losses' range.
+    its residual gate. The round's step, that or ``next_strategy``, computes in the round's
+    trace rows ``out, inner`` when given. ``trace_field`` is the inner distribution's trace
+    record, ``loss_low`` the loss floor, ``inner_span`` the inner losses' range.
     """
 
     loss_low = -1.0

@@ -4,27 +4,29 @@ A run executes the two-phase self-play protocol: freeze every player's strategy,
 compute every expected-loss vector from the frozen profile, then deliver all
 feedback. Players with equal action counts are the members of one learner, so a
 round plays, updates and writes the trace once per group, on operands bound once
-per run: the trace's round-major rows, the round's only buffer, each player's contraction
-of the game, which reads the trace's round-t strategy rows (:func:`games._contraction`), and
-each learner's solve and inner-loss tables. SL and BM play their unchecked stationary
-solve (``_next_strategy``) and feedback goes through the unchecked ``_update``: game losses
-in [0, 1], which leave each softmax's max-shift and floor off while they cannot bind
-(:class:`omwu.Omwu`, per member since its reset).
+per run. The trace is the round's only buffer: each group's records are round-major,
+(T, members, ...), so its round-t rows are one C-contiguous block, and every stage computes
+straight into them: each group's step its strategy and inner rows (``Omwu``'s softmax with
+``out``; SL and BM by their unchecked stationary solve, ``_next_strategy``), then each
+player's contraction of the opponents' round-t strategy rows its loss row
+(:func:`games._contraction`), then each group's unchecked ``_update`` reads its loss rows:
+game losses in [0, 1], which leave each softmax's max-shift and floor off while they cannot
+bind (:class:`omwu.Omwu`, per member since its reset).
 Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS`` inner-stream rounds; at
 a block's first breach the learners are restored to the block's start and replayed up
 to that round, where each breaching player's member is reset alone. After the loop,
 :func:`_walk` reads the finished trace once, by block: it gates every stationary solve
-by its residual and checks every strategy against the simplex. That checked play is :func:`play_dynamics`; :func:`run_dynamics`
-adds the accounting, which :func:`internal_dynamics.verify_equivalence` skips. Each
-of its quantities is a generator that takes one step per block of the same walk and
-keeps its carry: the round table's regret and ratio columns (:mod:`metrics`), and
-the summary's average product distribution, BM's loss-decomposition residual and
-reports (:mod:`diagnostics`), which read each player's inner stream once per block.
-The (T, m, 7) round table is kept on the result; :func:`render_csv` renders it by
-block and column, each distinct number once. Up to ``metrics.DENSE_JOINT_MAX_ENTRIES``
-joint cells the CE gap comes from the average product distribution and is checked
-against max internal regret / T; above, it is that ratio and its identity residual
-is null. Outputs are deterministic given the configuration.
+by its residual and checks every strategy against the simplex. That checked play is
+:func:`play_dynamics`; :func:`run_dynamics` adds the accounting, which
+:func:`internal_dynamics.verify_equivalence` skips. Each of its quantities is a generator
+that takes one step per block of the same walk and keeps its carry: the round table's
+regret and ratio columns (:mod:`metrics`), and the summary's average product distribution,
+BM's loss-decomposition residual and reports (:mod:`diagnostics`), which read each player's
+inner stream once per block. The (T, m, 7) round table is kept on the result;
+:func:`render_csv` renders it by block and column, each distinct number once. Up to
+``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the average product
+distribution and is checked against max internal regret / T; above, it is that ratio and
+its identity residual is null. Outputs are deterministic given the configuration.
 """
 
 from __future__ import annotations
@@ -313,45 +315,42 @@ def _play(config: RunConfig, game: Game | None) -> Play:
         AdaptiveEtaController(T, dyns[g].inner_dim, config.adaptive_budget) for _, g, _ in slots
     ] if config.eta_rule == "adaptive" else None
 
-    family = config.dynamics.split("-")[0]
     field = getattr(dyns[0], "trace_field", None)  # the inner distribution's trace record
-    # Each trace array is (members, T, ...), so a player's field is a contiguous slice; the trace
-    # is built on them before play, for the controllers and the round, which reads and writes it.
+    # Each record is round-major, (T, members, ...): the round computes in a group's round-t rows,
+    # one C-contiguous block. A player's field is its member's strided view; built before play.
     records = []
     for group, dyn in zip(groups, dyns):
         shapes = dict.fromkeys(("strategies", "losses"), (counts[group[0]],))
         shapes.update({field: dyn.learner.shape[1:]} if field else {})
-        records.append({k: np.empty((len(group), T, *s)) for k, s in shapes.items()})
-    players = [PlayerTrace(**{k: v[b] for k, v in records[g].items()}) for _, g, b in slots]
+        records.append({k: np.empty((T, len(group), *s)) for k, s in shapes.items()})
+    players = [PlayerTrace(**{k: v[:, b] for k, v in records[g].items()}) for _, g, b in slots]
     trace = RunTrace(horizon=T, dynamics=config.dynamics, action_counts=counts,
                      etas=tuple(etas), players=players)
-    # SL and BM play their unchecked stationary solve; the gate runs once, after the loop.
-    solves = family in ("sl", "bm")
-    # Bound once per run: each group's step, inner learner and feedback on the round-major views
-    # of its records, and each player's contraction of every player's strategy rows.
-    rows = [{k: v.swapaxes(0, 1) for k, v in rec.items()} for rec in records]
-    plays = [(dyn._next_strategy if solves else dyn.next_strategy, r["strategies"])
-             for dyn, r in zip(dyns, rows)]
-    inners = [(dyn.learner, r[field]) for dyn, r in zip(dyns, rows)] if field else []
+    # Bound once per run: each group's step into its strategy (and inner) rows, SL's and BM's
+    # unchecked, each player's contraction into its loss rows, and each group's feedback.
+    plays = [(getattr(dyn, "_next_strategy", dyn.next_strategy), rec["strategies"], rec.get(field))
+             for dyn, rec in zip(dyns, records)]
     played = [p.strategies for p in players]
-    contractions = [(p.losses, _contraction(game, i, played)) for i, p in enumerate(players)]
-    feeds = [(dyn._update, r["losses"]) for dyn, r in zip(dyns, rows)]
+    contractions = [_contraction(game, i, played, p.losses) for i, p in enumerate(players)]
+    feeds = [(dyn._update, rec["losses"]) for dyn, rec in zip(dyns, records)]
 
     def play(rounds: range) -> None:
         for t in rounds:
-            for step, strategies in plays:
-                strategies[t] = step()
-            for learner, inner in inners:
-                inner[t] = learner.last_strategy
-            for losses, contract in contractions:
-                losses[t] = contract(t)
+            if field:
+                for step, strategies, inner in plays:
+                    step(strategies[t], inner[t])
+            else:
+                for step, strategies, _ in plays:
+                    step(strategies[t])
+            for contract in contractions:
+                contract(t)
             for update, losses in feeds:
                 update(losses[t])
 
     done = 0  # rounds played so far
     while done < T:
         block = range(done, min(done + REGRET_CHUNK_ROUNDS, T))
-        # Every step replaces the arrays it changes, so copies of the attributes restore a learner.
+        # A step replaces every learner array it changes, so copies of the attributes restore it.
         if controllers:  # only a controller's breach replays a block from its start
             start = [(o, vars(o).copy()) for d in dyns for o in {d, getattr(d, "learner", d)}]
         play(block)

@@ -38,9 +38,9 @@ class BmOmwu(Composite):
         self.last_strategy = check_stationary(Q, self._solve(Q))
         return self.last_strategy
 
-    def _next_strategy(self) -> np.ndarray:
-        """Unchecked step of :meth:`next_strategy`."""
-        self.last_strategy = self._solve(self.learner.next_strategy())
+    def _next_strategy(self, out=None, *inner) -> np.ndarray:
+        """Unchecked :meth:`next_strategy`, computed in round trace rows ``out, inner`` if given."""
+        self.last_strategy = self._solve(self.learner.next_strategy(*inner), out)
         return self.last_strategy
 
     def observe(self, loss) -> None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ce_dynamics.errors import DimensionMismatchError, ValidationError
 from ce_dynamics.internal_dynamics import ArboDynamics, SlOmwu
 from ce_dynamics.omwu import FLOOR_FREE_SPREAD, Omwu
+from ce_dynamics.runner import DYNAMICS, _build_dynamics
 from ce_dynamics.swap_dynamics import BmOmwu
 
 
@@ -100,6 +101,18 @@ class TestObserve:
             Omwu((3, 0), eta=0.1)
         with pytest.raises(ValidationError):
             Omwu((2, 3, 4), eta=0.1)
+
+    @pytest.mark.parametrize("make", [Omwu, SlOmwu, BmOmwu, ArboDynamics],
+                             ids=["omwu", "sl-omwu", "bm-omwu", "arbo"])
+    @pytest.mark.parametrize("eta", [math.inf, math.nan])
+    def test_rejects_a_non_finite_rate(self, make, eta):
+        # An infinite rate would play NaN (Omwu) or fail late in the stationary solve (SL).
+        with pytest.raises(ValidationError, match="learning rate must be positive and finite"):
+            make(3, eta)
+        dyn = make(3, np.array([0.1, 0.2]))
+        with pytest.raises(ValidationError, match="learning rate must be positive and finite"):
+            dyn.reset(eta, member=1)
+        assert dyn.eta.tolist() == [0.1, 0.2]  # a refused reset changes nothing
 
 
 class TestRows:
@@ -329,6 +342,34 @@ class TestGuard:
             for r, single in enumerate(singles):
                 single.observe(loss[r])
         assert differ  # the two branches give other bits: the test sees which one ran
+
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_the_row_step_is_the_public_step(self, dynamics):
+        # The round's step computes in round-major trace rows, (T, members, ...). Through free,
+        # mixed and guarded steps and a member's reset (the timeline of the test above), it
+        # gives the bits of a twin's public next_strategy.
+        span = _build_dynamics(dynamics, 3, 1.0).inner_span
+        etas = np.array([FLOOR_FREE_SPREAD / (span * k) for k in (8.5, 15.5, 25.5)])
+        dyn, twin = _build_dynamics(dynamics, 3, etas), _build_dynamics(dynamics, 3, etas)
+        step = getattr(dyn, "_next_strategy", dyn.next_strategy)
+        learner, twin_learner = getattr(dyn, "learner", dyn), getattr(twin, "learner", twin)
+        T, rng, kinds = 45, np.random.default_rng(8), set()
+        strategies, inner = np.empty((T, 3, 3)), np.empty((T, *learner.shape))
+        rows = [strategies, inner] if hasattr(dyn, "trace_field") else [strategies]
+        for t in range(T):
+            if t == 20:
+                dyn.reset(member=1)
+                twin.reset(member=1)
+            free = learner._free_until >= learner._updates
+            kinds.add("all free" if free.all() else "some free" if free.any() else "all guarded")
+            step(*(r[t] for r in rows))
+            assert strategies[t].tobytes() == twin.next_strategy().tobytes()
+            assert np.shares_memory(learner.last_strategy, rows[-1][t])
+            assert learner.last_strategy.tobytes() == twin_learner.last_strategy.tobytes()
+            loss = rng.uniform(0.0, 1.0, (3, 3))
+            dyn._update(loss)
+            twin._update(loss.copy())
+        assert kinds == {"all free", "some free", "all guarded"}
 
     def test_stiff_sl_is_guarded_from_round_70(self):
         # 5 * 69 * 2 = 690: the step after 68 updates (round 69) is the last free one.

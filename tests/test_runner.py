@@ -716,24 +716,46 @@ class TestForcedSwitches:
 
 
 class TestPlayedRows:
-    """Byte identity with the per-player loop relies on every learner playing C-contiguous rows:
-    that loop's _contract reads them, and the round reads the trace's own C-contiguous rows."""
+    """Each record of a run's trace is round-major, (T, members, ...): the round computes in a
+    group's round-t rows, one C-contiguous block, as the contractions' ``dot(..., out)`` needs,
+    and a stacked member's field is a strided (T, ...) view of its record. The per-player loop's
+    ``_contract`` reads the public ``next_strategy``'s rows, C-contiguous too."""
 
     @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
     def test_stacked_members_play_c_contiguous_rows(self, dynamics):
         dyn = runner._build_dynamics(dynamics, 3, np.array([0.05, 0.5]))
-        steps = [dyn.next_strategy]
-        if hasattr(dyn, "_next_strategy"):
-            steps.append(dyn._next_strategy)
+        twin = runner._build_dynamics(dynamics, 3, np.array([0.05, 0.5]))
+        step = getattr(dyn, "_next_strategy", dyn.next_strategy)
+        strategies = np.empty((4, 2, 3))
+        rows = [strategies, np.empty((4, *dyn.learner.shape))] if hasattr(dyn, "trace_field") \
+            else [strategies]
         rng = np.random.default_rng(0)
         for t in range(4):
-            for step in steps:
-                x = step()
-                assert x.shape == (2, 3) and x.flags.c_contiguous
-                assert all(row.flags.c_contiguous for row in x)
-            dyn._update(rng.uniform(0.0, 1.0, (2, 3)))
+            step(*(r[t] for r in rows))
+            x = twin.next_strategy()
+            assert x.shape == (2, 3) and x.flags.c_contiguous
+            assert all(row.flags.c_contiguous for row in x)
+            assert strategies[t].tobytes() == x.tobytes()
+            loss = rng.uniform(0.0, 1.0, (2, 3))
+            dyn._update(loss)
+            twin._update(loss.copy())
             if t == 1:
                 dyn.reset(0.1, 1)
+                twin.reset(0.1, 1)
+
+    @pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu", "arbo"])
+    def test_a_run_computes_in_round_major_rows(self, dynamics):
+        # Players 0 and 2 are the two members of one learner, player 1 a lone member.
+        trace = play_dynamics(small_config(dynamics=dynamics, players=3,
+                                           action_counts=(3, 4, 3), horizon=6)).trace
+        for p in trace.players:
+            fields = [a for a in vars(p).values() if a is not None]
+            assert len(fields) == (2 if dynamics == "omwu" else 3)
+            for array in fields:
+                assert all(array[t].flags.c_contiguous for t in range(6))
+        members = [trace.players[i].strategies for i in (0, 2)]
+        assert members[0].base is members[1].base and members[0].base.shape == (6, 2, 3)
+        assert not members[0].flags.c_contiguous  # a strided (T, n) view
 
 
 class TestUncheckedFeedback:
@@ -778,12 +800,18 @@ class TestStrategyCheck:
 
         def build_spy(name, n, eta):
             dyn = build(name, n, eta)
-            # The step the round loop calls: SL and BM play an unchecked solve.
+            # The step the round loop calls, which computes in the round's trace rows: SL and BM
+            # play an unchecked solve.
             step = "_next_strategy" if hasattr(dyn, "_next_strategy") else "next_strategy"
             emit = getattr(dyn, step)
             rounds = itertools.count(1)
-            # Both players have 3 actions: members 0 and 1.
-            setattr(dyn, step, lambda: emit() * np.array(scales.get(next(rounds), (1.0, 1.0)))[:, None])
+
+            def scaled(out, *inner):
+                emit(out, *inner)
+                # Both players have 3 actions: members 0 and 1.
+                out *= np.array(scales.get(next(rounds), (1.0, 1.0)))[:, None]
+
+            setattr(dyn, step, scaled)
             return dyn
 
         monkeypatch.setattr(runner, "_build_dynamics", build_spy)
@@ -824,7 +852,7 @@ def patch_solves(monkeypatch, module, fault):
 
     def bind_faulty(*args):
         solve = bind(*args)
-        return lambda R: fault(solve(R))
+        return lambda R, out=None: fault(solve(R, out))  # the round's pi, in its trace rows
 
     monkeypatch.setattr(module, "_gth_solver", bind_faulty)
 
@@ -935,7 +963,7 @@ class TestStationaryGate:
         "learner, module", [(SlOmwu, internal_dynamics), (BmOmwu, swap_dynamics)]
     )
     def test_public_next_strategy_gates_every_call(self, monkeypatch, learner, module):
-        monkeypatch.setattr(module, "_gth_solver", lambda *args: lambda R: np.eye(3)[0])
+        monkeypatch.setattr(module, "_gth_solver", lambda *args: lambda R, out=None: np.eye(3)[0])
         dyn = learner(3, 0.05)
         with pytest.raises(StationaryResidualError, match="stationary solve failed"):
             dyn.next_strategy()

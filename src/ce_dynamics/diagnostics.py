@@ -1,7 +1,9 @@
 """Numerical diagnostics for recorded runs, each read from a player's
-:func:`~ce_dynamics.metrics.inner_stream` for every dynamics, by block of
-``REGRET_CHUNK_ROUNDS`` rounds sent in turn to a generator that keeps the report's carry and
-yields the report after the last; the runner's walk sends it the blocks it reads. Four families:
+:func:`~ce_dynamics.metrics.inner_stream` for every dynamics. A report is a block step: a
+generator sent each block (q, z) of the stream in turn, which keeps the report's carry and
+yields the report when sent None. :func:`_streamed` builds a player's block (q, z) once for all
+of the player's reports: the report functions drive it through :func:`~ce_dynamics.metrics._drive`,
+and the runner's accounting step sends it each block of the run's walk. Four families:
 
 * finite-difference tables of time-indexed vector sequences, with an
   independent binomial-form evaluation as a conditioning cross-check;
@@ -22,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import RunTrace, _blocks, _inner_dists, inner_stream, running_max_ratio
+from .metrics import RunTrace, _blocks, _drive, _inner_dists, inner_stream, running_max_ratio
 
 # Smoothness certificate constants: the learning-rate threshold eta <=
 # alpha / (36 e^5 m) activates pass/fail mode; the looser alpha / (36 m) is
@@ -99,12 +101,21 @@ def running_variance_sums(q, z, last=None, carry=(0.0, 0.0)):
     return np.cumsum(lhs, out=lhs), np.cumsum(prev_sum, out=prev_sum)
 
 
+def _streamed(trace: RunTrace, player: int, *reports):
+    """Step that builds the player's inner stream (q, z) once per block of rounds sent and sends it
+    to each of ``reports``, block steps; yields the list of their reports when sent None."""
+    for report in reports:
+        next(report)
+    while (rounds := (yield)) is not None:
+        stream = inner_stream(trace, player, rounds)
+        for report in reports:
+            report.send(stream)
+    yield [report.send(None) for report in reports]
+
+
 def _fed(trace: RunTrace, player: int, steps):
-    """The report of a report's block steps sent every block of the player's inner stream."""
-    report = next(steps)
-    for rounds in _blocks(trace.horizon):
-        report = steps.send(inner_stream(trace, player, rounds))
-    return report
+    """The report of a report's block steps, fed the player's inner stream by block."""
+    return _drive(_blocks(trace.horizon), _streamed(trace, player, steps))[0]
 
 
 def smoothness_bound(order: int, alpha: float) -> float:
@@ -181,7 +192,7 @@ def smoothness_report(
 
 
 def _smoothness_steps(trace: RunTrace, player: int, max_order: int, alpha: float | None):
-    """:func:`smoothness_report`'s block steps. Order h at round t reads z up to round t + h, so
+    """:func:`smoothness_report`'s block step. Order h at round t reads z up to round t + h, so
     a block completes each order up to its last round less h; the carry is the last H rows of z
     sent, differenced with the block one order at a time."""
     alpha = resolve_smoothness_alpha(max_order, trace.horizon, alpha)
@@ -189,14 +200,14 @@ def _smoothness_steps(trace: RunTrace, player: int, max_order: int, alpha: float
     m = trace.num_players
     threshold = alpha / (SMOOTHNESS_ETA_DIVISOR * m)
     threshold_loose = alpha / (SMOOTHNESS_ETA_DIVISOR_LOOSE * m)
-    observed, held = [[] for _ in range(max_order + 1)], None
-    for rounds in _blocks(trace.horizon):
-        z = (yield)[1]
+    observed, held, seen = [[] for _ in range(max_order + 1)], None, 0  # seen: rounds sent
+    while (stream := (yield)) is not None:
+        z = stream[1]
         window = z if held is None else np.concatenate([held, z])
         for h, d in enumerate(_differences(window, min(max_order, len(window) - 1))):
-            done = max(0, rounds.start - h) - (rounds.stop - len(window))  # by earlier blocks
+            done = max(0, seen - h) - (seen + len(z) - len(window))  # by earlier blocks
             observed[h].append(np.abs(d[done:]).max(axis=(1, 2)))
-        held = window[max(0, len(window) - max_order) :]
+        held, seen = window[max(0, len(window) - max_order) :], seen + len(z)
     observed = [np.concatenate(o) for o in observed]
     bounds = np.array([smoothness_bound(h, alpha) for h in range(max_order + 1)])
     failures = [
@@ -255,17 +266,18 @@ def rvu_check(trace: RunTrace, player: int, eta: float, curvature_constant: floa
 
 
 def _rvu_steps(trace: RunTrace, player: int, eta: float, curvature_constant: float):
-    """:func:`rvu_check`'s block steps; the variance sums are :func:`_budget_steps`' two sums."""
+    """:func:`rvu_check`'s block step; the variance sums are :func:`_budget_steps`' two sums."""
     (rows, dim), n = _inner_dists(trace, player, slice(0))[0].shape[1:], trace.action_counts[player]
     variance, gains = _budget_steps(trace, 0.0), np.zeros((rows, dim))
-    budget = next(variance)
-    for _ in _blocks(trace.horizon):
-        q, z = yield
-        budget = variance.send((q, z))
+    next(variance)
+    while (stream := (yield)) is not None:
+        variance.send(stream)
         # Each row's regret, max_k sum_t (<q_t, z_t> - z_t[k]): one sequential sum per k.
+        q, z = stream
         block = (q * z).sum(axis=-1, keepdims=True) - z
         block[0] += gains
         gains = np.cumsum(block, axis=0)[-1]
+    budget = variance.send(None)
     pos_sum, neg_sum = budget.lhs, budget.prev_variance_sum
     log_term = rows * 2.0 * math.log(dim) / eta
     try:
@@ -327,13 +339,12 @@ def check_variance_inequality(
 
 
 def _budget_steps(trace: RunTrace, budget_constant: float):
-    """:func:`check_variance_inequality`'s block steps: both sums of :func:`running_variance_sums`
+    """:func:`check_variance_inequality`'s block step: both sums of :func:`running_variance_sums`
     and the last z are the carry."""
     sums, last = (0.0, 0.0), None
-    for _ in _blocks(trace.horizon):
-        q, z = yield
-        lhs, prev_sum = running_variance_sums(q, z, last, sums)
-        sums, last = (float(lhs[-1]), float(prev_sum[-1])), z[-1]
+    while (stream := (yield)) is not None:
+        lhs, prev_sum = running_variance_sums(*stream, last, sums)
+        sums, last = (float(lhs[-1]), float(prev_sum[-1])), stream[1][-1]
     lhs, prev_sum = sums
     depth = budget_depth(trace.horizon)
     minimal = max(0.0, (lhs - 0.5 * prev_sum) / depth**5)

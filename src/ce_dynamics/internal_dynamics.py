@@ -11,14 +11,16 @@ Two :class:`~ce_dynamics.omwu.Composite` learners are implemented:
 
 Fed the same loss stream, the two produce identical strategy sequences; the
 pair products over any tree's edges stay proportional to the tree weight
-round after round. :func:`verify_equivalence` replays the loss streams of a
-checked :func:`~ce_dynamics.runner.play_dynamics` sl-omwu trace into tree
-space through the unchecked ``_update`` (the trace's losses are valid by
-construction) and reports the worst deviations of both facts.
+round after round. :func:`verify_equivalence` plays an sl-omwu self-play run
+and, in the one walk over its trace that runs the run's checks, replays each
+block's loss rows into tree space through the unchecked ``_update`` (the
+trace's losses are valid by construction); it reports the worst deviations
+of both facts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import ValidationError
 from .games import Game
 from .markov_tree import _gth_solver, _tree_edge_index, check_stationary
-from .metrics import REGRET_CHUNK_ROUNDS
+from .metrics import _drive
 from .omwu import Composite, Omwu
 
 # The tree space has n^(n-1) points: 625 at n = 5.
@@ -195,48 +197,57 @@ class EquivalenceReport:
             and self.max_proportionality_residual <= tol
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "eta": self.eta,
-            "max_strategy_deviation": self.max_strategy_deviation,
-            "max_proportionality_residual": self.max_proportionality_residual,
-        }
+    def to_dict(self) -> dict:  # a non-finite maximum is None, as in summary.json
+        maxima = {"max_strategy_deviation": self.max_strategy_deviation,
+                  "max_proportionality_residual": self.max_proportionality_residual}
+        return {"horizon": self.horizon, "eta": self.eta,
+                **{k: v if math.isfinite(v) else None for k, v in maxima.items()}}
 
 
 def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) -> EquivalenceReport:
-    """Replay the loss streams of a ``play_dynamics`` sl-omwu trace in tree space, compare.
+    """Replay the loss streams of a checked sl-omwu self-play run in tree space, compare.
 
-    ``play_dynamics`` plays the pair-space learners (GTH stationary solve) in
-    self-play, with every check of a run and none of its per-round table or
-    summary. Each player's recorded loss stream is then fed to a fresh
-    tree-space learner, one stacked learner per group of equal action counts
-    as in the run, and per round we record the largest strategy gap and,
-    per tree, the relative spread of (product of pair masses along tree
-    edges) / (tree mass), which should be a tree-independent constant. The
-    tree learners are built first, so their size and learning-rate guards
-    fail before any play. ``tol`` is kept on the report as the default of
+    The run's round loop plays the pair-space learners (GTH stationary solve) in self-play. One
+    walk over its trace then runs every check of :func:`~ce_dynamics.runner.play_dynamics`, with
+    none of a run's per-round table or summary, and sends each block to the replay: its recorded
+    loss rows are fed to fresh tree-space learners, one stacked learner per group of equal action
+    counts as in the run. Per round we record the largest strategy gap and, per tree, the
+    relative spread of (product of pair masses along tree edges) / (tree mass), which should be a
+    tree-independent constant. The tree learners are built first, so their size and
+    learning-rate guards fail before any play. ``tol`` is kept on the report as the default of
     :meth:`EquivalenceReport.passes`.
     """
-    from .runner import RunConfig, play_dynamics, player_groups  # runner imports this module
+    from .runner import RunConfig, _play, _walk, player_groups  # runner imports this module
 
     counts = game.action_counts
     groups = player_groups(counts)
     arbos = [ArboDynamics(counts[group[0]], np.full(len(group), eta)) for group in groups]
     config = RunConfig("sl-omwu", horizon, eta=eta, players=game.num_players, action_counts=counts)
-    trace = play_dynamics(config, game).trace
+    play = _play(config, game)
+    deviation, residual = _drive(_walk(play), _replay_steps(play.trace, groups, arbos))
+    return EquivalenceReport(
+        horizon=horizon,
+        eta=eta,
+        max_strategy_deviation=float(deviation.max()),
+        max_proportionality_residual=float(residual.max()),
+        strategy_deviation_per_round=deviation,
+        proportionality_residual_per_round=residual,
+        tol=tol,
+    )
 
-    deviation, residual = np.zeros(horizon), np.zeros(horizon)
-    for group, arbo in zip(groups, arbos):
-        players = [trace.players[i] for i in group]
-        losses = np.stack([p.losses for p in players], axis=1)  # (T, members, n)
-        # Blocks of rounds bound the tree distributions kept and the (rounds, trees, n-1)
-        # edge gather. The proportionality constant is taken from the first tree; the
-        # residual is the largest relative departure of any other tree from it.
-        for s in range(0, horizon, REGRET_CHUNK_ROUNDS):
-            rounds = slice(s, s + REGRET_CHUNK_ROUNDS)
-            steps = []
-            for loss in losses[rounds]:
+
+def _replay_steps(trace, groups, arbos):
+    """:func:`verify_equivalence`'s block step: feeds each group's ``arbo`` the loss rows of each
+    block of rounds sent, and yields the per-round worst strategy gap and proportionality residual
+    when sent None. Blocks bound the tree distributions kept and the (rounds, trees, n-1) edge
+    gather. The proportionality constant is taken from the first tree; the residual is the
+    largest relative departure of any other tree from it, +inf past exp's range."""
+    deviation, residual = np.zeros(trace.horizon), np.zeros(trace.horizon)
+    while (rounds := (yield)) is not None:
+        for group, arbo in zip(groups, arbos):
+            players = [trace.players[i] for i in group]
+            steps, losses = [], np.stack([p.losses[rounds] for p in players], axis=1)
+            for loss in losses:  # (members, n) per round
                 steps.append((arbo.next_strategy(), arbo.inner_dist[:, 0]))
                 arbo._update(loss)
             strategies, tree_dists = map(np.array, zip(*steps))  # (rounds, members, ...)
@@ -247,16 +258,7 @@ def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) 
                     np.log(player.pair_dists[rounds])[:, arbo.edge_pairs].sum(axis=2)
                     - np.log(tree_dists[:, b])
                 )
-                residual[rounds] = np.maximum(
-                    residual[rounds], np.abs(np.exp(log_ratio - log_ratio[:, :1]) - 1.0).max(axis=1)
-                )
-
-    return EquivalenceReport(
-        horizon=horizon,
-        eta=eta,
-        max_strategy_deviation=float(deviation.max()),
-        max_proportionality_residual=float(residual.max()),
-        strategy_deviation_per_round=deviation,
-        proportionality_residual_per_round=residual,
-        tol=tol,
-    )
+                with np.errstate(over="ignore"):
+                    spread = np.exp(log_ratio - log_ratio[:, :1])
+                residual[rounds] = np.maximum(residual[rounds], np.abs(spread - 1.0).max(axis=1))
+    yield deviation, residual

@@ -8,10 +8,11 @@ with bit-exact float64 arrays, one per :class:`RunTrace` field but ``players``, 
 regret recomputes identically from a reloaded trace. SL's pair losses, the inner stream's
 z, are written from the stream: a played trace does not hold them.
 
-Each quantity over a finished trace is one generator over its :func:`_blocks`, whose carry
-goes from block to block: the running pair sums P[j, k] = sum_t x_t[j] (loss_t[j] -
-loss_t[k]) that every regret reads, the running consecutive-ratio max and the average
-product distribution. The whole-trace functions and the runner's walk both step it.
+Each quantity over a finished trace is one block step: a generator sent each block of rounds in
+turn, whose carry goes from block to block: the running pair sums P[j, k] = sum_t x_t[j]
+(loss_t[j] - loss_t[k]) that every regret reads, the running consecutive-ratio max and the
+average product distribution. :func:`_drive` sends a sequence of blocks to a step: the
+whole-trace functions drive their steps over :func:`_blocks`, the runner over its walk's.
 """
 
 from __future__ import annotations
@@ -83,27 +84,42 @@ def _blocks(horizon: int) -> list[slice]:
     return [slice(s, min(s + size, horizon)) for s in range(0, horizon, size)]
 
 
-def _regret_blocks(trace: RunTrace, player: int):
-    """Yields each block's running external, raw internal and swap regret, each (rounds,), read
-    off the running pair sums P[t, j, k] = sum_{s <= t} x_s[j] (loss_s[j] - loss_s[k]): external
-    max_k sum_j P[j, k], raw internal max_{j != k} P[j, k], swap sum_j max_k P[j, k]. The carry
-    is folded into each block's first round before the cumsum: each entry is a sequential sum.
+def _drive(blocks, step):
+    """Primes ``step``, sends it each of ``blocks``, rounds in order, then None, and returns what it
+    yields to the None: its result over those rounds."""
+    next(step)
+    for rounds in blocks:
+        step.send(rounds)
+    return step.send(None)
+
+
+def _regret_steps(trace: RunTrace, player: int, out):
+    """Fills ``out``'s three (T,) rows, by block of rounds sent, with the running external, raw
+    internal and swap regret, then yields ``out``. They are read off the running pair sums
+    P[t, j, k] = sum_{s <= t} x_s[j] (loss_s[j] - loss_s[k]): external max_k sum_j P[j, k], raw
+    internal max_{j != k} P[j, k], swap sum_j max_k P[j, k]. The carry is folded into each
+    block's first round before the cumsum: each entry is a sequential sum.
     """
     pt, n = trace.players[player], trace.action_counts[player]
     offdiag, carry = ~np.eye(n, dtype=bool), np.zeros((n, n))
-    for rounds in _blocks(trace.horizon):
+    external, internal, swap = out
+    while (rounds := (yield)) is not None:
         x, loss = pt.strategies[rounds], pt.losses[rounds]
         P = x[:, :, None] * (loss[:, :, None] - loss[:, None, :])
         P[0] += carry
         carry = np.cumsum(P, axis=0, out=P)[-1]
-        # Maxima over the short action axes are elementwise over the rounds: exact, and cheaper.
-        yield (reduce(np.maximum, P.sum(axis=1).T), P[:, offdiag].max(axis=1),
-               reduce(np.maximum, P.transpose(2, 0, 1)).sum(axis=1))
+        # Sums (left to right, as P.sum(axis=1) adds) and maxima over the short action axes are
+        # elementwise over the rounds: the same bits, and cheaper.
+        external[rounds], internal[rounds], swap[rounds] = (
+            reduce(np.maximum, reduce(np.add, P.transpose(1, 0, 2)).T), P[:, offdiag].max(axis=1),
+            reduce(np.maximum, P.transpose(2, 0, 1)).sum(axis=1))
+    yield out
 
 
 def running_regrets(trace: RunTrace, player: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Running external, raw internal and swap regret after each round, each (T,)."""
-    return tuple(np.concatenate([np.empty((3, 0)), *map(np.stack, _regret_blocks(trace, player))], 1))
+    return tuple(_drive(_blocks(trace.horizon),
+                        _regret_steps(trace, player, np.empty((3, trace.horizon)))))
 
 
 def _inner_dists(trace: RunTrace, player: int, rounds: slice):
@@ -128,22 +144,22 @@ def inner_stream(trace: RunTrace, player: int, rounds: slice = slice(None)):
     return q, z
 
 
-def _ratio_blocks(trace: RunTrace, player: int, restart: int | None = None):
-    """Yields each block's running max of the consecutive ratio; the carry is the last inner
-    distribution and the max so far."""
+def _ratio_steps(trace: RunTrace, player: int, out, restart: int | None = None):
+    """Fills ``out``, (T,), by block of rounds sent, with the running max of the consecutive
+    ratio, then yields it; the carry is the last inner distribution and the max so far."""
     last, top = None, -np.inf
-    for rounds in _blocks(trace.horizon):
+    while (rounds := (yield)) is not None:
         q = _inner_dists(trace, player, rounds)[0]
         rows = q if last is None else np.concatenate([last, q])
         ratio, per_round = rows[1:] / rows[:-1], np.ones(len(q))  # round 1 contributes 1
-        per_round[len(q) - len(ratio) :] = np.maximum(ratio.max(axis=(1, 2)),
-                                                      (1.0 / ratio).max(axis=(1, 2)))
+        np.maximum(ratio, 1.0 / ratio, out=ratio)  # two-sided, so one max over the entries
+        per_round[len(q) - len(ratio) :] = ratio.max(axis=(1, 2))
         if restart in range(rounds.start, rounds.stop):
             per_round[restart - rounds.start] = 1.0
         per_round[0] = np.maximum(per_round[0], top)
-        per_round = np.maximum.accumulate(per_round)
+        out[rounds] = per_round = np.maximum.accumulate(per_round)
         last, top = q[-1:], per_round[-1]
-        yield per_round
+    yield out
 
 
 def running_max_ratio(trace: RunTrace, player: int, restart: int | None = None) -> np.ndarray:
@@ -153,7 +169,8 @@ def running_max_ratio(trace: RunTrace, player: int, restart: int | None = None) 
     :func:`inner_stream`'s q, read without computing z; round 1 contributes 1. ``restart`` is the
     round after which the learner was reset, so the next round starts a chain and contributes 1.
     """
-    return np.concatenate([np.empty(0), *_ratio_blocks(trace, player, restart)])
+    return _drive(_blocks(trace.horizon),
+                  _ratio_steps(trace, player, np.empty(trace.horizon), restart))
 
 
 def _last(values: np.ndarray) -> float:
@@ -180,12 +197,13 @@ def swap_regret(trace: RunTrace, player: int) -> float:
     return _last(running_regrets(trace, player)[2])
 
 
-def _product_blocks(trace: RunTrace):
-    """Yields the running total of the per-round product distributions through each block, in
-    parts of at most DENSE_JOINT_MAX_ENTRIES cells; the total is folded into each part's first
-    round before the part's sum, so every cell is the plain sequential sum over rounds."""
-    chunk, total = max(1, DENSE_JOINT_MAX_ENTRIES // int(np.prod(trace.action_counts))), 0.0
-    for rounds in _blocks(trace.horizon):
+def _product_steps(trace: RunTrace):
+    """Sums the per-round product distributions of each block of rounds sent, in parts of at most
+    DENSE_JOINT_MAX_ENTRIES cells, then yields the total; the total is folded into each part's
+    first round before the part's sum, so every cell is the plain sequential sum over rounds."""
+    chunk = max(1, DENSE_JOINT_MAX_ENTRIES // int(np.prod(trace.action_counts)))
+    total = np.zeros(trace.action_counts)
+    while (rounds := (yield)) is not None:
         for s in range(rounds.start, rounds.stop, chunk):
             part = slice(s, min(s + chunk, rounds.stop))
             block = trace.players[0].strategies[part].copy()
@@ -194,7 +212,7 @@ def _product_blocks(trace: RunTrace):
                 block = block[..., None] * x.reshape(x.shape[0], *(1,) * i, x.shape[1])
             block[0] += total
             total = block.sum(axis=0)
-        yield total
+    yield total
 
 
 def average_product_distribution(trace: RunTrace) -> np.ndarray:
@@ -205,10 +223,7 @@ def average_product_distribution(trace: RunTrace) -> np.ndarray:
         raise ValidationError(
             f"joint profile space has {cells} cells, above {DENSE_JOINT_MAX_ENTRIES}"
         )
-    total = np.zeros(trace.action_counts)
-    for total in _product_blocks(trace):  # the last block's total
-        pass
-    return total / trace.horizon
+    return _drive(_blocks(trace.horizon), _product_steps(trace)) / trace.horizon
 
 
 @dataclass

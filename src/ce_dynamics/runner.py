@@ -15,14 +15,16 @@ bind (:class:`omwu.Omwu`, per member since its reset).
 Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS`` inner-stream rounds; at
 a block's first breach the learners are restored to the block's start and replayed up
 to that round, where each breaching player's member is reset alone. After the loop,
-:func:`_walk` reads the finished trace once, by block: it gates every stationary solve
-by its residual and checks every strategy against the simplex. That checked play is
-:func:`play_dynamics`; :func:`run_dynamics` adds the accounting, which
-:func:`internal_dynamics.verify_equivalence` skips. Each of its quantities is a generator
-that takes one step per block of the same walk and keeps its carry: the round table's
-regret and ratio columns (:mod:`metrics`), and the summary's average product distribution,
-BM's loss-decomposition residual and reports (:mod:`diagnostics`), which read each player's
-inner stream once per block. The (T, m, 7) round table is kept on the result;
+:func:`_walk` owns the one sequence of blocks over the finished trace: it gates every
+stationary solve by its residual, checks every strategy against the simplex, and yields
+each checked block, which :func:`metrics._drive` sends to a block step. That checked play
+is :func:`play_dynamics`; :func:`run_dynamics` adds the accounting, one step,
+:func:`_summarize`, which :func:`internal_dynamics.verify_equivalence` skips. It sends each
+block on to the steps it holds, each a generator that keeps its carry and loops over no
+blocks: the round table's regret and ratio columns (:mod:`metrics`), the average product
+distribution, and the reports (:mod:`diagnostics`), which read each player's inner stream
+once per block; it fills the table's other columns and BM's loss-decomposition residual
+itself. The (T, m, 7) round table is kept on the result;
 :func:`render_csv` renders it by block and column, each distinct number once. Up to
 ``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the average product
 distribution and is checked against max internal regret / T; above, it is that ratio and
@@ -46,6 +48,7 @@ from .diagnostics import (
     _budget_steps,
     _rvu_steps,
     _smoothness_steps,
+    _streamed,
     budget_depth,
     resolve_smoothness_alpha,
     running_variance_sums,
@@ -61,9 +64,10 @@ from .metrics import (
     PlayerTrace,
     RunTrace,
     _blocks,
-    _product_blocks,
-    _ratio_blocks,
-    _regret_blocks,
+    _drive,
+    _product_steps,
+    _ratio_steps,
+    _regret_steps,
     ce_gap,
     inner_stream,
 )
@@ -274,19 +278,17 @@ def player_groups(counts) -> list[list[int]]:
 
 def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
     """The checked play of :func:`play_dynamics` and its accounting, the round table and the
-    summary, whose block steps take each block of the same walk."""
+    summary, one block step sent each block of the same walk."""
     play = _play(config, game)
     table = np.empty((config.horizon, play.game.num_players, 7))
-    summary = _summarize(config, play, table)
-    _walk(play, _round_table(play, table), summary)
-    summary, smoothness = next(summary)
+    summary, smoothness = _drive(_walk(play), _summarize(config, play, table))
     return RunResult(**vars(play), summary=summary, table=table, smoothness=smoothness)
 
 
 def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     """A run's checked play: every stationary solve gated, every strategy on the simplex."""
     play = _play(config, game)
-    _walk(play)
+    list(_walk(play))  # the checks alone: no step takes the blocks
     return play
 
 
@@ -378,14 +380,13 @@ def _play(config: RunConfig, game: Game | None) -> Play:
     return Play(trace, game, switch_rounds, eta_final, None)
 
 
-def _walk(play: Play, *steps) -> None:
-    """The one walk over a finished play: each block of rounds takes a step of every generator
-    in ``steps`` until one fails the residual gate of its stationary solves (SL's chains rebuilt
-    from the pair masses as rates, BM's from the copy matrices) or has a strategy off the
-    simplex. Then, after the last block, the first failure raises: a failed solve before a
-    strategy off the simplex, then the lowest player, at its earliest round. Else it sets each
-    SL or BM player's worst residual. It passes no step its block: each step, and each generator
-    a step drives, loops over ``_blocks(trace.horizon)`` itself and advances once per block."""
+def _walk(play: Play):
+    """The one walk over a finished play: each block of rounds, in order, checked by the residual
+    gate of its stationary solves (SL's chains rebuilt from the pair masses as rates, BM's from
+    the copy matrices) and against the simplex, is yielded until one fails; :func:`metrics._drive`
+    sends each yielded block to every step of the run's accounting. After the last block the
+    first failure raises: a failed solve before a strategy off the simplex, then the lowest
+    player, at its earliest round. Else it sets each SL or BM player's worst residual."""
     trace, family = play.trace, play.trace.dynamics.split("-")[0]
     worst, failed = [0.0] * trace.num_players, {}  # (check, player) -> error; the gate is check 0
     for rounds in _blocks(trace.horizon):
@@ -406,60 +407,55 @@ def _walk(play: Play, *steps) -> None:
                 failed[1, i] = ValidationError(
                     f"strategy of player {i} at round {rounds.start + bad[0] + 1} is not a "
                     f"probability vector: {x[bad[0]]!r}")
-        for step in () if failed else steps:
-            next(step)
+        if not failed:
+            yield rounds
     if failed:
         raise failed[min(failed)]
     play.residuals = worst if family in ("sl", "bm") else None
 
 
-def _round_table(play: Play, table: np.ndarray):
-    """Fills the (T, m, 7) round table, the CSV columns after ``t, player``, a block per step."""
-    trace, switch_rounds = play.trace, play.switch_rounds
-    regrets = [_regret_blocks(trace, i) for i in range(trace.num_players)]
-    ratios = [_ratio_blocks(trace, i, restart=r) for i, r in enumerate(switch_rounds)]
-    for rounds in _blocks(trace.horizon):
-        block = table[rounds]
-        for i, switch in enumerate(switch_rounds):
-            block[:, i, 0], block[:, i, 1], block[:, i, 3] = next(regrets[i])
-            block[:, i, 5] = trace.etas[i]
-            if switch is not None:
-                block[max(0, switch - rounds.start) :, i, 5] = play.eta_final[i]
-            block[:, i, 6] = next(ratios[i])
-        raw = block[:, :, 1]
-        block[:, :, 2] = np.where(raw > 0.0, raw, 0.0)  # max(0.0, raw): 0.0 also for -0.0 and NaN
-        block[:, :, 4] = (raw.max(axis=1) / np.arange(rounds.start + 1, rounds.stop + 1))[:, None]
-        yield
-
-
 def _summarize(config: RunConfig, play: Play, table: np.ndarray):
-    """Takes a step per block of the walk, then yields the summary document, from the trace and
-    the filled :func:`_round_table`, and the smoothness reports."""
+    """The run's accounting, one step: it fills the (T, m, 7) round table, the CSV columns after
+    ``t, player``, with each block of the walk and takes the summary's block steps, then yields
+    the summary document, from the trace and the filled table, and the smoothness reports."""
     game, trace, switch_rounds = play.game, play.trace, play.switch_rounds
     m = game.num_players
     T = trace.horizon
     dense = math.prod(game.action_counts) <= metrics.DENSE_JOINT_MAX_ENTRIES
-    products = _product_blocks(trace) if dense else None
     bm = config.dynamics.startswith("bm")
     order, rvu, budget = config.smoothness_order, config.rvu_constant, config.variance_budget
-    kinds = [(key, make) for key, value, make in (  # the requested reports, by summary key
+    kinds = {key: make for key, value, make in (  # the requested reports, by summary key
         ("smoothness", order, lambda i: _smoothness_steps(trace, i, order, config.smoothness_alpha)),
         ("rvu", rvu, lambda i: _rvu_steps(trace, i, trace.etas[i], rvu)),
-        ("variance_check", budget, lambda i: _budget_steps(trace, budget))) if value is not None]
-    steps = [{key: make(i) for key, make in kinds} for i in range(m)]
-    reports = [{key: next(s) for key, s in player_steps.items()} for player_steps in steps]
+        ("variance_check", budget, lambda i: _budget_steps(trace, budget))) if value is not None}
+    steps = {("regrets", i): _regret_steps(trace, i, [table[:, i, k] for k in (0, 1, 3)])
+             for i in range(m)}
+    steps.update({("ratio", i): _ratio_steps(trace, i, table[:, i, 6], r)
+                  for i, r in enumerate(switch_rounds)})
+    # Each player's block (q, z) is built once, for all of its reports.
+    steps.update({i: _streamed(trace, i, *(make(i) for make in kinds.values())) for i in range(m)
+                  if kinds})
+    steps.update({"mu": _product_steps(trace)} if dense else {})
+    for step in steps.values():
+        next(step)
     decomposition = 0.0
-    for rounds in _blocks(T):
-        mu = next(products) if products else None
-        for i, p in enumerate(trace.players):
+    while (rounds := (yield)) is not None:
+        for step in steps.values():
+            step.send(rounds)
+        block = table[rounds]
+        for i, (p, switch) in enumerate(zip(trace.players, switch_rounds)):
+            block[:, i, 5] = trace.etas[i]
+            if switch is not None:
+                block[max(0, switch - rounds.start) :, i, 5] = play.eta_final[i]
             if bm:
                 residuals = decomposition_residuals(p.copy_dists[rounds], p.strategies[rounds],
                                                     p.losses[rounds])
                 decomposition = np.maximum(decomposition, residuals.max())
-            if steps[i]:
-                q, z = inner_stream(trace, i, rounds)  # each player's block, once for its reports
-                reports[i] = {key: s.send((q, z)) for key, s in steps[i].items()}
-        yield
+        raw = block[:, :, 1]
+        block[:, :, 2] = np.where(raw > 0.0, raw, 0.0)  # max(0.0, raw): 0.0 also for -0.0 and NaN
+        block[:, :, 4] = (raw.max(axis=1) / np.arange(rounds.start + 1, rounds.stop + 1))[:, None]
+    done = {key: step.send(None) for key, step in steps.items()}
+    reports, mu = [dict(zip(kinds, done.get(i, ()))) for i in range(m)], done.get("mu")
 
     ext, raw, clamped, swap = table[-1, :, :4].T.tolist()
     if dense:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,23 @@ def test_equivalence_command_judges_by_given_tol(game_file, capsys):
     assert doc["tol"] == 0.0
     worst = max(doc["max_strategy_deviation"], doc["max_proportionality_residual"])
     assert doc["passes"] is (worst <= 0.0)
+
+
+def refuse_constant(token):
+    raise AssertionError(f"non-finite token {token} in strict JSON")
+
+
+def test_equivalence_residual_past_exps_range_is_null(tmp_path, capsys):
+    # At eta = 1000 a tree's mass ratio leaves exp's range: the residual saturates to +inf
+    # without a warning, and the report writes it as null and fails.
+    game = tmp_path / "game.json"
+    assert main(["gen", "--players", "2", "--actions", "3,3", "--seed", "0", "--out", str(game)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["equivalence", "--game", str(game), "--eta", "1000", "--horizon", "300"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+    assert doc["max_proportionality_residual"] is None
+    assert doc["passes"] is False
 
 
 @pytest.mark.parametrize(

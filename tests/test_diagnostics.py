@@ -451,7 +451,8 @@ class TestInnerStream:
 
     def test_summary_builds_each_players_stream_once(self, monkeypatch):
         built = []
-        monkeypatch.setattr(runner, "inner_stream", lambda *a: built.append(a) or inner_stream(*a))
+        for module in (runner, diagnostics):  # wherever the stream is bound, the reports' adapter too
+            monkeypatch.setattr(module, "inner_stream", lambda *a: built.append(a) or inner_stream(*a))
         config = RunConfig(dynamics="arbo", horizon=300, eta=0.05, players=3,
                            action_counts=(3, 4, 3), smoothness_order=3, rvu_constant=64.0,
                            variance_budget=1.0)

@@ -10,7 +10,7 @@ import pytest
 
 from ce_dynamics import games, internal_dynamics, metrics, runner, swap_dynamics
 from ce_dynamics.cli import main
-from ce_dynamics.diagnostics import variance
+from ce_dynamics.diagnostics import check_variance_inequality, rvu_check, smoothness_report, variance
 from ce_dynamics.errors import StationaryResidualError, ValidationError
 from ce_dynamics.games import Game, expected_loss, random_game
 from ce_dynamics.internal_dynamics import SlOmwu, verify_equivalence
@@ -613,8 +613,52 @@ class BlockReads:
         return self.array[rounds]
 
 
+def read_by_block(trace):
+    """``trace`` with each of its players' arrays wrapped, in place, in :class:`BlockReads`."""
+    for p in trace.players:
+        for name, array in vars(p).items():
+            setattr(p, name, None if array is None else BlockReads(array))
+    return trace
+
+
+def played_by_block(play):
+    """``play``, a ``runner._play``, whose finished trace hands out only blocks."""
+
+    def blocks_only(*args):
+        out = play(*args)
+        read_by_block(out.trace)
+        return out
+
+    return blocks_only
+
+
+def bits(value):
+    """Every array's bytes and every other value's repr, through containers and reports."""
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return bits(vars(value))
+    if isinstance(value, dict):
+        return {key: bits(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    return repr(value)
+
+
+# The public whole-trace functions, each on one player of a 3-player trace.
+WHOLE_TRACE = {
+    "running_regrets": lambda trace: metrics.running_regrets(trace, 2),
+    "running_max_ratio": lambda trace: metrics.running_max_ratio(trace, 1, restart=300),
+    "average_product_distribution": metrics.average_product_distribution,
+    "smoothness_report": lambda trace: smoothness_report(trace, 0, 3),
+    "rvu_check": lambda trace: rvu_check(trace, 1, 0.05, 64.0),
+    "check_variance_inequality": lambda trace: check_variance_inequality(trace, 2, 1.0),
+}
+
+
 class TestOneWalk:
-    """After the round loop, every pass reads the trace by block: the checks and the accounting."""
+    """After the round loop, every pass reads the trace by block: the checks and the accounting,
+    the equivalence replay and the public whole-trace functions."""
 
     @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
     @pytest.mark.parametrize("adaptive", [False, True])
@@ -622,20 +666,27 @@ class TestOneWalk:
         rule = dict(eta_rule="adaptive", eta=None, adaptive_budget=1e-7) if adaptive else {}
         config = small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=600,
                               smoothness_order=3, rvu_constant=64.0, variance_budget=1.0, **rule)
-        want, play = run_dynamics(config), runner._play
-
-        def blocks_only(*args):
-            out = play(*args)
-            for p in out.trace.players:
-                for name, array in vars(p).items():
-                    setattr(p, name, None if array is None else BlockReads(array))
-            return out
-
-        monkeypatch.setattr(runner, "_play", blocks_only)
+        want = run_dynamics(config)
+        monkeypatch.setattr(runner, "_play", played_by_block(runner._play))
         got = run_dynamics(config)
         assert metrics.REGRET_CHUNK_ROUNDS == 256
         assert got.table.tobytes() == want.table.tobytes()
         assert render_summary(got.summary) == render_summary(want.summary)
+
+    def test_verify_equivalence_reads_by_block(self, monkeypatch):
+        game = random_game(3, (3, 4, 3), seed=0)
+        want = verify_equivalence(game, eta=0.05, horizon=600)
+        monkeypatch.setattr(runner, "_play", played_by_block(runner._play))
+        assert bits(verify_equivalence(game, eta=0.05, horizon=600)) == bits(want)
+
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    def test_whole_trace_functions_read_by_block(self, dynamics):
+        config = small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=600)
+        trace = play_dynamics(config).trace
+        want = {name: bits(call(trace)) for name, call in WHOLE_TRACE.items()}
+        read_by_block(trace)
+        for name, call in WHOLE_TRACE.items():
+            assert bits(call(trace)) == want[name], name
 
 
 class TestPlayDynamics:
@@ -663,8 +714,9 @@ class TestPlayDynamics:
         def refuse(*args, **kwargs):
             raise AssertionError("run accounting called")
 
-        monkeypatch.setattr(runner, "_round_table", refuse)
-        monkeypatch.setattr(runner, "_summarize", refuse)
+        # The run's accounting step, which fills the round table too, and the block steps it makes.
+        for name in ("_summarize", "_regret_steps", "_ratio_steps", "_product_steps", "_streamed"):
+            monkeypatch.setattr(runner, name, refuse)
         assert verify_equivalence(random_game(2, (3, 3), seed=0), eta=0.05, horizon=16).passes()
 
 
@@ -878,6 +930,20 @@ class TestStationaryGate:
             patch_solves(monkeypatch, SOLVES["bm" if dynamics.startswith("bm") else "sl"], faulty)
 
         return install
+
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_no_step_takes_a_block_after_a_failed_one(self, faulty_solve, dynamics):
+        faulty_solve(dynamics, 257)  # the second block's first round
+        play, sent = runner._play(small_config(dynamics=dynamics, horizon=600), None), []
+
+        def spy():
+            while (rounds := (yield)) is not None:
+                sent.append(rounds)
+            yield
+
+        with pytest.raises(StationaryResidualError, match="player 1 at round 257 failed"):
+            metrics._drive(runner._walk(play), spy())
+        assert sent == [slice(0, 256)]
 
     @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
     @pytest.mark.parametrize("round_index", [1, 256, 257, HORIZON])

@@ -13,16 +13,17 @@ Fed the same loss stream, the two produce identical strategy sequences; the
 pair products over any tree's edges stay proportional to the tree weight
 round after round. :func:`verify_equivalence` plays an sl-omwu self-play run
 and, in the one walk over its trace that runs the run's checks, replays each
-block's loss rows into tree space through the unchecked ``_update`` (the
-trace's losses are valid by construction); it reports the worst deviations
-of both facts.
+group's loss record block, (rounds, members, n), into tree space through the
+unchecked ``_update`` (the trace's losses are valid by construction), stepping
+each tree learner into its own block rows as the round loop does; it reports
+the worst deviations of both facts, each computed once per group record block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -209,9 +210,9 @@ def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) 
 
     The run's round loop plays the pair-space learners (GTH stationary solve) in self-play. One
     walk over its trace then runs every check of :func:`~ce_dynamics.runner.play_dynamics`, with
-    none of a run's per-round table or summary, and sends each block to the replay: its recorded
-    loss rows are fed to fresh tree-space learners, one stacked learner per group of equal action
-    counts as in the run. Per round we record the largest strategy gap and, per tree, the
+    none of a run's per-round table or summary, and sends each block to the replay: each group's
+    recorded loss block is fed to a fresh tree-space learner stacked over the group's members, as
+    in the run. Per round we record the largest strategy gap and, per tree, the
     relative spread of (product of pair masses along tree edges) / (tree mass), which should be a
     tree-independent constant. The tree learners are built first, so their size and
     learning-rate guards fail before any play. ``tol`` is kept on the report as the default of
@@ -220,11 +221,10 @@ def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) 
     from .runner import RunConfig, _play, _walk, player_groups  # runner imports this module
 
     counts = game.action_counts
-    groups = player_groups(counts)
-    arbos = [ArboDynamics(counts[group[0]], np.full(len(group), eta)) for group in groups]
+    arbos = [ArboDynamics(counts[g[0]], np.full(len(g), eta)) for g in player_groups(counts)]
     config = RunConfig("sl-omwu", horizon, eta=eta, players=game.num_players, action_counts=counts)
     play = _play(config, game)
-    deviation, residual = _drive(_walk(play), _replay_steps(play.trace, groups, arbos))
+    deviation, residual = _drive(_walk(play), _replay_steps(horizon, play.records.values(), arbos))
     return EquivalenceReport(
         horizon=horizon,
         eta=eta,
@@ -236,29 +236,35 @@ def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) 
     )
 
 
-def _replay_steps(trace, groups, arbos):
-    """:func:`verify_equivalence`'s block step: feeds each group's ``arbo`` the loss rows of each
-    block of rounds sent, and yields the per-round worst strategy gap and proportionality residual
-    when sent None. Blocks bound the tree distributions kept and the (rounds, trees, n-1) edge
-    gather. The proportionality constant is taken from the first tree; the residual is the
-    largest relative departure of any other tree from it, +inf past exp's range."""
-    deviation, residual = np.zeros(trace.horizon), np.zeros(trace.horizon)
+def _replay_steps(horizon, records, arbos):
+    """:func:`verify_equivalence`'s block step: replays each group's record block for each block
+    of rounds sent (:func:`_replay_block`) and yields the per-round worst strategy gap and
+    proportionality residual when sent None."""
+    deviation, residual = np.zeros(horizon), np.zeros(horizon)
     while (rounds := (yield)) is not None:
-        for group, arbo in zip(groups, arbos):
-            players = [trace.players[i] for i in group]
-            steps, losses = [], np.stack([p.losses[rounds] for p in players], axis=1)
-            for loss in losses:  # (members, n) per round
-                steps.append((arbo.next_strategy(), arbo.inner_dist[:, 0]))
-                arbo._update(loss)
-            strategies, tree_dists = map(np.array, zip(*steps))  # (rounds, members, ...)
-            for b, player in enumerate(players):
-                gap = np.abs(strategies[:, b] - player.strategies[rounds]).max(axis=1)
-                deviation[rounds] = np.maximum(deviation[rounds], gap)
-                log_ratio = (
-                    np.log(player.pair_dists[rounds])[:, arbo.edge_pairs].sum(axis=2)
-                    - np.log(tree_dists[:, b])
-                )
-                with np.errstate(over="ignore"):
-                    spread = np.exp(log_ratio - log_ratio[:, :1])
-                residual[rounds] = np.maximum(residual[rounds], np.abs(spread - 1.0).max(axis=1))
+        for record, arbo in zip(records, arbos):
+            gap, spread = _replay_block(record, arbo, rounds)
+            deviation[rounds] = np.maximum(deviation[rounds], gap)
+            residual[rounds] = np.maximum(residual[rounds], spread)
     yield deviation, residual
+
+
+def _replay_block(record, arbo, rounds):
+    """Feeds ``arbo`` the loss rows of its group's record block, (rounds, members, n), stepping it
+    into the block's own (rounds, members, ...) strategy and tree rows as the round loop does;
+    returns each round's worst strategy gap and proportionality residual over the members. Blocks
+    bound the tree distributions kept and each edge's (rounds, members, trees) gather. The
+    proportionality constant is taken from the first tree; the residual is the largest relative
+    departure of any other tree from it, +inf past exp's range."""
+    losses = record["losses"][rounds]
+    strategies, tree_dists = np.empty(losses.shape), np.empty((*losses.shape[:2], len(arbo.roots)))
+    for t, loss in enumerate(losses):
+        arbo.next_strategy(strategies[t], tree_dists[t])
+        arbo._update(loss)
+    gap = np.abs(strategies - record["strategies"][rounds]).max(axis=(1, 2))
+    # Each tree's log pair masses summed edge by edge, left to right as numpy sums n - 1 < 8 terms.
+    logs = np.log(record["pair_dists"][rounds])
+    log_ratio = reduce(np.add, (logs[:, :, e] for e in arbo.edge_pairs.T)) - np.log(tree_dists)
+    with np.errstate(over="ignore"):
+        spread = np.exp(log_ratio - log_ratio[:, :, :1])
+    return gap, np.abs(spread - 1.0).max(axis=(1, 2))

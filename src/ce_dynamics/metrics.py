@@ -12,13 +12,16 @@ Each quantity over a finished trace is one block step: a generator sent each blo
 turn, whose carry goes from block to block: the running pair sums P[j, k] = sum_t x_t[j]
 (loss_t[j] - loss_t[k]) that every regret reads, the running consecutive-ratio max and the
 average product distribution. :func:`_drive` sends a sequence of blocks to a step: the
-whole-trace functions drive their steps over :func:`_blocks`, the runner over its walk's.
+whole-trace functions drive their steps over :func:`_blocks`, the runner over its walk's. The
+regret and ratio steps read a group's round-major (T, members, ...) records, one C-contiguous
+(rounds, members, ...) block per block of rounds, with a carry per member: the runner sends
+them each group's records, the whole-trace functions one player as a group of one member.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -32,7 +35,8 @@ REGRET_CHUNK_ROUNDS = 256
 
 @dataclass
 class PlayerTrace:
-    """One player's records; in a played trace, member b's fields are strided ``[:, b]`` views."""
+    """One player's records; in a played trace, member b's fields are strided ``[:, b]`` views of
+    its group's round-major records, which the run's walk and its steps read by block instead."""
 
     strategies: np.ndarray  # (T, n)
     losses: np.ndarray  # (T, n)
@@ -93,42 +97,63 @@ def _drive(blocks, step):
     return step.send(None)
 
 
-def _regret_steps(trace: RunTrace, player: int, out):
-    """Fills ``out``'s three (T,) rows, by block of rounds sent, with the running external, raw
-    internal and swap regret, then yields ``out``. They are read off the running pair sums
+class _OneMember:
+    """A player's (T, ...) record read as a group record of one member: ``[rounds]`` is
+    (rounds, 1, ...), so a group step runs the public whole-trace functions on one player."""
+
+    def __init__(self, array):
+        self.array = array
+
+    def __getitem__(self, rounds):
+        return self.array[rounds][:, None]
+
+
+def _regret_steps(strategies, losses, out, *columns):
+    """Fills ``out[rounds, *columns]``, (rounds, members, 3), by block of rounds sent, with each
+    member's running external, raw internal and swap regret from its group's (T, members, n)
+    records, then yields ``out``. They are read off the running pair sums
     P[t, j, k] = sum_{s <= t} x_s[j] (loss_s[j] - loss_s[k]): external max_k sum_j P[j, k], raw
-    internal max_{j != k} P[j, k], swap sum_j max_k P[j, k]. The carry is folded into each
-    block's first round before the cumsum: each entry is a sequential sum.
+    internal max_{j != k} P[j, k], swap sum_j max_k P[j, k]. The per-member carry is folded into
+    each block's first round before the cumsum: each entry is a sequential sum.
     """
-    pt, n = trace.players[player], trace.action_counts[player]
-    offdiag, carry = ~np.eye(n, dtype=bool), np.zeros((n, n))
-    external, internal, swap = out
+    carry = 0.0
     while (rounds := (yield)) is not None:
-        x, loss = pt.strategies[rounds], pt.losses[rounds]
-        P = x[:, :, None] * (loss[:, :, None] - loss[:, None, :])
+        x, loss = strategies[rounds], losses[rounds]
+        P = x[..., :, None] * (loss[..., :, None] - loss[..., None, :])
         P[0] += carry
         carry = np.cumsum(P, axis=0, out=P)[-1]
-        # Sums (left to right, as P.sum(axis=1) adds) and maxima over the short action axes are
-        # elementwise over the rounds: the same bits, and cheaper.
-        external[rounds], internal[rounds], swap[rounds] = (
-            reduce(np.maximum, reduce(np.add, P.transpose(1, 0, 2)).T), P[:, offdiag].max(axis=1),
-            reduce(np.maximum, P.transpose(2, 0, 1)).sum(axis=1))
+        # Sums (left to right, as P.sum(axis=2) adds) and maxima over the short action axes are
+        # elementwise over the rounds and members: the same bits, and cheaper.
+        out[(rounds, *columns)] = np.stack([
+            reduce(np.maximum, reduce(np.add, P.transpose(2, 0, 1, 3)).transpose(2, 0, 1)),
+            P[:, :, ~np.eye(x.shape[-1], dtype=bool)].max(axis=2),
+            reduce(np.maximum, P.transpose(3, 0, 1, 2)).sum(axis=2)], axis=2)
     yield out
 
 
 def running_regrets(trace: RunTrace, player: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Running external, raw internal and swap regret after each round, each (T,)."""
-    return tuple(_drive(_blocks(trace.horizon),
-                        _regret_steps(trace, player, np.empty((3, trace.horizon)))))
+    pt, out = trace.players[player], np.empty((3, trace.horizon))
+    step = _regret_steps(_OneMember(pt.strategies), _OneMember(pt.losses), out.T[:, None])
+    _drive(_blocks(trace.horizon), step)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _learner(dynamics: str):
+    """The learner class that records a dynamics' trace, its own or ``Omwu``'s for an unknown
+    name, and the trace field of its inner distributions; resolved once per name."""
+    from .runner import _LEARNERS  # runner imports this module
+
+    cls = _LEARNERS.get(dynamics.split("-")[0], _LEARNERS["omwu"])
+    return cls, getattr(cls, "trace_field", "strategies")
 
 
 def _inner_dists(trace: RunTrace, player: int, rounds: slice):
     """A player's recorded inner distributions over ``rounds``, (rounds, rows, dim), and the
-    learner class that recorded them: the dynamics', or ``Omwu``'s for an unknown name."""
-    from .runner import _LEARNERS  # runner imports this module
-
-    cls = _LEARNERS.get(trace.dynamics.split("-")[0], _LEARNERS["omwu"])
-    q = getattr(trace.players[player], getattr(cls, "trace_field", "strategies"))[rounds]
+    learner class that recorded them."""
+    cls, name = _learner(trace.dynamics)
+    q = getattr(trace.players[player], name)[rounds]
     return (q[:, None] if q.ndim == 2 else q), cls
 
 
@@ -144,20 +169,23 @@ def inner_stream(trace: RunTrace, player: int, rounds: slice = slice(None)):
     return q, z
 
 
-def _ratio_steps(trace: RunTrace, player: int, out, restart: int | None = None):
-    """Fills ``out``, (T,), by block of rounds sent, with the running max of the consecutive
-    ratio, then yields it; the carry is the last inner distribution and the max so far."""
+def _ratio_steps(inner, restarts, out, *columns):
+    """Fills ``out[rounds, *columns]``, (rounds, members), by block of rounds sent, with each
+    member's running max of the consecutive ratio of its group's (T, members, ...) inner
+    distributions, then yields ``out``. ``restarts`` holds each member's restart round (None:
+    none); the carry is the last inner distributions and each member's max so far."""
     last, top = None, -np.inf
     while (rounds := (yield)) is not None:
-        q = _inner_dists(trace, player, rounds)[0]
+        q = inner[rounds]
         rows = q if last is None else np.concatenate([last, q])
-        ratio, per_round = rows[1:] / rows[:-1], np.ones(len(q))  # round 1 contributes 1
+        ratio, per_round = rows[1:] / rows[:-1], np.ones(q.shape[:2])  # round 1 contributes 1
         np.maximum(ratio, 1.0 / ratio, out=ratio)  # two-sided, so one max over the entries
-        per_round[len(q) - len(ratio) :] = ratio.max(axis=(1, 2))
-        if restart in range(rounds.start, rounds.stop):
-            per_round[restart - rounds.start] = 1.0
+        per_round[len(q) - len(ratio) :] = ratio.max(axis=tuple(range(2, ratio.ndim)))
+        for b, restart in enumerate(restarts):
+            if restart in range(rounds.start, rounds.stop):
+                per_round[restart - rounds.start, b] = 1.0
         per_round[0] = np.maximum(per_round[0], top)
-        out[rounds] = per_round = np.maximum.accumulate(per_round)
+        out[(rounds, *columns)] = per_round = np.maximum.accumulate(per_round, axis=0)
         last, top = q[-1:], per_round[-1]
     yield out
 
@@ -169,8 +197,10 @@ def running_max_ratio(trace: RunTrace, player: int, restart: int | None = None) 
     :func:`inner_stream`'s q, read without computing z; round 1 contributes 1. ``restart`` is the
     round after which the learner was reset, so the next round starts a chain and contributes 1.
     """
-    return _drive(_blocks(trace.horizon),
-                  _ratio_steps(trace, player, np.empty(trace.horizon), restart))
+    inner = getattr(trace.players[player], _learner(trace.dynamics)[1])
+    out = np.empty(trace.horizon)
+    _drive(_blocks(trace.horizon), _ratio_steps(_OneMember(inner), [restart], out[:, None]))
+    return out
 
 
 def _last(values: np.ndarray) -> float:
@@ -217,12 +247,15 @@ def _product_steps(trace: RunTrace):
 
 def average_product_distribution(trace: RunTrace) -> np.ndarray:
     """Time average of the per-round product distributions, a dense joint tensor. Raises
-    :class:`ValidationError` above DENSE_JOINT_MAX_ENTRIES joint profile cells."""
+    :class:`ValidationError` above DENSE_JOINT_MAX_ENTRIES joint profile cells, or for a trace
+    with no rounds."""
     cells = int(np.prod(trace.action_counts))
     if cells > DENSE_JOINT_MAX_ENTRIES:
         raise ValidationError(
             f"joint profile space has {cells} cells, above {DENSE_JOINT_MAX_ENTRIES}"
         )
+    if trace.horizon == 0:
+        raise ValidationError("no rounds to average")
     return _drive(_blocks(trace.horizon), _product_steps(trace)) / trace.horizon
 
 

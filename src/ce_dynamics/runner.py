@@ -14,17 +14,19 @@ game losses in [0, 1], which leave each softmax's max-shift and floor off while 
 bind (:class:`omwu.Omwu`, per member since its reset).
 Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS`` inner-stream rounds; at
 a block's first breach the learners are restored to the block's start and replayed up
-to that round, where each breaching player's member is reset alone. After the loop,
-:func:`_walk` owns the one sequence of blocks over the finished trace: it gates every
-stationary solve by its residual, checks every strategy against the simplex, and yields
-each checked block, which :func:`metrics._drive` sends to a block step. That checked play
-is :func:`play_dynamics`; :func:`run_dynamics` adds the accounting, one step,
-:func:`_summarize`, which :func:`internal_dynamics.verify_equivalence` skips. It sends each
-block on to the steps it holds, each a generator that keeps its carry and loops over no
-blocks: the round table's regret and ratio columns (:mod:`metrics`), the average product
-distribution, and the reports (:mod:`diagnostics`), which read each player's inner stream
-once per block; it fills the table's other columns and BM's loss-decomposition residual
-itself. The (T, m, 7) round table is kept on the result;
+to that round, where each breaching player's member is reset alone. The play keeps each
+group's records (:attr:`Play.records`). After the loop, :func:`_walk` owns the one sequence
+of blocks over the finished trace: it gates every stationary solve by its residual and
+checks every strategy against the simplex, once per group record block, (rounds, members,
+...), and yields each checked block, which :func:`metrics._drive` sends to a block step.
+That checked play is :func:`play_dynamics`; :func:`run_dynamics` adds the accounting, one
+step, :func:`_summarize`, which :func:`internal_dynamics.verify_equivalence` skips. It sends
+each block on to the steps it holds, each a generator that keeps its carry and loops over no
+blocks: per group, the round table's regret and ratio columns of its players (:mod:`metrics`),
+read from its record blocks; the average product distribution; and the reports
+(:mod:`diagnostics`), which read each player's inner stream once per block. It fills the
+table's other columns itself, and BM's loss-decomposition residual once per group record
+block. The (T, m, 7) round table is kept on the result;
 :func:`render_csv` renders it by block and column, each distinct number once. Up to
 ``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the average product
 distribution and is checked against max internal regret / T; above, it is that ratio and
@@ -246,13 +248,16 @@ def _build_dynamics(name: str, n: int, eta):
 
 @dataclass
 class Play:
-    """A run's checked play: its trace and what the accounting reads beside it."""
+    """A run's checked play: its trace and what the accounting reads beside it. ``records`` maps
+    each group of players with equal action counts to its round-major (T, members, ...) records,
+    by trace field: what the trace's players view, and what the walk and its steps read."""
 
     trace: RunTrace
     game: Game
     switch_rounds: list[int | None]
     eta_final: list[float]
     residuals: list[float] | None  # each player's worst stationary residual, SL and BM only
+    records: dict[tuple[int, ...], dict[str, np.ndarray]]
 
 
 @dataclass
@@ -377,41 +382,51 @@ def _play(config: RunConfig, game: Game | None) -> Play:
 
     switch_rounds = [c.switch_round for c in controllers] if controllers else [None] * m
     eta_final = [float(dyns[g].eta[b]) for _, g, b in slots]
-    return Play(trace, game, switch_rounds, eta_final, None)
+    return Play(trace, game, switch_rounds, eta_final, None, dict(zip(map(tuple, groups), records)))
+
+
+def _first_failures(bad: np.ndarray) -> list[tuple[int, int]]:
+    """Each member b with a failed round in a block's (rounds, members) ``bad``, and the block's
+    index k of its earliest: (b, k)."""
+    return [(b, int(bad[:, b].argmax())) for b in np.flatnonzero(bad.any(axis=0))]
 
 
 def _walk(play: Play):
     """The one walk over a finished play: each block of rounds, in order, checked by the residual
     gate of its stationary solves (SL's chains rebuilt from the pair masses as rates, BM's from
     the copy matrices) and against the simplex, is yielded until one fails; :func:`metrics._drive`
-    sends each yielded block to every step of the run's accounting. After the last block the
-    first failure raises: a failed solve before a strategy off the simplex, then the lowest
-    player, at its earliest round. Else it sets each SL or BM player's worst residual."""
+    sends each yielded block to every step of the run's accounting. Both checks run once per
+    group record block, (rounds, members, ...), whose member b is the group's b-th player.
+    After the last block the first failure raises: a failed solve before a strategy off the
+    simplex, then the lowest player, at its earliest round. Else it sets each SL or BM player's
+    worst residual."""
     trace, family = play.trace, play.trace.dynamics.split("-")[0]
-    worst, failed = [0.0] * trace.num_players, {}  # (check, player) -> error; the gate is check 0
+    worst, failed = np.zeros(trace.num_players), {}  # (check, player) -> error; the gate is check 0
     for rounds in _blocks(trace.horizon):
-        for i, p in enumerate(trace.players):
-            x = p.strategies[rounds]
+        for group, record in play.records.items():
+            x = record["strategies"][rounds]
             if family in ("sl", "bm"):
-                A = (p.copy_dists[rounds] if family == "bm"
-                     else _pair_rates(p.pair_dists[rounds], x.shape[1]))
-                residual = stationary_residual(A, x)
-                bad = np.flatnonzero(~(residual <= STATIONARY_RESIDUAL_TOL))  # NaN fails too
-                if bad.size and (0, i) not in failed:
-                    value = float(residual[bad[0]])
-                    failed[0, i] = StationaryResidualError(
-                        f"stationary solve of player {i} at round {rounds.start + bad[0] + 1} "
-                        f"failed: residual {value} above {STATIONARY_RESIDUAL_TOL}", residual=value)
-                worst[i] = max(worst[i], float(residual.max()))
-            if (bad := np.flatnonzero(~is_distribution(x))).size and (1, i) not in failed:
-                failed[1, i] = ValidationError(
-                    f"strategy of player {i} at round {rounds.start + bad[0] + 1} is not a "
-                    f"probability vector: {x[bad[0]]!r}")
+                A = (record["copy_dists"][rounds] if family == "bm"
+                     else _pair_rates(record["pair_dists"][rounds], x.shape[-1]))
+                residual = stationary_residual(A, x)  # (rounds, members)
+                for b, k in _first_failures(~(residual <= STATIONARY_RESIDUAL_TOL)):  # NaN too
+                    if (0, i := group[b]) not in failed:
+                        value = float(residual[k, b])
+                        failed[0, i] = StationaryResidualError(
+                            f"stationary solve of player {i} at round {rounds.start + k + 1} "
+                            f"failed: residual {value} above {STATIONARY_RESIDUAL_TOL}",
+                            residual=value)
+                worst[list(group)] = np.maximum(worst[list(group)], residual.max(axis=0))
+            for b, k in _first_failures(~is_distribution(x)):
+                if (1, i := group[b]) not in failed:
+                    failed[1, i] = ValidationError(
+                        f"strategy of player {i} at round {rounds.start + k + 1} is not a "
+                        f"probability vector: {x[k, b]!r}")
         if not failed:
             yield rounds
     if failed:
         raise failed[min(failed)]
-    play.residuals = worst if family in ("sl", "bm") else None
+    play.residuals = worst.tolist() if family in ("sl", "bm") else None
 
 
 def _summarize(config: RunConfig, play: Play, table: np.ndarray):
@@ -428,10 +443,13 @@ def _summarize(config: RunConfig, play: Play, table: np.ndarray):
         ("smoothness", order, lambda i: _smoothness_steps(trace, i, order, config.smoothness_alpha)),
         ("rvu", rvu, lambda i: _rvu_steps(trace, i, trace.etas[i], rvu)),
         ("variance_check", budget, lambda i: _budget_steps(trace, budget))) if value is not None}
-    steps = {("regrets", i): _regret_steps(trace, i, [table[:, i, k] for k in (0, 1, 3)])
-             for i in range(m)}
-    steps.update({("ratio", i): _ratio_steps(trace, i, table[:, i, 6], r)
-                  for i, r in enumerate(switch_rounds)})
+    inner, steps = metrics._learner(config.dynamics)[1], {}
+    for group, record in play.records.items():
+        players = np.array(group)
+        steps["regrets", group] = _regret_steps(record["strategies"], record["losses"], table,
+                                                players[:, None], [0, 1, 3])
+        steps["ratio", group] = _ratio_steps(record[inner], [switch_rounds[i] for i in group],
+                                             table, players, 6)
     # Each player's block (q, z) is built once, for all of its reports.
     steps.update({i: _streamed(trace, i, *(make(i) for make in kinds.values())) for i in range(m)
                   if kinds})
@@ -443,13 +461,14 @@ def _summarize(config: RunConfig, play: Play, table: np.ndarray):
         for step in steps.values():
             step.send(rounds)
         block = table[rounds]
-        for i, (p, switch) in enumerate(zip(trace.players, switch_rounds)):
+        for i, switch in enumerate(switch_rounds):
             block[:, i, 5] = trace.etas[i]
             if switch is not None:
                 block[max(0, switch - rounds.start) :, i, 5] = play.eta_final[i]
-            if bm:
-                residuals = decomposition_residuals(p.copy_dists[rounds], p.strategies[rounds],
-                                                    p.losses[rounds])
+        if bm:
+            for r in play.records.values():
+                residuals = decomposition_residuals(
+                    r["copy_dists"][rounds], r["strategies"][rounds], r["losses"][rounds])
                 decomposition = np.maximum(decomposition, residuals.max())
         raw = block[:, :, 1]
         block[:, :, 2] = np.where(raw > 0.0, raw, 0.0)  # max(0.0, raw): 0.0 also for -0.0 and NaN

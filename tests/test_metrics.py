@@ -297,6 +297,15 @@ class TestAverageProductDistribution:
         with pytest.raises(ValidationError, match="9 cells"):
             average_product_distribution(trace)
 
+    def test_raises_on_a_trace_with_no_rounds(self):
+        # A (0, 3) two-player sl-omwu trace: the average would be 0 / 0, NaN in every cell.
+        empty = PlayerTrace(strategies=np.empty((0, 3)), losses=np.empty((0, 3)),
+                            pair_dists=np.empty((0, 6)))
+        trace = RunTrace(horizon=0, dynamics="sl-omwu", action_counts=(3, 3), etas=(0.1, 0.1),
+                         players=[empty, empty])
+        with pytest.raises(ValidationError, match="no rounds to average"):
+            average_product_distribution(trace)
+
 
 class TestCeGap:
     def test_coordination_equilibrium_nonpositive(self):

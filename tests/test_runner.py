@@ -374,6 +374,16 @@ def test_table_matches_round_by_round_accounting(overrides):
     assert render_csv(result.table) == plain_csv(reference_rows(result))
 
 
+@pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu", "arbo"])
+def test_table_restarts_the_ratio_chain_of_a_later_member(monkeypatch, dynamics):
+    # On (3, 4, 3) players 0 and 2 are members 0 and 1 of one record; player 2 alone switches.
+    force_switches(monkeypatch, (None, None, 257))
+    result = run_dynamics(small_config(dynamics=dynamics, horizon=300, players=3,
+                                       action_counts=(3, 4, 3), eta_rule="adaptive", eta=None))
+    assert result.summary["final"]["adaptive_switch_round"] == [None, None, 257]
+    assert render_csv(result.table) == plain_csv(reference_rows(result))
+
+
 class TestAdaptiveMode:
     def test_benign_self_play_never_switches(self):
         cfg = small_config(eta_rule="adaptive", eta=None, horizon=128)
@@ -622,11 +632,13 @@ def read_by_block(trace):
 
 
 def played_by_block(play):
-    """``play``, a ``runner._play``, whose finished trace hands out only blocks."""
+    """``play``, a ``runner._play``, whose finished trace and group records hand out only blocks."""
 
     def blocks_only(*args):
         out = play(*args)
         read_by_block(out.trace)
+        for record in out.records.values():
+            record.update({name: BlockReads(array) for name, array in record.items()})
         return out
 
     return blocks_only
@@ -845,13 +857,15 @@ class TestStrategyCheck:
     """Recorded strategies are checked once, after the round loop."""
 
     @staticmethod
-    def scale_strategies(monkeypatch, scales):
-        """At each round of ``scales``, the shared learner's members' strategies are scaled by
-        its (player 0, player 1) factors: a factor other than 1 takes that one off the simplex."""
-        build = runner._build_dynamics
+    def scale_strategies(monkeypatch, scales, groups=((0, 1),)):
+        """At each round of ``scales``, each learner's members' strategies are scaled by their
+        players' factors, one per player: a factor other than 1 takes that one off the simplex.
+        ``groups`` lists the players of each learner, in the order the run builds them."""
+        build, built = runner._build_dynamics, itertools.count()
 
         def build_spy(name, n, eta):
             dyn = build(name, n, eta)
+            players = list(groups[next(built) % len(groups)])
             # The step the round loop calls, which computes in the round's trace rows: SL and BM
             # play an unchecked solve.
             step = "_next_strategy" if hasattr(dyn, "_next_strategy") else "next_strategy"
@@ -860,8 +874,9 @@ class TestStrategyCheck:
 
             def scaled(out, *inner):
                 emit(out, *inner)
-                # Both players have 3 actions: members 0 and 1.
-                out *= np.array(scales.get(next(rounds), (1.0, 1.0)))[:, None]
+                factors = scales.get(next(rounds))
+                if factors is not None:
+                    out *= np.array(factors)[players, None]
 
             setattr(dyn, step, scaled)
             return dyn
@@ -1034,6 +1049,66 @@ class TestStationaryGate:
         with pytest.raises(StationaryResidualError, match="stationary solve failed"):
             dyn.next_strategy()
         dyn._next_strategy()  # the loop's step is unchecked
+
+
+class TestInterleavedGroupPrecedence:
+    """On a (3, 4, 3) game the walk checks two group record blocks per block of rounds: players 0
+    and 2 are members 0 and 1 of the 3-action learner, player 1 the 4-action learner's only
+    member. Each member's failure is named as its player's, in the one-group order."""
+
+    GROUPS = ((0, 2), (1,))
+    MEMBERS = {0: (3, 0), 1: (4, 0), 2: (3, 1)}  # player -> (its learner's actions, member)
+
+    @classmethod
+    def fail_solves(cls, monkeypatch, dynamics, faults):
+        """At each (player, round) of ``faults`` the player's solve returns a point mass: on the
+        simplex, and not stationary."""
+        calls = {n: itertools.count(1) for n in (3, 4)}  # each learner solves once per round
+
+        def faulty(pi):
+            n = pi.shape[-1]
+            t = next(calls[n])
+            for player, r in faults:
+                if r == t and cls.MEMBERS[player][0] == n:
+                    pi[cls.MEMBERS[player][1]] = np.eye(n)[0]
+            return pi
+
+        patch_solves(monkeypatch, SOLVES[dynamics[:2]], faulty)
+
+    @staticmethod
+    def config(dynamics):
+        return small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=600)
+
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_a_late_failed_solve_beats_an_earlier_strategy_off_the_simplex(self, monkeypatch,
+                                                                          dynamics):
+        TestStrategyCheck.scale_strategies(monkeypatch, {5: (1.0, 1.5, 1.0)}, self.GROUPS)
+        self.fail_solves(monkeypatch, dynamics, [(2, 550)])
+        with pytest.raises(StationaryResidualError, match="player 2 at round 550 failed"):
+            run_dynamics(self.config(dynamics))
+
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_failed_solves_of_two_members_name_the_lower_player(self, monkeypatch, dynamics):
+        self.fail_solves(monkeypatch, dynamics, [(2, 5), (0, 300)])
+        with pytest.raises(StationaryResidualError, match="player 0 at round 300 failed"):
+            run_dynamics(self.config(dynamics))
+
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_a_solve_failing_in_two_blocks_is_named_at_its_earliest_round(self, monkeypatch,
+                                                                         dynamics):
+        self.fail_solves(monkeypatch, dynamics, [(2, 520), (2, 250), (2, 200)])
+        with pytest.raises(StationaryResidualError, match="player 2 at round 200 failed"):
+            run_dynamics(self.config(dynamics))
+
+    @pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu", "arbo"])
+    def test_a_strategy_off_the_simplex_in_two_blocks_is_named_at_its_earliest_round(
+        self, monkeypatch, dynamics
+    ):
+        off = (1.0, 1.0, 1.5)  # player 2
+        TestStrategyCheck.scale_strategies(monkeypatch, {520: off, 250: off, 200: off},
+                                           self.GROUPS)
+        with pytest.raises(ValidationError, match="player 2 at round 200 is not a probability"):
+            run_dynamics(self.config(dynamics))
 
 
 class TestPublicReplay:

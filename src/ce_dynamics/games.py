@@ -19,14 +19,14 @@ from .errors import DimensionMismatchError, GameFormatError, ValidationError
 SIMPLEX_ATOL = 1e-12
 
 
-def is_distribution(v: np.ndarray, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+def is_distribution(v: np.ndarray) -> np.ndarray:
     """Row-wise simplex test over the last axis of ``v``.
 
-    True where the row is non-negative and sums to 1 up to ``atol``; a NaN
+    True where the row is non-negative and sums to 1 up to ``SIMPLEX_ATOL``; a NaN
     entry fails. A 1-D ``v`` gives one boolean, a ``(T, n)`` array one per row.
     """
     v = np.asarray(v, dtype=float)
-    return np.all(v >= 0.0, axis=-1) & (np.abs(v.sum(axis=-1) - 1.0) <= atol)
+    return np.all(v >= 0.0, axis=-1) & (np.abs(v.sum(axis=-1) - 1.0) <= SIMPLEX_ATOL)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import ValidationError
 from .games import Game
 from .markov_tree import _gth_solver, _tree_edge_index, check_stationary
-from .metrics import _drive
 from .omwu import Composite, Omwu
 
 # The tree space has n^(n-1) points: 625 at n = 5.
@@ -216,9 +215,10 @@ def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) 
     relative spread of (product of pair masses along tree edges) / (tree mass), which should be a
     tree-independent constant. The tree learners are built first, so their size and
     learning-rate guards fail before any play. ``tol`` is kept on the report as the default of
-    :meth:`EquivalenceReport.passes`.
+    :meth:`EquivalenceReport.passes`. The play, its walk and their driver come from runner, which
+    imports this module, at call time: the package's one function-level import.
     """
-    from .runner import RunConfig, _play, _walk, player_groups  # runner imports this module
+    from .runner import RunConfig, _drive, _play, _walk, player_groups
 
     counts = game.action_counts
     arbos = [ArboDynamics(counts[g[0]], np.full(len(g), eta)) for g in player_groups(counts)]

@@ -15,22 +15,33 @@ average product distribution. :func:`_drive` sends a sequence of blocks to a ste
 whole-trace functions drive their steps over :func:`_blocks`, the runner over its walk's. The
 regret and ratio steps read a group's round-major (T, members, ...) records, one C-contiguous
 (rounds, members, ...) block per block of rounds, with a carry per member: the runner sends
-them each group's records, the whole-trace functions one player as a group of one member.
+them each group's records, the whole-trace functions a player's one-member view ``[:, None]``.
+:data:`_LEARNERS` gives each dynamics' learner class: its trace field and its inner losses.
 """
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .games import Game
+from .internal_dynamics import ArboDynamics, SlOmwu
+from .omwu import Omwu
+from .swap_dynamics import BmOmwu
 
 DENSE_JOINT_MAX_ENTRIES = 10**6
 # Rounds per block of a finished trace's walk; bounds the (chunk, n, n) stack of pair sums.
 REGRET_CHUNK_ROUNDS = 256
+# Each dynamics' learner class, by the name's family: the class that records its trace.
+_LEARNERS = {"omwu": Omwu, "mwu": Omwu, "sl": SlOmwu, "bm": BmOmwu, "arbo": ArboDynamics}
+# Each player record's per-round shape for n actions, by PlayerTrace field.
+_ROUND_SHAPES = {"strategies": lambda n: (n,), "losses": lambda n: (n,),
+                 "pair_dists": lambda n: (n * (n - 1),), "pair_losses": lambda n: (n * (n - 1),),
+                 "copy_dists": lambda n: (n, n), "tree_dists": lambda n: (n ** (n - 1),)}
 
 
 @dataclass
@@ -70,15 +81,32 @@ class RunTrace:
 
     @classmethod
     def load(cls, path) -> "RunTrace":
-        """The trace :meth:`save` wrote; a required array it lacks fails naming its key."""
-        with np.load(path, allow_pickle=False) as data:
-            # Each header array comes back a Python scalar, or a list that was a tuple.
-            header = {f.name: data[f.name].tolist() for f in fields(cls) if f.name != "players"}
-            trace = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in header.items()})
-            for i in range(trace.num_players):
-                keys = {f.name: f"p{i}_{f.name}" for f in fields(PlayerTrace)
-                        if f.default is MISSING or f"p{i}_{f.name}" in data}
-                trace.players.append(PlayerTrace(**{name: data[key] for name, key in keys.items()}))
+        """The trace :meth:`save` wrote, checked at the file: one that is no ``.npz`` archive or
+        lacks a required array raises :class:`ValidationError` naming it; an array whose shape is
+        not (horizon, its field's round shape for the player's n actions) raises
+        :class:`DimensionMismatchError` naming its key and both shapes."""
+        with open(path, "rb") as file:
+            try:  # a lone .npy loads as an array, which has no items: AttributeError
+                arrays = dict(np.load(file, allow_pickle=False).items())
+            except (AttributeError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+                raise ValidationError(f"{path} is not a trace archive: {exc}") from exc
+
+        def array(key, shape=None):
+            if key not in arrays:
+                raise ValidationError(f"{path} lacks the array {key}")
+            if shape is not None and arrays[key].shape != shape:
+                raise DimensionMismatchError(
+                    f"{key} has shape {arrays[key].shape}, expected {shape}")
+            return arrays[key]
+
+        # Each header array comes back a Python scalar, or a list that was a tuple.
+        header = {f.name: array(f.name).tolist() for f in fields(cls) if f.name != "players"}
+        trace = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in header.items()})
+        for i, n in enumerate(trace.action_counts):
+            trace.players.append(PlayerTrace(**{
+                f.name: array(key, (trace.horizon, *_ROUND_SHAPES[f.name](n)))
+                for f in fields(PlayerTrace)
+                if (key := f"p{i}_{f.name}") in arrays or f.default is MISSING}))
         return trace
 
 
@@ -95,17 +123,6 @@ def _drive(blocks, step):
     for rounds in blocks:
         step.send(rounds)
     return step.send(None)
-
-
-class _OneMember:
-    """A player's (T, ...) record read as a group record of one member: ``[rounds]`` is
-    (rounds, 1, ...), so a group step runs the public whole-trace functions on one player."""
-
-    def __init__(self, array):
-        self.array = array
-
-    def __getitem__(self, rounds):
-        return self.array[rounds][:, None]
 
 
 def _regret_steps(strategies, losses, out, *columns):
@@ -134,19 +151,16 @@ def _regret_steps(strategies, losses, out, *columns):
 def running_regrets(trace: RunTrace, player: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Running external, raw internal and swap regret after each round, each (T,)."""
     pt, out = trace.players[player], np.empty((3, trace.horizon))
-    step = _regret_steps(_OneMember(pt.strategies), _OneMember(pt.losses), out.T[:, None])
+    step = _regret_steps(pt.strategies[:, None], pt.losses[:, None], out.T[:, None])
     _drive(_blocks(trace.horizon), step)
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _learner(dynamics: str):
-    """The learner class that records a dynamics' trace, its own or ``Omwu``'s for an unknown
-    name, and the trace field of its inner distributions; resolved once per name."""
-    from .runner import _LEARNERS  # runner imports this module
-
-    cls = _LEARNERS.get(dynamics.split("-")[0], _LEARNERS["omwu"])
-    return cls, getattr(cls, "trace_field", "strategies")
+    """The :data:`_LEARNERS` class that records a dynamics' trace, ``Omwu`` for an unknown name,
+    and its ``trace_field``, the record of its inner distributions."""
+    cls = _LEARNERS.get(dynamics.split("-")[0], Omwu)
+    return cls, cls.trace_field
 
 
 def _inner_dists(trace: RunTrace, player: int, rounds: slice):
@@ -199,7 +213,7 @@ def running_max_ratio(trace: RunTrace, player: int, restart: int | None = None) 
     """
     inner = getattr(trace.players[player], _learner(trace.dynamics)[1])
     out = np.empty(trace.horizon)
-    _drive(_blocks(trace.horizon), _ratio_steps(_OneMember(inner), [restart], out[:, None]))
+    _drive(_blocks(trace.horizon), _ratio_steps(inner[:, None], [restart], out[:, None]))
     return out
 
 

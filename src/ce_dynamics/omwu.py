@@ -6,11 +6,11 @@ avoids compounding floating-point drift round over round, and the negated rates,
 the state's shape, make each step a same-shape ufunc in place. With optimism enabled the
 most recent loss is counted twice, the standard one-step prediction.
 
-Each dynamics is one such learner composed with a map to a strategy
-(:class:`Composite`). One rate per member stacks independent learners on a
-leading member axis, so players of equal action counts share one state and
-one step. Feedback comes checked through the public ``observe``, or
-unchecked through ``_update`` where the loss is valid by construction.
+Each dynamics is one such learner composed with a map to a strategy (:class:`Composite`),
+or, as ``omwu`` and ``mwu``, the learner alone, its own ``learner`` with the strategies as
+its ``trace_field``. One rate per member stacks independent learners on a leading member
+axis, so players of equal action counts share one state and one step. Feedback comes
+checked through ``observe``, or unchecked through ``_update`` where it is valid by construction.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ class Omwu:
     its losses' range for action losses in [0, 1], a range that holds 0 at an end or its
     middle) and ``observe`` fed it no loss outside [0, 1] (a composite's action loss).
 
-    Every learner in the package exposes its inner learner's view through
-    ``inner_dim``, ``inner_dist`` (the last played inner distribution) and
-    ``inner_loss`` (the last observed inner loss), both (*members, rows,
-    inner_dim). Here the inner learners are the rows of the state, fed the loss as is.
+    Every learner in the package exposes its inner learner's view through ``inner_dim``,
+    ``inner_dist`` (the last played inner distribution) and ``inner_loss`` (the last observed
+    inner loss), both (*members, rows, inner_dim). Here the inner learners are the rows of the
+    state, fed the loss as is, whose trace rows are the strategy rows: ``inner`` goes unread.
     """
 
     def __init__(self, dim: int | tuple[int, int], eta, optimistic: bool = True,
@@ -67,12 +67,14 @@ class Omwu:
         self._free_until = np.zeros((*self.shape[:-1], 1))  # per row: last update count it is free
         self.reset(eta)
 
+    trace_field = "strategies"
+    learner = property(lambda self: self)
     inner_dim = property(lambda self: self.dim)
     inner_dist = property(lambda self: self.last_strategy.reshape(*self.members, -1, self.dim))
     inner_loss = property(lambda self: self.last_loss.reshape(*self.members, -1, self.dim))
     inner_losses = staticmethod(lambda x, loss: loss)
 
-    def next_strategy(self, out=None) -> np.ndarray:
+    def next_strategy(self, out=None, inner=None) -> np.ndarray:
         """Current iterate, in ``out`` if given: softmax of -eta (cumulative + predicted) losses."""
         out = np.empty(self.shape) if out is None else out  # C-contiguous: a round's trace row
         z = (np.add(self.cumulative_loss, self.last_loss, out) if self.optimistic

@@ -59,10 +59,11 @@ from .diagnostics import (
 from .errors import StationaryResidualError, ValidationError
 # expected_loss stays bound here: perfbench's smoke test reads runner.expected_loss.
 from .games import Game, _contraction, expected_loss, is_distribution, load_game, random_game
-from .internal_dynamics import ArboDynamics, SlOmwu, _pair_rates
+from .internal_dynamics import _pair_rates
 from .markov_tree import STATIONARY_RESIDUAL_TOL, stationary_residual
 from .metrics import (
     REGRET_CHUNK_ROUNDS,
+    _LEARNERS,
     PlayerTrace,
     RunTrace,
     _blocks,
@@ -73,8 +74,7 @@ from .metrics import (
     ce_gap,
     inner_stream,
 )
-from .omwu import Omwu
-from .swap_dynamics import BmOmwu, decomposition_residuals
+from .swap_dynamics import decomposition_residuals
 
 DYNAMICS = ("omwu", "mwu", "sl-omwu", "sl-mwu", "bm-omwu", "bm-mwu", "arbo")
 ETA_RULES = ("fixed", "theorem-internal", "theorem-swap", "adaptive")
@@ -238,9 +238,6 @@ class AdaptiveEtaController:
         return fired
 
 
-_LEARNERS = {"omwu": Omwu, "mwu": Omwu, "sl": SlOmwu, "bm": BmOmwu, "arbo": ArboDynamics}
-
-
 def _build_dynamics(name: str, n: int, eta):
     optimistic = name != "mwu" and not name.endswith("-mwu")
     return _LEARNERS[name.split("-")[0]](n, eta, optimistic=optimistic)
@@ -298,7 +295,8 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
 
 
 def _play(config: RunConfig, game: Game | None) -> Play:
-    """A run's play, unchecked: the round loop, with its adaptive controllers' replays."""
+    """A run's play, unchecked: the round loop, with its adaptive controllers' replays. Every
+    group steps into its round-t strategy and ``trace_field`` rows, the same rows for omwu."""
     config.validate()
     if game is None:
         game = load_config_game(config)
@@ -322,20 +320,20 @@ def _play(config: RunConfig, game: Game | None) -> Play:
         AdaptiveEtaController(T, dyns[g].inner_dim, config.adaptive_budget) for _, g, _ in slots
     ] if config.eta_rule == "adaptive" else None
 
-    field = getattr(dyns[0], "trace_field", None)  # the inner distribution's trace record
+    field = dyns[0].trace_field  # the inner distributions' trace record: omwu's, the strategies
     # Each record is round-major, (T, members, ...): the round computes in a group's round-t rows,
     # one C-contiguous block. A player's field is its member's strided view; built before play.
     records = []
     for group, dyn in zip(groups, dyns):
-        shapes = dict.fromkeys(("strategies", "losses"), (counts[group[0]],))
-        shapes.update({field: dyn.learner.shape[1:]} if field else {})
+        actions = (counts[group[0]],)
+        shapes = {"strategies": actions, "losses": actions, field: dyn.learner.shape[1:]}
         records.append({k: np.empty((T, len(group), *s)) for k, s in shapes.items()})
     players = [PlayerTrace(**{k: v[:, b] for k, v in records[g].items()}) for _, g, b in slots]
     trace = RunTrace(horizon=T, dynamics=config.dynamics, action_counts=counts,
                      etas=tuple(etas), players=players)
     # Bound once per run: each group's step into its strategy (and inner) rows, SL's and BM's
     # unchecked, each player's contraction into its loss rows, and each group's feedback.
-    plays = [(getattr(dyn, "_next_strategy", dyn.next_strategy), rec["strategies"], rec.get(field))
+    plays = [(getattr(dyn, "_next_strategy", dyn.next_strategy), rec["strategies"], rec[field])
              for dyn, rec in zip(dyns, records)]
     played = [p.strategies for p in players]
     contractions = [_contraction(game, i, played, p.losses) for i, p in enumerate(players)]
@@ -343,12 +341,8 @@ def _play(config: RunConfig, game: Game | None) -> Play:
 
     def play(rounds: range) -> None:
         for t in rounds:
-            if field:
-                for step, strategies, inner in plays:
-                    step(strategies[t], inner[t])
-            else:
-                for step, strategies, _ in plays:
-                    step(strategies[t])
+            for step, strategies, inner in plays:
+                step(strategies[t], inner[t])
             for contract in contractions:
                 contract(t)
             for update, losses in feeds:
@@ -359,7 +353,7 @@ def _play(config: RunConfig, game: Game | None) -> Play:
         block = range(done, min(done + REGRET_CHUNK_ROUNDS, T))
         # A step replaces every learner array it changes, so copies of the attributes restore it.
         if controllers:  # only a controller's breach replays a block from its start
-            start = [(o, vars(o).copy()) for d in dyns for o in {d, getattr(d, "learner", d)}]
+            start = [(o, vars(o).copy()) for d in dyns for o in {d, d.learner}]
         play(block)
         done = block.stop
         if controllers is None:

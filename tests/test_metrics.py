@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -387,5 +388,58 @@ class TestTraceSerialization:
         trace = self_play_trace(random_game(2, (3, 3), seed=13), T=5)
         setattr(trace.players[1], name, None)
         trace.save(tmp_path / "trace.npz")
-        with pytest.raises(KeyError, match=f"p1_{name}"):
+        with pytest.raises(ValidationError, match=f"p1_{name}"):
+            RunTrace.load(tmp_path / "trace.npz")
+
+    @staticmethod
+    def saved_arrays(tmp_path, dynamics="bm-omwu"):
+        """A saved 20-round trace of a 2-player 3x3 game, as its file's arrays."""
+        config = RunConfig(dynamics=dynamics, horizon=20, eta=0.05, players=2, action_counts=(3, 3))
+        run_dynamics(config).trace.save(tmp_path / "trace.npz")
+        with np.load(tmp_path / "trace.npz") as data:
+            return dict(data)
+
+    def test_a_missing_header_array_is_named(self, tmp_path):
+        arrays = self.saved_arrays(tmp_path)
+        del arrays["etas"]
+        np.savez(tmp_path / "trace.npz", **arrays)
+        with pytest.raises(ValidationError, match="lacks the array etas"):
+            RunTrace.load(tmp_path / "trace.npz")
+
+    def test_a_truncated_file_is_named(self, tmp_path):
+        self.saved_arrays(tmp_path)
+        path = tmp_path / "trace.npz"
+        path.write_bytes(path.read_bytes()[:-100])  # the zip's central directory is lost
+        with pytest.raises(ValidationError, match="trace.npz is not a trace archive"):
+            RunTrace.load(path)
+
+    @pytest.mark.parametrize("content", [b"not an archive", b"", np.zeros(3)],
+                             ids=["text", "empty", "npy"])
+    def test_a_file_that_is_no_archive_is_named(self, tmp_path, content):
+        path = tmp_path / "trace.npz"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            with open(path, "wb") as file:
+                np.save(file, content)
+        with pytest.raises(ValidationError, match="trace.npz is not a trace archive"):
+            RunTrace.load(path)
+
+    @pytest.mark.parametrize("dynamics, key, shape", [
+        ("bm-omwu", "p1_losses", (5, 3)),
+        ("bm-omwu", "p0_strategies", (21, 3)),
+        ("bm-omwu", "p0_copy_dists", (20, 2, 3)),
+        ("sl-omwu", "p1_pair_dists", (20, 3)),
+        ("sl-omwu", "p0_pair_losses", (20, 6, 1)),
+        ("arbo", "p1_tree_dists", (20, 27)),
+    ], ids=["losses-rounds", "strategies-rounds", "copy-dists", "pair-dists", "pair-losses",
+            "tree-dists"])
+    def test_an_array_off_its_shape_names_both_shapes(self, tmp_path, dynamics, key, shape):
+        # A wrong leading axis or round shape fails at the file, not later inside numpy.
+        arrays = self.saved_arrays(tmp_path, dynamics)
+        want = arrays[key].shape
+        arrays[key] = np.full(shape, 0.5)
+        np.savez(tmp_path / "trace.npz", **arrays)
+        message = f"{key} has shape {shape}, expected {want}"
+        with pytest.raises(DimensionMismatchError, match=re.escape(message)):
             RunTrace.load(tmp_path / "trace.npz")

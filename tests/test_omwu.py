@@ -352,19 +352,19 @@ class TestGuard:
         etas = np.array([FLOOR_FREE_SPREAD / (span * k) for k in (8.5, 15.5, 25.5)])
         dyn, twin = _build_dynamics(dynamics, 3, etas), _build_dynamics(dynamics, 3, etas)
         step = getattr(dyn, "_next_strategy", dyn.next_strategy)
-        learner, twin_learner = getattr(dyn, "learner", dyn), getattr(twin, "learner", twin)
+        learner, twin_learner = dyn.learner, twin.learner
         T, rng, kinds = 45, np.random.default_rng(8), set()
-        strategies, inner = np.empty((T, 3, 3)), np.empty((T, *learner.shape))
-        rows = [strategies, inner] if hasattr(dyn, "trace_field") else [strategies]
+        strategies = np.empty((T, 3, 3))  # an omwu's inner rows are its strategy rows
+        inner = strategies if learner is dyn else np.empty((T, *learner.shape))
         for t in range(T):
             if t == 20:
                 dyn.reset(member=1)
                 twin.reset(member=1)
             free = learner._free_until >= learner._updates
             kinds.add("all free" if free.all() else "some free" if free.any() else "all guarded")
-            step(*(r[t] for r in rows))
+            step(strategies[t], inner[t])
             assert strategies[t].tobytes() == twin.next_strategy().tobytes()
-            assert np.shares_memory(learner.last_strategy, rows[-1][t])
+            assert np.shares_memory(learner.last_strategy, inner[t])
             assert learner.last_strategy.tobytes() == twin_learner.last_strategy.tobytes()
             loss = rng.uniform(0.0, 1.0, (3, 3))
             dyn._update(loss)

@@ -613,12 +613,15 @@ class TestFourPlayers:
 
 class BlockReads:
     """A finished trace's array that hands out blocks of at most REGRET_CHUNK_ROUNDS rounds, and
-    nothing else: any pass that takes the whole array fails."""
+    nothing else: any pass that takes the whole array fails. Its one-member view ``[:, None]``,
+    what the whole-trace functions read, is a :class:`BlockReads` too."""
 
     def __init__(self, array):
         self.array, self.ndim = array, array.ndim
 
     def __getitem__(self, rounds):
+        if rounds == (slice(None), None):
+            return BlockReads(self.array[rounds])
         assert isinstance(rounds, slice) and len(range(len(self.array))[rounds]) <= 256, rounds
         return self.array[rounds]
 

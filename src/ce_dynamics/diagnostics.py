@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import RunTrace, _blocks, _drive, _inner_dists, inner_stream, running_max_ratio
+from .internal_dynamics import SlOmwu
+from .metrics import RunTrace, _blocks, _drive, _inner_dists, _learner, inner_stream, running_max_ratio
 
 # Smoothness certificate constants: the learning-rate threshold eta <=
 # alpha / (36 e^5 m) activates pass/fail mode; the looser alpha / (36 m) is
@@ -219,7 +220,7 @@ def _smoothness_steps(trace: RunTrace, player: int, max_order: int, alpha: float
         max_order=max_order,
         alpha=alpha,
         eta=eta,
-        enforced=trace.dynamics.startswith("sl") and eta <= threshold,
+        enforced=_learner(trace.dynamics) is SlOmwu and eta <= threshold,
         eta_threshold=threshold,
         eta_threshold_loose=threshold_loose,
         observed=observed,

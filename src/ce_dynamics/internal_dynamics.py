@@ -3,9 +3,9 @@
 Two :class:`~ce_dynamics.omwu.Composite` learners are implemented:
 
 * :class:`SlOmwu` runs one multiplicative-weights learner over the n(n-1)
-  ordered action pairs, turns its iterate into a row-stochastic matrix, and
-  plays the stationary distribution of that matrix each round. The public
-  ``next_strategy`` gates each solve by its residual.
+  ordered action pairs and plays the stationary distribution of its iterate
+  read as a chain's off-diagonal rates: a :class:`~ce_dynamics.omwu.Stationary`
+  learner, whose steps and residual gate BM shares.
 * :class:`ArboDynamics` runs the same learner over all n^(n-1) rooted
   directed trees and plays the per-root marginals directly.
 
@@ -29,8 +29,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .games import Game
-from .markov_tree import _gth_solver, _tree_edge_index, check_stationary
-from .omwu import Composite, Omwu
+# _pair_rates stays bound here for transition_from_pairs and the tests.
+from .markov_tree import _pair_rates, _tree_edge_index
+from .omwu import Composite, Omwu, Stationary
 
 # The tree space has n^(n-1) points: 625 at n = 5.
 MAX_ARBO_NODES = 5
@@ -62,17 +63,6 @@ def pair_loss_vector(strategy: np.ndarray, loss: np.ndarray) -> np.ndarray:
     return _pair_losses(strategy.shape[-1])(strategy, loss)
 
 
-def _pair_rates(p: np.ndarray, n: int) -> np.ndarray:
-    """Matrix with off-diagonal (j, k) entry p[..., j -> k] and a zero diagonal.
-
-    Leading axes of ``p`` carry over: pair masses of shape (T, n(n-1)) give (T, n, n).
-    """
-    src, dst = _pair_index_arrays(n)
-    M = np.zeros((*p.shape[:-1], n, n))
-    M[..., src, dst] = p
-    return M
-
-
 def transition_from_pairs(p: np.ndarray, n: int) -> np.ndarray:
     """Row-stochastic matrix with off-diagonal (j, k) mass p[j -> k].
 
@@ -89,34 +79,20 @@ def transition_from_pairs(p: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
-class SlOmwu(Composite):
+class SlOmwu(Stationary):
     """Internal-regret learner: pair-space OMWU plus a stationary-distribution step.
 
     The pair masses, in canonical order, are the round's chain's off-diagonal
     rates in row-major order: what GTH elimination reads, with no matrix built.
     """
 
-    trace_field, inner_span = "pair_dists", 2.0
+    trace_field, inner_span, diagonal = "pair_dists", 2.0, False
     inner_losses = staticmethod(pair_loss_vector)
+    next_strategy, observe = Stationary.next_strategy, Composite.observe
 
     def __init__(self, n: int, eta: float, optimistic: bool = True):
-        if n < 2:
-            raise ValidationError(f"need at least 2 actions, got {n}")
-        super().__init__(n, Omwu(n * (n - 1), eta, optimistic, self.inner_span))
-        self._solve, self.inner_losses = _gth_solver(n, False, self.learner.members), _pair_losses(n)
-
-    def next_strategy(self) -> np.ndarray:
-        p = self.learner.next_strategy()
-        self.last_strategy = check_stationary(_pair_rates(p, self.n), self._solve(p))
-        return self.last_strategy
-
-    def _next_strategy(self, out=None, *inner) -> np.ndarray:
-        """Unchecked :meth:`next_strategy`, computed in round trace rows ``out, inner`` if given."""
-        self.last_strategy = self._solve(self.learner.next_strategy(*inner), out)
-        return self.last_strategy
-
-    def observe(self, loss) -> None:
-        self._update(self._checked(loss))
+        super().__init__(n, eta, optimistic)
+        self.inner_losses = _pair_losses(n)
 
 
 @lru_cache(maxsize=None)
@@ -144,6 +120,7 @@ class ArboDynamics(Composite):
 
     trace_field = "tree_dists"
     inner_losses = staticmethod(lambda x, loss: _tree_losses(x.shape[-1])(x, loss))
+    observe = Composite.observe
 
     def __init__(self, n: int, eta: float, optimistic: bool = True):
         if not 2 <= n <= MAX_ARBO_NODES:
@@ -164,9 +141,6 @@ class ArboDynamics(Composite):
         self.last_strategy = np.empty(self._shape) if out is None else out
         self.last_strategy.flat = np.bincount(self._root_bins, weights=X.ravel())
         return self.last_strategy
-
-    def observe(self, loss) -> None:
-        self._update(self._checked(loss))
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ convention, ``Q^T pi = pi``):
   1993); a small residual alone would not promise that.
 
 The elimination itself is unchecked: ``_gth_solver``, bound once per stack of chains, takes
-their off-diagonal rates or whole matrix rows, whose diagonal is never read. Up to 16 states a
+their rates (:func:`_pair_rates`) or matrix rows, whose diagonal is never read. Up to 16 states a
 chain is one call of code generated per state count and form, with the loop's bits. Its
 residual gate is :func:`check_stationary`; :func:`stationary_residual` takes any leading axes.
 
@@ -164,6 +164,14 @@ def stationary_residual(A: np.ndarray, pi: np.ndarray):
     """
     flow = (pi[..., None, :] @ A)[..., 0, :]
     return np.abs(flow - A.sum(axis=-1) * pi).max(axis=-1)
+
+
+def _pair_rates(p: np.ndarray, n: int) -> np.ndarray:
+    """The (..., n, n) chains whose off-diagonal (j, k) rate is p[..., j(n-1) + k - (k > j)]: row
+    by row, as GTH reads them; diagonal zero. Pair masses (T, n(n-1)) give (T, n, n)."""
+    M = np.zeros((*p.shape[:-1], n, n))
+    M[..., ~np.eye(n, dtype=bool)] = p
+    return M
 
 
 def check_stationary(A: np.ndarray, pi: np.ndarray) -> np.ndarray:

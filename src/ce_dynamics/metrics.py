@@ -16,7 +16,8 @@ whole-trace functions drive their steps over :func:`_blocks`, the runner over it
 regret and ratio steps read a group's round-major (T, members, ...) records, one C-contiguous
 (rounds, members, ...) block per block of rounds, with a carry per member: the runner sends
 them each group's records, the whole-trace functions a player's one-member view ``[:, None]``.
-:data:`_LEARNERS` gives each dynamics' learner class: its trace field and its inner losses.
+:data:`_LEARNERS`, the one dynamics registry, gives each name's learner class, which answers every
+per-dynamics question (trace field, inner losses, ...), and whether it is optimistic.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ from .swap_dynamics import BmOmwu
 DENSE_JOINT_MAX_ENTRIES = 10**6
 # Rounds per block of a finished trace's walk; bounds the (chunk, n, n) stack of pair sums.
 REGRET_CHUNK_ROUNDS = 256
-# Each dynamics' learner class, by the name's family: the class that records its trace.
-_LEARNERS = {"omwu": Omwu, "mwu": Omwu, "sl": SlOmwu, "bm": BmOmwu, "arbo": ArboDynamics}
+# Each dynamics' (learner class, optimistic), by its full name: the class records its trace.
+_LEARNERS = {"omwu": (Omwu, True), "mwu": (Omwu, False), "sl-omwu": (SlOmwu, True),
+             "sl-mwu": (SlOmwu, False), "bm-omwu": (BmOmwu, True), "bm-mwu": (BmOmwu, False),
+             "arbo": (ArboDynamics, True)}
 # Each player record's per-round shape for n actions, by PlayerTrace field.
 _ROUND_SHAPES = {"strategies": lambda n: (n,), "losses": lambda n: (n,),
                  "pair_dists": lambda n: (n * (n - 1),), "pair_losses": lambda n: (n * (n - 1),),
@@ -81,10 +84,11 @@ class RunTrace:
 
     @classmethod
     def load(cls, path) -> "RunTrace":
-        """The trace :meth:`save` wrote, checked at the file: one that is no ``.npz`` archive or
-        lacks a required array raises :class:`ValidationError` naming it; an array whose shape is
-        not (horizon, its field's round shape for the player's n actions) raises
-        :class:`DimensionMismatchError` naming its key and both shapes."""
+        """The trace :meth:`save` wrote, checked at the file: one that is no ``.npz`` archive,
+        lacks a required array or names an unknown dynamics raises :class:`ValidationError`
+        naming it; ``etas`` not holding one rate per player, or an array whose shape is not
+        (horizon, its field's round shape for the player's n actions), raises
+        :class:`DimensionMismatchError` naming both shapes."""
         with open(path, "rb") as file:
             try:  # a lone .npy loads as an array, which has no items: AttributeError
                 arrays = dict(np.load(file, allow_pickle=False).items())
@@ -102,6 +106,10 @@ class RunTrace:
         # Each header array comes back a Python scalar, or a list that was a tuple.
         header = {f.name: array(f.name).tolist() for f in fields(cls) if f.name != "players"}
         trace = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in header.items()})
+        _learner(trace.dynamics)  # an unknown name raises
+        if np.shape(trace.etas) != (trace.num_players,):
+            raise DimensionMismatchError(
+                f"etas has shape {np.shape(trace.etas)}, expected {(trace.num_players,)}")
         for i, n in enumerate(trace.action_counts):
             trace.players.append(PlayerTrace(**{
                 f.name: array(key, (trace.horizon, *_ROUND_SHAPES[f.name](n)))
@@ -157,17 +165,18 @@ def running_regrets(trace: RunTrace, player: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _learner(dynamics: str):
-    """The :data:`_LEARNERS` class that records a dynamics' trace, ``Omwu`` for an unknown name,
-    and its ``trace_field``, the record of its inner distributions."""
-    cls = _LEARNERS.get(dynamics.split("-")[0], Omwu)
-    return cls, cls.trace_field
+    """The :data:`_LEARNERS` class that records a dynamics' trace; its ``trace_field`` names the
+    record of its inner distributions. An unknown name raises :class:`ValidationError`."""
+    if not isinstance(dynamics, str) or dynamics not in _LEARNERS:
+        raise ValidationError(f"unknown dynamics {dynamics!r}, expected one of {tuple(_LEARNERS)}")
+    return _LEARNERS[dynamics][0]
 
 
 def _inner_dists(trace: RunTrace, player: int, rounds: slice):
     """A player's recorded inner distributions over ``rounds``, (rounds, rows, dim), and the
     learner class that recorded them."""
-    cls, name = _learner(trace.dynamics)
-    q = getattr(trace.players[player], name)[rounds]
+    cls = _learner(trace.dynamics)
+    q = getattr(trace.players[player], cls.trace_field)[rounds]
     return (q[:, None] if q.ndim == 2 else q), cls
 
 
@@ -211,7 +220,7 @@ def running_max_ratio(trace: RunTrace, player: int, restart: int | None = None) 
     :func:`inner_stream`'s q, read without computing z; round 1 contributes 1. ``restart`` is the
     round after which the learner was reset, so the next round starts a chain and contributes 1.
     """
-    inner = getattr(trace.players[player], _learner(trace.dynamics)[1])
+    inner = getattr(trace.players[player], _learner(trace.dynamics).trace_field)
     out = np.empty(trace.horizon)
     _drive(_blocks(trace.horizon), _ratio_steps(inner[:, None], [restart], out[:, None]))
     return out

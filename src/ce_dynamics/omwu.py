@@ -8,9 +8,10 @@ most recent loss is counted twice, the standard one-step prediction.
 
 Each dynamics is one such learner composed with a map to a strategy (:class:`Composite`),
 or, as ``omwu`` and ``mwu``, the learner alone, its own ``learner`` with the strategies as
-its ``trace_field``. One rate per member stacks independent learners on a leading member
-axis, so players of equal action counts share one state and one step. Feedback comes
-checked through ``observe``, or unchecked through ``_update`` where it is valid by construction.
+its ``trace_field``; SL and BM play the stationary distribution of the iterate read as a chain
+(:class:`Stationary`). One rate per member stacks independent learners on a leading member
+axis, so players of equal action counts share one state and one step. Feedback comes checked
+through ``observe`` (:func:`_checked`), or unchecked through ``_update`` where it is valid.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
+from .markov_tree import _gth_solver, _pair_rates, check_stationary
 
 # Exponentials are strictly positive mathematically, but exp(z - z_max)
 # underflows to exact zero past ~745 in the exponent spread. Flooring keeps
@@ -94,14 +96,8 @@ class Omwu:
 
     def observe(self, loss) -> None:
         """Feedback from outside: a finite loss of the state's shape, copied."""
-        loss = np.array(loss, dtype=float)
-        if loss.shape != self.shape:
-            raise DimensionMismatchError(
-                f"loss has shape {loss.shape}, learner has shape {self.shape}"
-            )
-        if not np.all(np.isfinite(loss)):
-            raise ValidationError("loss vector has non-finite entries")
-        self._free(np.any(np.abs(loss - 0.5) > 0.5 + LOSS_RANGE_ATOL, axis=-1, keepdims=True), -1)
+        loss, outside = _checked(loss, self.shape)
+        self._free(outside, -1)
         self._update(loss)
 
     def _update(self, loss: np.ndarray) -> None:
@@ -141,16 +137,27 @@ class Omwu:
             self.last_strategy = None
 
 
+def _checked(loss, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A loss from outside, copied, once it has ``shape`` and finite entries, and per row (its
+    last axis reduced) whether any entry lies outside [0, 1]: a row that must shift and floor."""
+    loss = np.array(loss, dtype=float)
+    if loss.shape != shape:
+        raise DimensionMismatchError(f"loss has shape {loss.shape}, expected {shape}")
+    if not np.all(np.isfinite(loss)):
+        raise ValidationError("loss vector has non-finite entries")
+    return loss, np.any(np.abs(loss - 0.5) > 0.5 + LOSS_RANGE_ATOL, axis=-1)
+
+
 class Composite:
     """An :class:`Omwu` ``learner`` composed with a map to a strategy on n actions.
 
-    Subclasses define ``next_strategy``, ``observe`` as ``self._update(self._checked(loss))``,
-    each public method in its own body so it can be wrapped on the class, and
-    the static ``inner_losses(x, loss)`` (the learner's loss, any leading axes), which an
-    instance binds to n where it reads tables; a stationary solve's ``_next_strategy`` skips
-    its residual gate. The round's step, that or ``next_strategy``, computes in the round's
-    trace rows ``out, inner`` when given. ``trace_field`` is the inner distribution's trace
-    record, ``loss_low`` the loss floor, ``inner_span`` the inner losses' range.
+    Subclasses define ``next_strategy`` and the static ``inner_losses(x, loss)`` (the learner's
+    loss, any leading axes), which an instance binds to n where it reads tables. Each concrete
+    class binds its public methods in its own body, a shared one by a one-line alias, so that
+    perfbench can wrap a method on its class alone. The round's step (``next_strategy``, or a
+    stationary ``_next_strategy``) computes in trace rows ``out, inner`` if given. ``trace_field``
+    names the inner distributions' record, ``loss_low`` the loss floor, ``inner_span`` the inner
+    losses' range.
     """
 
     loss_low = -1.0
@@ -165,23 +172,17 @@ class Composite:
     inner_dist = property(lambda self: self.learner.inner_dist)
     inner_loss = property(lambda self: self.learner.inner_loss)
 
-    def _checked(self, loss) -> np.ndarray:
+    def observe(self, loss) -> None:
         """An action-space loss from outside: after a strategy, (*members, n), finite, in range."""
         if self.last_strategy is None:
             raise ValidationError("observe called before next_strategy")
-        loss = np.asarray(loss, dtype=float)
-        shape = (*self.learner.members, self.n)
-        if loss.shape != shape:
-            raise DimensionMismatchError(f"loss has shape {loss.shape}, expected {shape}")
-        if not np.all(np.isfinite(loss)):
-            raise ValidationError("loss vector has non-finite entries")
+        loss, outside = _checked(loss, (*self.learner.members, self.n))
         low, high = loss.min(), loss.max()
         if low < self.loss_low - LOSS_RANGE_ATOL or high > 1.0 + LOSS_RANGE_ATOL:
-            raise ValidationError(
-                f"loss entries must lie in [{self.loss_low:g}, 1], got range [{low}, {high}]"
-            )
-        self.learner._free(np.any(np.abs(loss - 0.5) > 0.5 + LOSS_RANGE_ATOL, axis=-1), -1)
-        return loss
+            raise ValidationError(f"loss entries must lie in [{self.loss_low:g}, 1], got range "
+                                  f"[{low}, {high}]")
+        self.learner._free(outside, -1)
+        self._update(loss)
 
     def _update(self, loss: np.ndarray) -> None:
         self.learner._update(self.inner_losses(self.last_strategy, loss))
@@ -190,3 +191,34 @@ class Composite:
         self.learner.reset(eta, member)
         if member is None:
             self.last_strategy = None
+
+
+class Stationary(Composite):
+    """Plays the stationary distribution of its iterate read as an n-state chain: n(n-1) pair
+    rates (SL), or with ``diagonal`` n rows (BM's copies), whose diagonal no solve reads. The
+    public ``next_strategy`` gates each solve by its residual for :meth:`chain`; the round's
+    ``_next_strategy`` does not: the run's walk gates the trace afterwards."""
+
+    diagonal = False
+
+    def __init__(self, n: int, eta, optimistic: bool = True):
+        if n < 2:
+            raise ValidationError(f"need at least 2 actions, got {n}")
+        dim = (n, n) if self.diagonal else n * (n - 1)
+        super().__init__(n, Omwu(dim, eta, optimistic, self.inner_span))
+        self._solve = _gth_solver(n, self.diagonal, self.learner.members)
+
+    @classmethod
+    def chain(cls, q: np.ndarray, n: int) -> np.ndarray:
+        """The (..., n, n) chains of inner distributions ``q``: the rows, or the pair rates."""
+        return q if cls.diagonal else _pair_rates(q, n)
+
+    def next_strategy(self) -> np.ndarray:
+        q = self.learner.next_strategy()
+        self.last_strategy = check_stationary(self.chain(q, self.n), self._solve(q))
+        return self.last_strategy
+
+    def _next_strategy(self, out=None, *inner) -> np.ndarray:
+        """Unchecked :meth:`next_strategy`, computed in round trace rows ``out, inner`` if given."""
+        self.last_strategy = self._solve(self.learner.next_strategy(*inner), out)
+        return self.last_strategy

@@ -39,7 +39,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,6 @@ from .diagnostics import (
 from .errors import StationaryResidualError, ValidationError
 # expected_loss stays bound here: perfbench's smoke test reads runner.expected_loss.
 from .games import Game, _contraction, expected_loss, is_distribution, load_game, random_game
-from .internal_dynamics import _pair_rates
 from .markov_tree import STATIONARY_RESIDUAL_TOL, stationary_residual
 from .metrics import (
     REGRET_CHUNK_ROUNDS,
@@ -74,10 +73,16 @@ from .metrics import (
     ce_gap,
     inner_stream,
 )
-from .swap_dynamics import decomposition_residuals
+from .omwu import Stationary
+from .swap_dynamics import BmOmwu, decomposition_residuals
 
-DYNAMICS = ("omwu", "mwu", "sl-omwu", "sl-mwu", "bm-omwu", "bm-mwu", "arbo")
+DYNAMICS = tuple(_LEARNERS)
 ETA_RULES = ("fixed", "theorem-internal", "theorem-swap", "adaptive")
+
+# The numeric fields of RunConfig and the plain types each takes; None only where it is the default.
+_NUMBER_TYPES = {**dict.fromkeys(("horizon", "game_seed", "players", "smoothness_order"), int),
+                 **dict.fromkeys(("eta", "schedule_constant", "smoothness_alpha", "rvu_constant",
+                                  "variance_budget", "adaptive_budget"), (int, float))}
 
 CSV_COLUMNS = (
     "t",
@@ -113,8 +118,20 @@ class RunConfig:
     adaptive_budget: float = DEFAULT_VARIANCE_BUDGET_CONSTANT
 
     def validate(self) -> None:
-        if self.dynamics not in DYNAMICS:
-            raise ValidationError(f"unknown dynamics {self.dynamics!r}, expected one of {DYNAMICS}")
+        """Refuse a bad field with :class:`ValidationError` naming it. A numpy number becomes the
+        plain int or float it holds, and ``action_counts`` a tuple: what the echo writes."""
+        metrics._learner(self.dynamics)  # an unknown name raises
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _NUMBER_TYPES and not (value is None and f.default is None):
+                setattr(self, f.name, _number(f.name, value, _NUMBER_TYPES[f.name]))
+        if self.action_counts is not None:
+            try:
+                self.action_counts = tuple(_number("action_counts entry", n, int)
+                                           for n in self.action_counts)
+            except TypeError:  # not iterable
+                raise ValidationError(f"action_counts must be a sequence of integers, got "
+                                      f"{self.action_counts!r}") from None
         if self.eta_rule not in ETA_RULES:
             raise ValidationError(f"unknown eta rule {self.eta_rule!r}, expected one of {ETA_RULES}")
         if self.horizon < 1:
@@ -156,6 +173,15 @@ class RunConfig:
         return doc
 
 
+def _number(name: str, value, types):
+    """``value`` if it is a plain number of ``types`` (no bool) once a numpy scalar is unwrapped."""
+    value = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, bool) or not isinstance(value, types):
+        kind = "an integer" if types is int else "a real number"
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 def load_config_game(config: RunConfig) -> Game:
     if config.game_file is not None:
         return load_game(Path(config.game_file).read_bytes())
@@ -174,7 +200,7 @@ def resolve_eta(config: RunConfig, num_players: int, action_count: int) -> float
         return float(config.eta)
     if rule == "adaptive":
         # Adaptive mode starts at the matching theorem schedule for the dynamics.
-        rule = "theorem-swap" if config.dynamics.startswith("bm") else "theorem-internal"
+        rule = "theorem-swap" if metrics._learner(config.dynamics) is BmOmwu else "theorem-internal"
     log4 = _schedule_log(config.horizon, config.log_base) ** 4
     if rule == "theorem-swap":
         return 1.0 / (config.schedule_constant * num_players * action_count**3 * log4)
@@ -239,8 +265,8 @@ class AdaptiveEtaController:
 
 
 def _build_dynamics(name: str, n: int, eta):
-    optimistic = name != "mwu" and not name.endswith("-mwu")
-    return _LEARNERS[name.split("-")[0]](n, eta, optimistic=optimistic)
+    cls, optimistic = _LEARNERS[name]
+    return cls(n, eta, optimistic=optimistic)
 
 
 @dataclass
@@ -386,23 +412,23 @@ def _first_failures(bad: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _walk(play: Play):
-    """The one walk over a finished play: each block of rounds, in order, checked by the residual
-    gate of its stationary solves (SL's chains rebuilt from the pair masses as rates, BM's from
-    the copy matrices) and against the simplex, is yielded until one fails; :func:`metrics._drive`
-    sends each yielded block to every step of the run's accounting. Both checks run once per
-    group record block, (rounds, members, ...), whose member b is the group's b-th player.
-    After the last block the first failure raises: a failed solve before a strategy off the
-    simplex, then the lowest player, at its earliest round. Else it sets each SL or BM player's
-    worst residual."""
-    trace, family = play.trace, play.trace.dynamics.split("-")[0]
+    """The one walk over a finished play: each block of rounds, in order, checked against the
+    simplex and, for a :class:`~ce_dynamics.omwu.Stationary` learner, by the residual gate of
+    its solves on the chains its class reads off the trace (:meth:`~ce_dynamics.omwu.Stationary.
+    chain`), is yielded until one fails; :func:`metrics._drive` sends each yielded block to every
+    step of the run's accounting. Both checks run once per group record block, (rounds, members,
+    ...), whose member b is the group's b-th player. After the last block the first failure
+    raises: a failed solve before a strategy off the simplex, then the lowest player, at its
+    earliest round. Else, for a stationary learner, it sets each player's worst residual."""
+    trace, cls = play.trace, metrics._learner(play.trace.dynamics)
+    stationary = issubclass(cls, Stationary)
     worst, failed = np.zeros(trace.num_players), {}  # (check, player) -> error; the gate is check 0
     for rounds in _blocks(trace.horizon):
         for group, record in play.records.items():
             x = record["strategies"][rounds]
-            if family in ("sl", "bm"):
-                A = (record["copy_dists"][rounds] if family == "bm"
-                     else _pair_rates(record["pair_dists"][rounds], x.shape[-1]))
-                residual = stationary_residual(A, x)  # (rounds, members)
+            if stationary:
+                residual = stationary_residual(  # (rounds, members)
+                    cls.chain(record[cls.trace_field][rounds], x.shape[-1]), x)
                 for b, k in _first_failures(~(residual <= STATIONARY_RESIDUAL_TOL)):  # NaN too
                     if (0, i := group[b]) not in failed:
                         value = float(residual[k, b])
@@ -420,7 +446,7 @@ def _walk(play: Play):
             yield rounds
     if failed:
         raise failed[min(failed)]
-    play.residuals = worst.tolist() if family in ("sl", "bm") else None
+    play.residuals = worst.tolist() if stationary else None
 
 
 def _summarize(config: RunConfig, play: Play, table: np.ndarray):
@@ -431,13 +457,14 @@ def _summarize(config: RunConfig, play: Play, table: np.ndarray):
     m = game.num_players
     T = trace.horizon
     dense = math.prod(game.action_counts) <= metrics.DENSE_JOINT_MAX_ENTRIES
-    bm = config.dynamics.startswith("bm")
+    cls = metrics._learner(config.dynamics)
+    bm = cls is BmOmwu
     order, rvu, budget = config.smoothness_order, config.rvu_constant, config.variance_budget
     kinds = {key: make for key, value, make in (  # the requested reports, by summary key
         ("smoothness", order, lambda i: _smoothness_steps(trace, i, order, config.smoothness_alpha)),
         ("rvu", rvu, lambda i: _rvu_steps(trace, i, trace.etas[i], rvu)),
         ("variance_check", budget, lambda i: _budget_steps(trace, budget))) if value is not None}
-    inner, steps = metrics._learner(config.dynamics)[1], {}
+    inner, steps = cls.trace_field, {}
     for group, record in play.records.items():
         players = np.array(group)
         steps["regrets", group] = _regret_steps(record["strategies"], record["losses"], table,
@@ -555,18 +582,20 @@ def render_summary(summary: dict) -> bytes:
 
 
 def emit_outputs(result: RunResult, config: RunConfig, out_dir) -> dict:
-    """Write the per-round table, the summary, and optionally the trace. If a write fails, the
-    call leaves nothing: the files and directories it created are removed."""
+    """Write the per-round table, the summary, and optionally the trace. Both texts are rendered
+    before anything is created; if a write fails, the call leaves nothing: the files and
+    directories it created are removed."""
     out = Path(out_dir)
     paths = {"rows": out / f"run.{config.out_format}", "summary": out / "summary.json"}
     paths.update({"trace": out / "trace.npz"} if config.save_trace else {})
     render = render_csv if config.out_format == "csv" else render_rows_json
+    summary, rows = render_summary(result.summary), render(result.table)
     fresh = []  # the files that are new, then the directories that mkdir makes, deepest first
     try:
         fresh = [p for p in (*paths.values(), out, *out.parents) if not p.exists()]
         out.mkdir(parents=True, exist_ok=True)
-        paths["rows"].write_bytes(render(result.table))
-        paths["summary"].write_bytes(render_summary(result.summary))
+        paths["rows"].write_bytes(rows)
+        paths["summary"].write_bytes(summary)
         if config.save_trace:
             result.trace.save(paths["trace"])
     except OSError as exc:

@@ -5,46 +5,26 @@ matrix; the played strategy is that matrix's stationary distribution; copy g
 then receives the round's loss scaled by the probability mass x[g] the fixed
 point placed on it. The n copies are the rows of one (n, n) OMWU state, so a
 round is one row-wise softmax, one fixed-point solve and one outer-product
-update. :class:`BmOmwu` is a :class:`~ce_dynamics.omwu.Composite` over that
-state; its action-space losses lie in [0, 1]. Its public ``next_strategy``
-gates each solve by its residual.
+update. :class:`BmOmwu` is the :class:`~ce_dynamics.omwu.Stationary` learner
+whose chain is that state itself (``diagonal``), and which shares SL's steps
+and residual gate; its action-space losses lie in [0, 1].
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
-from .markov_tree import _gth_solver, check_stationary
-from .omwu import Composite, Omwu
+from .omwu import Composite, Stationary
 
 
-class BmOmwu(Composite):
-    """One player's swap-regret state: the (n, n) copy learner plus the fixed point."""
+class BmOmwu(Stationary):
+    """One player's swap-regret state: the (n, n) copy learner, whose rows are the chain."""
 
-    loss_low, trace_field, inner_span = 0.0, "copy_dists", 1.0
-
-    def __init__(self, n: int, eta: float, optimistic: bool = True):
-        if n < 2:
-            raise ValidationError(f"need at least 2 actions, got {n}")
-        super().__init__(n, Omwu((n, n), eta, optimistic, self.inner_span))
-        self._solve = _gth_solver(n, True, self.learner.members)
+    loss_low, trace_field, inner_span, diagonal = 0.0, "copy_dists", 1.0, True
+    next_strategy, observe = Stationary.next_strategy, Composite.observe
 
     # The copies' last rows and losses: the played matrix, and row g = x[g] * loss.
     last_matrix = property(lambda self: self.learner.last_strategy)
-
-    def next_strategy(self) -> np.ndarray:
-        Q = self.learner.next_strategy()
-        self.last_strategy = check_stationary(Q, self._solve(Q))
-        return self.last_strategy
-
-    def _next_strategy(self, out=None, *inner) -> np.ndarray:
-        """Unchecked :meth:`next_strategy`, computed in round trace rows ``out, inner`` if given."""
-        self.last_strategy = self._solve(self.learner.next_strategy(*inner), out)
-        return self.last_strategy
-
-    def observe(self, loss) -> None:
-        self._update(self._checked(loss))
 
     @staticmethod
     def inner_losses(x: np.ndarray, loss: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from ce_dynamics.metrics import (
 from ce_dynamics.runner import DYNAMICS, RunConfig, run_dynamics
 
 
-def make_trace(strategies_by_player, losses_by_player, dynamics="test"):
+def make_trace(strategies_by_player, losses_by_player, dynamics="omwu"):
     players = [
         PlayerTrace(strategies=np.asarray(xs, dtype=float), losses=np.asarray(ls, dtype=float))
         for xs, ls in zip(strategies_by_player, losses_by_player)
@@ -404,6 +404,23 @@ class TestTraceSerialization:
         del arrays["etas"]
         np.savez(tmp_path / "trace.npz", **arrays)
         with pytest.raises(ValidationError, match="lacks the array etas"):
+            RunTrace.load(tmp_path / "trace.npz")
+
+    def test_an_unknown_dynamics_is_named(self, tmp_path):
+        # Read as omwu's, SL's pair-mass stream would pass for the strategies, silently.
+        arrays = self.saved_arrays(tmp_path, "sl-omwu")
+        arrays["dynamics"] = np.array("sl_omwu")
+        np.savez(tmp_path / "trace.npz", **arrays)
+        with pytest.raises(ValidationError, match="unknown dynamics 'sl_omwu'"):
+            RunTrace.load(tmp_path / "trace.npz")
+
+    @pytest.mark.parametrize("etas", [[0.05], [0.05] * 3, 0.05], ids=["short", "long", "scalar"])
+    def test_etas_off_one_rate_per_player_names_both_shapes(self, tmp_path, etas):
+        arrays = self.saved_arrays(tmp_path)
+        arrays["etas"] = np.array(etas)
+        np.savez(tmp_path / "trace.npz", **arrays)
+        message = f"etas has shape {np.shape(etas)}, expected (2,)"
+        with pytest.raises(DimensionMismatchError, match=re.escape(message)):
             RunTrace.load(tmp_path / "trace.npz")
 
     def test_a_truncated_file_is_named(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ce_dynamics.errors import DimensionMismatchError, ValidationError
 from ce_dynamics.internal_dynamics import ArboDynamics, SlOmwu
-from ce_dynamics.omwu import FLOOR_FREE_SPREAD, Omwu
+from ce_dynamics.omwu import FLOOR_FREE_SPREAD, Composite, Omwu
 from ce_dynamics.runner import DYNAMICS, _build_dynamics
 from ce_dynamics.swap_dynamics import BmOmwu
 
@@ -77,12 +77,33 @@ class TestObserve:
             plain.observe(loss)
         np.testing.assert_allclose(opt.next_strategy(), plain.next_strategy(), atol=1e-15)
 
-    def test_rejects_bad_input(self):
-        learner = Omwu(2, eta=0.1)
-        with pytest.raises(DimensionMismatchError):
-            learner.observe(np.zeros(3))
-        with pytest.raises(ValidationError):
-            learner.observe(np.array([np.nan, 0.0]))
+    @pytest.mark.parametrize("eta", [0.1, np.array([0.1, 0.2])], ids=["one", "two-members"])
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_rejects_bad_input(self, dynamics, eta):
+        # Every learner's feedback check is one function; a refused loss changes no state.
+        dyn = _build_dynamics(dynamics, 3, eta)
+        shape = (*np.shape(eta), 3)
+        if isinstance(dyn, Composite):
+            with pytest.raises(ValidationError, match="observe called before next_strategy"):
+                dyn.observe(np.zeros(shape))
+        dyn.next_strategy()
+        dyn.observe(np.full(shape, 0.5))
+        learner = dyn.learner
+        state = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in vars(learner).items()}
+        nan = np.full(shape, 0.5)
+        nan[..., 1] = np.nan
+        bad = [(DimensionMismatchError, "loss has shape", np.zeros((*shape[:-1], 4))),
+               (DimensionMismatchError, "loss has shape", np.zeros((3, 3, 3))),
+               (ValidationError, "non-finite", nan)]
+        if isinstance(dyn, Composite):
+            bad += [(ValidationError, "must lie in", np.full(shape, 1.1)),
+                    (ValidationError, "must lie in", np.full(shape, dyn.loss_low - 0.1))]
+        for error, message, loss in bad:
+            with pytest.raises(error, match=message):
+                dyn.observe(loss)
+            assert vars(learner).keys() == state.keys()
+            for key, value in vars(learner).items():
+                assert np.array_equal(value, state[key], equal_nan=True), key
 
     def test_copies_its_input(self):
         learner = Omwu(3, eta=0.1)

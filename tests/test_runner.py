@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ce_dynamics import games, internal_dynamics, metrics, runner, swap_dynamics
+from ce_dynamics import games, internal_dynamics, metrics, omwu, runner
 from ce_dynamics.cli import main
 from ce_dynamics.diagnostics import check_variance_inequality, rvu_check, smoothness_report, variance
 from ce_dynamics.errors import StationaryResidualError, ValidationError
@@ -48,9 +48,10 @@ def small_config(**overrides):
 
 
 class TestConfigValidation:
-    def test_unknown_dynamics(self):
-        with pytest.raises(ValidationError):
-            small_config(dynamics="follow-the-leader").validate()
+    @pytest.mark.parametrize("dynamics", ["follow-the-leader", "sl_omwu", ["sl-omwu"]])
+    def test_unknown_dynamics(self, dynamics):
+        with pytest.raises(ValidationError, match="unknown dynamics"):
+            small_config(dynamics=dynamics).validate()
 
     def test_fixed_rule_needs_eta(self):
         with pytest.raises(ValidationError):
@@ -107,6 +108,28 @@ class TestConfigValidation:
     def test_rejects_non_finite_or_out_of_range_numbers(self, overrides):
         with pytest.raises(ValidationError):
             small_config(**overrides).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 10.5), ("horizon", True), ("game_seed", 1.5), ("players", 2.0),
+        ("smoothness_order", 2.5), ("eta", "0.1"), ("schedule_constant", "1"),
+        ("smoothness_alpha", "0.5"), ("rvu_constant", [1.0]), ("variance_budget", "1"),
+        ("adaptive_budget", None), ("action_counts", (3, 3.5)), ("action_counts", 3),
+    ], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+    def test_a_number_of_the_wrong_type_is_named(self, field, value):
+        # Each raised a bare TypeError deep in the run, or played on a rounded value.
+        with pytest.raises(ValidationError,
+                           match=f"^{field}.* must be (an integer|a real number|a sequence)"):
+            run_dynamics(small_config(**{field: value}))
+
+    def test_numpy_numbers_reach_the_echo_as_plain_numbers(self, tmp_path):
+        cfg = small_config(dynamics="bm-omwu", horizon=np.int64(40), eta=np.float64(0.05),
+                           game_seed=np.uint64(1), action_counts=np.array([3, 3]))
+        paths = emit_outputs(run_dynamics(cfg), cfg, tmp_path / "run")
+        echo = cfg.echo()
+        assert [type(echo[k]) for k in ("horizon", "eta", "game_seed")] == [int, float, int]
+        assert echo["action_counts"] == (3, 3) and type(echo["action_counts"][0]) is int
+        doc = json.loads(open(paths["summary"], "rb").read())
+        assert doc["config"]["horizon"] == doc["final"]["horizon"] == 40
 
     def test_zero_adaptive_budget_accepted(self):
         small_config(eta_rule="adaptive", eta=None, adaptive_budget=0.0).validate()
@@ -835,7 +858,7 @@ class TestUncheckedFeedback:
 
         monkeypatch.setattr(games, "check_profile", refuse)
         monkeypatch.setattr(runner, "expected_loss", refuse)
-        monkeypatch.setattr(Composite, "_checked", refuse)
+        monkeypatch.setattr(omwu, "_checked", refuse)
         monkeypatch.setattr(Omwu, "observe", refuse)
 
     @pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu", "arbo"])
@@ -912,19 +935,16 @@ class TestStrategyCheck:
             run_dynamics(small_config(dynamics=dynamics, horizon=400))
 
 
-# The module whose ``_gth_solver`` binds each stationary learner's unchecked solve.
-SOLVES = {"sl": internal_dynamics, "bm": swap_dynamics}
-
-
-def patch_solves(monkeypatch, module, fault):
-    """Every solve that ``module``'s learners bind from now on passes its pi through ``fault``."""
-    bind = module._gth_solver
+def patch_solves(monkeypatch, fault):
+    """Every solve that a stationary learner binds from now on, by ``omwu._gth_solver``, passes
+    its pi through ``fault``."""
+    bind = omwu._gth_solver
 
     def bind_faulty(*args):
         solve = bind(*args)
         return lambda R, out=None: fault(solve(R, out))  # the round's pi, in its trace rows
 
-    monkeypatch.setattr(module, "_gth_solver", bind_faulty)
+    monkeypatch.setattr(omwu, "_gth_solver", bind_faulty)
 
 
 class TestStationaryGate:
@@ -945,7 +965,7 @@ class TestStationaryGate:
                     pi[1] = scale * np.eye(pi.shape[-1])[0]  # finite, and not stationary
                 return pi
 
-            patch_solves(monkeypatch, SOLVES["bm" if dynamics.startswith("bm") else "sl"], faulty)
+            patch_solves(monkeypatch, faulty)
 
         return install
 
@@ -987,7 +1007,7 @@ class TestStationaryGate:
                 pi[player] = np.eye(pi.shape[-1])[0]  # on the simplex, not stationary
             return pi
 
-        patch_solves(monkeypatch, SOLVES[dynamics[:2]], faulty)
+        patch_solves(monkeypatch, faulty)
         with pytest.raises(StationaryResidualError, match="player 0 at round 600 failed"):
             run_dynamics(small_config(dynamics=dynamics, horizon=700))
 
@@ -1007,7 +1027,7 @@ class TestStationaryGate:
                 pi[0] = np.eye(pi.shape[-1])[0]
             return pi
 
-        patch_solves(monkeypatch, SOLVES[dynamics[:2]], faulty)
+        patch_solves(monkeypatch, faulty)
         with pytest.raises(StationaryResidualError, match="player 0 at round 300 failed"):
             run_dynamics(small_config(dynamics=dynamics, horizon=300))
         out = tmp_path / "run"
@@ -1038,16 +1058,14 @@ class TestStationaryGate:
                 pi[1, :2] += [1e-6, -1e-6]  # still on the simplex, off the fixed point by 1e-6
             return pi
 
-        patch_solves(monkeypatch, internal_dynamics, off)
+        patch_solves(monkeypatch, off)
         with pytest.raises(StationaryResidualError,
                            match=f"player 1 at round {round_index} failed: residual"):
             verify_equivalence(random_game(2, (3, 3), seed=0), eta=0.05, horizon=self.HORIZON)
 
-    @pytest.mark.parametrize(
-        "learner, module", [(SlOmwu, internal_dynamics), (BmOmwu, swap_dynamics)]
-    )
-    def test_public_next_strategy_gates_every_call(self, monkeypatch, learner, module):
-        monkeypatch.setattr(module, "_gth_solver", lambda *args: lambda R, out=None: np.eye(3)[0])
+    @pytest.mark.parametrize("learner", [SlOmwu, BmOmwu])
+    def test_public_next_strategy_gates_every_call(self, monkeypatch, learner):
+        monkeypatch.setattr(omwu, "_gth_solver", lambda *args: lambda R, out=None: np.eye(3)[0])
         dyn = learner(3, 0.05)
         with pytest.raises(StationaryResidualError, match="stationary solve failed"):
             dyn.next_strategy()
@@ -1076,7 +1094,7 @@ class TestInterleavedGroupPrecedence:
                     pi[cls.MEMBERS[player][1]] = np.eye(n)[0]
             return pi
 
-        patch_solves(monkeypatch, SOLVES[dynamics[:2]], faulty)
+        patch_solves(monkeypatch, faulty)
 
     @staticmethod
     def config(dynamics):
@@ -1196,6 +1214,15 @@ class TestOutputs:
         paths = emit_outputs(result, cfg, tmp_path / "t")
         again = RunTrace.load(paths["trace"])
         assert internal_regret(again, 0) == internal_regret(result.trace, 0)
+
+    def test_a_summary_that_cannot_render_leaves_nothing(self, tmp_path):
+        # Both texts are rendered before any file or directory is made.
+        cfg = small_config(horizon=4)
+        result = run_dynamics(cfg)
+        result.summary["final"]["horizon"] = np.int64(4)  # json cannot encode it
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            emit_outputs(result, cfg, tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
 
     def test_csv_matches_csv_writer(self):
         # Every field is an int or a float, so the plain join gives csv.writer's bytes.

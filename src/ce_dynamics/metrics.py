@@ -5,8 +5,9 @@ strategies, expected-loss vectors, and (for SL, BM and arbo) the inner distribut
 :func:`inner_stream` reads a run's inner stream from them. Traces serialize to ``.npz``
 with bit-exact float64 arrays, one per :class:`RunTrace` field but ``players``, then
 ``p{i}_<field>`` per set :class:`PlayerTrace` field of player i, in field order, so every
-regret recomputes identically from a reloaded trace. SL's pair losses, the inner stream's
-z, are written from the stream: a played trace does not hold them.
+regret recomputes identically from a reloaded trace. :meth:`RunTrace.save` writes np.savez's
+bytes block by block; SL's pair losses, the inner stream's z, are computed per block as they
+are written: a played trace does not hold them.
 
 Each quantity over a finished trace is one block step: a generator sent each block of rounds in
 turn, whose carry goes from block to block: the running pair sums P[j, k] = sum_t x_t[j]
@@ -22,8 +23,9 @@ per-dynamics question (trace field, inner losses, ...), and whether it is optimi
 
 from __future__ import annotations
 
+import os
 import zipfile
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from functools import reduce
 
 import numpy as np
@@ -73,14 +75,32 @@ class RunTrace:
         return len(self.action_counts)
 
     def save(self, path) -> None:
-        arrays = {f.name: np.array(getattr(self, f.name)) for f in fields(self) if f.name != "players"}
-        for i, pt in enumerate(self.players):
-            if pt.pair_dists is not None and pt.pair_losses is None:  # SL's, from the stream's z
-                pt = replace(pt, pair_losses=inner_stream(self, i)[1][:, 0])
-            for f in fields(pt):
-                if (value := getattr(pt, f.name)) is not None:
-                    arrays[f"p{i}_{f.name}"] = value
-        np.savez(path, **arrays)
+        """Writes the bytes of ``np.savez(path, **arrays)``, member by member: each header field,
+        then each player's set fields as ``p{i}_<field>``, each player array's C-ordered rows
+        block by block, so the call holds one block above the trace. SL's pair losses, which a
+        played trace does not hold, are its learner's ``inner_losses`` of each block, the inner
+        stream's z. As with np.savez, a path without ``.npz`` gets the suffix and a file object
+        is written as it is."""
+        if not hasattr(path, "write"):
+            path = os.fspath(path)
+            path += "" if path.endswith(".npz") else ".npz"
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+            for f in fields(self):
+                if f.name != "players":
+                    value = np.array(getattr(self, f.name))
+                    _write_npy(archive, f.name, value, [value])
+            for i, pt in enumerate(self.players):
+                for f in fields(pt):
+                    if (value := getattr(pt, f.name)) is not None:
+                        value = np.asarray(value)
+                        blocks = (value[b] for b in _blocks(len(value)))
+                    elif f.name == "pair_losses" and pt.pair_dists is not None:  # SL's z
+                        value, z = pt.pair_dists, _learner(self.dynamics).inner_losses
+                        blocks = (z(pt.strategies[b], pt.losses[b]).reshape(value[b].shape)
+                                  for b in _blocks(len(value)))
+                    else:
+                        continue
+                    _write_npy(archive, f"p{i}_{f.name}", value, blocks)
 
     @classmethod
     def load(cls, path) -> "RunTrace":
@@ -118,6 +138,17 @@ class RunTrace:
         return trace
 
 
+def _write_npy(archive: zipfile.ZipFile, name: str, like: np.ndarray, blocks) -> None:
+    """Writes ``name.npy`` into ``archive`` as np.savez does: numpy's format header of a C-ordered
+    array of ``like``'s shape and dtype, then the C-ordered bytes of each of ``blocks`` in turn."""
+    header = {"descr": np.lib.format.dtype_to_descr(like.dtype), "fortran_order": False,
+              "shape": like.shape}
+    with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+        np.lib.format.write_array_header_1_0(member, header)
+        for block in blocks:
+            member.write(np.ascontiguousarray(block))
+
+
 def _blocks(horizon: int) -> list[slice]:
     """A run's rounds in order, as slices of at most ``REGRET_CHUNK_ROUNDS`` rounds."""
     size = REGRET_CHUNK_ROUNDS
@@ -137,22 +168,28 @@ def _regret_steps(strategies, losses, out, *columns):
     """Fills ``out[rounds, *columns]``, (rounds, members, 3), by block of rounds sent, with each
     member's running external, raw internal and swap regret from its group's (T, members, n)
     records, then yields ``out``. They are read off the running pair sums
-    P[t, j, k] = sum_{s <= t} x_s[j] (loss_s[j] - loss_s[k]): external max_k sum_j P[j, k], raw
+    P[j, k, t] = sum_{s <= t} x_s[j] (loss_s[j] - loss_s[k]): external max_k sum_j P[j, k], raw
     internal max_{j != k} P[j, k], swap sum_j max_k P[j, k]. The per-member carry is folded into
     each block's first round before the cumsum: each entry is a sequential sum.
     """
     carry = 0.0
     while (rounds := (yield)) is not None:
-        x, loss = strategies[rounds], losses[rounds]
-        P = x[..., :, None] * (loss[..., :, None] - loss[..., None, :])
-        P[0] += carry
-        carry = np.cumsum(P, axis=0, out=P)[-1]
-        # Sums (left to right, as P.sum(axis=2) adds) and maxima over the short action axes are
-        # elementwise over the rounds and members: the same bits, and cheaper.
-        out[(rounds, *columns)] = np.stack([
-            reduce(np.maximum, reduce(np.add, P.transpose(2, 0, 1, 3)).transpose(2, 0, 1)),
-            P[:, :, ~np.eye(x.shape[-1], dtype=bool)].max(axis=2),
-            reduce(np.maximum, P.transpose(3, 0, 1, 2)).sum(axis=2)], axis=2)
+        x, loss = strategies[rounds].transpose(2, 0, 1), losses[rounds].transpose(2, 0, 1)
+        n = len(x)
+        # P is laid out (j, k, rounds, members), so every reduction over j or k below is an
+        # elementwise ufunc over whole (rounds, members) slabs: the same bits, and cheaper.
+        P = np.subtract(loss[:, None], loss[None, :], out=np.empty((n, n, *x.shape[1:])))
+        np.multiply(x[:, None], P, out=P)
+        P[:, :, 0] += carry
+        np.cumsum(P, axis=2, out=P)
+        carry = P[:, :, -1].copy()  # a copy: the raw maximum below overwrites P's diagonal
+        external = reduce(np.maximum, reduce(np.add, P))  # j's sums left to right
+        # The sum over j is .sum(axis=2) of a C-contiguous (rounds, members, n) array, in numpy's
+        # pairwise order, whose bits the golden digests pin.
+        swap = np.ascontiguousarray(P.max(axis=1).transpose(1, 2, 0)).sum(axis=2)
+        pairs = P.reshape(n * n, *x.shape[1:])
+        pairs[:: n + 1] = -np.inf  # raw internal: the max over j != k, with no gather
+        out[(rounds, *columns)] = np.stack([external, pairs.max(axis=0), swap], axis=2)
     yield out
 
 

@@ -26,18 +26,19 @@ blocks: per group, the round table's regret and ratio columns of its players (:m
 read from its record blocks; the average product distribution; and the reports
 (:mod:`diagnostics`), which read each player's inner stream once per block. It fills the
 table's other columns itself, and BM's loss-decomposition residual once per group record
-block. The (T, m, 7) round table is kept on the result;
-:func:`render_csv` renders it by block and column, each distinct number once. Up to
-``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the average product
-distribution and is checked against max internal regret / T; above, it is that ratio and
-its identity residual is null. Outputs are deterministic given the configuration.
+block. The (T, m, 7) round table is kept on the result; :func:`emit_outputs` renders it
+straight into its file by block of rounds and column, each distinct number once, and writes
+the trace archive by block too. Up to ``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE
+gap comes from the average product distribution and is checked against max internal regret / T;
+above, it is that ratio and its identity residual is null. Outputs are deterministic given the
+configuration.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -119,7 +120,8 @@ class RunConfig:
 
     def validate(self) -> None:
         """Refuse a bad field with :class:`ValidationError` naming it. A numpy number becomes the
-        plain int or float it holds, and ``action_counts`` a tuple: what the echo writes."""
+        plain int or float it holds, ``action_counts`` a tuple and a path-like ``game_file`` its
+        string: what the echo writes."""
         metrics._learner(self.dynamics)  # an unknown name raises
         for f in fields(self):
             value = getattr(self, f.name)
@@ -165,6 +167,10 @@ class RunConfig:
             raise ValidationError(f"format must be 'csv' or 'json', got {self.out_format!r}")
         if self.game_file is None and (self.players is None or self.action_counts is None):
             raise ValidationError("need either a game file or players + action counts")
+        if isinstance(self.game_file, os.PathLike):
+            self.game_file = os.fspath(self.game_file)  # the echo writes the path as a string
+        if not isinstance(self.game_file, (type(None), str)):
+            raise ValidationError(f"game_file must be a path, got {self.game_file!r}")
 
     def echo(self) -> dict:
         """Config as emitted into the summary; output options excluded."""
@@ -183,8 +189,14 @@ def _number(name: str, value, types):
 
 
 def load_config_game(config: RunConfig) -> Game:
+    """The configured game: its file's, read as :func:`load_game`, or the seeded random game. A
+    file that cannot be read raises :class:`ValidationError` naming its path."""
     if config.game_file is not None:
-        return load_game(Path(config.game_file).read_bytes())
+        try:
+            data = Path(config.game_file).read_bytes()
+        except OSError as exc:
+            raise ValidationError(f"cannot read game file {config.game_file}: {exc}") from exc
+        return load_game(data)
     return random_game(config.players, config.action_counts, config.game_seed)
 
 
@@ -534,47 +546,63 @@ def _summarize(config: RunConfig, play: Play, table: np.ndarray):
 def _reprs(values: np.ndarray) -> np.ndarray:
     """repr of each float, once per run of one float in C order; signed zeros and NaNs differ."""
     flat = values.ravel()
-    new = np.r_[True, (flat[1:] != flat[:-1]) | (np.signbit(flat[1:]) != np.signbit(flat[:-1]))]
+    new = np.concatenate([[True], (flat[1:] != flat[:-1])
+                          | (np.signbit(flat[1:]) != np.signbit(flat[:-1]))])
     text = np.array(list(map(repr, flat[new].tolist())), dtype=object)
     return text[np.cumsum(new) - 1].reshape(values.shape)
 
 
 def _text_blocks(table: np.ndarray):
-    """Each block of rounds of the (T, m, 7) round table, with a row of 9 strings per (round,
-    player): ``repr`` of ``t, player, *table[t - 1, player]``, each distinct number once."""
-    rounds = np.array(list(map(repr, range(1, len(table) + 1))), dtype=object)[:, None]
+    """Each block of ``REGRET_CHUNK_ROUNDS`` rounds of the (T, m, 7) round table, with a row of 9
+    strings per (round, player): ``repr`` of ``t, player, *table[t - 1, player]``. Within a block
+    each distinct number is repr'd once per run of equal neighbours: the regret columns are read
+    in the order external, swap, raw, clamped, so a swap regret equal to the external one, and a
+    clamped one equal to the raw one, follows it."""
     for s in range(0, len(table), REGRET_CHUNK_ROUNDS):
         block = table[s : s + REGRET_CHUNK_ROUNDS]
         text = np.empty((*block.shape[:2], 9), dtype=object)
-        text[..., 0] = rounds[s : s + REGRET_CHUNK_ROUNDS]
+        text[..., 0] = np.array(list(map(repr, range(s + 1, s + len(block) + 1))),
+                                dtype=object)[:, None]
         text[..., 1] = list(map(repr, range(block.shape[1])))
-        text[..., 2:6] = _reprs(block[..., :4])  # clamped reuses raw's string where they agree
+        text[..., [2, 5, 3, 4]] = _reprs(block[..., [0, 3, 1, 2]])
         text[..., 6] = _reprs(block[..., 4])  # a round's players share one running CE gap
         # eta and the running max ratio, once per change along each player's rounds
         text[..., 7:] = _reprs(block[..., 5:].transpose(1, 2, 0)).transpose(2, 0, 1)
         yield block, text.reshape(-1, 9)
 
 
+def _csv_chunks(table: np.ndarray):
+    """The bytes of :func:`render_csv`, one chunk for the header, then one per block of rounds."""
+    yield (",".join(CSV_COLUMNS) + "\n").encode("ascii")
+    for _, text in _text_blocks(table):
+        yield "\n".join([*map(",".join, text.tolist()), ""]).encode("ascii")
+
+
+def _rows_json_chunks(table: np.ndarray):
+    """The bytes of :func:`render_rows_json`: ``[``, each block of rounds' rows, after a ``,``
+    from the second block on, then ``]`` and a newline."""
+    row = "{{" + ",".join(f'"{k}":{{{CSV_COLUMNS.index(k)}}}' for k in sorted(CSV_COLUMNS)) + "}}"
+    specials, sep = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}, ""
+    yield b"["
+    for block, text in _text_blocks(table):
+        bad = ~np.isfinite(block.reshape(-1, 7))
+        text[:, 2:][bad] = [specials[s] for s in text[:, 2:][bad].tolist()]
+        yield (sep + ",".join([row.format(*r) for r in text.tolist()])).encode("ascii")
+        sep = ","
+    yield b"]\n"
+
+
 def render_csv(table: np.ndarray) -> bytes:
     """The (T, m, 7) round table as CSV: ``",".join(map(repr, (t, player, *table[t - 1, player])))``
-    per row, ``csv.writer``'s bytes, rendered by block and column."""
-    buf = io.BytesIO()
-    buf.write((",".join(CSV_COLUMNS) + "\n").encode("ascii"))
-    for _, text in _text_blocks(table):
-        buf.write("\n".join([*map(",".join, text.tolist()), ""]).encode("ascii"))
-    return buf.getvalue()
+    per row, ``csv.writer``'s bytes, rendered by block and column (:func:`_csv_chunks`)."""
+    return b"".join(_csv_chunks(table))
 
 
 def render_rows_json(table: np.ndarray) -> bytes:
     """The round table as compact ``json.dumps`` of its rows, each a dict keyed by CSV column,
-    keys sorted: the CSV's strings by block, with json's tokens for NaN and the infinities."""
-    row = "{{" + ",".join(f'"{k}":{{{CSV_COLUMNS.index(k)}}}' for k in sorted(CSV_COLUMNS)) + "}}"
-    specials, blocks = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}, []
-    for block, text in _text_blocks(table):
-        bad = ~np.isfinite(block.reshape(-1, 7))
-        text[:, 2:][bad] = [specials[s] for s in text[:, 2:][bad].tolist()]
-        blocks.append(",".join([row.format(*r) for r in text.tolist()]))
-    return ("[" + ",".join(blocks) + "]\n").encode("ascii")
+    keys sorted: the CSV's strings by block, with json's tokens for NaN and the infinities
+    (:func:`_rows_json_chunks`)."""
+    return b"".join(_rows_json_chunks(table))
 
 
 def render_summary(summary: dict) -> bytes:
@@ -582,27 +610,34 @@ def render_summary(summary: dict) -> bytes:
 
 
 def emit_outputs(result: RunResult, config: RunConfig, out_dir) -> dict:
-    """Write the per-round table, the summary, and optionally the trace. Both texts are rendered
-    before anything is created; if a write fails, the call leaves nothing: the files and
-    directories it created are removed."""
+    """Write the per-round table, the summary, and optionally the trace. The summary is rendered
+    before anything is created; the rows are then rendered and written one block of rounds at a
+    time, and the trace member by member and block by block (:meth:`RunTrace.save`), so the call
+    holds O(block) memory above the finished run. If anything fails, the call leaves nothing: the
+    files and directories it created are removed; a failed write raises
+    :class:`ValidationError`."""
     out = Path(out_dir)
     paths = {"rows": out / f"run.{config.out_format}", "summary": out / "summary.json"}
     paths.update({"trace": out / "trace.npz"} if config.save_trace else {})
-    render = render_csv if config.out_format == "csv" else render_rows_json
-    summary, rows = render_summary(result.summary), render(result.table)
+    chunks = _csv_chunks if config.out_format == "csv" else _rows_json_chunks
+    summary = render_summary(result.summary)
     fresh = []  # the files that are new, then the directories that mkdir makes, deepest first
     try:
         fresh = [p for p in (*paths.values(), out, *out.parents) if not p.exists()]
         out.mkdir(parents=True, exist_ok=True)
-        paths["rows"].write_bytes(rows)
+        with paths["rows"].open("wb") as file:
+            file.writelines(chunks(result.table))
         paths["summary"].write_bytes(summary)
         if config.save_trace:
-            result.trace.save(paths["trace"])
-    except OSError as exc:
+            with paths["trace"].open("wb") as file:
+                result.trace.save(file)
+    except BaseException as exc:
         for path in filter(Path.exists, fresh):
             if path.is_dir():
                 path.rmdir()
             else:
                 path.unlink()
-        raise ValidationError(f"cannot write outputs under {out}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise ValidationError(f"cannot write outputs under {out}: {exc}") from exc
+        raise
     return {k: str(v) for k, v in paths.items()}

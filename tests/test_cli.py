@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import warnings
@@ -529,22 +530,43 @@ def test_run_that_cannot_write_its_summary_leaves_no_file_it_made(game_file, tmp
     assert not any((out / "summary.json").iterdir())
 
 
-@pytest.mark.parametrize("fail_on", ["run.csv", "summary.json"])
-def test_run_write_that_fails_midway_removes_what_it_made(game_file, tmp_path, monkeypatch, fail_on):
-    """A write that creates its file and then fails (a full disk) leaves no file, and no
-    directory that the call made, behind."""
-    write_bytes = Path.write_bytes
+class FullDisk(io.BufferedWriter):
+    """A file on a disk that fills up: the first write once the file holds ``room`` bytes fails."""
 
-    def cut_short(path, data):
-        if path.name == fail_on:
-            write_bytes(path, data[:10])
+    room = held = 0
+
+    def write(self, data):
+        if self.tell() >= self.room:
+            self.held = self.tell()
             raise OSError(28, "No space left on device")
-        return write_bytes(path, data)
+        return super().write(data)
 
-    monkeypatch.setattr(Path, "write_bytes", cut_short)
-    argv = ["run", "--game", game_file, "--horizon", "10", "--eta", "0.05", "--save-trace",
-            "--out", str(tmp_path / "a" / "b")]
+
+# Rows and archive are written a block of 256 rounds at a time: at 300 rounds the disk fills
+# after the first block of rows (each block of run.csv is more than 4 KB), or of the first
+# player's strategies in trace.npz (256 rows of 3 floats after about 1 KB of header members).
+@pytest.mark.parametrize("fail_on, room, fmt", [
+    ("run.csv", 4096, "csv"), ("run.json", 4096, "json"), ("summary.json", 0, "csv"),
+    ("trace.npz", 4096, "csv")], ids=["run.csv", "run.json", "summary.json", "trace.npz"])
+def test_run_write_that_fails_midway_removes_what_it_made(game_file, tmp_path, monkeypatch,
+                                                           fail_on, room, fmt):
+    """A write that fails part-way through its file (a full disk), after the file was created and
+    a first block written, leaves no file, and no directory that the call made, behind."""
+    opened, path_open = [], Path.open
+
+    def open_on_full_disk(path, mode="r", *args, **kwargs):
+        if path.name != fail_on:
+            return path_open(path, mode, *args, **kwargs)
+        opened.append(FullDisk(io.FileIO(path, "w")))
+        opened[-1].room = room
+        return opened[-1]
+
+    monkeypatch.setattr(Path, "open", open_on_full_disk)
+    argv = ["run", "--game", game_file, "--horizon", "300", "--eta", "0.05", "--save-trace",
+            "--format", fmt, "--out", str(tmp_path / "a" / "b")]
     assert main(argv) == 2
+    (full,) = opened
+    assert full.closed and full.held >= (0 if fail_on == "summary.json" else 256 * 3 * 8)
     assert [p.name for p in tmp_path.iterdir()] == ["game.json"]
 
 

@@ -12,9 +12,10 @@ player's contraction of the opponents' round-t strategy rows its loss row
 (:func:`games._contraction`), then each group's unchecked ``_update`` reads its loss rows:
 game losses in [0, 1], which leave each softmax's max-shift and floor off while they cannot
 bind (:class:`omwu.Omwu`, per member since its reset).
-Adaptive controllers scan each block of ``REGRET_CHUNK_ROUNDS`` inner-stream rounds; at
-a block's first breach the learners are restored to the block's start and replayed up
-to that round, where each breaching player's member is reset alone. The play keeps each
+Adaptive controllers whose budget can bind within the horizon scan each block of
+``REGRET_CHUNK_ROUNDS`` inner-stream rounds; at a block's first breach the learners are restored
+to the block's start and replayed up to that round, where each breaching player's member is
+reset alone. The others are never scanned. The play keeps each
 group's records (:attr:`Play.records`). After the loop, :func:`_walk` owns the one sequence
 of blocks over the finished trace: it gates every stationary solve by its residual and
 checks every strategy against the simplex, once per group record block, (rounds, members,
@@ -74,7 +75,7 @@ from .metrics import (
     ce_gap,
     inner_stream,
 )
-from .omwu import Stationary
+from .omwu import Omwu, Stationary
 from .swap_dynamics import BmOmwu, decomposition_residuals
 
 DYNAMICS = tuple(_LEARNERS)
@@ -231,14 +232,21 @@ class AdaptiveEtaController:
     Var_q(z_{t-1}) (:func:`running_variance_sums`); a round where the first
     exceeds half the second plus budget_constant * ceil(log2 T)^5 switches.
 
+    ``round_ceiling`` bounds what one round adds to the first sum. The controller is
+    :attr:`live` only if T rounds of it exceed the allowance: else the first sum stays within
+    the allowance, the second is non-negative, and no round of the run can breach, so the run
+    never scans it. Without a ceiling it is live.
+
     :meth:`scan` finds a block of rounds' first breach and folds nothing in;
     :meth:`advance` folds the block in up to a round. :meth:`update` is the
     one-round case.
     """
 
-    def __init__(self, horizon: int, dim: int, budget_constant: float):
+    def __init__(self, horizon: int, dim: int, budget_constant: float,
+                 round_ceiling: float = math.inf):
         self.depth = budget_depth(horizon)
         self.allowance = budget_constant * self.depth**5
+        self.live = horizon * round_ceiling > self.allowance
         self.eta_adversarial = adversarial_eta(dim, horizon)
         self.lhs = 0.0
         self.prev_variance_sum = 0.0
@@ -274,6 +282,14 @@ class AdaptiveEtaController:
         fired = self.scan(round_index, q_rows[None], z_rows[None]) is not None
         self.advance(round_index, fired)
         return fired
+
+
+def _round_ceiling(learner: Omwu) -> float:
+    """The most one round of self-play adds to a member's sum of Var_q(z_t - z_{t-1}): rows
+    (2 inner_span)^2. Game losses in [0, 1] keep its inner losses, (rows, dim), in a range of
+    width ``inner_span`` that holds 0, so each difference and its q-mean lie within inner_span
+    of 0, and each row's variance within (2 inner_span)^2, 4x Popoviciu's bound."""
+    return math.prod(learner.shape[len(learner.members) : -1]) * (2.0 * learner.inner_span) ** 2
 
 
 def _build_dynamics(name: str, n: int, eta):
@@ -334,7 +350,11 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
 
 def _play(config: RunConfig, game: Game | None) -> Play:
     """A run's play, unchecked: the round loop, with its adaptive controllers' replays. Every
-    group steps into its round-t strategy and ``trace_field`` rows, the same rows for omwu."""
+    group steps into its round-t strategy and ``trace_field`` rows, the same rows for omwu.
+
+    Only a :attr:`~AdaptiveEtaController.live` controller is kept: while one has not switched,
+    each block is snapshotted, played and scanned; a controller that cannot breach within T is
+    never scanned, and with none left to scan the rest of the run is the fixed-rate loop."""
     config.validate()
     if game is None:
         game = load_config_game(config)
@@ -354,9 +374,13 @@ def _play(config: RunConfig, game: Game | None) -> Play:
     groups = player_groups(counts)
     slots = sorted((i, g, b) for g, group in enumerate(groups) for b, i in enumerate(group))
     dyns = [_build_dynamics(config.dynamics, counts[g[0]], np.take(etas, g)) for g in groups]
-    controllers = [
-        AdaptiveEtaController(T, dyns[g].inner_dim, config.adaptive_budget) for _, g, _ in slots
-    ] if config.eta_rule == "adaptive" else None
+    controllers = {}  # player -> its live controller; the others cannot breach within T
+    for i, g, _ in slots if config.eta_rule == "adaptive" else ():
+        learner = dyns[g].learner
+        controller = AdaptiveEtaController(T, learner.inner_dim, config.adaptive_budget,
+                                           _round_ceiling(learner))
+        if controller.live:
+            controllers[i] = controller
 
     field = dyns[0].trace_field  # the inner distributions' trace record: omwu's, the strategies
     # Each record is round-major, (T, members, ...): the round computes in a group's round-t rows,
@@ -387,34 +411,41 @@ def _play(config: RunConfig, game: Game | None) -> Play:
                 update(losses[t])
 
     done = 0  # rounds played so far
-    while done < T:
+    while done < T and not all(c.switched for c in controllers.values()):
         block = range(done, min(done + REGRET_CHUNK_ROUNDS, T))
-        # A step replaces every learner array it changes, so copies of the attributes restore it.
-        if controllers:  # only a controller's breach replays a block from its start
-            start = [(o, vars(o).copy()) for d in dyns for o in {d, d.learner}]
+        restore = _snapshot(dyns)  # only a controller's breach replays a block from its start
         play(block)
-        done = block.stop
-        if controllers is None:
-            continue
-        breaches = {}  # player -> round of the first breach in the block, or None
-        rounds = slice(block.start, done)
-        for i, controller in enumerate(controllers):
-            if not controller.switched:
-                breaches[i] = controller.scan(block.start + 1, *inner_stream(trace, i, rounds))
-        done = min((r for r in breaches.values() if r is not None), default=done)
+        rounds = slice(block.start, block.stop)
+        breaches = {  # player -> round of the first breach in the block, or None
+            i: c.scan(block.start + 1, *inner_stream(trace, i, rounds))
+            for i, c in controllers.items() if not c.switched
+        }
+        done = min((r for r in breaches.values() if r is not None), default=block.stop)
         if done < block.stop:  # replay the block from its start up to the first switch
-            for obj, attrs in start:
-                vars(obj).update(attrs)
+            restore()
             play(range(block.start, done))
         for i, g, b in slots:
             if i in breaches:
                 controllers[i].advance(done, breaches[i] == done)
                 if breaches[i] == done:
                     dyns[g].reset(controllers[i].eta_adversarial, b)
+    play(range(done, T))  # no controller left to scan: the fixed-rate loop
 
-    switch_rounds = [c.switch_round for c in controllers] if controllers else [None] * m
+    switch_rounds = [controllers[i].switch_round if i in controllers else None for i in range(m)]
     eta_final = [float(dyns[g].eta[b]) for _, g, b in slots]
     return Play(trace, game, switch_rounds, eta_final, None, dict(zip(map(tuple, groups), records)))
+
+
+def _snapshot(dyns):
+    """Restores every learner of ``dyns`` to now: a step replaces every learner array it changes,
+    so copies of the attributes restore it."""
+    start = [(o, vars(o).copy()) for d in dyns for o in {d, d.learner}]
+
+    def restore() -> None:
+        for obj, attrs in start:
+            vars(obj).update(attrs)
+
+    return restore
 
 
 def _first_failures(bad: np.ndarray) -> list[tuple[int, int]]:

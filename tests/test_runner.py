@@ -12,7 +12,13 @@ import pytest
 
 from ce_dynamics import games, internal_dynamics, metrics, omwu, runner
 from ce_dynamics.cli import main
-from ce_dynamics.diagnostics import check_variance_inequality, rvu_check, smoothness_report, variance
+from ce_dynamics.diagnostics import (
+    check_variance_inequality,
+    running_variance_sums,
+    rvu_check,
+    smoothness_report,
+    variance,
+)
 from ce_dynamics.errors import StationaryResidualError, ValidationError
 from ce_dynamics.games import Game, expected_loss, random_game
 from ce_dynamics.internal_dynamics import SlOmwu, verify_equivalence
@@ -782,8 +788,9 @@ def force_switches(monkeypatch, rounds):
     """Controllers whose scan reports a breach exactly at ``rounds[k]`` (None: never).
 
     The k-th controller made in a run gets ``rounds[k]``; ``run_dynamics`` and
-    :func:`reference_run` both make one per player, in player order. The
-    variance sums run as usual.
+    :func:`reference_run` both make one per player, in player order. Each declares
+    itself live, so the run scans it even where its budget cannot bind within the
+    horizon. The variance sums run as usual.
     """
     made = itertools.count()
 
@@ -791,6 +798,7 @@ def force_switches(monkeypatch, rounds):
         def __init__(self, *args):
             super().__init__(*args)
             self.forced = rounds[next(made) % len(rounds)]
+            self.live = True
 
         def scan(self, first_round, q, z):
             super().scan(first_round, q, z)
@@ -823,6 +831,133 @@ class TestForcedSwitches:
         assert final["adaptive_switch_round"] == list(rounds)
         for i, r in enumerate(rounds):
             assert (final["eta_final"][i] == final["eta_initial"][i]) is (r is None)
+
+
+def readme_ceiling(dynamics, n):
+    """rows (2 span)^2 of README's inner-stream table: the most one self-play round adds to a
+    player's sum of Var_q(dz); BM's n rows and every other learner's one, each of width span."""
+    family = dynamics.split("-")[0]
+    span = {"omwu": 1, "mwu": 1, "sl": 2, "bm": 1, "arbo": 2 * (n - 1)}[family]
+    return (n if family == "bm" else 1) * (2 * span) ** 2
+
+
+def lhs_increments(q, z):
+    """Each round's increment of :func:`running_variance_sums`' first sum over a stream."""
+    return np.diff(running_variance_sums(q, z)[0], prepend=0.0)
+
+
+class TestRoundCeiling:
+    """No self-play round adds more than the runner's ceiling to a controller's watched sum."""
+
+    # Arbo's trees fit up to 5 actions.
+    @pytest.mark.parametrize("dynamics, n", [(d, n) for d in runner.DYNAMICS
+                                             for n in (2, 3, 4, 5 if d == "arbo" else 10)])
+    def test_ceiling_is_the_readme_table(self, dynamics, n):
+        for eta in (0.05, np.array([0.05, 0.1])):  # a lone learner and a member stack
+            learner = runner._build_dynamics(dynamics, n, eta).learner
+            assert runner._round_ceiling(learner) == readme_ceiling(dynamics, n)
+
+    @pytest.mark.parametrize("eta", [0.05, 5.0, 1000.0])
+    @pytest.mark.parametrize("counts", [(3, 3), (3, 4, 3)])
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    def test_self_play_stays_under_the_ceiling(self, dynamics, counts, eta):
+        config = small_config(dynamics=dynamics, players=len(counts), action_counts=counts,
+                              horizon=300, eta=eta)
+        trace = runner._play(config, None).trace
+        for i, n in enumerate(counts):
+            ceiling = runner._round_ceiling(runner._build_dynamics(dynamics, n, eta).learner)
+            assert lhs_increments(*inner_stream(trace, i)).max() <= ceiling
+
+    # The sawtooth of test_adversarial_stream_triggers_switch (SL, n = 3, eta 0.5), on every
+    # learner: on 2 actions omwu's and mwu's rounds reach Popoviciu's bound, a quarter of it.
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    def test_sawtooth_stays_under_the_ceiling(self, dynamics, n):
+        dyn, stream = runner._build_dynamics(dynamics, n, 0.5), []
+        for t in range(64):
+            dyn.next_strategy()
+            dyn.observe(np.eye(n)[t % 2])
+            stream.append((dyn.inner_dist.copy(), dyn.inner_loss.copy()))
+        q, z = map(np.array, zip(*stream))
+        assert lhs_increments(q, z).max() <= runner._round_ceiling(dyn.learner)
+
+    @pytest.mark.parametrize("dynamics, n, horizon", [
+        ("omwu", 3, 6073727326767), ("sl-omwu", 3, 1057676800001),
+        ("bm-omwu", 10, 372765789379), ("arbo", 5, 33905742603),
+    ])
+    def test_readme_first_live_horizons(self, dynamics, n, horizon):
+        ceiling = readme_ceiling(dynamics, n)
+        budget = runner.DEFAULT_VARIANCE_BUDGET_CONSTANT
+        assert not AdaptiveEtaController(horizon - 1, n, budget, ceiling).live
+        assert AdaptiveEtaController(horizon, n, budget, ceiling).live
+
+
+def spy_controllers(monkeypatch, live=None):
+    """Counts block snapshots and records each ``runner.inner_stream`` call's player and each
+    ``scan``; with ``live`` set, every controller a run makes declares itself that."""
+    calls = {"snapshot": 0, "stream": [], "scan": 0}
+    snapshot, stream = runner._snapshot, runner.inner_stream
+
+    class Spied(AdaptiveEtaController):
+        def __init__(self, *args):
+            super().__init__(*args)
+            if live is not None:
+                self.live = live
+
+        def scan(self, *args):
+            calls["scan"] += 1
+            return super().scan(*args)
+
+    def spied_snapshot(*args):
+        calls["snapshot"] += 1
+        return snapshot(*args)
+
+    def spied_stream(trace, player, *args):
+        calls["stream"].append(player)
+        return stream(trace, player, *args)
+
+    monkeypatch.setattr(runner, "AdaptiveEtaController", Spied)
+    monkeypatch.setattr(runner, "_snapshot", spied_snapshot)
+    monkeypatch.setattr(runner, "inner_stream", spied_stream)
+    return calls
+
+
+def run_bits(config):
+    """A run's trace, table and summary, as bytes."""
+    result = run_dynamics(config)
+    trace = [bits(vars(p)) for p in result.trace.players]
+    return trace, result.table.tobytes(), render_summary(result.summary)
+
+
+class TestInertControllers:
+    """A controller whose budget cannot bind within the horizon is never scanned, and scanning
+    it anyway changes no output bit."""
+
+    CASES = [dict(dynamics=d, players=len(c), action_counts=c, horizon=300)
+             for d in runner.DYNAMICS for c in ((3, 3), (3, 4, 3))] + [
+        dict(dynamics=d, players=2, action_counts=(10, 10), horizon=1024, game_seed=0)
+        for d in ("sl-omwu", "bm-omwu")]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c['dynamics']}-{c['action_counts']}")
+    def test_default_budget_is_free_and_changes_nothing(self, monkeypatch, case):
+        config = small_config(**case, eta_rule="adaptive", eta=None)
+        inert = spy_controllers(monkeypatch)
+        want = run_bits(config)
+        assert inert == {"snapshot": 0, "stream": [], "scan": 0}
+        live = spy_controllers(monkeypatch, live=True)
+        assert run_bits(config) == want
+        assert live["scan"] > 0 and live["snapshot"] > 0
+        assert json.loads(want[2])["final"]["adaptive_switch_round"] == [None] * case["players"]
+
+    def test_only_a_live_controller_is_scanned(self, monkeypatch):
+        # Ceilings 300 * 12 = 3600 and 300 * 16 = 4800 against an allowance 0.07 * 9^5 = 4133.
+        config = small_config(dynamics="bm-omwu", players=3, action_counts=(3, 4, 3), horizon=300,
+                              eta_rule="adaptive", eta=None, adaptive_budget=0.07)
+        calls = spy_controllers(monkeypatch)
+        run_dynamics(config)
+        assert calls == {"snapshot": 2, "stream": [1, 1], "scan": 2}
+        monkeypatch.undo()  # the reference's controllers are built without a ceiling: all live
+        assert_matches_reference(config)
 
 
 class TestPlayedRows:

@@ -5,6 +5,9 @@ tree-space comparison), ``trees`` (arborescence enumeration), ``stationary``
 (stationary distribution of a matrix file), ``diagnose`` (run + diagnostic
 report), ``gen`` (random game file).
 
+Files go through :func:`runner.read_file` and :func:`runner.write_files`: one that cannot be read
+or written is a validation error naming it, and a failed write leaves nothing that the call made.
+
 Exit codes: 0 ok, 1 usage error, 2 validation error, 3 numerical failure.
 """
 
@@ -16,7 +19,6 @@ import json
 import math
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from .diagnostics import DEFAULT_VARIANCE_BUDGET_CONSTANT
 from .errors import StationaryResidualError, ValidationError
@@ -27,7 +29,8 @@ from .markov_tree import (
     solve_stationary,
     tree_theorem_stationary,
 )
-from .runner import ETA_RULES, RunConfig, emit_outputs, render_summary, run_dynamics
+from .runner import (ETA_RULES, RunConfig, _smoothness_chunks, emit_outputs, read_file,
+                     render_summary, run_dynamics, write_files)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,7 +147,7 @@ def _cmd_run(args) -> int:
 def _cmd_equivalence(args) -> int:
     if not 0.0 <= args.tol < math.inf:
         raise ValidationError(f"tol must be non-negative and finite, got {args.tol}")
-    game = load_game(Path(args.game).read_bytes())
+    game = load_game(read_file(args.game, "game file"))
     report = verify_equivalence(game, args.eta, args.horizon, tol=args.tol)
     doc = report.to_dict()
     doc["passes"] = report.passes()
@@ -166,12 +169,11 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_stationary(args) -> int:
-    raw = json.loads(Path(args.matrix).read_text())
-    solver = {
-        "linear": solve_stationary,
-        "tree": tree_theorem_stationary,
-    }[args.method]
-    pi = solver(raw)
+    try:
+        raw = json.loads(read_file(args.matrix, "matrix file").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"matrix file {args.matrix} is not UTF-8 JSON: {exc}") from exc
+    pi = (solve_stationary if args.method == "linear" else tree_theorem_stationary)(raw)
     print(json.dumps({"stationary": [float(v) for v in pi]}, sort_keys=True))
     return EXIT_OK
 
@@ -179,37 +181,20 @@ def _cmd_stationary(args) -> int:
 def _cmd_diagnose(args) -> int:
     config = _config_from_args(args)
     result = run_dynamics(config)
-    report = render_summary(result.summary).decode("ascii")
-    # Both texts first, then the table, then the report: a failed write leaves nothing behind.
-    files = [(Path(args.table), _smoothness_table(result))] if args.table else []
-    files += [(Path(args.out), report)] if args.out else []
-    for k, (path, text) in enumerate(files):
-        new = not path.exists()  # a failed write of a new file can leave it created, cut short
-        try:
-            path.write_text(text)
-        except OSError:
-            for written in [p for p, _ in files[:k]] + [path] * new:
-                written.unlink(missing_ok=True)
-            raise
+    report = render_summary(result.summary)
+    files = [(args.table, lambda file: file.writelines(_smoothness_chunks(result.smoothness))),
+             (args.out, lambda file: file.write(report))]
+    write_files([(path, write) for path, write in files if path])
     if not args.out:
-        sys.stdout.write(report)
+        sys.stdout.write(report.decode("ascii"))
     return EXIT_OK
-
-
-def _smoothness_table(result) -> str:
-    lines = ["player,order,t,observed,bound"]
-    for i, rep in enumerate(result.smoothness):  # the reports the run's summary was built from
-        for h, observed in enumerate(rep.observed):
-            for t, value in enumerate(observed):
-                lines.append(f"{i},{h},{t + 1},{float(value)!r},{float(rep.bounds[h])!r}")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_gen(args) -> int:
     game = random_game(args.players, args.actions, args.seed)
     data = save_game(game)
     if args.out:
-        Path(args.out).write_bytes(data)
+        write_files([(args.out, lambda file: file.write(data))])
     else:
         sys.stdout.buffer.write(data + b"\n")
     return EXIT_OK
@@ -234,7 +219,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValidationError, OSError) as exc:  # OSError: a failed write to stdout
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except StationaryResidualError as exc:

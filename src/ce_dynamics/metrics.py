@@ -104,16 +104,18 @@ class RunTrace:
 
     @classmethod
     def load(cls, path) -> "RunTrace":
-        """The trace :meth:`save` wrote, checked at the file: one that is no ``.npz`` archive,
-        lacks a required array or names an unknown dynamics raises :class:`ValidationError`
-        naming it; ``etas`` not holding one rate per player, or an array whose shape is not
-        (horizon, its field's round shape for the player's n actions), raises
+        """The trace :meth:`save` wrote, checked at the file: one that cannot be read, is no
+        ``.npz`` archive, lacks a required array or names an unknown dynamics raises
+        :class:`ValidationError` naming it; ``etas`` not holding one rate per player, or an array
+        whose shape is not (horizon, its field's round shape for the player's n actions), raises
         :class:`DimensionMismatchError` naming both shapes."""
-        with open(path, "rb") as file:
-            try:  # a lone .npy loads as an array, which has no items: AttributeError
+        try:  # a lone .npy loads as an array, which has no items: AttributeError
+            with open(path, "rb") as file:
                 arrays = dict(np.load(file, allow_pickle=False).items())
-            except (AttributeError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-                raise ValidationError(f"{path} is not a trace archive: {exc}") from exc
+        except OSError as exc:
+            raise ValidationError(f"cannot read trace archive {path}: {exc}") from exc
+        except (AttributeError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValidationError(f"{path} is not a trace archive: {exc}") from exc
 
         def array(key, shape=None):
             if key not in arrays:

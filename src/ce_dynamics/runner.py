@@ -189,15 +189,19 @@ def _number(name: str, value, types):
     return value
 
 
+def read_file(path, what: str) -> bytes:
+    """The bytes of the input file at ``path``: the one read of every file the CLI takes in. A
+    file that cannot be read raises :class:`ValidationError` naming ``what`` and the path."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_config_game(config: RunConfig) -> Game:
-    """The configured game: its file's, read as :func:`load_game`, or the seeded random game. A
-    file that cannot be read raises :class:`ValidationError` naming its path."""
+    """The configured game: its file's (:func:`read_file`, :func:`load_game`) or the seeded one."""
     if config.game_file is not None:
-        try:
-            data = Path(config.game_file).read_bytes()
-        except OSError as exc:
-            raise ValidationError(f"cannot read game file {config.game_file}: {exc}") from exc
-        return load_game(data)
+        return load_game(read_file(config.game_file, "game file"))
     return random_game(config.players, config.action_counts, config.game_seed)
 
 
@@ -314,7 +318,7 @@ class Play:
 @dataclass
 class RunResult(Play):
     """A play with its summary, each player's smoothness report (None without an order) and its
-    kept (T, m, 7) round table, rendered by :func:`render_csv`; :attr:`rows` is built on demand."""
+    kept (T, m, 7) round table, rendered by :func:`_csv_chunks`; :attr:`rows` is built on demand."""
 
     summary: dict
     table: np.ndarray
@@ -603,15 +607,16 @@ def _text_blocks(table: np.ndarray):
 
 
 def _csv_chunks(table: np.ndarray):
-    """The bytes of :func:`render_csv`, one chunk for the header, then one per block of rounds."""
+    """The (T, m, 7) round table as CSV, ``csv.writer``'s bytes of ``map(repr, (t, player,
+    *table[t - 1, player]))`` per row: one chunk for the header, then one per block of rounds."""
     yield (",".join(CSV_COLUMNS) + "\n").encode("ascii")
     for _, text in _text_blocks(table):
         yield "\n".join([*map(",".join, text.tolist()), ""]).encode("ascii")
 
 
 def _rows_json_chunks(table: np.ndarray):
-    """The bytes of :func:`render_rows_json`: ``[``, each block of rounds' rows, after a ``,``
-    from the second block on, then ``]`` and a newline."""
+    """The round table as compact ``json.dumps`` of its rows, each a dict keyed by CSV column,
+    keys sorted: ``[``, each block's rows, after a ``,`` from the second block on, then ``]\n``."""
     row = "{{" + ",".join(f'"{k}":{{{CSV_COLUMNS.index(k)}}}' for k in sorted(CSV_COLUMNS)) + "}}"
     specials, sep = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}, ""
     yield b"["
@@ -623,45 +628,36 @@ def _rows_json_chunks(table: np.ndarray):
     yield b"]\n"
 
 
-def render_csv(table: np.ndarray) -> bytes:
-    """The (T, m, 7) round table as CSV: ``",".join(map(repr, (t, player, *table[t - 1, player])))``
-    per row, ``csv.writer``'s bytes, rendered by block and column (:func:`_csv_chunks`)."""
-    return b"".join(_csv_chunks(table))
-
-
-def render_rows_json(table: np.ndarray) -> bytes:
-    """The round table as compact ``json.dumps`` of its rows, each a dict keyed by CSV column,
-    keys sorted: the CSV's strings by block, with json's tokens for NaN and the infinities
-    (:func:`_rows_json_chunks`)."""
-    return b"".join(_rows_json_chunks(table))
+def _smoothness_chunks(reports):
+    """The smoothness CSV of a run's reports: its header, then per player and order, by block of
+    rounds, the rows ``player,order,t,observed,bound``, each float its ``repr``."""
+    yield b"player,order,t,observed,bound\n"
+    for i, rep in enumerate(reports):
+        for h, observed in enumerate(rep.observed):
+            row = f"{i},{h},{{}},{{}},{float(rep.bounds[h])!r}\n".format
+            for b in _blocks(len(observed)):
+                text = _reprs(observed[b]).tolist()
+                yield "".join(map(row, range(b.start + 1, b.stop + 1), text)).encode("ascii")
 
 
 def render_summary(summary: dict) -> bytes:
     return (json.dumps(summary, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
-def emit_outputs(result: RunResult, config: RunConfig, out_dir) -> dict:
-    """Write the per-round table, the summary, and optionally the trace. The summary is rendered
-    before anything is created; the rows are then rendered and written one block of rounds at a
-    time, and the trace member by member and block by block (:meth:`RunTrace.save`), so the call
-    holds O(block) memory above the finished run. If anything fails, the call leaves nothing: the
-    files and directories it created are removed; a failed write raises
-    :class:`ValidationError`."""
-    out = Path(out_dir)
-    paths = {"rows": out / f"run.{config.out_format}", "summary": out / "summary.json"}
-    paths.update({"trace": out / "trace.npz"} if config.save_trace else {})
-    chunks = _csv_chunks if config.out_format == "csv" else _rows_json_chunks
-    summary = render_summary(result.summary)
-    fresh = []  # the files that are new, then the directories that mkdir makes, deepest first
+def write_files(files, out_dir=None) -> None:
+    """Writes each ``(path, write)`` of the list ``files`` in order, ``write`` writing the file's
+    bytes into it, open in binary mode, after making ``out_dir`` and its missing parents if given.
+    All or nothing: if anything fails, the files and directories this call created are removed (a
+    file that was there before is overwritten, never removed); an OSError raises ValidationError."""
+    dirs = [] if out_dir is None else [Path(out_dir), *Path(out_dir).parents]
+    fresh, target = [], out_dir  # the new files, then the directories mkdir makes, deepest first
     try:
-        fresh = [p for p in (*paths.values(), out, *out.parents) if not p.exists()]
-        out.mkdir(parents=True, exist_ok=True)
-        with paths["rows"].open("wb") as file:
-            file.writelines(chunks(result.table))
-        paths["summary"].write_bytes(summary)
-        if config.save_trace:
-            with paths["trace"].open("wb") as file:
-                result.trace.save(file)
+        fresh = [p for p in (*(Path(path) for path, _ in files), *dirs) if not p.exists()]
+        if dirs:
+            dirs[0].mkdir(parents=True, exist_ok=True)
+        for target, write in files:
+            with Path(target).open("wb") as file:
+                write(file)
     except BaseException as exc:
         for path in filter(Path.exists, fresh):
             if path.is_dir():
@@ -669,6 +665,21 @@ def emit_outputs(result: RunResult, config: RunConfig, out_dir) -> dict:
             else:
                 path.unlink()
         if isinstance(exc, OSError):
-            raise ValidationError(f"cannot write outputs under {out}: {exc}") from exc
+            raise ValidationError(f"cannot write {target}: {exc}") from exc
         raise
+
+
+def emit_outputs(result: RunResult, config: RunConfig, out_dir) -> dict:
+    """Write the round table, the summary and optionally the trace under ``out_dir``, all or
+    nothing (:func:`write_files`), and return their paths. The summary is rendered before any
+    file is made; the rows are written a block of rounds at a time and the trace member by member
+    and block by block (:meth:`RunTrace.save`): the call holds O(block) memory above the run."""
+    out = Path(out_dir)
+    paths = {"rows": out / f"run.{config.out_format}", "summary": out / "summary.json"}
+    paths.update({"trace": out / "trace.npz"} if config.save_trace else {})
+    chunks = _csv_chunks if config.out_format == "csv" else _rows_json_chunks
+    summary = render_summary(result.summary)
+    writers = {"rows": lambda file: file.writelines(chunks(result.table)),
+               "summary": lambda file: file.write(summary), "trace": result.trace.save}
+    write_files([(path, writers[kind]) for kind, path in paths.items()], out)
     return {k: str(v) for k, v in paths.items()}

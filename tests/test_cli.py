@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -402,19 +404,40 @@ def test_game_directory_is_validation_error(tmp_path, capsys, command):
     if command == "run":
         argv += ["--out", str(tmp_path / "x")]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("validation error:")
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot read game file {tmp_path}: ")
 
 
 def test_stationary_matrix_directory_is_validation_error(tmp_path, capsys):
     assert main(["stationary", "--matrix", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("validation error:")
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot read matrix file {tmp_path}: ")
+
+
+@pytest.mark.parametrize("command, what", [("equivalence", "game file"),
+                                           ("stationary", "matrix file")])
+def test_missing_input_file_is_named(tmp_path, capsys, command, what):
+    path = tmp_path / "missing.json"
+    argv = {"equivalence": ["equivalence", "--game", str(path), "--eta", "0.05", "--horizon", "4"],
+            "stationary": ["stationary", "--matrix", str(path)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: cannot read {what} {path}: ")
 
 
 def test_stationary_non_utf8_matrix_is_validation_error(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_bytes(b"[[0.5, 0.5], [\xe9, 0.5]]")
     assert main(["stationary", "--matrix", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("validation error:")
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: matrix file {path} is not UTF-8 JSON: ")
+
+
+def test_stationary_matrix_that_is_not_json_is_named(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"[[0.5, 0.5], [0.5")
+    assert main(["stationary", "--matrix", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: matrix file {path} is not UTF-8 JSON: ")
 
 
 def test_run_truncated_game_is_validation_error(tmp_path, capsys):
@@ -511,6 +534,20 @@ def test_diagnose_table_that_cannot_be_written_leaves_nothing(game_file, tmp_pat
     assert [p.name for p in tmp_path.iterdir()] == ["game.json"]
 
 
+def test_diagnose_report_that_cannot_be_written_keeps_a_table_that_was_there(game_file, tmp_path,
+                                                                            capsys):
+    # A file that was there before the call is overwritten, never removed.
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"an earlier table\n")
+    argv = ["diagnose", "--game", game_file, "--horizon", "16", "--eta", "0.05",
+            "--table", str(table), "--out", str(tmp_path / "missing" / "rep.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot write {tmp_path / 'missing' / 'rep.json'}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["game.json", "t.csv"]
+    assert table.read_text().startswith("player,order,t,observed,bound\n")
+
+
 def test_diagnose_report_that_cannot_be_written_removes_the_table(game_file, tmp_path, capsys):
     argv = ["diagnose", "--game", game_file, "--horizon", "16", "--eta", "0.05",
             "--table", str(tmp_path / "t.csv"), "--out", str(tmp_path / "missing" / "rep.json")]
@@ -542,6 +579,22 @@ class FullDisk(io.BufferedWriter):
         return super().write(data)
 
 
+def full_disk(monkeypatch, name, room):
+    """Opens every file named ``name`` on a :class:`FullDisk` with ``room`` bytes; returns the list
+    of the files so opened."""
+    opened, path_open = [], Path.open
+
+    def open_on_full_disk(path, mode="r", *args, **kwargs):
+        if path.name != name:
+            return path_open(path, mode, *args, **kwargs)
+        opened.append(FullDisk(io.FileIO(path, "w")))
+        opened[-1].room = room
+        return opened[-1]
+
+    monkeypatch.setattr(Path, "open", open_on_full_disk)
+    return opened
+
+
 # Rows and archive are written a block of 256 rounds at a time: at 300 rounds the disk fills
 # after the first block of rows (each block of run.csv is more than 4 KB), or of the first
 # player's strategies in trace.npz (256 rows of 3 floats after about 1 KB of header members).
@@ -552,16 +605,7 @@ def test_run_write_that_fails_midway_removes_what_it_made(game_file, tmp_path, m
                                                            fail_on, room, fmt):
     """A write that fails part-way through its file (a full disk), after the file was created and
     a first block written, leaves no file, and no directory that the call made, behind."""
-    opened, path_open = [], Path.open
-
-    def open_on_full_disk(path, mode="r", *args, **kwargs):
-        if path.name != fail_on:
-            return path_open(path, mode, *args, **kwargs)
-        opened.append(FullDisk(io.FileIO(path, "w")))
-        opened[-1].room = room
-        return opened[-1]
-
-    monkeypatch.setattr(Path, "open", open_on_full_disk)
+    opened = full_disk(monkeypatch, fail_on, room)
     argv = ["run", "--game", game_file, "--horizon", "300", "--eta", "0.05", "--save-trace",
             "--format", fmt, "--out", str(tmp_path / "a" / "b")]
     assert main(argv) == 2
@@ -570,19 +614,83 @@ def test_run_write_that_fails_midway_removes_what_it_made(game_file, tmp_path, m
     assert [p.name for p in tmp_path.iterdir()] == ["game.json"]
 
 
-@pytest.mark.parametrize("fail_on", ["t.csv", "rep.json"])
-def test_diagnose_write_that_fails_midway_leaves_nothing(game_file, tmp_path, monkeypatch, fail_on):
+# The table is written by (player, order): its disk fills after its header and first chunk. The
+# report is written at once: its disk is full from the start, after the file was created.
+@pytest.mark.parametrize("fail_on, room", [("t.csv", 100), ("rep.json", 0)],
+                         ids=["t.csv", "rep.json"])
+def test_diagnose_write_that_fails_midway_leaves_nothing(game_file, tmp_path, monkeypatch,
+                                                         fail_on, room):
     """A write that creates its file and then fails (a full disk) leaves no file behind."""
-    write_text = Path.write_text
-
-    def cut_short(path, text, *args, **kwargs):
-        if path.name == fail_on:
-            write_text(path, text[:10])
-            raise OSError(28, "No space left on device")
-        return write_text(path, text, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "write_text", cut_short)
+    opened = full_disk(monkeypatch, fail_on, room)
     argv = ["diagnose", "--game", game_file, "--horizon", "16", "--eta", "0.05",
             "--table", str(tmp_path / "t.csv"), "--out", str(tmp_path / "rep.json")]
     assert main(argv) == 2
+    (full,) = opened
+    assert full.closed and full.held >= room
     assert [p.name for p in tmp_path.iterdir()] == ["game.json"]
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_gen_on_a_full_disk_leaves_no_file_it_made(tmp_path, monkeypatch, capsys, existed):
+    out = tmp_path / "g.json"
+    if existed:
+        out.write_bytes(b"{}")
+    opened = full_disk(monkeypatch, "g.json", 0)
+    assert main(["gen", "--players", "2", "--actions", "3,3", "--out", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert opened[0].closed and [p.name for p in tmp_path.iterdir()] == ["g.json"] * existed
+
+
+def per_row_table(reports) -> bytes:
+    """The smoothness CSV as one text built a row at a time: the first renderer's bytes."""
+    lines = ["player,order,t,observed,bound"]
+    for i, rep in enumerate(reports):
+        for h, observed in enumerate(rep.observed):
+            for t, value in enumerate(observed):
+                lines.append(f"{i},{h},{t + 1},{float(value)!r},{float(rep.bounds[h])!r}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# 600 rounds: each (player, order) crosses the renderer's 256-round block boundaries.
+@pytest.mark.parametrize("order", [0, 3, 5])
+@pytest.mark.parametrize("m", [2, 3])
+def test_diagnose_table_matches_the_per_row_loop(monkeypatch, tmp_path, capsys, m, order):
+    results = []
+    monkeypatch.setattr(cli, "run_dynamics", lambda c: results.append(runner.run_dynamics(c))
+                        or results[-1])
+    table = tmp_path / "t.csv"
+    argv = ["diagnose", "--players", str(m), "--actions", ",".join(["3"] * m), "--horizon", "600",
+            "--eta", "0.05", "--smoothness-order", str(order), "--table", str(table)]
+    assert main(argv) == 0
+    (result,) = results
+    assert [len(rep.observed) for rep in result.smoothness] == [order + 1] * m
+    assert table.read_bytes() == per_row_table(result.smoothness)
+
+
+def test_smoothness_table_of_synthetic_reports():
+    # Runs of equal values, signed zeros, NaN and infinities, across and on block boundaries.
+    values = np.take([0.0, -0.0, 0.0, math.nan, math.nan, math.inf, 1e-5, 1e-5, 0.1 + 0.2],
+                     np.arange(600) // 2 % 9)
+    reports = [SimpleNamespace(observed=[values, values[:256], values[:0]],
+                               bounds=np.array([1.0, math.inf, 5e-324])),
+               SimpleNamespace(observed=[values[:257]], bounds=np.array([math.nan]))]
+    assert b"".join(runner._smoothness_chunks(reports)) == per_row_table(reports)
+
+
+def test_diagnose_table_holds_a_block_above_the_run(monkeypatch, tmp_path, capsys):
+    # The table is rendered by block of rounds: built as one text it peaks at 24.5 MB here.
+    config = runner.RunConfig("sl-omwu", 2**14, eta=0.05, players=2, action_counts=(3, 3),
+                              smoothness_order=3)
+    result = runner.run_dynamics(config)
+    monkeypatch.setattr(cli, "run_dynamics", lambda c: result)
+    argv = ["diagnose", "--players", "2", "--actions", "3,3", "--horizon", str(2**14),
+            "--eta", "0.05", "--table", str(tmp_path / "t.csv")]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2e6
+    assert (tmp_path / "t.csv").stat().st_size > 4 * 2**14 * 40

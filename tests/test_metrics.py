@@ -472,6 +472,12 @@ class TestTraceSerialization:
         with pytest.raises(ValidationError, match="trace.npz is not a trace archive"):
             RunTrace.load(path)
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_a_path_that_cannot_be_read_is_named(self, tmp_path, kind):
+        path = tmp_path / "trace.npz" if kind == "missing" else tmp_path
+        with pytest.raises(ValidationError, match=re.escape(f"cannot read trace archive {path}: ")):
+            RunTrace.load(path)
+
     @pytest.mark.parametrize("content", [b"not an archive", b"", np.zeros(3)],
                              ids=["text", "empty", "npy"])
     def test_a_file_that_is_no_archive_is_named(self, tmp_path, content):

@@ -30,11 +30,11 @@ from ce_dynamics.runner import (
     CSV_COLUMNS,
     AdaptiveEtaController,
     RunConfig,
+    _csv_chunks,
+    _rows_json_chunks,
     adversarial_eta,
     emit_outputs,
     play_dynamics,
-    render_csv,
-    render_rows_json,
     render_summary,
     resolve_eta,
     run_dynamics,
@@ -420,7 +420,7 @@ def test_table_matches_round_by_round_accounting(overrides):
     result = run_dynamics(small_config(**{"horizon": 300, **overrides}))
     if overrides.get("adaptive_budget") == 0.0:
         assert all(s is not None for s in result.summary["final"]["adaptive_switch_round"])
-    assert render_csv(result.table) == plain_csv(reference_rows(result))
+    assert b"".join(_csv_chunks(result.table)) == plain_csv(reference_rows(result))
 
 
 @pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu", "arbo"])
@@ -430,7 +430,7 @@ def test_table_restarts_the_ratio_chain_of_a_later_member(monkeypatch, dynamics)
     result = run_dynamics(small_config(dynamics=dynamics, horizon=300, players=3,
                                        action_counts=(3, 4, 3), eta_rule="adaptive", eta=None))
     assert result.summary["final"]["adaptive_switch_round"] == [None, None, 257]
-    assert render_csv(result.table) == plain_csv(reference_rows(result))
+    assert b"".join(_csv_chunks(result.table)) == plain_csv(reference_rows(result))
 
 
 class TestAdaptiveMode:
@@ -1398,11 +1398,11 @@ class TestOutputs:
         # Every field is an int or a float, so the plain join gives csv.writer's bytes.
         cfg = small_config(dynamics="bm-omwu", horizon=50, players=3, action_counts=(3, 3, 3))
         result = run_dynamics(cfg)
-        assert render_csv(result.table) == csv_writer_bytes(result.rows)
+        assert b"".join(_csv_chunks(result.table)) == csv_writer_bytes(result.rows)
 
     def test_csv_renders_full_precision(self):
         table = np.array([[[0.1 + 0.2, 0.0, 0.0, 0.0, 0.0, 0.05, 1.0]]])
-        text = render_csv(table).decode()
+        text = b"".join(_csv_chunks(table)).decode()
         assert "0.30000000000000004" in text
 
 
@@ -1448,7 +1448,7 @@ def synthetic_table(pattern, T, m):
 def test_render_csv_of_synthetic_tables(pattern, T, m):
     table = synthetic_table(pattern, T, m)
     rows = [(t + 1, i, *table[t, i].tolist()) for t in range(T) for i in range(m)]
-    assert render_csv(table) == plain_csv(rows) == csv_writer_bytes(rows)
+    assert b"".join(_csv_chunks(table)) == plain_csv(rows) == csv_writer_bytes(rows)
 
 
 def per_row_json(rows):
@@ -1463,7 +1463,7 @@ def test_render_rows_json_of_synthetic_tables(pattern, T, m):
     # json writes NaN, Infinity and -Infinity where repr writes nan, inf and -inf.
     table = synthetic_table(pattern, T, m)
     rows = [(t + 1, i, *table[t, i].tolist()) for t in range(T) for i in range(m)]
-    assert render_rows_json(table) == per_row_json(rows)
+    assert b"".join(_rows_json_chunks(table)) == per_row_json(rows)
 
 
 @pytest.mark.parametrize("out_format", ["csv", "json"])
@@ -1472,9 +1472,9 @@ def test_emit_outputs_streams_the_rendered_bytes(tmp_path, pattern, out_format):
     # T = 300: emit_outputs writes the rows block by block, across the 256-round boundary.
     cfg = small_config(horizon=300, out_format=out_format)
     result = dataclasses.replace(run_dynamics(cfg), table=synthetic_table(pattern, 300, 2))
-    render = render_csv if out_format == "csv" else render_rows_json
+    chunks = _csv_chunks if out_format == "csv" else _rows_json_chunks
     with open(emit_outputs(result, cfg, tmp_path)["rows"], "rb") as file:
-        assert file.read() == render(result.table)
+        assert file.read() == b"".join(chunks(result.table))
 
 
 # T = 300 crosses the renderer's 256-round block boundary.
@@ -1483,7 +1483,7 @@ def test_emit_outputs_streams_the_rendered_bytes(tmp_path, pattern, out_format):
 def test_render_rows_json_of_runs(dynamics, m):
     cfg = small_config(dynamics=dynamics, horizon=300, players=m, action_counts=(3,) * m)
     result = run_dynamics(cfg)
-    assert render_rows_json(result.table) == per_row_json(result.rows)
+    assert b"".join(_rows_json_chunks(result.table)) == per_row_json(result.rows)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 generator sent each block (q, z) of the stream in turn, which keeps the report's carry and
 yields the report when sent None. :func:`_streamed` builds a player's block (q, z) once for all
 of the player's reports: the report functions drive it through :func:`~ce_dynamics.metrics._drive`,
-and the runner's accounting step sends it each block of the run's walk. Four families:
+and so does the runner's accounting step. Four families:
 
 * finite-difference tables of time-indexed vector sequences, with an
   independent binomial-form evaluation as a conditioning cross-check;
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .internal_dynamics import SlOmwu
-from .metrics import RunTrace, _blocks, _drive, _inner_dists, _learner, inner_stream, running_max_ratio
+from .metrics import RunTrace, _drive, _inner_dists, _learner, inner_stream, running_max_ratio
 
 # Smoothness certificate constants: the learning-rate threshold eta <=
 # alpha / (36 e^5 m) activates pass/fail mode; the looser alpha / (36 m) is
@@ -116,7 +116,7 @@ def _streamed(trace: RunTrace, player: int, *reports):
 
 def _fed(trace: RunTrace, player: int, steps):
     """The report of a report's block steps, fed the player's inner stream by block."""
-    return _drive(_blocks(trace.horizon), _streamed(trace, player, steps))[0]
+    return _drive(trace.horizon, _streamed(trace, player, steps))[0]
 
 
 def smoothness_bound(order: int, alpha: float) -> float:

@@ -11,8 +11,8 @@ Two :class:`~ce_dynamics.omwu.Composite` learners are implemented:
 
 Fed the same loss stream, the two produce identical strategy sequences; the
 pair products over any tree's edges stay proportional to the tree weight
-round after round. :func:`verify_equivalence` plays an sl-omwu self-play run
-and, in the one walk over its trace that runs the run's checks, replays each
+round after round. :func:`verify_equivalence` plays a checked sl-omwu self-play
+run and, block by block over its trace, replays each
 group's loss record block, (rounds, members, n), into tree space through the
 unchecked ``_update`` (the trace's losses are valid by construction), stepping
 each tree learner into its own block rows as the round loop does; it reports
@@ -181,24 +181,24 @@ class EquivalenceReport:
 def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) -> EquivalenceReport:
     """Replay the loss streams of a checked sl-omwu self-play run in tree space, compare.
 
-    The run's round loop plays the pair-space learners (GTH stationary solve) in self-play. One
-    walk over its trace then runs every check of :func:`~ce_dynamics.runner.play_dynamics`, with
-    none of a run's per-round table or summary, and sends each block to the replay: each group's
-    recorded loss block is fed to a fresh tree-space learner stacked over the group's members, as
-    in the run. Per round we record the largest strategy gap and, per tree, the
+    The checked play of :func:`~ce_dynamics.runner.play_dynamics` runs the pair-space learners
+    (GTH stationary solve) in self-play, every block checked as the round loop finishes it, with
+    none of a run's per-round table or summary. Each block of its trace is then sent to the
+    replay: each group's recorded loss block is fed to a fresh tree-space learner stacked over the
+    group's members, as in the run. Per round we record the largest strategy gap and, per tree, the
     relative spread of (product of pair masses along tree edges) / (tree mass), which should be a
     tree-independent constant. The tree learners are built first, so their size and
     learning-rate guards fail before any play. ``tol`` is kept on the report as the default of
-    :meth:`EquivalenceReport.passes`. The play, its walk and their driver come from runner, which
-    imports this module, at call time: the package's one function-level import.
+    :meth:`EquivalenceReport.passes`. The play and the driver come from runner, which imports
+    this module, at call time: the package's one function-level import.
     """
-    from .runner import RunConfig, _drive, _play, _walk, player_groups
+    from .runner import RunConfig, _drive, play_dynamics, player_groups
 
     counts = game.action_counts
     arbos = [ArboDynamics(counts[g[0]], np.full(len(g), eta)) for g in player_groups(counts)]
     config = RunConfig("sl-omwu", horizon, eta=eta, players=game.num_players, action_counts=counts)
-    play = _play(config, game)
-    deviation, residual = _drive(_walk(play), _replay_steps(horizon, play.records.values(), arbos))
+    play = play_dynamics(config, game)
+    deviation, residual = _drive(horizon, _replay_steps(horizon, play.records.values(), arbos))
     return EquivalenceReport(
         horizon=horizon,
         eta=eta,

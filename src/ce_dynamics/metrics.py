@@ -12,11 +12,11 @@ are written: a played trace does not hold them.
 Each quantity over a finished trace is one block step: a generator sent each block of rounds in
 turn, whose carry goes from block to block: the running pair sums P[j, k] = sum_t x_t[j]
 (loss_t[j] - loss_t[k]) that every regret reads, the running consecutive-ratio max and the
-average product distribution. :func:`_drive` sends a sequence of blocks to a step: the
-whole-trace functions drive their steps over :func:`_blocks`, the runner over its walk's. The
-regret and ratio steps read a group's round-major (T, members, ...) records, one C-contiguous
-(rounds, members, ...) block per block of rounds, with a carry per member: the runner sends
-them each group's records, the whole-trace functions a player's one-member view ``[:, None]``.
+average product distribution. :func:`_drive` sends a step each of a run's :func:`_blocks`: the
+whole-trace functions drive their steps, the runner its accounting, once the round loop has
+checked every block. The regret and ratio steps read a group's round-major (T, members, ...)
+records, one C-contiguous (rounds, members, ...) block per block of rounds, with a carry per
+member: the runner sends them each group's records, the whole-trace functions a player's one-member view ``[:, None]``.
 :data:`_LEARNERS`, the one dynamics registry, gives each name's learner class, which answers every
 per-dynamics question (trace field, inner losses, ...), and whether it is optimistic.
 """
@@ -37,7 +37,7 @@ from .omwu import Omwu
 from .swap_dynamics import BmOmwu
 
 DENSE_JOINT_MAX_ENTRIES = 10**6
-# Rounds per block of a finished trace's walk; bounds the (chunk, n, n) stack of pair sums.
+# Rounds per block of a run, checked and accounted at once; bounds the (chunk, n, n) pair sums.
 REGRET_CHUNK_ROUNDS = 256
 # Each dynamics' (learner class, optimistic), by its full name: the class records its trace.
 _LEARNERS = {"omwu": (Omwu, True), "mwu": (Omwu, False), "sl-omwu": (SlOmwu, True),
@@ -52,7 +52,7 @@ _ROUND_SHAPES = {"strategies": lambda n: (n,), "losses": lambda n: (n,),
 @dataclass
 class PlayerTrace:
     """One player's records; in a played trace, member b's fields are strided ``[:, b]`` views of
-    its group's round-major records, which the run's walk and its steps read by block instead."""
+    its group's round-major records, which the run's checks and steps read by block instead."""
 
     strategies: np.ndarray  # (T, n)
     losses: np.ndarray  # (T, n)
@@ -157,11 +157,11 @@ def _blocks(horizon: int) -> list[slice]:
     return [slice(s, min(s + size, horizon)) for s in range(0, horizon, size)]
 
 
-def _drive(blocks, step):
-    """Primes ``step``, sends it each of ``blocks``, rounds in order, then None, and returns what it
-    yields to the None: its result over those rounds."""
+def _drive(horizon: int, step):
+    """Primes ``step``, sends it each of :func:`_blocks` of ``horizon`` rounds, in order, then None,
+    and returns what it yields to the None: its result over those rounds."""
     next(step)
-    for rounds in blocks:
+    for rounds in _blocks(horizon):
         step.send(rounds)
     return step.send(None)
 
@@ -199,7 +199,7 @@ def running_regrets(trace: RunTrace, player: int) -> tuple[np.ndarray, np.ndarra
     """Running external, raw internal and swap regret after each round, each (T,)."""
     pt, out = trace.players[player], np.empty((3, trace.horizon))
     step = _regret_steps(pt.strategies[:, None], pt.losses[:, None], out.T[:, None])
-    _drive(_blocks(trace.horizon), step)
+    _drive(trace.horizon, step)
     return tuple(out)
 
 
@@ -261,7 +261,7 @@ def running_max_ratio(trace: RunTrace, player: int, restart: int | None = None) 
     """
     inner = getattr(trace.players[player], _learner(trace.dynamics).trace_field)
     out = np.empty(trace.horizon)
-    _drive(_blocks(trace.horizon), _ratio_steps(inner[:, None], [restart], out[:, None]))
+    _drive(trace.horizon, _ratio_steps(inner[:, None], [restart], out[:, None]))
     return out
 
 
@@ -318,7 +318,7 @@ def average_product_distribution(trace: RunTrace) -> np.ndarray:
         )
     if trace.horizon == 0:
         raise ValidationError("no rounds to average")
-    return _drive(_blocks(trace.horizon), _product_steps(trace)) / trace.horizon
+    return _drive(trace.horizon, _product_steps(trace)) / trace.horizon
 
 
 @dataclass

@@ -197,7 +197,7 @@ class Stationary(Composite):
     """Plays the stationary distribution of its iterate read as an n-state chain: n(n-1) pair
     rates (SL), or with ``diagonal`` n rows (BM's copies), whose diagonal no solve reads. The
     public ``next_strategy`` gates each solve by its residual for :meth:`chain`; the round's
-    ``_next_strategy`` does not: the run's walk gates the trace afterwards."""
+    ``_next_strategy`` does not: the round loop gates each block of the trace once it is final."""
 
     diagonal = False
 

@@ -15,13 +15,13 @@ bind (:class:`omwu.Omwu`, per member since its reset).
 Adaptive controllers whose budget can bind within the horizon scan each block of
 ``REGRET_CHUNK_ROUNDS`` inner-stream rounds; at a block's first breach the learners are restored
 to the block's start and replayed up to that round, where each breaching player's member is
-reset alone. The others are never scanned. The play keeps each
-group's records (:attr:`Play.records`). After the loop, :func:`_walk` owns the one sequence
-of blocks over the finished trace: it gates every stationary solve by its residual and
-checks every strategy against the simplex, once per group record block, (rounds, members,
-...), and yields each checked block, which :func:`metrics._drive` sends to a block step.
-That checked play is :func:`play_dynamics`; :func:`run_dynamics` adds the accounting, one
-step, :func:`_summarize`, which :func:`internal_dynamics.verify_equivalence` skips. It sends
+reset alone; the block ends there. The others are never scanned. Each block is checked as soon as
+it is final (:func:`_check`): every stationary solve gated by its residual and every strategy
+checked against the simplex, once per group record block, (rounds, members, ...), so a failing
+run stops at the end of the block that holds its earliest failing round. That checked play is
+:func:`play_dynamics`, which keeps each group's records (:attr:`Play.records`); :func:`run_dynamics`
+adds the accounting, one block step, :func:`_summarize`, which :func:`metrics._drive` sends
+each block of the run and :func:`internal_dynamics.verify_equivalence` skips. It sends
 each block on to the steps it holds, each a generator that keeps its carry and loops over no
 blocks: per group, the round table's regret and ratio columns of its players (:mod:`metrics`),
 read from its record blocks; the average product distribution; and the reports
@@ -305,7 +305,7 @@ def _build_dynamics(name: str, n: int, eta):
 class Play:
     """A run's checked play: its trace and what the accounting reads beside it. ``records`` maps
     each group of players with equal action counts to its round-major (T, members, ...) records,
-    by trace field: what the trace's players view, and what the walk and its steps read."""
+    by trace field: what the trace's players view, and what the checks and the steps read."""
 
     trace: RunTrace
     game: Game
@@ -338,27 +338,22 @@ def player_groups(counts) -> list[list[int]]:
 
 def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
     """The checked play of :func:`play_dynamics` and its accounting, the round table and the
-    summary, one block step sent each block of the same walk."""
-    play = _play(config, game)
+    summary, one block step sent each block of the run."""
+    play = play_dynamics(config, game)
     table = np.empty((config.horizon, play.game.num_players, 7))
-    summary, smoothness = _drive(_walk(play), _summarize(config, play, table))
+    summary, smoothness = _drive(config.horizon, _summarize(config, play, table))
     return RunResult(**vars(play), summary=summary, table=table, smoothness=smoothness)
 
 
 def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
-    """A run's checked play: every stationary solve gated, every strategy on the simplex."""
-    play = _play(config, game)
-    list(_walk(play))  # the checks alone: no step takes the blocks
-    return play
-
-
-def _play(config: RunConfig, game: Game | None) -> Play:
-    """A run's play, unchecked: the round loop, with its adaptive controllers' replays. Every
-    group steps into its round-t strategy and ``trace_field`` rows, the same rows for omwu.
+    """A run's checked play: the round loop, with its adaptive controllers' replays. Every group
+    steps into its round-t strategy and ``trace_field`` rows, the same rows for omwu, a block of
+    ``REGRET_CHUNK_ROUNDS`` rounds at a time; each block is checked (:func:`_check`) as soon as
+    it is final, so a failing run stops at the end of the block that holds its earliest failure.
 
     Only a :attr:`~AdaptiveEtaController.live` controller is kept: while one has not switched,
-    each block is snapshotted, played and scanned; a controller that cannot breach within T is
-    never scanned, and with none left to scan the rest of the run is the fixed-rate loop."""
+    each block is snapshotted, played and scanned, and replayed from its start up to a breach,
+    which ends the block; a controller that cannot breach within T is never scanned."""
     config.validate()
     if game is None:
         game = load_config_game(config)
@@ -386,7 +381,8 @@ def _play(config: RunConfig, game: Game | None) -> Play:
         if controller.live:
             controllers[i] = controller
 
-    field = dyns[0].trace_field  # the inner distributions' trace record: omwu's, the strategies
+    cls = metrics._learner(config.dynamics)
+    field = cls.trace_field  # the inner distributions' trace record: omwu's, the strategies
     # Each record is round-major, (T, members, ...): the round computes in a group's round-t rows,
     # one C-contiguous block. A player's field is its member's strided view; built before play.
     records = []
@@ -404,6 +400,7 @@ def _play(config: RunConfig, game: Game | None) -> Play:
     played = [p.strategies for p in players]
     contractions = [_contraction(game, i, played, p.losses) for i, p in enumerate(players)]
     feeds = [(dyn._update, rec["losses"]) for dyn, rec in zip(dyns, records)]
+    grouped = dict(zip(map(tuple, groups), records))  # what the checks and the accounting read
 
     def play(rounds: range) -> None:
         for t in rounds:
@@ -414,15 +411,16 @@ def _play(config: RunConfig, game: Game | None) -> Play:
             for update, losses in feeds:
                 update(losses[t])
 
-    done = 0  # rounds played so far
-    while done < T and not all(c.switched for c in controllers.values()):
+    worst = np.zeros(m)  # each player's worst stationary residual so far
+    done = 0  # rounds played and checked so far
+    while done < T:
         block = range(done, min(done + REGRET_CHUNK_ROUNDS, T))
-        restore = _snapshot(dyns)  # only a controller's breach replays a block from its start
+        scanned = {i: c for i, c in controllers.items() if not c.switched}
+        restore = _snapshot(dyns) if scanned else None  # only a breach replays a block
         play(block)
         rounds = slice(block.start, block.stop)
         breaches = {  # player -> round of the first breach in the block, or None
-            i: c.scan(block.start + 1, *inner_stream(trace, i, rounds))
-            for i, c in controllers.items() if not c.switched
+            i: c.scan(block.start + 1, *inner_stream(trace, i, rounds)) for i, c in scanned.items()
         }
         done = min((r for r in breaches.values() if r is not None), default=block.stop)
         if done < block.stop:  # replay the block from its start up to the first switch
@@ -433,11 +431,12 @@ def _play(config: RunConfig, game: Game | None) -> Play:
                 controllers[i].advance(done, breaches[i] == done)
                 if breaches[i] == done:
                     dyns[g].reset(controllers[i].eta_adversarial, b)
-    play(range(done, T))  # no controller left to scan: the fixed-rate loop
+        _check(cls, grouped, slice(block.start, done), worst)
 
     switch_rounds = [controllers[i].switch_round if i in controllers else None for i in range(m)]
     eta_final = [float(dyns[g].eta[b]) for _, g, b in slots]
-    return Play(trace, game, switch_rounds, eta_final, None, dict(zip(map(tuple, groups), records)))
+    residuals = worst.tolist() if issubclass(cls, Stationary) else None
+    return Play(trace, game, switch_rounds, eta_final, residuals, grouped)
 
 
 def _snapshot(dyns):
@@ -452,53 +451,37 @@ def _snapshot(dyns):
     return restore
 
 
-def _first_failures(bad: np.ndarray) -> list[tuple[int, int]]:
-    """Each member b with a failed round in a block's (rounds, members) ``bad``, and the block's
-    index k of its earliest: (b, k)."""
-    return [(b, int(bad[:, b].argmax())) for b in np.flatnonzero(bad.any(axis=0))]
-
-
-def _walk(play: Play):
-    """The one walk over a finished play: each block of rounds, in order, checked against the
-    simplex and, for a :class:`~ce_dynamics.omwu.Stationary` learner, by the residual gate of
-    its solves on the chains its class reads off the trace (:meth:`~ce_dynamics.omwu.Stationary.
-    chain`), is yielded until one fails; :func:`metrics._drive` sends each yielded block to every
-    step of the run's accounting. Both checks run once per group record block, (rounds, members,
-    ...), whose member b is the group's b-th player. After the last block the first failure
-    raises: a failed solve before a strategy off the simplex, then the lowest player, at its
-    earliest round. Else, for a stationary learner, it sets each player's worst residual."""
-    trace, cls = play.trace, metrics._learner(play.trace.dynamics)
-    stationary = issubclass(cls, Stationary)
-    worst, failed = np.zeros(trace.num_players), {}  # (check, player) -> error; the gate is check 0
-    for rounds in _blocks(trace.horizon):
-        for group, record in play.records.items():
-            x = record["strategies"][rounds]
-            if stationary:
-                residual = stationary_residual(  # (rounds, members)
-                    cls.chain(record[cls.trace_field][rounds], x.shape[-1]), x)
-                for b, k in _first_failures(~(residual <= STATIONARY_RESIDUAL_TOL)):  # NaN too
-                    if (0, i := group[b]) not in failed:
-                        value = float(residual[k, b])
-                        failed[0, i] = StationaryResidualError(
-                            f"stationary solve of player {i} at round {rounds.start + k + 1} "
-                            f"failed: residual {value} above {STATIONARY_RESIDUAL_TOL}",
-                            residual=value)
-                worst[list(group)] = np.maximum(worst[list(group)], residual.max(axis=0))
-            for b, k in _first_failures(~is_distribution(x)):
-                if (1, i := group[b]) not in failed:
-                    failed[1, i] = ValidationError(
-                        f"strategy of player {i} at round {rounds.start + k + 1} is not a "
-                        f"probability vector: {x[k, b]!r}")
-        if not failed:
-            yield rounds
+def _check(cls, records, rounds: slice, worst: np.ndarray) -> None:
+    """Checks a final block of ``rounds`` of a play's group ``records``, each (rounds, members,
+    ...) whose member b is the group's b-th player: every strategy against the simplex and, for a
+    :class:`~ce_dynamics.omwu.Stationary` learner ``cls``, every solve by the residual gate on the
+    chains it reads off the records (:meth:`~ce_dynamics.omwu.Stationary.chain`), whose worst per
+    player it folds into ``worst``. The block's earliest failing round raises; within it a failed
+    solve comes before a strategy off the simplex, then the lowest player."""
+    failed = []  # (round, check, player, error): the gate is check 0
+    for group, record in records.items():
+        x = record["strategies"][rounds]
+        if issubclass(cls, Stationary):
+            chains = cls.chain(record[cls.trace_field][rounds], x.shape[-1])
+            residual = stationary_residual(chains, x)  # (rounds, members)
+            worst[list(group)] = np.maximum(worst[list(group)], residual.max(axis=0))
+            # The earliest failed (round, member), if any: argwhere's first. NaN fails too.
+            for k, b in np.argwhere(~(residual <= STATIONARY_RESIDUAL_TOL))[:1].tolist():
+                value, t, i = float(residual[k, b]), rounds.start + k + 1, group[b]
+                failed.append((t, 0, i, StationaryResidualError(
+                    f"stationary solve of player {i} at round {t} failed: residual {value} "
+                    f"above {STATIONARY_RESIDUAL_TOL}", residual=value)))
+        for k, b in np.argwhere(~is_distribution(x))[:1].tolist():
+            t, i = rounds.start + k + 1, group[b]
+            failed.append((t, 1, i, ValidationError(
+                f"strategy of player {i} at round {t} is not a probability vector: {x[k, b]!r}")))
     if failed:
-        raise failed[min(failed)]
-    play.residuals = worst.tolist() if stationary else None
+        raise min(failed)[3]
 
 
 def _summarize(config: RunConfig, play: Play, table: np.ndarray):
     """The run's accounting, one step: it fills the (T, m, 7) round table, the CSV columns after
-    ``t, player``, with each block of the walk and takes the summary's block steps, then yields
+    ``t, player``, with each block of the run and takes the summary's block steps, then yields
     the summary document, from the trace and the filled table, and the smoothness reports."""
     game, trace, switch_rounds = play.game, play.trace, play.switch_rounds
     m = game.num_players
@@ -648,7 +631,11 @@ def write_files(files, out_dir=None) -> None:
     """Writes each ``(path, write)`` of the list ``files`` in order, ``write`` writing the file's
     bytes into it, open in binary mode, after making ``out_dir`` and its missing parents if given.
     All or nothing: if anything fails, the files and directories this call created are removed (a
-    file that was there before is overwritten, never removed); an OSError raises ValidationError."""
+    file that was there before is overwritten, never removed); an OSError raises ValidationError,
+    and so, before any file is opened, does a list that names one path twice."""
+    paths = [Path(path).resolve() for path, _ in files]
+    if len(set(paths)) < len(paths):
+        raise ValidationError(f"two outputs at one path: {max(paths, key=paths.count)}")
     dirs = [] if out_dir is None else [Path(out_dir), *Path(out_dir).parents]
     fresh, target = [], out_dir  # the new files, then the directories mkdir makes, deepest first
     try:

@@ -476,7 +476,7 @@ def test_diagnose_command(game_file, tmp_path, capsys):
 
 
 def test_diagnose_table_reads_the_runs_reports(monkeypatch, tmp_path, capsys):
-    built, build = [], runner._smoothness_steps  # the report's block step, which the walk feeds
+    built, build = [], runner._smoothness_steps  # the report's block step, which the run feeds
     for module in (runner, cli, diagnostics):  # wherever the step is bound, its home included
         if getattr(module, "_smoothness_steps", None) is build:
             monkeypatch.setattr(module, "_smoothness_steps", lambda *a: built.append(a[1]) or build(*a))
@@ -628,6 +628,26 @@ def test_diagnose_write_that_fails_midway_leaves_nothing(game_file, tmp_path, mo
     (full,) = opened
     assert full.closed and full.held >= room
     assert [p.name for p in tmp_path.iterdir()] == ["game.json"]
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("table", ["x.json", "./x.json", "sub/../x.json"])
+def test_diagnose_refuses_two_outputs_at_one_path(tmp_path, monkeypatch, capsys, table, existed):
+    """A table and a report at one path exit 2 naming it and write nothing: a file that was
+    there is left as it was."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    if existed:
+        (tmp_path / "x.json").write_bytes(b"{}")
+    argv = ["diagnose", "--players", "2", "--actions", "3,3", "--horizon", "40", "--eta", "0.05",
+            "--table", table, "--out", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    twice = (tmp_path / "x.json").resolve()
+    assert captured.err.startswith(f"validation error: two outputs at one path: {twice}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", *["x.json"] * existed]
+    assert not existed or (tmp_path / "x.json").read_bytes() == b"{}"
 
 
 @pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])

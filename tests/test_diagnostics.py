@@ -435,7 +435,7 @@ class TestInnerStream:
 
     @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu", "arbo", "omwu"])
     def test_summary_reports_are_the_report_functions(self, dynamics):
-        # The run's walk feeds each report's block steps; the report functions run the same steps.
+        # The run's accounting feeds each report's block steps; the report functions run the same steps.
         config = RunConfig(dynamics=dynamics, horizon=300, eta=0.05, players=3,
                            action_counts=(3, 4, 3), smoothness_order=2, rvu_constant=64.0,
                            variance_budget=1.0)
@@ -457,7 +457,7 @@ class TestInnerStream:
                            action_counts=(3, 4, 3), smoothness_order=3, rvu_constant=64.0,
                            variance_budget=1.0)
         summary = run_dynamics(config).summary
-        # Once per block of the walk: rounds 1-256, then 257-300.
+        # Once per block of the run: rounds 1-256, then 257-300.
         blocks = [slice(0, 256), slice(256, 300)]
         assert [a[1:] for a in built] == [(i, b) for b in blocks for i in range(3)]
         assert {"smoothness", "rvu", "variance_check"} <= summary["diagnostics"].keys()

@@ -683,17 +683,30 @@ def read_by_block(trace):
     return trace
 
 
-def played_by_block(play):
-    """``play``, a ``runner._play``, whose finished trace and group records hand out only blocks."""
+def by_block(records):
+    """Each group record of ``records``, wrapped in place in :class:`BlockReads`."""
+    for record in records.values():
+        record.update({name: BlockReads(array) for name, array in record.items()})
+    return records
+
+
+def played_by_block(monkeypatch):
+    """Makes ``runner.play_dynamics`` check each block of the round loop through records that hand
+    out only blocks, and return a play whose trace and group records hand out only blocks."""
+    play, check = runner.play_dynamics, runner._check
 
     def blocks_only(*args):
         out = play(*args)
         read_by_block(out.trace)
-        for record in out.records.values():
-            record.update({name: BlockReads(array) for name, array in record.items()})
+        by_block(out.records)
         return out
 
-    return blocks_only
+    def check_by_block(cls, records, rounds, worst):
+        check(cls, by_block({group: dict(record) for group, record in records.items()}), rounds,
+              worst)
+
+    monkeypatch.setattr(runner, "play_dynamics", blocks_only)
+    monkeypatch.setattr(runner, "_check", check_by_block)
 
 
 def bits(value):
@@ -721,8 +734,8 @@ WHOLE_TRACE = {
 
 
 class TestOneWalk:
-    """After the round loop, every pass reads the trace by block: the checks and the accounting,
-    the equivalence replay and the public whole-trace functions."""
+    """Every pass reads the trace by block: the round loop's checks, the accounting, the
+    equivalence replay and the public whole-trace functions."""
 
     @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
     @pytest.mark.parametrize("adaptive", [False, True])
@@ -731,7 +744,7 @@ class TestOneWalk:
         config = small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=600,
                               smoothness_order=3, rvu_constant=64.0, variance_budget=1.0, **rule)
         want = run_dynamics(config)
-        monkeypatch.setattr(runner, "_play", played_by_block(runner._play))
+        played_by_block(monkeypatch)
         got = run_dynamics(config)
         assert metrics.REGRET_CHUNK_ROUNDS == 256
         assert got.table.tobytes() == want.table.tobytes()
@@ -740,7 +753,7 @@ class TestOneWalk:
     def test_verify_equivalence_reads_by_block(self, monkeypatch):
         game = random_game(3, (3, 4, 3), seed=0)
         want = verify_equivalence(game, eta=0.05, horizon=600)
-        monkeypatch.setattr(runner, "_play", played_by_block(runner._play))
+        played_by_block(monkeypatch)
         assert bits(verify_equivalence(game, eta=0.05, horizon=600)) == bits(want)
 
     @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
@@ -863,7 +876,7 @@ class TestRoundCeiling:
     def test_self_play_stays_under_the_ceiling(self, dynamics, counts, eta):
         config = small_config(dynamics=dynamics, players=len(counts), action_counts=counts,
                               horizon=300, eta=eta)
-        trace = runner._play(config, None).trace
+        trace = play_dynamics(config).trace
         for i, n in enumerate(counts):
             ceiling = runner._round_ceiling(runner._build_dynamics(dynamics, n, eta).learner)
             assert lhs_increments(*inner_stream(trace, i)).max() <= ceiling
@@ -1035,7 +1048,7 @@ class TestUncheckedFeedback:
 
 
 class TestStrategyCheck:
-    """Recorded strategies are checked once, after the round loop."""
+    """Recorded strategies are checked once, as the round loop finishes each block."""
 
     @staticmethod
     def scale_strategies(monkeypatch, scales, groups=((0, 1),)):
@@ -1084,8 +1097,8 @@ class TestStrategyCheck:
 
     @pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu", "arbo"])
     def test_the_lowest_player_off_the_simplex_is_named(self, monkeypatch, dynamics):
-        # Player 1 leaves the simplex in block 1, player 0 in block 2: player 0 is named.
-        self.scale_strategies(monkeypatch, {5: (1.0, 1.5), 300: (1.5, 1.0)})
+        # Both players leave the simplex at one round of block 2: player 0 is named.
+        self.scale_strategies(monkeypatch, {300: (1.5, 1.5)})
         with pytest.raises(ValidationError, match="player 0 at round 300 is not a probability"):
             run_dynamics(small_config(dynamics=dynamics, horizon=400))
 
@@ -1103,7 +1116,7 @@ def patch_solves(monkeypatch, fault):
 
 
 class TestStationaryGate:
-    """A run's stationary solves are gated once, after the round loop."""
+    """A run's stationary solves are gated once, as the round loop finishes each block."""
 
     HORIZON = 300
 
@@ -1125,18 +1138,15 @@ class TestStationaryGate:
         return install
 
     @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
-    def test_no_step_takes_a_block_after_a_failed_one(self, faulty_solve, dynamics):
+    def test_no_step_takes_a_block_after_a_failed_one(self, monkeypatch, faulty_solve, dynamics):
+        # The play fails before the accounting is built: no step is primed, so none takes a block.
         faulty_solve(dynamics, 257)  # the second block's first round
-        play, sent = runner._play(small_config(dynamics=dynamics, horizon=600), None), []
-
-        def spy():
-            while (rounds := (yield)) is not None:
-                sent.append(rounds)
-            yield
-
+        made = []
+        monkeypatch.setattr(runner, "_summarize", lambda *args: made.append("_summarize"))
+        monkeypatch.setattr(runner, "_drive", lambda *args: made.append("_drive"))
         with pytest.raises(StationaryResidualError, match="player 1 at round 257 failed"):
-            metrics._drive(runner._walk(play), spy())
-        assert sent == [slice(0, 256)]
+            run_dynamics(small_config(dynamics=dynamics, horizon=600))
+        assert made == []
 
     @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
     @pytest.mark.parametrize("round_index", [1, 256, 257, HORIZON])
@@ -1154,12 +1164,12 @@ class TestStationaryGate:
 
     @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
     def test_the_lowest_player_fails_first(self, monkeypatch, dynamics):
-        # Player 1's solve fails in block 1, player 0's in block 3: player 0's round is named.
-        faults, calls = {100: 1, 600: 0}, itertools.count(1)  # round -> player
+        # Both players' solves fail at one round of block 3: player 0 is named.
+        calls = itertools.count(1)
 
         def faulty(pi):
-            if (player := faults.get(next(calls))) is not None:
-                pi[player] = np.eye(pi.shape[-1])[0]  # on the simplex, not stationary
+            if next(calls) == 600:
+                pi[:] = np.eye(pi.shape[-1])[0]  # on the simplex, not stationary
             return pi
 
         patch_solves(monkeypatch, faulty)
@@ -1170,27 +1180,26 @@ class TestStationaryGate:
     def test_a_later_failed_solve_beats_an_earlier_strategy_off_the_simplex(
         self, monkeypatch, tmp_path, capsys, dynamics
     ):
-        # Player 1 leaves the simplex in block 1 (scaled, its residual stays within the gate);
-        # player 0's solve fails in block 2. The gate's error is raised, and the CLI exits 3.
+        # At one round of block 2, player 0 leaves the simplex (scaled, its residual stays within
+        # the gate) and the later player 1's solve fails. The gate's error is raised, for player
+        # 1, and the CLI exits 3.
         calls = itertools.count(1)
 
         def faulty(pi):
-            t = next(calls) % 300 or 300  # the CLI's run counts its solves afresh
-            if t == 5:
-                pi[1] *= 1.5
-            elif t == 300:
-                pi[0] = np.eye(pi.shape[-1])[0]
+            if next(calls) % 300 == 0:  # round 300; the CLI's run counts its solves afresh
+                pi[0] *= 1.5
+                pi[1] = np.eye(pi.shape[-1])[0]
             return pi
 
         patch_solves(monkeypatch, faulty)
-        with pytest.raises(StationaryResidualError, match="player 0 at round 300 failed"):
+        with pytest.raises(StationaryResidualError, match="player 1 at round 300 failed"):
             run_dynamics(small_config(dynamics=dynamics, horizon=300))
         out = tmp_path / "run"
         argv = ["run", "--players", "2", "--actions", "3,3", "--horizon", "300",
                 "--dynamics", dynamics, "--eta", "0.05", "--game-seed", "1", "--out", str(out)]
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: stationary solve of player 0 at round 300")
+        assert err.startswith("numerical failure: stationary solve of player 1 at round 300")
         assert not out.exists()
 
     @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
@@ -1203,6 +1212,31 @@ class TestStationaryGate:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: stationary solve of player 1 at round 5")
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_a_failing_run_stops_at_the_end_of_its_block(self, monkeypatch, tmp_path, capsys,
+                                                         dynamics):
+        # A solve faulted at round 257 of 2048 fails at the end of its block: no round after 512
+        # is solved. Through the CLI the run exits 3 and writes nothing.
+        solved = [0]
+
+        def faulty(pi):
+            solved[0] += 1
+            if solved[0] == 257:
+                pi[1] = np.eye(pi.shape[-1])[0]
+            return pi
+
+        patch_solves(monkeypatch, faulty)
+        with pytest.raises(StationaryResidualError, match="player 1 at round 257 failed"):
+            run_dynamics(small_config(dynamics=dynamics, horizon=2048))
+        assert solved == [512]
+        solved[0], out = 0, tmp_path / "run"
+        argv = ["run", "--players", "2", "--actions", "3,3", "--horizon", "2048",
+                "--dynamics", dynamics, "--eta", "0.05", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: stationary solve of player 1 at round 257")
+        assert solved == [512] and not out.exists()
 
     @pytest.mark.parametrize("round_index", [1, 256, 257, HORIZON])
     def test_verify_equivalence_plays_through_the_gate(self, monkeypatch, round_index):
@@ -1228,9 +1262,10 @@ class TestStationaryGate:
 
 
 class TestInterleavedGroupPrecedence:
-    """On a (3, 4, 3) game the walk checks two group record blocks per block of rounds: players 0
-    and 2 are members 0 and 1 of the 3-action learner, player 1 the 4-action learner's only
-    member. Each member's failure is named as its player's, in the one-group order."""
+    """On a (3, 4, 3) game the round loop checks two group record blocks per block of rounds:
+    players 0 and 2 are members 0 and 1 of the 3-action learner, player 1 the 4-action learner's
+    only member. Each member's failure is named as its player's, in the one-group order: the
+    earliest failing round; within it a failed solve, then the lowest player."""
 
     GROUPS = ((0, 2), (1,))
     MEMBERS = {0: (3, 0), 1: (4, 0), 2: (3, 1)}  # player -> (its learner's actions, member)
@@ -1258,15 +1293,52 @@ class TestInterleavedGroupPrecedence:
     @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
     def test_a_late_failed_solve_beats_an_earlier_strategy_off_the_simplex(self, monkeypatch,
                                                                           dynamics):
-        TestStrategyCheck.scale_strategies(monkeypatch, {5: (1.0, 1.5, 1.0)}, self.GROUPS)
+        # In one round, player 1's strategy leaves the simplex and the later player 2's solve fails.
+        TestStrategyCheck.scale_strategies(monkeypatch, {550: (1.0, 1.5, 1.0)}, self.GROUPS)
         self.fail_solves(monkeypatch, dynamics, [(2, 550)])
         with pytest.raises(StationaryResidualError, match="player 2 at round 550 failed"):
             run_dynamics(self.config(dynamics))
 
     @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
     def test_failed_solves_of_two_members_name_the_lower_player(self, monkeypatch, dynamics):
-        self.fail_solves(monkeypatch, dynamics, [(2, 5), (0, 300)])
+        self.fail_solves(monkeypatch, dynamics, [(2, 300), (0, 300)])
         with pytest.raises(StationaryResidualError, match="player 0 at round 300 failed"):
+            run_dynamics(self.config(dynamics))
+
+    # Each later fault lies in the block of round 5, or in the next one, which is never played.
+    @pytest.mark.parametrize("later", [200, 550])
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_an_earlier_strategy_off_the_simplex_beats_a_later_failed_solve(self, monkeypatch,
+                                                                           dynamics, later):
+        TestStrategyCheck.scale_strategies(monkeypatch, {5: (1.0, 1.5, 1.0)}, self.GROUPS)
+        self.fail_solves(monkeypatch, dynamics, [(2, later)])
+        with pytest.raises(ValidationError, match="player 1 at round 5 is not a probability"):
+            run_dynamics(self.config(dynamics))
+
+    @pytest.mark.parametrize("later", [200, 300])
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_an_earlier_failed_solve_beats_a_lower_players_later_one(self, monkeypatch, dynamics,
+                                                                     later):
+        self.fail_solves(monkeypatch, dynamics, [(2, 5), (0, later)])
+        with pytest.raises(StationaryResidualError, match="player 2 at round 5 failed"):
+            run_dynamics(self.config(dynamics))
+
+    @pytest.mark.parametrize("later", [200, 300])
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_in_one_round_a_failed_solve_beats_a_strategy_off_the_simplex(self, monkeypatch,
+                                                                          dynamics, later):
+        # Player 0 leaves the simplex where player 1's solve fails; player 0's fails later.
+        TestStrategyCheck.scale_strategies(monkeypatch, {5: (1.5, 1.0, 1.0)}, self.GROUPS)
+        self.fail_solves(monkeypatch, dynamics, [(1, 5), (0, later)])
+        with pytest.raises(StationaryResidualError, match="player 1 at round 5 failed"):
+            run_dynamics(self.config(dynamics))
+
+    @pytest.mark.parametrize("later", [200, 300])
+    @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
+    def test_in_one_round_the_lower_player_is_named(self, monkeypatch, dynamics, later):
+        # Players 2 and 1, of two learners, fail in one round; player 0 fails later.
+        self.fail_solves(monkeypatch, dynamics, [(2, 5), (1, 5), (0, later)])
+        with pytest.raises(StationaryResidualError, match="player 1 at round 5 failed"):
             run_dynamics(self.config(dynamics))
 
     @pytest.mark.parametrize("dynamics", ["sl-omwu", "bm-omwu"])
@@ -1285,6 +1357,38 @@ class TestInterleavedGroupPrecedence:
                                            self.GROUPS)
         with pytest.raises(ValidationError, match="player 2 at round 200 is not a probability"):
             run_dynamics(self.config(dynamics))
+
+
+class TestCheckedBlocks:
+    """The round loop checks consecutive blocks of at most REGRET_CHUNK_ROUNDS rounds that cover
+    the run's rounds exactly once; an adaptive switch ends its block."""
+
+    # The golden table's --adaptive-budget 1e-7, where omwu's and mwu's player 1 switches at
+    # round 1 of game seed 0, and switches forced at rounds 300 and 1.
+    @pytest.mark.parametrize("rule", ["fixed", "adaptive1e-7", "forced"])
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    def test_checked_blocks_cover_the_run_once(self, monkeypatch, dynamics, rule):
+        adaptive = dict(eta_rule="adaptive", eta=None, adaptive_budget=1e-7)
+        config = small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=600,
+                              game_seed=0, **({} if rule == "fixed" else adaptive))
+        if rule == "forced":
+            force_switches(monkeypatch, (300, None, 1))
+        check, seen = runner._check, []
+
+        def spy(cls, records, rounds, worst):
+            seen.append(rounds)
+            check(cls, records, rounds, worst)
+
+        monkeypatch.setattr(runner, "_check", spy)
+        switches = {r for r in play_dynamics(config).switch_rounds if r is not None}
+        assert [r.start for r in seen] == [0, *(r.stop for r in seen[:-1])]
+        assert seen[-1].stop == 600 and all(0 < r.stop - r.start <= 256 for r in seen)
+        stops = {"fixed": [256, 512, 600], "adaptive1e-7": [1, 257, 513, 600],
+                 "forced": [1, 257, 300, 556, 600]}[rule]
+        if rule == "adaptive1e-7" and dynamics not in ("omwu", "mwu"):
+            stops = [256, 512, 600]  # no switch
+        assert [r.stop for r in seen] == stops
+        assert switches == {1, 300} & set(stops)
 
 
 class TestPublicReplay:

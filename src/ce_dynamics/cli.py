@@ -52,7 +52,7 @@ def _add_game_source(p):
     p.add_argument("--players", type=int, help="number of players for a generated game")
     p.add_argument("--actions", dest="action_counts", metavar="ACTIONS", type=_parse_actions,
                    help="comma-separated action counts, e.g. 3,3")
-    p.add_argument("--game-seed", type=int, default=0, help="seed for the generated game")
+    p.add_argument("--game-seed", type=int, help="seed for the generated game (default 0)")
 
 
 def _add_run_options(p):
@@ -123,17 +123,20 @@ def _build_parser() -> _Parser:
 
 def _parse_actions(text):
     try:
-        return tuple(int(part) for part in text.split(",") if part)
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected action counts like 3,3, got {text!r}") from None
 
 
 def _config_from_args(args) -> RunConfig:
+    if args.game_file is not None and args.game_seed is not None:
+        raise ValidationError("--game excludes --game-seed: the file is the game")
     eta_rule = args.eta_rule or ("fixed" if args.eta is not None else None)
     if eta_rule is None:
         raise ValidationError("need --eta or --eta-rule")
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    return RunConfig(**{**given, "eta_rule": eta_rule, "action_counts": args.action_counts or None})
+    # An option left out takes RunConfig's default: --game-seed's is 0.
+    given = {f.name: v for f in fields(RunConfig) if (v := getattr(args, f.name, None)) is not None}
+    return RunConfig(**{**given, "eta_rule": eta_rule})
 
 
 def _cmd_run(args) -> int:

@@ -21,7 +21,6 @@ the worst deviations of both facts, each computed once per group record block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -171,11 +170,10 @@ class EquivalenceReport:
             and self.max_proportionality_residual <= tol
         )
 
-    def to_dict(self) -> dict:  # a non-finite maximum is None, as in summary.json
-        maxima = {"max_strategy_deviation": self.max_strategy_deviation,
-                  "max_proportionality_residual": self.max_proportionality_residual}
+    def to_dict(self) -> dict:
         return {"horizon": self.horizon, "eta": self.eta,
-                **{k: v if math.isfinite(v) else None for k, v in maxima.items()}}
+                "max_strategy_deviation": self.max_strategy_deviation,
+                "max_proportionality_residual": self.max_proportionality_residual}
 
 
 def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) -> EquivalenceReport:
@@ -186,7 +184,7 @@ def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) 
     none of a run's per-round table or summary. Each block of its trace is then sent to the
     replay: each group's recorded loss block is fed to a fresh tree-space learner stacked over the
     group's members, as in the run. Per round we record the largest strategy gap and, per tree, the
-    relative spread of (product of pair masses along tree edges) / (tree mass), which should be a
+    spread of log((product of pair masses along tree edges) / (tree mass)), which should be a
     tree-independent constant. The tree learners are built first, so their size and
     learning-rate guards fail before any play. ``tol`` is kept on the report as the default of
     :meth:`EquivalenceReport.passes`. The play and the driver come from runner, which imports
@@ -228,8 +226,9 @@ def _replay_block(record, arbo, rounds):
     into the block's own (rounds, members, ...) strategy and tree rows as the round loop does;
     returns each round's worst strategy gap and proportionality residual over the members. Blocks
     bound the tree distributions kept and each edge's (rounds, members, trees) gather. The
-    proportionality constant is taken from the first tree; the residual is the largest relative
-    departure of any other tree from it, +inf past exp's range."""
+    proportionality constant is taken from the first tree; the residual is the largest
+    |log ratio - log ratio of the first tree|, to first order the relative departure, finite
+    wherever the masses are, their floor included."""
     losses = record["losses"][rounds]
     strategies, tree_dists = np.empty(losses.shape), np.empty((*losses.shape[:2], len(arbo.roots)))
     for t, loss in enumerate(losses):
@@ -239,6 +238,4 @@ def _replay_block(record, arbo, rounds):
     # Each tree's log pair masses summed edge by edge, left to right as numpy sums n - 1 < 8 terms.
     logs = np.log(record["pair_dists"][rounds])
     log_ratio = reduce(np.add, (logs[:, :, e] for e in arbo.edge_pairs.T)) - np.log(tree_dists)
-    with np.errstate(over="ignore"):
-        spread = np.exp(log_ratio - log_ratio[:, :, :1])
-    return gap, np.abs(spread - 1.0).max(axis=(1, 2))
+    return gap, np.abs(log_ratio - log_ratio[:, :, :1]).max(axis=(1, 2))

@@ -78,9 +78,8 @@ class RunTrace:
         """Writes the bytes of ``np.savez(path, **arrays)``, member by member: each header field,
         then each player's set fields as ``p{i}_<field>``, each player array's C-ordered rows
         block by block, so the call holds one block above the trace. SL's pair losses, which a
-        played trace does not hold, are its learner's ``inner_losses`` of each block, the inner
-        stream's z. As with np.savez, a path without ``.npz`` gets the suffix and a file object
-        is written as it is."""
+        played trace does not hold, are each block's :func:`inner_stream` z. As with np.savez, a
+        path without ``.npz`` gets the suffix and a file object is written as it is."""
         if not hasattr(path, "write"):
             path = os.fspath(path)
             path += "" if path.endswith(".npz") else ".npz"
@@ -95,9 +94,8 @@ class RunTrace:
                         value = np.asarray(value)
                         blocks = (value[b] for b in _blocks(len(value)))
                     elif f.name == "pair_losses" and pt.pair_dists is not None:  # SL's z
-                        value, z = pt.pair_dists, _learner(self.dynamics).inner_losses
-                        blocks = (z(pt.strategies[b], pt.losses[b]).reshape(value[b].shape)
-                                  for b in _blocks(len(value)))
+                        value = pt.pair_dists
+                        blocks = (inner_stream(self, i, b)[1][:, 0] for b in _blocks(len(value)))
                     else:
                         continue
                     _write_npy(archive, f"p{i}_{f.name}", value, blocks)

@@ -172,6 +172,9 @@ class RunConfig:
             self.game_file = os.fspath(self.game_file)  # the echo writes the path as a string
         if not isinstance(self.game_file, (type(None), str)):
             raise ValidationError(f"game_file must be a path, got {self.game_file!r}")
+        mixed = [k for k in ("players", "action_counts") if getattr(self, k) is not None]
+        if self.game_file is not None and mixed:
+            raise ValidationError(f"game_file excludes {' and '.join(mixed)}: the file is the game")
 
     def echo(self) -> dict:
         """Config as emitted into the summary; output options excluded."""
@@ -357,6 +360,11 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     config.validate()
     if game is None:
         game = load_config_game(config)
+    elif (game.num_players, game.action_counts) != (config.players, config.action_counts):
+        raise ValidationError(  # a config game_file leaves players and action_counts None
+            f"the given game of {game.num_players} players with action counts "
+            f"{game.action_counts} is not the config's: players={config.players!r}, "
+            f"action_counts={config.action_counts!r}, game_file={config.game_file!r}")
     m = game.num_players
     counts = game.action_counts
     T = config.horizon
@@ -385,11 +393,8 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     field = cls.trace_field  # the inner distributions' trace record: omwu's, the strategies
     # Each record is round-major, (T, members, ...): the round computes in a group's round-t rows,
     # one C-contiguous block. A player's field is its member's strided view; built before play.
-    records = []
-    for group, dyn in zip(groups, dyns):
-        actions = (counts[group[0]],)
-        shapes = {"strategies": actions, "losses": actions, field: dyn.learner.shape[1:]}
-        records.append({k: np.empty((T, len(group), *s)) for k, s in shapes.items()})
+    records = [{k: np.empty((T, len(g), *metrics._ROUND_SHAPES[k](counts[g[0]])))
+                for k in ("strategies", "losses", field)} for g in groups]
     players = [PlayerTrace(**{k: v[:, b] for k, v in records[g].items()}) for _, g, b in slots]
     trace = RunTrace(horizon=T, dynamics=config.dynamics, action_counts=counts,
                      etas=tuple(etas), players=players)

@@ -112,16 +112,16 @@ def refuse_constant(token):
     raise AssertionError(f"non-finite token {token} in strict JSON")
 
 
-def test_equivalence_residual_past_exps_range_is_null(tmp_path, capsys):
-    # At eta = 1000 a tree's mass ratio leaves exp's range: the residual saturates to +inf
-    # without a warning, and the report writes it as null and fails.
+def test_equivalence_residual_past_exps_range_is_finite(tmp_path, capsys):
+    # At eta = 1000 a tree's mass ratio leaves exp's range; its log does not. The residual, a
+    # log-ratio spread, is a finite number above the tolerance, with no warning, and fails.
     game = tmp_path / "game.json"
     assert main(["gen", "--players", "2", "--actions", "3,3", "--seed", "0", "--out", str(game)]) == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["equivalence", "--game", str(game), "--eta", "1000", "--horizon", "300"]) == 0
     doc = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
-    assert doc["max_proportionality_residual"] is None
+    assert 1e-8 < doc["max_proportionality_residual"] < math.inf
     assert doc["passes"] is False
 
 
@@ -450,14 +450,38 @@ def test_run_truncated_game_is_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["run", "--players", "2", "--actions", "3,x", "--horizon", "4", "--eta", "0.1", "--out", "x"],
-     ["gen", "--players", "2", "--actions", "3,x"]],
-    ids=["run", "gen"],
+    "command, actions",
+    [("run", "3,x"), ("gen", "3,x"), ("run", "3,,3"), ("gen", "3,,3"), ("run", ",3,3,"),
+     ("gen", ",3,3,")],
+    ids=["run", "gen", "run-3,,3", "gen-3,,3", "run-,3,3,", "gen-,3,3,"],
 )
-def test_bad_actions_is_usage_error(capsys, argv):
-    assert main(argv) == 1
-    assert "expected action counts like 3,3, got '3,x'" in capsys.readouterr().err
+def test_bad_actions_is_usage_error(tmp_path, capsys, command, actions):
+    # An empty entry is no action count: it was dropped, so 3,,3 played as 3,3.
+    argv = {"run": ["run", "--horizon", "4", "--eta", "0.1", "--out", str(tmp_path / "x")],
+            "gen": ["gen", "--out", str(tmp_path / "g.json")]}[command]
+    assert main([*argv, "--players", "2", "--actions", actions]) == 1
+    assert f"expected action counts like 3,3, got {actions!r}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+@pytest.mark.parametrize("options, message", [
+    (["--players", "3"], "game_file excludes players: "),
+    (["--actions", "4,4,4"], "game_file excludes action_counts: "),
+    (["--players", "3", "--actions", "4,4,4"], "game_file excludes players and action_counts: "),
+    (["--game-seed", "7"], "--game excludes --game-seed: "),
+    (["--game-seed", "0"], "--game excludes --game-seed: "),
+], ids=["players", "actions", "both", "seed", "seed-0"])
+def test_a_game_file_excludes_the_generator_options(game_file, tmp_path, capsys, command,
+                                                     options, message):
+    # The 2-player 3x3 file was played while the summary echoed the options' game.
+    out = tmp_path / "out"
+    argv = [command, "--game", game_file, *options, "--horizon", "8", "--eta", "0.05",
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"validation error: {message}")
+    assert not out.exists()
 
 
 def test_diagnose_command(game_file, tmp_path, capsys):

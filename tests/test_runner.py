@@ -139,6 +139,22 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=f"cannot read game file {re.escape(str(path))}"):
             run_dynamics(RunConfig("sl-omwu", 4, eta=0.1, game_file=str(path)))
 
+    @pytest.mark.parametrize("mixed", [dict(players=2), dict(action_counts=(3, 3)),
+                                       dict(players=2, action_counts=(3, 3))], ids=repr)
+    def test_a_game_file_excludes_players_and_action_counts(self, mixed):
+        # The file's game was played while the summary echoed these fields' game.
+        with pytest.raises(ValidationError, match="^game_file excludes "):
+            RunConfig("sl-omwu", 4, eta=0.1, game_file="game.json", **mixed).validate()
+
+    @pytest.mark.parametrize("config", [dict(action_counts=(3, 4)),
+                                        dict(players=3, action_counts=(3, 3, 3)),
+                                        dict(players=None, action_counts=None, game_file="g.json")],
+                             ids=["counts", "players", "game-file"])
+    def test_a_given_game_is_the_configs(self, config):
+        game = random_game(2, (3, 3), seed=1)
+        with pytest.raises(ValidationError, match=r"^the given game of 2 players .* \(3, 3\) is not"):
+            play_dynamics(small_config(**config), game)
+
     def test_a_path_like_game_file_is_echoed_as_its_string(self, tmp_path):
         path = tmp_path / "game.json"
         path.write_bytes(games.save_game(random_game(2, (3, 3), seed=1)))
@@ -474,15 +490,18 @@ class TestAdaptiveMode:
     def test_adversarial_eta_formula(self):
         assert adversarial_eta(6, 1024) == pytest.approx(math.sqrt(math.log(6) / 1024))
 
-    @pytest.mark.parametrize("dynamics,counts", [("bm-omwu", (3, 3)), ("arbo", (3, 3)), ("omwu", (4, 4))])
+    @pytest.mark.parametrize("dynamics,counts", [("bm-omwu", (3, 3)), ("arbo", (3, 3)), ("omwu", (4, 4)),
+                                                 ("bm-omwu", (3, 4, 3))])
     def test_forced_switch_other_dynamics(self, dynamics, counts):
-        # A zero budget trips the controller on every inner-stream shape.
+        # A zero budget trips the controller on every inner-stream shape, at round 1, and every
+        # member of a learner takes its own new rate: (3, 4, 3)'s players 0 and 2 share one.
         cfg = small_config(
-            dynamics=dynamics, eta_rule="adaptive", eta=None,
-            horizon=8, action_counts=counts, adaptive_budget=0.0,
+            dynamics=dynamics, eta_rule="adaptive", eta=None, horizon=8, players=len(counts),
+            action_counts=counts, adaptive_budget=0.0,
         )
-        result = run_dynamics(cfg)
-        assert all(s is not None for s in result.summary["final"]["adaptive_switch_round"])
+        final = run_dynamics(cfg).summary["final"]
+        assert final["adaptive_switch_round"] == [1] * len(counts)
+        assert all(a != b for a, b in zip(final["eta_final"], final["eta_initial"]))
 
 
 def adversarial_stream(switch_round, rounds=600, rows=2, dim=4, seed=0):

@@ -68,6 +68,8 @@ def binomial_difference(sequence, order: int) -> np.ndarray:
     """
     seq = np.asarray(sequence, dtype=float)
     T = seq.shape[0]
+    if order < 0:
+        raise ValidationError(f"order must be nonnegative, got {order}")
     if order > T - 1:
         raise ValidationError(f"order {order} too large for horizon {T}")
     coeffs = np.array(

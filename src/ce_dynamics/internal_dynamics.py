@@ -186,12 +186,15 @@ def verify_equivalence(game: Game, eta: float, horizon: int, tol: float = 1e-8) 
     group's members, as in the run. Per round we record the largest strategy gap and, per tree, the
     spread of log((product of pair masses along tree edges) / (tree mass)), which should be a
     tree-independent constant. The tree learners are built first, so their size and
-    learning-rate guards fail before any play. ``tol`` is kept on the report as the default of
-    :meth:`EquivalenceReport.passes`. The play and the driver come from runner, which imports
-    this module, at call time: the package's one function-level import.
+    learning-rate guards fail before any play, as does a ``tol`` that is negative or not finite;
+    ``tol`` is kept on the report as the default of :meth:`EquivalenceReport.passes`. The play
+    and the driver come from runner, which imports this module, at call time: the package's one
+    function-level import.
     """
     from .runner import RunConfig, _drive, play_dynamics, player_groups
 
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be non-negative and finite, got {tol}")
     counts = game.action_counts
     arbos = [ArboDynamics(counts[g[0]], np.full(len(g), eta)) for g in player_groups(counts)]
     config = RunConfig("sl-omwu", horizon, eta=eta, players=game.num_players, action_counts=counts)

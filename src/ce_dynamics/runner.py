@@ -13,9 +13,9 @@ player's contraction of the opponents' round-t strategy rows its loss row
 game losses in [0, 1], which leave each softmax's max-shift and floor off while they cannot
 bind (:class:`omwu.Omwu`, per member since its reset).
 Adaptive controllers whose budget can bind within the horizon scan each block of
-``REGRET_CHUNK_ROUNDS`` inner-stream rounds; at a block's first breach the learners are restored
-to the block's start and replayed up to that round, where each breaching player's member is
-reset alone; the block ends there. The others are never scanned. Each block is checked as soon as
+``REGRET_CHUNK_ROUNDS`` inner-stream rounds: a breach inside a block returns the learners and the
+controllers to its start, and the block is played again, cut at the breach, where each breaching
+player's member is reset alone. The others are never scanned. Each block is checked as soon as
 it is final (:func:`_check`): every stationary solve gated by its residual and every strategy
 checked against the simplex, once per group record block, (rounds, members, ...), so a failing
 run stops at the end of the block that holds its earliest failing round. That checked play is
@@ -244,9 +244,8 @@ class AdaptiveEtaController:
     the allowance, the second is non-negative, and no round of the run can breach, so the run
     never scans it. Without a ceiling it is live.
 
-    :meth:`scan` finds a block of rounds' first breach and folds nothing in;
-    :meth:`advance` folds the block in up to a round. :meth:`update` is the
-    one-round case.
+    :meth:`scan` folds a block in up to and including its first breach, where it switches;
+    :meth:`update` folds one round. No attribute changes in place, so :func:`_snapshot` restores it.
     """
 
     def __init__(self, horizon: int, dim: int, budget_constant: float,
@@ -258,7 +257,6 @@ class AdaptiveEtaController:
         self.lhs = 0.0
         self.prev_variance_sum = 0.0
         self._prev_rows = None
-        self._block = None
         self.switch_round: int | None = None
 
     @property
@@ -266,29 +264,21 @@ class AdaptiveEtaController:
         return self.switch_round is not None
 
     def scan(self, first_round: int, q: np.ndarray, z: np.ndarray) -> int | None:
-        """The first round of a block of inner feedback, (rounds, rows, dim), to breach; or None."""
+        """Folds in a block of inner feedback, (rounds, rows, dim), from ``first_round`` up to and
+        including its first round to breach, where it switches; returns that round, or None."""
         carry = self.lhs, self.prev_variance_sum
         lhs, prev_sum = running_variance_sums(q, z, self._prev_rows, carry)
-        self._block = first_round, lhs, prev_sum, z
         breach = np.flatnonzero(lhs > 0.5 * prev_sum + self.allowance)
-        return first_round + int(breach[0]) if breach.size else None
-
-    def advance(self, last_round: int, switch: bool = False) -> None:
-        """Fold in the last scanned block up to ``last_round``; switch there if ``switch``."""
-        first_round, lhs, prev_sum, z = self._block
-        k = last_round - first_round
+        k = int(breach[0]) if breach.size else len(z) - 1  # the last round folded in
         self.lhs, self.prev_variance_sum = float(lhs[k]), float(prev_sum[k])
         self._prev_rows = z[k].copy()
-        if switch:
-            self.switch_round = last_round
+        if breach.size:
+            self.switch_round = first_round + k
+        return first_round + k if breach.size else None
 
     def update(self, round_index: int, q_rows: np.ndarray, z_rows: np.ndarray) -> bool:
         """Fold in one round of inner feedback; True when the switch fires now."""
-        if self.switched:
-            return False
-        fired = self.scan(round_index, q_rows[None], z_rows[None]) is not None
-        self.advance(round_index, fired)
-        return fired
+        return not self.switched and self.scan(round_index, q_rows[None], z_rows[None]) is not None
 
 
 def _round_ceiling(learner: Omwu) -> float:
@@ -355,8 +345,9 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     it is final, so a failing run stops at the end of the block that holds its earliest failure.
 
     Only a :attr:`~AdaptiveEtaController.live` controller is kept: while one has not switched,
-    each block is snapshotted, played and scanned, and replayed from its start up to a breach,
-    which ends the block; a controller that cannot breach within T is never scanned."""
+    each block is snapshotted with the learners, played and scanned, and a breach inside it
+    restores both and runs the block again, cut at the breach; a controller that cannot breach
+    within T is never scanned."""
     config.validate()
     if game is None:
         game = load_config_game(config)
@@ -406,9 +397,10 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     contractions = [_contraction(game, i, played, p.losses) for i, p in enumerate(players)]
     feeds = [(dyn._update, rec["losses"]) for dyn, rec in zip(dyns, records)]
     grouped = dict(zip(map(tuple, groups), records))  # what the checks and the accounting read
+    stepped = [*dyns, *(d.learner for d in dyns)]  # what a round changes besides the records
 
-    def play(rounds: range) -> None:
-        for t in rounds:
+    def play(rounds: slice) -> None:
+        for t in range(rounds.start, rounds.stop):
             for step, strategies, inner in plays:
                 step(strategies[t], inner[t])
             for contract in contractions:
@@ -417,26 +409,24 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
                 update(losses[t])
 
     worst = np.zeros(m)  # each player's worst stationary residual so far
-    done = 0  # rounds played and checked so far
-    while done < T:
-        block = range(done, min(done + REGRET_CHUNK_ROUNDS, T))
+    block = slice(0, 0)  # the rounds last played and checked
+    while block.stop < T:
+        block = slice(block.stop, min(block.stop + REGRET_CHUNK_ROUNDS, T))
         scanned = {i: c for i, c in controllers.items() if not c.switched}
-        restore = _snapshot(dyns) if scanned else None  # only a breach replays a block
-        play(block)
-        rounds = slice(block.start, block.stop)
-        breaches = {  # player -> round of the first breach in the block, or None
-            i: c.scan(block.start + 1, *inner_stream(trace, i, rounds)) for i, c in scanned.items()
-        }
-        done = min((r for r in breaches.values() if r is not None), default=block.stop)
-        if done < block.stop:  # replay the block from its start up to the first switch
+        # Only a breach inside the block restores it: the learners and the scanned controllers.
+        restore = _snapshot(*stepped, *scanned.values()) if scanned else None
+        while True:  # a replay gives the same bits, so its first breach is its last round
+            play(block)
+            first = min(filter(None, [c.scan(block.start + 1, *inner_stream(trace, i, block))
+                                      for i, c in scanned.items()]), default=block.stop)
+            if first == block.stop:
+                break
             restore()
-            play(range(block.start, done))
+            block = slice(block.start, first)
         for i, g, b in slots:
-            if i in breaches:
-                controllers[i].advance(done, breaches[i] == done)
-                if breaches[i] == done:
-                    dyns[g].reset(controllers[i].eta_adversarial, b)
-        _check(cls, grouped, slice(block.start, done), worst)
+            if i in scanned and scanned[i].switch_round == block.stop:
+                dyns[g].reset(scanned[i].eta_adversarial, b)
+        _check(cls, grouped, block, worst)
 
     switch_rounds = [controllers[i].switch_round if i in controllers else None for i in range(m)]
     eta_final = [float(dyns[g].eta[b]) for _, g, b in slots]
@@ -444,10 +434,10 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     return Play(trace, game, switch_rounds, eta_final, residuals, grouped)
 
 
-def _snapshot(dyns):
-    """Restores every learner of ``dyns`` to now: a step replaces every learner array it changes,
-    so copies of the attributes restore it."""
-    start = [(o, vars(o).copy()) for d in dyns for o in {d, d.learner}]
+def _snapshot(*objs):
+    """Restores each of ``objs`` to now: a step replaces every attribute it changes, so copies of
+    the attributes restore it."""
+    start = [(o, vars(o).copy()) for o in objs]
 
     def restore() -> None:
         for obj, attrs in start:

@@ -28,6 +28,11 @@ def test_gen_writes_loadable_game(tmp_path, capsys):
     assert game.action_counts == (3, 4)
 
 
+def test_gen_without_out_writes_the_game_to_stdout(capsysbinary):
+    assert main(["gen", "--players", "2", "--actions", "3,4", "--seed", "9"]) == 0
+    assert capsysbinary.readouterr().out == save_game(random_game(2, (3, 4), 9)) + b"\n"
+
+
 def test_gen_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["gen", "--players", "2", "--actions", "2,2", "--seed", "3", "--out", str(a)])

@@ -70,10 +70,22 @@ class TestFiniteDifferences:
         with pytest.raises(ValidationError):
             finite_differences(np.zeros((4, 2)), 4)
 
+    @pytest.mark.parametrize("difference, order, match", [
+        (finite_differences, -1, "nonnegative"), (binomial_difference, -1, "nonnegative"),
+        (binomial_difference, 4, "too large"),
+    ], ids=["recursion-negative", "binomial-negative", "binomial-too-high"])
+    def test_order_out_of_range(self, difference, order, match):
+        with pytest.raises(ValidationError, match=match):
+            difference(np.zeros((4, 2)), order)
+
 
 class TestVariance:
     def test_constant_vector_zero(self):
         assert variance(np.array([0.2, 0.8]), np.array([0.7, 0.7])) == 0.0
+
+    def test_shapes_must_match(self):
+        with pytest.raises(ValidationError, match="shape mismatch"):
+            variance(np.array([0.5, 0.5]), np.zeros(3))
 
     def test_bernoulli(self):
         assert variance(np.array([0.5, 0.5]), np.array([0.0, 1.0])) == pytest.approx(0.25)
@@ -365,13 +377,12 @@ class TestInnerStream:
     @pytest.mark.parametrize("dynamics", DYNAMICS)
     def test_variance_report_sums_are_the_controllers(self, dynamics, counts):
         # The controller takes the stream in 100-round blocks; the reports add it in their own.
+        # Its infinite budget never breaches, so it folds in every round.
         trace = ragged_run(dynamics, counts).trace
         for i in range(len(counts)):
-            ctl = AdaptiveEtaController(trace.horizon, 2, 0.0)
+            ctl = AdaptiveEtaController(trace.horizon, 2, math.inf)
             for s in range(0, trace.horizon, 100):
-                rounds = slice(s, min(s + 100, trace.horizon))
-                ctl.scan(s + 1, *inner_stream(trace, i, rounds))
-                ctl.advance(rounds.stop)
+                assert ctl.scan(s + 1, *inner_stream(trace, i, slice(s, s + 100))) is None
             want = (ctl.lhs, ctl.prev_variance_sum)
             budget = check_variance_inequality(trace, i)
             rvu = rvu_check(trace, i, eta=0.05, curvature_constant=64.0)

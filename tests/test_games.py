@@ -100,6 +100,14 @@ class TestExpectedLoss:
         with pytest.raises(DimensionMismatchError, match="player 1"):
             expected_loss(game, [np.array([0.5, 0.5]), np.array([0.5, 0.5])], 0)
 
+    @pytest.mark.parametrize("profile, error, match", [
+        ([[0.5, 0.5]], DimensionMismatchError, "profile has 1 strategies for 2 players"),
+        ([[0.5, 0.5], [0.5, 0.6, 0.1]], ValidationError, "player 1 is not a probability vector"),
+    ], ids=["count", "off-simplex"])
+    def test_bad_profile_refused(self, profile, error, match):
+        with pytest.raises(error, match=match):
+            expected_loss(random_game(2, (2, 3), seed=0), profile, 0)
+
 
 def contract_axes(tensor, strategies, player):
     """Oracle: contract every axis of ``tensor`` but ``player``'s with ``np.tensordot``."""
@@ -235,6 +243,21 @@ class TestSerialization:
         with pytest.raises(GameFormatError, match="entries"):
             load_game(json.dumps(doc).encode())
 
+    def test_text_is_read_as_utf8(self):
+        game = random_game(2, (2, 3), seed=5)
+        assert save_game(load_game(save_game(game).decode())) == save_game(game)
+
+    @pytest.mark.parametrize("data, match, offset", [
+        (b'{"players": 2\xff}', "not UTF-8", 13),
+        (b"[2, [2, 2]]", "must be an object", None),
+        (b'{"players": 3, "actions": [2, 2], "losses": []}', "'actions' lists 2 players but "
+                                                            "'players' is 3", None),
+    ], ids=["non-utf8", "not-an-object", "actions-vs-players"])
+    def test_bad_file_refused(self, data, match, offset):
+        with pytest.raises(GameFormatError, match=match) as info:
+            load_game(data)
+        assert info.value.offset == offset
+
     @pytest.mark.parametrize(
         "losses", [[["a", 0, 0, 0], [0, 0, 0, 0]], 5], ids=["non-numeric", "non-list"]
     )
@@ -250,6 +273,16 @@ class TestGameInvariants:
             Game((2,), (np.zeros(2),))
         with pytest.raises(ValidationError):
             Game((2, 1), (np.zeros((2, 1)), np.zeros((2, 1))))
+
+    @pytest.mark.parametrize("losses, error, match", [
+        ((np.zeros((2, 2)),), ValidationError, "expected 2 loss tensors, got 1"),
+        ((np.zeros((2, 2)), np.zeros((2, 3))), DimensionMismatchError,
+         r"player 1 has shape \(2, 3\), expected \(2, 2\)"),
+        ((np.zeros((2, 2)), np.full((2, 2), np.nan)), ValidationError, "player 1 has non-finite"),
+    ], ids=["count", "shape", "non-finite"])
+    def test_bad_tensors_refused(self, losses, error, match):
+        with pytest.raises(error, match=match):
+            Game((2, 2), losses)
 
     def test_tensors_immutable(self):
         game = random_game(2, (2, 2), seed=3)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ce_dynamics import runner
 from ce_dynamics.errors import ValidationError
 from ce_dynamics.games import expected_loss, random_game
 from ce_dynamics.internal_dynamics import (
@@ -227,6 +228,16 @@ class TestEquivalence:
         assert strict.passes() is strict.passes(0.0)
         assert strict.passes(1.0)
         assert loose.to_dict() == strict.to_dict()
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_bad_tol_fails_before_any_play(self, monkeypatch, tol):
+        # inf would pass every report, nan and -1 fail every one: refused, as the CLI refuses them.
+        def refuse(*args):
+            raise AssertionError("played")
+
+        monkeypatch.setattr(runner, "play_dynamics", refuse)
+        with pytest.raises(ValidationError, match="tol must be non-negative and finite"):
+            verify_equivalence(random_game(2, (3, 3), seed=0), eta=0.05, horizon=20, tol=tol)
 
     def test_action_guard(self):
         game = random_game(2, (6, 3), seed=1)

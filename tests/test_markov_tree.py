@@ -98,6 +98,10 @@ class TestEnumeration:
             assert len(tree.edges()) == 3
             assert all(child != parent for child, parent in tree.edges())
 
+    def test_parent_array_without_root(self):
+        with pytest.raises(ValidationError, match=r"parent array \(1, 0\) has no root"):
+            Arborescence((1, 0)).root
+
     def test_range_guards(self):
         with pytest.raises(ValidationError):
             enumerate_arborescences(8, 0)
@@ -136,6 +140,12 @@ class TestTreeTheorem:
         # An empty matrix has no minimum to take: the typed error comes first.
         with pytest.raises(ValidationError, match=r"square, non-empty, got shape \(0, 0\)"):
             solver(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("solver", [tree_theorem_stationary, solve_stationary])
+    def test_rejects_non_finite_entries(self, solver, value):
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            solver([[0.5, value], [0.5, 0.5]])
 
     @pytest.mark.parametrize("solver", [tree_theorem_stationary, solve_stationary])
     def test_rejects_huge_entries_without_overflow(self, solver):

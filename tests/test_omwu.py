@@ -123,6 +123,11 @@ class TestObserve:
         with pytest.raises(ValidationError):
             Omwu((2, 3, 4), eta=0.1)
 
+    @pytest.mark.parametrize("make", [SlOmwu, BmOmwu], ids=["sl-omwu", "bm-omwu"])
+    def test_stationary_learners_need_two_actions(self, make):
+        with pytest.raises(ValidationError, match="need at least 2 actions, got 1"):
+            make(1, 0.1)
+
     @pytest.mark.parametrize("make", [Omwu, SlOmwu, BmOmwu, ArboDynamics],
                              ids=["omwu", "sl-omwu", "bm-omwu", "arbo"])
     @pytest.mark.parametrize("eta", [math.inf, math.nan])

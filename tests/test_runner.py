@@ -38,6 +38,7 @@ from ce_dynamics.runner import (
     render_summary,
     resolve_eta,
     run_dynamics,
+    write_files,
 )
 
 
@@ -64,6 +65,10 @@ class TestConfigValidation:
     def test_fixed_rule_needs_eta(self):
         with pytest.raises(ValidationError):
             small_config(eta=None).validate()
+
+    def test_unknown_eta_rule(self):
+        with pytest.raises(ValidationError, match="unknown eta rule 'sqrt'"):
+            small_config(eta_rule="sqrt").validate()
 
     def test_schedule_rules_refuse_explicit_eta(self):
         with pytest.raises(ValidationError):
@@ -539,12 +544,9 @@ def per_round_sums(q, z, budget):
 def scan_in_blocks(q, z, budget, size):
     """Feed a stream to a controller ``size`` rounds at a time, the way the round loop does."""
     ctl = AdaptiveEtaController(len(q), q.shape[-1], budget)
-    t = 0
-    while t < len(q) and not ctl.switched:
-        block = slice(t, min(t + size, len(q)))
-        breach = ctl.scan(t + 1, q[block], z[block])
-        t = block.stop if breach is None else breach
-        ctl.advance(t, breach == t)
+    for t in range(0, len(q), size):
+        if ctl.scan(t + 1, q[t : t + size], z[t : t + size]) is not None:
+            break
     return ctl.switch_round, ctl.lhs, ctl.prev_variance_sum
 
 
@@ -570,12 +572,6 @@ class TestControllerBlocks:
         assert (ctl.switch_round, ctl.lhs, ctl.prev_variance_sum) == per_round_sums(
             q, z, STREAM_BUDGET
         )
-
-    def test_scan_folds_nothing_in(self):
-        q, z = adversarial_stream(300)
-        ctl = AdaptiveEtaController(len(q), q.shape[-1], STREAM_BUDGET)
-        assert ctl.scan(1, q[:256], z[:256]) is None
-        assert (ctl.lhs, ctl.prev_variance_sum, ctl.switched) == (0.0, 0.0, False)
 
 
 def reference_run(config):
@@ -822,7 +818,8 @@ def force_switches(monkeypatch, rounds):
     The k-th controller made in a run gets ``rounds[k]``; ``run_dynamics`` and
     :func:`reference_run` both make one per player, in player order. Each declares
     itself live, so the run scans it even where its budget cannot bind within the
-    horizon. The variance sums run as usual.
+    horizon, and its allowance infinite, so no other round breaches. The variance
+    sums run as usual, up to and including the forced round.
     """
     made = itertools.count()
 
@@ -830,12 +827,15 @@ def force_switches(monkeypatch, rounds):
         def __init__(self, *args):
             super().__init__(*args)
             self.forced = rounds[next(made) % len(rounds)]
-            self.live = True
+            self.live, self.allowance = True, math.inf
 
         def scan(self, first_round, q, z):
-            super().scan(first_round, q, z)
-            inside = self.forced is not None and first_round <= self.forced < first_round + len(q)
-            return self.forced if inside else None
+            if self.forced is None or self.forced >= first_round + len(q):
+                return super().scan(first_round, q, z)
+            cut = self.forced - first_round + 1  # the rounds folded in, the forced one last
+            super().scan(first_round, q[:cut], z[:cut])
+            self.switch_round = self.forced
+            return self.forced
 
     monkeypatch.setattr(runner, "AdaptiveEtaController", Forced)
 
@@ -863,6 +863,34 @@ class TestForcedSwitches:
         assert final["adaptive_switch_round"] == list(rounds)
         for i, r in enumerate(rounds):
             assert (final["eta_final"][i] == final["eta_initial"][i]) is (r is None)
+
+
+class TestOneReplay:
+    """A block is played and scanned again only when a breach falls inside it, and only once:
+    the replay restores learners and controllers, so its bits and its first breach are the first
+    pass's, at the cut block's last round."""
+
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    def test_a_breach_inside_a_block_replays_it_once(self, monkeypatch, dynamics):
+        force_switches(monkeypatch, (None, 100, None))
+        events, snapshot, stream = [], runner._snapshot, runner.inner_stream
+
+        def spied_snapshot(*objs):
+            restore = snapshot(*objs)
+            return lambda: events.append("restore") or restore()
+
+        def spied_stream(trace, player, rounds):
+            events.append((player, rounds.start, rounds.stop))
+            return stream(trace, player, rounds)
+
+        monkeypatch.setattr(runner, "_snapshot", spied_snapshot)
+        monkeypatch.setattr(runner, "inner_stream", spied_stream)
+        config = small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=600,
+                              eta_rule="adaptive", eta=None)
+        assert play_dynamics(config).switch_rounds == [None, 100, None]
+        assert events == [(0, 0, 256), (1, 0, 256), (2, 0, 256), "restore",
+                          (0, 0, 100), (1, 0, 100), (2, 0, 100),
+                          (0, 100, 356), (2, 100, 356), (0, 356, 600), (2, 356, 600)]
 
 
 def readme_ceiling(dynamics, n):
@@ -1501,6 +1529,22 @@ class TestOutputs:
         with pytest.raises(TypeError, match="not JSON serializable"):
             emit_outputs(result, cfg, tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_writer_that_raises_leaves_nothing_it_made(self, tmp_path):
+        # An error other than OSError is not a validation error: the files and directories the
+        # call made go, a file that was there stays overwritten, and the error itself propagates.
+        (tmp_path / "old").write_bytes(b"old")
+        out = tmp_path / "new" / "dir"
+
+        def fail(file):
+            raise KeyError("writer failed")
+
+        files = [(tmp_path / "old", lambda file: file.write(b"new")),
+                 (out / "a", lambda file: file.write(b"a")), (out / "b", fail)]
+        with pytest.raises(KeyError, match="writer failed"):
+            write_files(files, out)
+        assert [p.name for p in tmp_path.iterdir()] == ["old"]
+        assert (tmp_path / "old").read_bytes() == b"new"
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_emit_outputs_holds_a_block_above_the_run(self, tmp_path, out_format):

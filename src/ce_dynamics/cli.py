@@ -8,7 +8,8 @@ report), ``gen`` (random game file).
 Files go through :func:`runner.read_file` and :func:`runner.write_files`: one that cannot be read
 or written is a validation error naming it, and a failed write leaves nothing that the call made.
 
-Exit codes: 0 ok, 1 usage error, 2 validation error, 3 numerical failure.
+Exit codes: 0 ok, 1 usage error, 2 validation error, 3 numerical failure, 4 failed verification
+(``equivalence`` outside its ``--tol``: the report is printed, and stderr names each failing key).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+EXIT_VERIFICATION = 4
 
 
 class _UsageError(Exception):
@@ -69,7 +71,16 @@ def _add_run_options(p):
     p.add_argument("--smoothness-alpha", type=float)
     p.add_argument("--rvu-constant", type=float)
     p.add_argument("--variance-budget", type=float)
-    p.add_argument("--adaptive-budget", type=float, default=DEFAULT_VARIANCE_BUDGET_CONSTANT)
+    p.add_argument(
+        "--adaptive-budget",
+        type=float,
+        default=DEFAULT_VARIANCE_BUDGET_CONSTANT,
+        help="variance-budget constant c of --eta-rule adaptive: a player switches to the robust "
+        "rate sqrt(log d / T) once its running sum of Var(z_t - z_t-1) exceeds half its sum of "
+        "Var(z_t-1) plus c*ceil(log2 T)^5. At the default "
+        f"{DEFAULT_VARIANCE_BUDGET_CONSTANT:g} no controller can switch before T ~ 3.4e10 "
+        "(README's table), so the rule plays the theorem rate",
+    )
 
 
 @functools.cache  # built on the first main() call, not at import, then reused
@@ -153,7 +164,13 @@ def _cmd_equivalence(args) -> int:
     doc["passes"] = report.passes()
     doc["tol"] = report.tol
     print(json.dumps(doc, sort_keys=True))
-    return EXIT_OK
+    if doc["passes"]:
+        return EXIT_OK
+    for key in ("max_strategy_deviation", "max_proportionality_residual"):
+        if not doc[key] <= report.tol:
+            print(f"verification failed: {key} {doc[key]!r} above tol {report.tol!r}",
+                  file=sys.stderr)
+    return EXIT_VERIFICATION
 
 
 def _cmd_trees(args) -> int:

@@ -108,7 +108,7 @@ class Omwu:
 
     def _free(self, rows, until) -> None:
         """``rows`` (an index of the leading axes) step free up to ``until`` updates; -1: never."""
-        self._free_until = free = self._free_until.copy()  # replaced: restoring vars restores it
+        free = self._free_until
         free[rows] = until
         self._all_free_until, self._some_free_until = float(free.min()), float(free.max())
 

@@ -12,27 +12,25 @@ player's contraction of the opponents' round-t strategy rows its loss row
 (:func:`games._contraction`), then each group's unchecked ``_update`` reads its loss rows:
 game losses in [0, 1], which leave each softmax's max-shift and floor off while they cannot
 bind (:class:`omwu.Omwu`, per member since its reset).
-Adaptive controllers whose budget can bind within the horizon scan each block of
-``REGRET_CHUNK_ROUNDS`` inner-stream rounds: a breach inside a block returns the learners and the
-controllers to its start, and the block is played again, cut at the breach, where each breaching
-player's member is reset alone. The others are never scanned. Each block is checked as soon as
-it is final (:func:`_check`): every stationary solve gated by its residual and every strategy
-checked against the simplex, once per group record block, (rounds, members, ...), so a failing
-run stops at the end of the block that holds its earliest failing round. That checked play is
-:func:`play_dynamics`, which keeps each group's records (:attr:`Play.records`); :func:`run_dynamics`
-adds the accounting, one block step, :func:`_summarize`, which :func:`metrics._drive` sends
-each block of the run and :func:`internal_dynamics.verify_equivalence` skips. It sends
-each block on to the steps it holds, each a generator that keeps its carry and loops over no
-blocks: per group, the round table's regret and ratio columns of its players (:mod:`metrics`),
-read from its record blocks; the average product distribution; and the reports
-(:mod:`diagnostics`), which read each player's inner stream once per block. It fills the
-table's other columns itself, and BM's loss-decomposition residual once per group record
-block. The (T, m, 7) round table is kept on the result; :func:`emit_outputs` renders it
-straight into its file by block of rounds and column, each distinct number once, and writes
-the trace archive by block too. Up to ``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE
-gap comes from the average product distribution and is checked against max internal regret / T;
-above, it is that ratio and its identity residual is null. Outputs are deterministic given the
-configuration.
+An adaptive controller whose budget can bind within the horizon is updated after each round's
+feedback with its member's inner rows, and a breach resets that member alone; the others are never
+updated. The rounds are played in blocks of ``REGRET_CHUNK_ROUNDS`` (:func:`metrics._blocks`), each
+checked as soon as it is played (:func:`_check`): every stationary solve gated by its residual and
+every strategy checked against the simplex, once per group record block, (rounds, members, ...), so
+a failing run stops at the end of the block that holds its earliest failing round. That checked
+play is :func:`play_dynamics`, which keeps each group's records (:attr:`Play.records`);
+:func:`run_dynamics` adds the accounting, one block step, :func:`_summarize`, which
+:func:`metrics._drive` sends each block of the run and :func:`internal_dynamics.verify_equivalence`
+skips. It sends each block on to the steps it holds, each a generator that keeps its carry and
+loops over no blocks: per group, the round table's regret and ratio columns of its players
+(:mod:`metrics`), read from its record blocks; the average product distribution; and the reports
+(:mod:`diagnostics`), which read each player's inner stream once per block. It fills the table's
+other columns itself, and BM's loss-decomposition residual once per group record block. The
+(T, m, 7) round table is kept on the result; :func:`emit_outputs` renders it straight into its file
+by block of rounds and column, each distinct number once, and writes the trace archive by block too.
+Up to ``metrics.DENSE_JOINT_MAX_ENTRIES`` joint cells the CE gap comes from the average product
+distribution and is checked against max internal regret / T; above, it is that ratio and its
+identity residual is null. Outputs are deterministic given the configuration.
 """
 
 from __future__ import annotations
@@ -73,7 +71,6 @@ from .metrics import (
     _ratio_steps,
     _regret_steps,
     ce_gap,
-    inner_stream,
 )
 from .omwu import Omwu, Stationary
 from .swap_dynamics import BmOmwu, decomposition_residuals
@@ -242,10 +239,7 @@ class AdaptiveEtaController:
     ``round_ceiling`` bounds what one round adds to the first sum. The controller is
     :attr:`live` only if T rounds of it exceed the allowance: else the first sum stays within
     the allowance, the second is non-negative, and no round of the run can breach, so the run
-    never scans it. Without a ceiling it is live.
-
-    :meth:`scan` folds a block in up to and including its first breach, where it switches;
-    :meth:`update` folds one round. No attribute changes in place, so :func:`_snapshot` restores it.
+    never updates it. Without a ceiling it is live.
     """
 
     def __init__(self, horizon: int, dim: int, budget_constant: float,
@@ -263,22 +257,18 @@ class AdaptiveEtaController:
     def switched(self) -> bool:
         return self.switch_round is not None
 
-    def scan(self, first_round: int, q: np.ndarray, z: np.ndarray) -> int | None:
-        """Folds in a block of inner feedback, (rounds, rows, dim), from ``first_round`` up to and
-        including its first round to breach, where it switches; returns that round, or None."""
-        carry = self.lhs, self.prev_variance_sum
-        lhs, prev_sum = running_variance_sums(q, z, self._prev_rows, carry)
-        breach = np.flatnonzero(lhs > 0.5 * prev_sum + self.allowance)
-        k = int(breach[0]) if breach.size else len(z) - 1  # the last round folded in
-        self.lhs, self.prev_variance_sum = float(lhs[k]), float(prev_sum[k])
-        self._prev_rows = z[k].copy()
-        if breach.size:
-            self.switch_round = first_round + k
-        return first_round + k if breach.size else None
-
     def update(self, round_index: int, q_rows: np.ndarray, z_rows: np.ndarray) -> bool:
-        """Fold in one round of inner feedback; True when the switch fires now."""
-        return not self.switched and self.scan(round_index, q_rows[None], z_rows[None]) is not None
+        """Fold in one round of inner feedback, (rows, dim) each; True when the switch fires now.
+        A switched controller folds in nothing more."""
+        if self.switched:
+            return False
+        carry = self.lhs, self.prev_variance_sum
+        lhs, prev_sum = running_variance_sums(q_rows[None], z_rows[None], self._prev_rows, carry)
+        self.lhs, self.prev_variance_sum = float(lhs[0]), float(prev_sum[0])
+        self._prev_rows = z_rows.copy()
+        if self.lhs > 0.5 * self.prev_variance_sum + self.allowance:
+            self.switch_round = round_index
+        return self.switched
 
 
 def _round_ceiling(learner: Omwu) -> float:
@@ -339,15 +329,14 @@ def run_dynamics(config: RunConfig, game: Game | None = None) -> RunResult:
 
 
 def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
-    """A run's checked play: the round loop, with its adaptive controllers' replays. Every group
-    steps into its round-t strategy and ``trace_field`` rows, the same rows for omwu, a block of
-    ``REGRET_CHUNK_ROUNDS`` rounds at a time; each block is checked (:func:`_check`) as soon as
-    it is final, so a failing run stops at the end of the block that holds its earliest failure.
+    """A run's checked play: the round loop. Every group steps into its round-t strategy and
+    ``trace_field`` rows, the same rows for omwu, a block of ``REGRET_CHUNK_ROUNDS`` rounds at a
+    time (:func:`metrics._blocks`); each block is checked (:func:`_check`) as soon as it is played,
+    so a failing run stops at the end of the block that holds its earliest failure.
 
-    Only a :attr:`~AdaptiveEtaController.live` controller is kept: while one has not switched,
-    each block is snapshotted with the learners, played and scanned, and a breach inside it
-    restores both and runs the block again, cut at the breach; a controller that cannot breach
-    within T is never scanned."""
+    Only a :attr:`~AdaptiveEtaController.live` controller is kept: until it switches, it is updated
+    after each round's feedback with its member's inner rows, and a breach resets that member at
+    once; a controller that cannot breach within T is never updated."""
     config.validate()
     if game is None:
         game = load_config_game(config)
@@ -397,7 +386,8 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     contractions = [_contraction(game, i, played, p.losses) for i, p in enumerate(players)]
     feeds = [(dyn._update, rec["losses"]) for dyn, rec in zip(dyns, records)]
     grouped = dict(zip(map(tuple, groups), records))  # what the checks and the accounting read
-    stepped = [*dyns, *(d.learner for d in dyns)]  # what a round changes besides the records
+    # Each live controller with its member's learner: fed that member's inner rows every round.
+    watched = [(controllers[i], dyns[g], b) for i, g, b in slots if i in controllers]
 
     def play(rounds: slice) -> None:
         for t in range(rounds.start, rounds.stop):
@@ -407,43 +397,19 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
                 contract(t)
             for update, losses in feeds:
                 update(losses[t])
+            for c, dyn, b in watched:
+                if not c.switched and c.update(t + 1, dyn.inner_dist[b], dyn.inner_loss[b]):
+                    dyn.reset(c.eta_adversarial, b)
 
     worst = np.zeros(m)  # each player's worst stationary residual so far
-    block = slice(0, 0)  # the rounds last played and checked
-    while block.stop < T:
-        block = slice(block.stop, min(block.stop + REGRET_CHUNK_ROUNDS, T))
-        scanned = {i: c for i, c in controllers.items() if not c.switched}
-        # Only a breach inside the block restores it: the learners and the scanned controllers.
-        restore = _snapshot(*stepped, *scanned.values()) if scanned else None
-        while True:  # a replay gives the same bits, so its first breach is its last round
-            play(block)
-            first = min(filter(None, [c.scan(block.start + 1, *inner_stream(trace, i, block))
-                                      for i, c in scanned.items()]), default=block.stop)
-            if first == block.stop:
-                break
-            restore()
-            block = slice(block.start, first)
-        for i, g, b in slots:
-            if i in scanned and scanned[i].switch_round == block.stop:
-                dyns[g].reset(scanned[i].eta_adversarial, b)
+    for block in _blocks(T):
+        play(block)
         _check(cls, grouped, block, worst)
 
     switch_rounds = [controllers[i].switch_round if i in controllers else None for i in range(m)]
     eta_final = [float(dyns[g].eta[b]) for _, g, b in slots]
     residuals = worst.tolist() if issubclass(cls, Stationary) else None
     return Play(trace, game, switch_rounds, eta_final, residuals, grouped)
-
-
-def _snapshot(*objs):
-    """Restores each of ``objs`` to now: a step replaces every attribute it changes, so copies of
-    the attributes restore it."""
-    start = [(o, vars(o).copy()) for o in objs]
-
-    def restore() -> None:
-        for obj, attrs in start:
-            vars(obj).update(attrs)
-
-    return restore
 
 
 def _check(cls, records, rounds: slice, worst: np.ndarray) -> None:

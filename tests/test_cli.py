@@ -105,12 +105,13 @@ def test_equivalence_command(game_file, capsys):
 
 
 def test_equivalence_command_judges_by_given_tol(game_file, capsys):
+    # Rounding leaves both maxima above 0, so --tol 0 fails the report that 1e-8 passes: exit 4.
     argv = ["equivalence", "--game", game_file, "--eta", "0.02", "--horizon", "50", "--tol", "0"]
-    assert main(argv) == 0
+    assert main(argv) == 4
     doc = json.loads(capsys.readouterr().out)
     assert doc["tol"] == 0.0
-    worst = max(doc["max_strategy_deviation"], doc["max_proportionality_residual"])
-    assert doc["passes"] is (worst <= 0.0)
+    assert max(doc["max_strategy_deviation"], doc["max_proportionality_residual"]) > 0.0
+    assert doc["passes"] is False
 
 
 def refuse_constant(token):
@@ -124,10 +125,16 @@ def test_equivalence_residual_past_exps_range_is_finite(tmp_path, capsys):
     assert main(["gen", "--players", "2", "--actions", "3,3", "--seed", "0", "--out", str(game)]) == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["equivalence", "--game", str(game), "--eta", "1000", "--horizon", "300"]) == 0
-    doc = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+        assert main(["equivalence", "--game", str(game), "--eta", "1000", "--horizon", "300"]) == 4
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out, parse_constant=refuse_constant)
     assert 1e-8 < doc["max_proportionality_residual"] < math.inf
     assert doc["passes"] is False
+    # A failed verification still prints its report; stderr names each failing key.
+    assert doc["max_strategy_deviation"] == 1.0
+    assert captured.err.splitlines() == [
+        f"verification failed: {key} {doc[key]!r} above tol 1e-08"
+        for key in ("max_strategy_deviation", "max_proportionality_residual")]
 
 
 @pytest.mark.parametrize(

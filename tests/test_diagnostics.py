@@ -376,13 +376,13 @@ class TestInnerStream:
     @COUNTS
     @pytest.mark.parametrize("dynamics", DYNAMICS)
     def test_variance_report_sums_are_the_controllers(self, dynamics, counts):
-        # The controller takes the stream in 100-round blocks; the reports add it in their own.
-        # Its infinite budget never breaches, so it folds in every round.
+        # The controller folds the stream in round by round; the reports add it by block. Its
+        # infinite budget never breaches, so it folds in every round.
         trace = ragged_run(dynamics, counts).trace
         for i in range(len(counts)):
             ctl = AdaptiveEtaController(trace.horizon, 2, math.inf)
-            for s in range(0, trace.horizon, 100):
-                assert ctl.scan(s + 1, *inner_stream(trace, i, slice(s, s + 100))) is None
+            q, z = inner_stream(trace, i)
+            assert not any(ctl.update(t + 1, q[t], z[t]) for t in range(trace.horizon))
             want = (ctl.lhs, ctl.prev_variance_sum)
             budget = check_variance_inequality(trace, i)
             rvu = rvu_check(trace, i, eta=0.05, curvature_constant=64.0)
@@ -462,8 +462,9 @@ class TestInnerStream:
 
     def test_summary_builds_each_players_stream_once(self, monkeypatch):
         built = []
-        for module in (runner, diagnostics):  # wherever the stream is bound, the reports' adapter too
-            monkeypatch.setattr(module, "inner_stream", lambda *a: built.append(a) or inner_stream(*a))
+        # The round loop builds no stream: the reports' adapter, in diagnostics, is its one reader.
+        monkeypatch.setattr(diagnostics, "inner_stream",
+                            lambda *a: built.append(a) or inner_stream(*a))
         config = RunConfig(dynamics="arbo", horizon=300, eta=0.05, players=3,
                            action_counts=(3, 4, 3), smoothness_order=3, rvu_constant=64.0,
                            variance_budget=1.0)

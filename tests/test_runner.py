@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import io
@@ -541,27 +542,8 @@ def per_round_sums(q, z, budget):
     return None, lhs, prev_sum
 
 
-def scan_in_blocks(q, z, budget, size):
-    """Feed a stream to a controller ``size`` rounds at a time, the way the round loop does."""
-    ctl = AdaptiveEtaController(len(q), q.shape[-1], budget)
-    for t in range(0, len(q), size):
-        if ctl.scan(t + 1, q[t : t + size], z[t : t + size]) is not None:
-            break
-    return ctl.switch_round, ctl.lhs, ctl.prev_variance_sum
-
-
 class TestControllerBlocks:
-    """A block scan of the variance budget gives the per-round switch round and sums, bitwise."""
-
-    # Rows and dims of 8 or more take numpy's pairwise sums, as BM's and SL's 10x10 streams do.
-    @pytest.mark.parametrize("rows, dim", [(2, 4), (10, 10), (1, 90)])
-    @pytest.mark.parametrize("switch_round", [1, 255, 256, 257, 300, None])
-    @pytest.mark.parametrize("size", [1, 7, 256])
-    def test_blocks_match_per_round_sums(self, switch_round, size, rows, dim):
-        q, z = adversarial_stream(switch_round, rows=rows, dim=dim)
-        want = per_round_sums(q, z, STREAM_BUDGET)
-        assert want[0] == switch_round
-        assert scan_in_blocks(q, z, STREAM_BUDGET, size) == want
+    """The controller's one-round update gives the per-round switch round and sums, bitwise."""
 
     @pytest.mark.parametrize("switch_round", [1, 257])
     def test_update_is_the_one_round_case(self, switch_round):
@@ -813,11 +795,11 @@ class TestPlayDynamics:
 
 
 def force_switches(monkeypatch, rounds):
-    """Controllers whose scan reports a breach exactly at ``rounds[k]`` (None: never).
+    """Controllers whose update reports a breach exactly at ``rounds[k]`` (None: never).
 
     The k-th controller made in a run gets ``rounds[k]``; ``run_dynamics`` and
     :func:`reference_run` both make one per player, in player order. Each declares
-    itself live, so the run scans it even where its budget cannot bind within the
+    itself live, so the run updates it even where its budget cannot bind within the
     horizon, and its allowance infinite, so no other round breaches. The variance
     sums run as usual, up to and including the forced round.
     """
@@ -829,13 +811,12 @@ def force_switches(monkeypatch, rounds):
             self.forced = rounds[next(made) % len(rounds)]
             self.live, self.allowance = True, math.inf
 
-        def scan(self, first_round, q, z):
-            if self.forced is None or self.forced >= first_round + len(q):
-                return super().scan(first_round, q, z)
-            cut = self.forced - first_round + 1  # the rounds folded in, the forced one last
-            super().scan(first_round, q[:cut], z[:cut])
-            self.switch_round = self.forced
-            return self.forced
+        def update(self, round_index, *rows):
+            if self.switched:
+                return False
+            super().update(round_index, *rows)
+            self.switch_round = round_index if round_index == self.forced else None
+            return self.switched
 
     monkeypatch.setattr(runner, "AdaptiveEtaController", Forced)
 
@@ -863,34 +844,6 @@ class TestForcedSwitches:
         assert final["adaptive_switch_round"] == list(rounds)
         for i, r in enumerate(rounds):
             assert (final["eta_final"][i] == final["eta_initial"][i]) is (r is None)
-
-
-class TestOneReplay:
-    """A block is played and scanned again only when a breach falls inside it, and only once:
-    the replay restores learners and controllers, so its bits and its first breach are the first
-    pass's, at the cut block's last round."""
-
-    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
-    def test_a_breach_inside_a_block_replays_it_once(self, monkeypatch, dynamics):
-        force_switches(monkeypatch, (None, 100, None))
-        events, snapshot, stream = [], runner._snapshot, runner.inner_stream
-
-        def spied_snapshot(*objs):
-            restore = snapshot(*objs)
-            return lambda: events.append("restore") or restore()
-
-        def spied_stream(trace, player, rounds):
-            events.append((player, rounds.start, rounds.stop))
-            return stream(trace, player, rounds)
-
-        monkeypatch.setattr(runner, "_snapshot", spied_snapshot)
-        monkeypatch.setattr(runner, "inner_stream", spied_stream)
-        config = small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=600,
-                              eta_rule="adaptive", eta=None)
-        assert play_dynamics(config).switch_rounds == [None, 100, None]
-        assert events == [(0, 0, 256), (1, 0, 256), (2, 0, 256), "restore",
-                          (0, 0, 100), (1, 0, 100), (2, 0, 100),
-                          (0, 100, 356), (2, 100, 356), (0, 356, 600), (2, 356, 600)]
 
 
 def readme_ceiling(dynamics, n):
@@ -953,32 +906,23 @@ class TestRoundCeiling:
 
 
 def spy_controllers(monkeypatch, live=None):
-    """Counts block snapshots and records each ``runner.inner_stream`` call's player and each
-    ``scan``; with ``live`` set, every controller a run makes declares itself that."""
-    calls = {"snapshot": 0, "stream": [], "scan": 0}
-    snapshot, stream = runner._snapshot, runner.inner_stream
+    """Counts the ``update`` calls of the controllers a run makes, by player: a run makes one
+    per player, in player order, from ``runner.AdaptiveEtaController`` as it stands, so a
+    :func:`force_switches` class is spied too. With ``live`` set, each declares itself that."""
+    calls, made = collections.Counter(), itertools.count()
 
-    class Spied(AdaptiveEtaController):
+    class Spied(runner.AdaptiveEtaController):
         def __init__(self, *args):
             super().__init__(*args)
+            self.player = next(made)
             if live is not None:
                 self.live = live
 
-        def scan(self, *args):
-            calls["scan"] += 1
-            return super().scan(*args)
-
-    def spied_snapshot(*args):
-        calls["snapshot"] += 1
-        return snapshot(*args)
-
-    def spied_stream(trace, player, *args):
-        calls["stream"].append(player)
-        return stream(trace, player, *args)
+        def update(self, *args):
+            calls[self.player] += 1
+            return super().update(*args)
 
     monkeypatch.setattr(runner, "AdaptiveEtaController", Spied)
-    monkeypatch.setattr(runner, "_snapshot", spied_snapshot)
-    monkeypatch.setattr(runner, "inner_stream", spied_stream)
     return calls
 
 
@@ -990,8 +934,8 @@ def run_bits(config):
 
 
 class TestInertControllers:
-    """A controller whose budget cannot bind within the horizon is never scanned, and scanning
-    it anyway changes no output bit."""
+    """A controller whose budget cannot bind within the horizon is never updated, and updating
+    it anyway, once per round, changes no output bit. A switched controller is not updated."""
 
     CASES = [dict(dynamics=d, players=len(c), action_counts=c, horizon=300)
              for d in runner.DYNAMICS for c in ((3, 3), (3, 4, 3))] + [
@@ -1003,10 +947,10 @@ class TestInertControllers:
         config = small_config(**case, eta_rule="adaptive", eta=None)
         inert = spy_controllers(monkeypatch)
         want = run_bits(config)
-        assert inert == {"snapshot": 0, "stream": [], "scan": 0}
+        assert inert == {}
         live = spy_controllers(monkeypatch, live=True)
         assert run_bits(config) == want
-        assert live["scan"] > 0 and live["snapshot"] > 0
+        assert live == {i: case["horizon"] for i in range(case["players"])}
         assert json.loads(want[2])["final"]["adaptive_switch_round"] == [None] * case["players"]
 
     def test_only_a_live_controller_is_scanned(self, monkeypatch):
@@ -1014,10 +958,19 @@ class TestInertControllers:
         config = small_config(dynamics="bm-omwu", players=3, action_counts=(3, 4, 3), horizon=300,
                               eta_rule="adaptive", eta=None, adaptive_budget=0.07)
         calls = spy_controllers(monkeypatch)
-        run_dynamics(config)
-        assert calls == {"snapshot": 2, "stream": [1, 1], "scan": 2}
+        assert run_dynamics(config).switch_rounds == [None] * 3
+        assert calls == {1: 300}
         monkeypatch.undo()  # the reference's controllers are built without a ceiling: all live
         assert_matches_reference(config)
+
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    def test_a_switched_controller_is_not_updated_again(self, monkeypatch, dynamics):
+        force_switches(monkeypatch, (None, 100, None))
+        calls = spy_controllers(monkeypatch)
+        config = small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=600,
+                              eta_rule="adaptive", eta=None)
+        assert play_dynamics(config).switch_rounds == [None, 100, None]
+        assert calls == {0: 600, 1: 100, 2: 600}
 
 
 class TestPlayedRows:
@@ -1407,8 +1360,8 @@ class TestInterleavedGroupPrecedence:
 
 
 class TestCheckedBlocks:
-    """The round loop checks consecutive blocks of at most REGRET_CHUNK_ROUNDS rounds that cover
-    the run's rounds exactly once; an adaptive switch ends its block."""
+    """The round loop checks the run's blocks, ``metrics._blocks(T)``, each once and in order,
+    under every eta rule: an adaptive switch ends no block."""
 
     # The golden table's --adaptive-budget 1e-7, where omwu's and mwu's player 1 switches at
     # round 1 of game seed 0, and switches forced at rounds 300 and 1.
@@ -1428,14 +1381,11 @@ class TestCheckedBlocks:
 
         monkeypatch.setattr(runner, "_check", spy)
         switches = {r for r in play_dynamics(config).switch_rounds if r is not None}
-        assert [r.start for r in seen] == [0, *(r.stop for r in seen[:-1])]
-        assert seen[-1].stop == 600 and all(0 < r.stop - r.start <= 256 for r in seen)
-        stops = {"fixed": [256, 512, 600], "adaptive1e-7": [1, 257, 513, 600],
-                 "forced": [1, 257, 300, 556, 600]}[rule]
+        assert seen == metrics._blocks(600) == [slice(0, 256), slice(256, 512), slice(512, 600)]
+        want = {"fixed": set(), "adaptive1e-7": {1}, "forced": {1, 300}}[rule]
         if rule == "adaptive1e-7" and dynamics not in ("omwu", "mwu"):
-            stops = [256, 512, 600]  # no switch
-        assert [r.stop for r in seen] == stops
-        assert switches == {1, 300} & set(stops)
+            want = set()  # no switch
+        assert switches == want
 
 
 class TestPublicReplay:

@@ -542,8 +542,34 @@ def per_round_sums(q, z, budget):
     return None, lhs, prev_sum
 
 
+def fold_in_blocks(q, z, budget, size):
+    """Fold a stream through ``running_variance_sums`` ``size`` rounds at a time, carrying both
+    sums and the last z as the variance report's block step does; stops at the first breach."""
+    allowance = AdaptiveEtaController(len(q), q.shape[-1], budget).allowance
+    sums, last = (0.0, 0.0), None
+    for t in range(0, len(q), size):
+        lhs, prev_sum = running_variance_sums(q[t : t + size], z[t : t + size], last, sums)
+        breach = np.flatnonzero(lhs > 0.5 * prev_sum + allowance)
+        if breach.size:
+            k = breach[0]
+            return t + k + 1, float(lhs[k]), float(prev_sum[k])
+        sums, last = (float(lhs[-1]), float(prev_sum[-1])), z[t : t + size][-1]
+    return None, *sums
+
+
 class TestControllerBlocks:
-    """The controller's one-round update gives the per-round switch round and sums, bitwise."""
+    """The variance sums give the per-round switch round and sums bitwise, folded a round at a
+    time by the controller's update or a block at a time as the variance report folds them."""
+
+    # Rows and dims of 8 or more take numpy's pairwise sums, as BM's and SL's 10x10 streams do.
+    @pytest.mark.parametrize("rows, dim", [(2, 4), (10, 10), (1, 90)])
+    @pytest.mark.parametrize("switch_round", [1, 255, 256, 257, 300, None])
+    @pytest.mark.parametrize("size", [1, 7, 256])
+    def test_blocks_match_per_round_sums(self, switch_round, size, rows, dim):
+        q, z = adversarial_stream(switch_round, rows=rows, dim=dim)
+        want = per_round_sums(q, z, STREAM_BUDGET)
+        assert want[0] == switch_round
+        assert fold_in_blocks(q, z, STREAM_BUDGET, size) == want
 
     @pytest.mark.parametrize("switch_round", [1, 257])
     def test_update_is_the_one_round_case(self, switch_round):

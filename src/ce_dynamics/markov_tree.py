@@ -23,6 +23,8 @@ A directed tree rooted at j ("arborescence") has no cycles, no outgoing edge
 from j, and exactly one outgoing edge from every other node. Trees are
 encoded by their parent array with the convention ``parents[root] == root``;
 ordering that array lexicographically gives the canonical enumeration order.
+Each node count's candidates are filtered once, for root 0; every other root's
+trees are root 0's relabelled (:func:`_rooted_parent_arrays`).
 """
 
 from __future__ import annotations
@@ -69,22 +71,26 @@ def _check_tree_n(n: int, cap: int) -> None:
 
 @lru_cache(maxsize=None)
 def _rooted_parent_arrays(n: int, root: int) -> np.ndarray:
-    """All valid full parent arrays for trees rooted at ``root``, shape (n^(n-2), n).
+    """All valid full parent arrays for trees rooted at ``root``, shape (n^(n-2), n), read-only.
 
-    Every candidate assignment of one parent per non-root node is generated
-    (n^(n-1) of them, in lexicographic order) and filtered by following
-    parent pointers n-1 times: an assignment is a tree exactly when every
-    node lands on the root.
+    Only root 0's are filtered: its n^(n-1) candidate assignments of one parent per node
+    1..n-1, in lexicographic order, are each a tree exactly when every node lands on 0, a
+    fixed point that no cycle reaches. Pointer doubling follows at least n-1 pointers in
+    ceil(log2(n-1)) gathers. Every other root's trees are root 0's under the transposition
+    (0 root), applied to labels and values, sorted back into lexicographic order.
     """
-    non_root = [v for v in range(n) if v != root]
-    cand = np.indices((n,) * (n - 1)).reshape(n - 1, -1).T
-    full = np.empty((cand.shape[0], n), dtype=np.int64)
-    full[:, non_root] = cand
-    full[:, root] = root
-    reach = full
-    for _ in range(n - 1):
-        reach = np.take_along_axis(full, reach, axis=1)
-    kept = full[(reach == root).all(axis=1)]
+    if root:
+        swap = np.arange(n)
+        swap[[0, root]] = root, 0
+        relabelled = swap[_rooted_parent_arrays(n, 0)][:, swap]
+        kept = relabelled[np.lexsort(relabelled.T[::-1])]
+    else:
+        full = np.zeros((n ** (n - 1), n), dtype=np.int64)
+        full[:, 1:] = np.indices((n,) * (n - 1)).reshape(n - 1, -1).T
+        reach = full
+        for _ in range((n - 2).bit_length()):
+            reach = np.take_along_axis(reach, reach, axis=1)
+        kept = full[(reach == 0).all(axis=1)]
     kept.setflags(write=False)
     return kept
 
@@ -94,7 +100,7 @@ def enumerate_arborescences(n: int, root: int) -> list[Arborescence]:
     _check_tree_n(n, MAX_TREE_NODES)
     if not 0 <= root < n:
         raise ValidationError(f"root {root} outside [0, {n})")
-    return [Arborescence(tuple(int(p) for p in row)) for row in _rooted_parent_arrays(n, root)]
+    return [Arborescence(tuple(row)) for row in _rooted_parent_arrays(n, root).tolist()]
 
 
 def all_arborescences(n: int) -> list[Arborescence]:
@@ -134,8 +140,10 @@ def _tree_edge_index(n: int) -> np.ndarray:
 
     Edges run child -> parent, children in node order; trees in canonical order.
     """
-    per_root = [[n * v + _rooted_parent_arrays(n, r)[:, v] for v in range(n) if v != r] for r in range(n)]
-    index = np.ascontiguousarray(np.swapaxes(per_root, 0, 1))
+    parents = np.stack([_rooted_parent_arrays(n, r) for r in range(n)])  # (root, tree, node)
+    children = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, 1, n - 1)  # per root
+    index = n * children + np.take_along_axis(parents, children, axis=2)
+    index = np.ascontiguousarray(index.transpose(2, 0, 1))
     index.setflags(write=False)
     return index
 

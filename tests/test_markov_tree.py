@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ce_dynamics.markov_tree import (
     _gth_stationary,
     _rooted_parent_arrays,
     _row_sum_source,
+    _tree_edge_index,
     _tree_weight_sums,
     all_arborescences,
     check_stationary,
@@ -109,6 +111,40 @@ class TestEnumeration:
             enumerate_arborescences(1, 0)
         with pytest.raises(ValidationError):
             enumerate_arborescences(3, 5)
+
+
+@lru_cache(maxsize=None)
+def reference_parent_arrays(n, root):
+    """Trees rooted at ``root`` by the package's first filter: every one of the n^(n-1)
+    assignments of a parent to each other node, lexicographic, kept when n-1 pointer steps
+    take every node to the root."""
+    non_root = [v for v in range(n) if v != root]
+    full = np.empty((n ** (n - 1), n), dtype=np.int64)
+    full[:, non_root] = np.indices((n,) * (n - 1)).reshape(n - 1, -1).T
+    full[:, root] = root
+    reach = full
+    for _ in range(n - 1):
+        reach = np.take_along_axis(full, reach, axis=1)
+    return full[(reach == root).all(axis=1)]
+
+
+class TestParentTables:
+    """Root 0's filtered table, relabelled per root, against the filter run for each root."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_root_equals_its_own_filter(self, n):
+        for root in range(n):
+            got = _rooted_parent_arrays(n, root)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            np.testing.assert_array_equal(got, reference_parent_arrays(n, root), strict=True)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_edge_index_equals_the_one_built_from_the_filter(self, n):
+        want = np.swapaxes([[n * v + reference_parent_arrays(n, r)[:, v] for v in range(n) if v != r]
+                            for r in range(n)], 0, 1)
+        got = _tree_edge_index(n)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 class TestTreeTheorem:

@@ -13,10 +13,12 @@ to this script:
 * every self-play ``run`` of the four perfbench workloads at workload seed 0, on the game
   files their set-up writes;
 * ``diagnose --table --out`` on 7 dynamics x (3,3), (3,4,3) x the default order,
-  ``--smoothness-order 5`` and ``--smoothness-alpha 0.01``, at T = 600, ``--eta 0.05``.
+  ``--smoothness-order 5`` and ``--smoothness-alpha 0.01``, at T = 600, ``--eta 0.05``;
+* ``trees --n 7 --root 3``, and ``stationary --method tree`` on a seeded 7-state chain.
 
-Each call's exit code and each file it wrote are recorded; the temporary directory's path
-is replaced by ``<tmp>`` before hashing, so the echoed game path compares across
+Each call's exit code and each file it wrote are recorded; a call that writes no file is
+recorded by its standard output, as ``stdout``. The temporary directory's path is replaced
+by ``<tmp>`` before hashing, so the echoed game path compares across
 checkouts. A run's last bits depend on the CPU code paths numpy and OpenBLAS pick, so the
 child caps numpy's dispatch at x86-64-v3 and fixes the OpenBLAS core (``CAPPED``): any
 x86-64-v3 machine with the table's numpy and OpenBLAS versions computes the same table. The
@@ -70,6 +72,7 @@ def _game_source(shape: str) -> list[str]:
 
 def calls(tmp: Path):
     """(label, argv) of every call, in a fixed order; ``<out>`` stands for the call's directory."""
+    import numpy as np
     from ce_dynamics.games import save_game
     from workloads import WORKLOADS, SelfPlayRun  # perfbench/workloads.py
 
@@ -96,6 +99,11 @@ def calls(tmp: Path):
                        ["diagnose", *_game_source(shape), "--dynamics", dyn, "--horizon", "600",
                         "--eta", "0.05", *order, "--table", "<out>/table.csv",
                         "--out", "<out>/report.json"])
+    yield "trees/7/root3", ["trees", "--n", "7", "--root", "3"]
+    chain = tmp / "chain7.json"
+    Q = np.random.default_rng(7).uniform(0.01, 1.0, (7, 7))
+    chain.write_text(json.dumps((Q / Q.sum(axis=1, keepdims=True)).tolist()))
+    yield "stationary/tree/7", ["stationary", "--matrix", str(chain), "--method", "tree"]
 
 
 def _machine() -> dict:
@@ -123,12 +131,14 @@ def _digests(tmp: Path) -> dict:
         out = tmp / f"call{k}"
         out.mkdir()
         argv = [a.replace("<out>", str(out)) for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
-        files = {}
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            data = path.read_bytes().replace(str(tmp).encode(), b"<tmp>")
-            files[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+        outputs = {path.relative_to(out).as_posix(): path.read_bytes()
+                   for path in sorted(p for p in out.rglob("*") if p.is_file())}
+        outputs = outputs or {"stdout": stdout.getvalue().encode()}
+        files = {name: hashlib.sha256(data.replace(str(tmp).encode(), b"<tmp>")).hexdigest()
+                 for name, data in outputs.items()}
         table["calls"][label] = {"exit": code, "files": files}
     return table
 

@@ -94,14 +94,15 @@ def variance(q, z):
 
 
 def running_variance_sums(q, z, last=None, carry=(0.0, 0.0)):
-    """Running sums over rows and rounds of Var_q(z_t - z_{t-1}) and Var_q(z_{t-1}), (rounds,),
-    of a block (q, z) of an inner stream; ``last`` is the z before it (zero before round 1),
-    ``carry`` both sums through it, added to each first term before ``np.cumsum``: sequential."""
+    """Running sums over rows and rounds of Var_q(z_t - z_{t-1}) and Var_q(z_{t-1}), (rounds,
+    *members), of a block (q, z), (rounds, *members, rows, dim), of inner streams stacked on
+    optional member axes; ``last`` is the z before it (zero before round 1), ``carry`` both sums
+    through it, added to each first term before ``np.cumsum`` along the rounds: sequential."""
     prev = np.concatenate([np.zeros_like(z[:1]) if last is None else last[None], z[:-1]])
     lhs, prev_sum = variance(q, z - prev).sum(axis=-1), variance(q, prev).sum(axis=-1)
     lhs[:1] += carry[0]
     prev_sum[:1] += carry[1]
-    return np.cumsum(lhs, out=lhs), np.cumsum(prev_sum, out=prev_sum)
+    return np.cumsum(lhs, 0, out=lhs), np.cumsum(prev_sum, 0, out=prev_sum)
 
 
 def _streamed(trace: RunTrace, player: int, *reports):

@@ -12,13 +12,14 @@ player's contraction of the opponents' round-t strategy rows its loss row
 (:func:`games._contraction`), then each group's unchecked ``_update`` reads its loss rows:
 game losses in [0, 1], which leave each softmax's max-shift and floor off while they cannot
 bind (:class:`omwu.Omwu`, per member since its reset).
-An adaptive controller whose budget can bind within the horizon is updated after each round's
-feedback with its member's inner rows, and a breach resets that member alone; the others are never
-updated. The rounds are played in blocks of ``REGRET_CHUNK_ROUNDS`` (:func:`metrics._blocks`), each
-checked as soon as it is played (:func:`_check`): every stationary solve gated by its residual and
-every strategy checked against the simplex, once per group record block, (rounds, members, ...), so
-a failing run stops at the end of the block that holds its earliest failing round. That checked
-play is :func:`play_dynamics`, which keeps each group's records (:attr:`Play.records`);
+A group's adaptive controller whose budget can bind within the horizon folds all its members' inner
+rows at once after each round's feedback, and a member's breach resets that member alone; the other
+groups' controllers are never updated. The rounds are played in blocks of ``REGRET_CHUNK_ROUNDS``
+(:func:`metrics._blocks`), each checked as soon as it is played (:func:`_check`): every stationary
+solve gated by its residual and every strategy checked against the simplex, once per group record
+block, (rounds, members, ...), so a failing run stops at the end of the block that holds its
+earliest failing round. That checked play is :func:`play_dynamics`, which keeps each group's
+records (:attr:`Play.records`);
 :func:`run_dynamics` adds the accounting, one block step, :func:`_summarize`, which
 :func:`metrics._drive` sends each block of the run and :func:`internal_dynamics.verify_equivalence`
 skips. It sends each block on to the steps it holds, each a generator that keeps its carry and
@@ -230,11 +231,14 @@ def adversarial_eta(dim: int, horizon: int) -> float:
 
 
 class AdaptiveEtaController:
-    """Permanent one-way switch to the robust rate on a variance-budget breach.
+    """Permanent one-way switch to the robust rate on a variance-budget breach, for each member of
+    a learner group.
 
-    Tracks, per inner stream, the running sums of Var_q(z_t - z_{t-1}) and
-    Var_q(z_{t-1}) (:func:`running_variance_sums`); a round where the first
-    exceeds half the second plus budget_constant * ceil(log2 T)^5 switches.
+    Tracks, per member's inner stream, the running sums of Var_q(z_t - z_{t-1}) and
+    Var_q(z_{t-1}) (:func:`running_variance_sums`), one array entry per member; the first round
+    where a member's first sum exceeds half its second plus budget_constant * ceil(log2 T)^5
+    switches that member. The group's rows are folded every round, a switched member's too,
+    whose sums are not read again.
 
     ``round_ceiling`` bounds what one round adds to the first sum. The controller is
     :attr:`live` only if T rounds of it exceed the allowance: else the first sum stays within
@@ -248,27 +252,21 @@ class AdaptiveEtaController:
         self.allowance = budget_constant * self.depth**5
         self.live = horizon * round_ceiling > self.allowance
         self.eta_adversarial = adversarial_eta(dim, horizon)
-        self.lhs = 0.0
-        self.prev_variance_sum = 0.0
+        self.lhs = self.prev_variance_sum = 0.0  # (members,) once a round is folded
         self._prev_rows = None
-        self.switch_round: int | None = None
+        self.switch_rounds: dict[int, int] = {}  # member -> the round its switch fired
 
-    @property
-    def switched(self) -> bool:
-        return self.switch_round is not None
-
-    def update(self, round_index: int, q_rows: np.ndarray, z_rows: np.ndarray) -> bool:
-        """Fold in one round of inner feedback, (rows, dim) each; True when the switch fires now.
-        A switched controller folds in nothing more."""
-        if self.switched:
-            return False
+    def update(self, round_index: int, q_rows: np.ndarray, z_rows: np.ndarray) -> list[int]:
+        """Fold in one round of the group's inner feedback, (members, rows, dim) each; the members
+        whose switch fires now."""
         carry = self.lhs, self.prev_variance_sum
         lhs, prev_sum = running_variance_sums(q_rows[None], z_rows[None], self._prev_rows, carry)
-        self.lhs, self.prev_variance_sum = float(lhs[0]), float(prev_sum[0])
+        self.lhs, self.prev_variance_sum = lhs[0], prev_sum[0]
         self._prev_rows = z_rows.copy()
-        if self.lhs > 0.5 * self.prev_variance_sum + self.allowance:
-            self.switch_round = round_index
-        return self.switched
+        breached = np.flatnonzero(self.lhs > 0.5 * self.prev_variance_sum + self.allowance)
+        fired = [b for b in breached.tolist() if b not in self.switch_rounds]
+        self.switch_rounds.update(dict.fromkeys(fired, round_index))
+        return fired
 
 
 def _round_ceiling(learner: Omwu) -> float:
@@ -334,9 +332,9 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     time (:func:`metrics._blocks`); each block is checked (:func:`_check`) as soon as it is played,
     so a failing run stops at the end of the block that holds its earliest failure.
 
-    Only a :attr:`~AdaptiveEtaController.live` controller is kept: until it switches, it is updated
-    after each round's feedback with its member's inner rows, and a breach resets that member at
-    once; a controller that cannot breach within T is never updated."""
+    Only a :attr:`~AdaptiveEtaController.live` controller is kept, one per group: after each round's
+    feedback it folds the group's inner rows, and each member whose switch fires is reset at once;
+    a group whose controller cannot breach within T is never folded."""
     config.validate()
     if game is None:
         game = load_config_game(config)
@@ -361,13 +359,12 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     groups = player_groups(counts)
     slots = sorted((i, g, b) for g, group in enumerate(groups) for b, i in enumerate(group))
     dyns = [_build_dynamics(config.dynamics, counts[g[0]], np.take(etas, g)) for g in groups]
-    controllers = {}  # player -> its live controller; the others cannot breach within T
-    for i, g, _ in slots if config.eta_rule == "adaptive" else ():
-        learner = dyns[g].learner
-        controller = AdaptiveEtaController(T, learner.inner_dim, config.adaptive_budget,
-                                           _round_ceiling(learner))
-        if controller.live:
-            controllers[i] = controller
+    # Each group's controller with its learner and players, kept live only: fed the group's inner
+    # rows every round. The others cannot breach within T.
+    watched = [(AdaptiveEtaController(T, dyn.inner_dim, config.adaptive_budget,
+                                      _round_ceiling(dyn.learner)), dyn, group)
+               for dyn, group in zip(dyns, groups)] if config.eta_rule == "adaptive" else []
+    watched = [w for w in watched if w[0].live]
 
     cls = metrics._learner(config.dynamics)
     field = cls.trace_field  # the inner distributions' trace record: omwu's, the strategies
@@ -386,8 +383,6 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
     contractions = [_contraction(game, i, played, p.losses) for i, p in enumerate(players)]
     feeds = [(dyn._update, rec["losses"]) for dyn, rec in zip(dyns, records)]
     grouped = dict(zip(map(tuple, groups), records))  # what the checks and the accounting read
-    # Each live controller with its member's learner: fed that member's inner rows every round.
-    watched = [(controllers[i], dyns[g], b) for i, g, b in slots if i in controllers]
 
     def play(rounds: slice) -> None:
         for t in range(rounds.start, rounds.stop):
@@ -397,8 +392,8 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
                 contract(t)
             for update, losses in feeds:
                 update(losses[t])
-            for c, dyn, b in watched:
-                if not c.switched and c.update(t + 1, dyn.inner_dist[b], dyn.inner_loss[b]):
+            for c, dyn, _ in watched:
+                for b in c.update(t + 1, dyn.inner_dist, dyn.inner_loss):
                     dyn.reset(c.eta_adversarial, b)
 
     worst = np.zeros(m)  # each player's worst stationary residual so far
@@ -406,7 +401,8 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
         play(block)
         _check(cls, grouped, block, worst)
 
-    switch_rounds = [controllers[i].switch_round if i in controllers else None for i in range(m)]
+    switched = {group[b]: r for c, _, group in watched for b, r in c.switch_rounds.items()}
+    switch_rounds = [switched.get(i) for i in range(m)]
     eta_final = [float(dyns[g].eta[b]) for _, g, b in slots]
     residuals = worst.tolist() if issubclass(cls, Stationary) else None
     return Play(trace, game, switch_rounds, eta_final, residuals, grouped)

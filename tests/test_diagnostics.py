@@ -376,19 +376,42 @@ class TestInnerStream:
     @COUNTS
     @pytest.mark.parametrize("dynamics", DYNAMICS)
     def test_variance_report_sums_are_the_controllers(self, dynamics, counts):
-        # The controller folds the stream in round by round; the reports add it by block. Its
-        # infinite budget never breaches, so it folds in every round.
+        # A group's controller folds its members' stacked streams in round by round; each
+        # player's reports add the player's own by block. Its infinite budget never breaches.
         trace = ragged_run(dynamics, counts).trace
-        for i in range(len(counts)):
+        for group in runner.player_groups(counts):
             ctl = AdaptiveEtaController(trace.horizon, 2, math.inf)
-            q, z = inner_stream(trace, i)
+            q, z = (np.stack(s, axis=1) for s in zip(*(inner_stream(trace, i) for i in group)))
             assert not any(ctl.update(t + 1, q[t], z[t]) for t in range(trace.horizon))
-            want = (ctl.lhs, ctl.prev_variance_sum)
-            budget = check_variance_inequality(trace, i)
-            rvu = rvu_check(trace, i, eta=0.05, curvature_constant=64.0)
-            assert (budget.lhs, budget.prev_variance_sum) == want
-            assert (rvu.positive_variance_sum, rvu.negative_variance_sum) == want
-            assert want[0] > 0.0 and want[1] > 0.0
+            for b, i in enumerate(group):
+                want = (ctl.lhs[b], ctl.prev_variance_sum[b])
+                budget = check_variance_inequality(trace, i)
+                rvu = rvu_check(trace, i, eta=0.05, curvature_constant=64.0)
+                assert (budget.lhs, budget.prev_variance_sum) == want
+                assert (rvu.positive_variance_sum, rvu.negative_variance_sum) == want
+                assert want[0] > 0.0 and want[1] > 0.0
+
+    # Rows x dim: omwu's 1 x 3, SL's 1 x 90 at 10 actions and BM's 10 x 10, both past numpy's
+    # 8-term sums, and arbo's 1 x 9 trees.
+    @pytest.mark.parametrize("dynamics, n", [("omwu", 3), ("sl-omwu", 10), ("bm-omwu", 10),
+                                             ("arbo", 3)])
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_member_stack_sums_are_each_members_own(self, dynamics, n, size):
+        # Three members' streams stacked on a member axis, (rounds, members, rows, dim), folded
+        # ``size`` rounds at a time with both sums and the last z carried, as a group's controller
+        # folds them a round at a time: each member's sums are its lone stream's, bit for bit.
+        trace = ragged_run(dynamics, (n, n, n), horizon=40).trace
+        streams = [inner_stream(trace, i) for i in range(3)]
+        q, z = (np.stack(s, axis=1) for s in zip(*streams))
+        sums, last, blocks = (0.0, 0.0), None, []
+        for t in range(0, trace.horizon, size):
+            blocks.append(running_variance_sums(q[t : t + size], z[t : t + size], last, sums))
+            sums, last = (blocks[-1][0][-1], blocks[-1][1][-1]), z[t : t + size][-1]
+        got = [np.concatenate(s) for s in zip(*blocks)]
+        assert got[0].shape == (trace.horizon, 3)
+        for b, stream in enumerate(streams):
+            want = running_variance_sums(*stream)
+            assert [s[:, b].tobytes() for s in got] == [s.tobytes() for s in want]
 
     @pytest.mark.parametrize(
         "dynamics, column",

@@ -448,7 +448,7 @@ def test_table_matches_round_by_round_accounting(overrides):
 @pytest.mark.parametrize("dynamics", ["omwu", "sl-omwu", "bm-omwu", "arbo"])
 def test_table_restarts_the_ratio_chain_of_a_later_member(monkeypatch, dynamics):
     # On (3, 4, 3) players 0 and 2 are members 0 and 1 of one record; player 2 alone switches.
-    force_switches(monkeypatch, (None, None, 257))
+    force_switches(monkeypatch, (None, None, 257), (3, 4, 3))
     result = run_dynamics(small_config(dynamics=dynamics, horizon=300, players=3,
                                        action_counts=(3, 4, 3), eta_rule="adaptive", eta=None))
     assert result.summary["final"]["adaptive_switch_round"] == [None, None, 257]
@@ -475,12 +475,12 @@ class TestAdaptiveMode:
             ell = np.zeros(n)
             ell[t % 2] = 1.0
             sl.observe(ell)
-            if ctl.update(t + 1, sl.inner_dist, sl.inner_loss):
+            if ctl.update(t + 1, sl.inner_dist[None], sl.inner_loss[None]):  # a group of one
                 switched_at = t + 1
                 sl.reset(ctl.eta_adversarial)
                 break
         assert switched_at is not None
-        assert ctl.switch_round == switched_at
+        assert ctl.switch_rounds == {0: switched_at}
         assert sl.eta == math.sqrt(math.log(n * (n - 1)) / T)
 
     def test_forced_switch_through_runner(self):
@@ -571,15 +571,20 @@ class TestControllerBlocks:
         assert want[0] == switch_round
         assert fold_in_blocks(q, z, STREAM_BUDGET, size) == want
 
-    @pytest.mark.parametrize("switch_round", [1, 257])
-    def test_update_is_the_one_round_case(self, switch_round):
-        q, z = adversarial_stream(switch_round)
+    def test_update_is_the_one_round_case(self):
+        # Members switching at rounds 1, 257 and never, stacked as one group: each member's switch
+        # fires once, with its per-round sums then, and the group folds on after it.
+        streams = [adversarial_stream(r, seed=s) for s, r in enumerate((1, 257, None))]
+        q, z = (np.stack(s, axis=1) for s in zip(*streams))
         ctl = AdaptiveEtaController(len(q), q.shape[-1], STREAM_BUDGET)
-        fired = [t + 1 for t in range(len(q)) if ctl.update(t + 1, q[t], z[t])]
-        assert fired == [switch_round]
-        assert (ctl.switch_round, ctl.lhs, ctl.prev_variance_sum) == per_round_sums(
-            q, z, STREAM_BUDGET
-        )
+        fired = {}
+        for t in range(len(q)):
+            for b in ctl.update(t + 1, q[t], z[t]):
+                fired[b] = (t + 1, ctl.lhs[b], ctl.prev_variance_sum[b])
+        want = [per_round_sums(*stream, STREAM_BUDGET) for stream in streams]
+        assert ctl.switch_rounds == {0: 1, 1: 257}
+        assert [fired.get(b) for b in range(3)] == [want[0], want[1], None]
+        assert (ctl.lhs[2], ctl.prev_variance_sum[2]) == want[2][1:]
 
 
 def reference_run(config):
@@ -587,8 +592,8 @@ def reference_run(config):
 
     Each round every player plays (SL and BM through their unchecked solve),
     every loss is contracted from the frozen profile, then each player gets
-    its feedback through ``_update`` and feeds its own adaptive controller.
-    Returns the recorded arrays per player and the switch rounds.
+    its feedback through ``_update`` and feeds its own adaptive controller, a
+    group of one member. Returns the recorded arrays per player and the switch rounds.
     """
     game = runner.load_config_game(config)
     m, counts, T = game.num_players, game.action_counts, config.horizon
@@ -612,10 +617,10 @@ def reference_run(config):
             if isinstance(dyn, SlOmwu):
                 record[i]["pair_losses"].append(np.array(dyn.learner.last_loss))
             if controllers is not None and controllers[i].update(
-                t + 1, dyn.inner_dist, dyn.inner_loss
+                t + 1, dyn.inner_dist[None], dyn.inner_loss[None]
             ):
                 dyn.reset(controllers[i].eta_adversarial)
-    switches = [c.switch_round for c in controllers] if controllers else [None] * m
+    switches = [c.switch_rounds.get(0) for c in controllers] if controllers else [None] * m
     return [{k: np.array(v) for k, v in rec.items() if v} for rec in record], switches
 
 
@@ -676,7 +681,7 @@ class TestFourPlayers:
         rounds = (None, 300, 257, None)  # one member of each learner, in different blocks
         rule = dict(eta_rule="adaptive", eta=None) if adaptive else {}
         if adaptive:
-            force_switches(monkeypatch, rounds)
+            force_switches(monkeypatch, rounds, (2, 3, 2, 3))
         config = small_config(dynamics=dynamics, players=4, action_counts=(2, 3, 2, 3),
                               horizon=400, game_seed=3, **rule)
         final = assert_matches_reference(config).summary["final"]
@@ -820,29 +825,30 @@ class TestPlayDynamics:
         assert verify_equivalence(random_game(2, (3, 3), seed=0), eta=0.05, horizon=16).passes()
 
 
-def force_switches(monkeypatch, rounds):
-    """Controllers whose update reports a breach exactly at ``rounds[k]`` (None: never).
+def force_switches(monkeypatch, rounds, counts):
+    """Controllers whose update reports a breach of player i's member exactly at ``rounds[i]``
+    (None: never), in a game of action ``counts``.
 
-    The k-th controller made in a run gets ``rounds[k]``; ``run_dynamics`` and
-    :func:`reference_run` both make one per player, in player order. Each declares
-    itself live, so the run updates it even where its budget cannot bind within the
-    horizon, and its allowance infinite, so no other round breaches. The variance
-    sums run as usual, up to and including the forced round.
+    ``run_dynamics`` makes one controller per group of ``runner.player_groups(counts)``, in group
+    order, and :func:`reference_run` then one per player, in player order: the k-th controller
+    made takes the players of the k-th of these, cycled. Each declares itself live, so the run
+    updates it even where its budget cannot bind within the horizon, and its allowance
+    infinite, so no other round breaches. The variance sums run as usual, every round.
     """
     made = itertools.count()
+    players = [*runner.player_groups(counts), *([i] for i in range(len(counts)))]
 
     class Forced(AdaptiveEtaController):
         def __init__(self, *args):
             super().__init__(*args)
-            self.forced = rounds[next(made) % len(rounds)]
+            self.forced = [rounds[i] for i in players[next(made) % len(players)]]
             self.live, self.allowance = True, math.inf
 
         def update(self, round_index, *rows):
-            if self.switched:
-                return False
             super().update(round_index, *rows)
-            self.switch_round = round_index if round_index == self.forced else None
-            return self.switched
+            fired = [b for b, r in enumerate(self.forced) if r == round_index]
+            self.switch_rounds.update(dict.fromkeys(fired, round_index))
+            return fired
 
     monkeypatch.setattr(runner, "AdaptiveEtaController", Forced)
 
@@ -861,7 +867,7 @@ class TestForcedSwitches:
     )
     @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
     def test_forced_rounds_bitwise(self, monkeypatch, dynamics, rounds):
-        force_switches(monkeypatch, rounds)
+        force_switches(monkeypatch, rounds, (3, 4, 3))
         config = small_config(
             dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=600, game_seed=0,
             eta_rule="adaptive", eta=None,
@@ -932,20 +938,21 @@ class TestRoundCeiling:
 
 
 def spy_controllers(monkeypatch, live=None):
-    """Counts the ``update`` calls of the controllers a run makes, by player: a run makes one
-    per player, in player order, from ``runner.AdaptiveEtaController`` as it stands, so a
-    :func:`force_switches` class is spied too. With ``live`` set, each declares itself that."""
+    """Counts the ``update`` calls of the controllers a run makes, by group: a run makes one per
+    group of ``runner.player_groups``, in group order, from ``runner.AdaptiveEtaController`` as it
+    stands, so a :func:`force_switches` class is spied too. With ``live`` set, each declares
+    itself that."""
     calls, made = collections.Counter(), itertools.count()
 
     class Spied(runner.AdaptiveEtaController):
         def __init__(self, *args):
             super().__init__(*args)
-            self.player = next(made)
+            self.group = next(made)
             if live is not None:
                 self.live = live
 
         def update(self, *args):
-            calls[self.player] += 1
+            calls[self.group] += 1
             return super().update(*args)
 
     monkeypatch.setattr(runner, "AdaptiveEtaController", Spied)
@@ -960,8 +967,9 @@ def run_bits(config):
 
 
 class TestInertControllers:
-    """A controller whose budget cannot bind within the horizon is never updated, and updating
-    it anyway, once per round, changes no output bit. A switched controller is not updated."""
+    """A group's controller whose budget cannot bind within the horizon is never updated, and
+    updating it anyway, once per round, changes no output bit. A live one is updated once per
+    round, after a member's switch too."""
 
     CASES = [dict(dynamics=d, players=len(c), action_counts=c, horizon=300)
              for d in runner.DYNAMICS for c in ((3, 3), (3, 4, 3))] + [
@@ -976,7 +984,8 @@ class TestInertControllers:
         assert inert == {}
         live = spy_controllers(monkeypatch, live=True)
         assert run_bits(config) == want
-        assert live == {i: case["horizon"] for i in range(case["players"])}
+        groups = runner.player_groups(case["action_counts"])
+        assert live == dict.fromkeys(range(len(groups)), case["horizon"])
         assert json.loads(want[2])["final"]["adaptive_switch_round"] == [None] * case["players"]
 
     def test_only_a_live_controller_is_scanned(self, monkeypatch):
@@ -985,18 +994,20 @@ class TestInertControllers:
                               eta_rule="adaptive", eta=None, adaptive_budget=0.07)
         calls = spy_controllers(monkeypatch)
         assert run_dynamics(config).switch_rounds == [None] * 3
-        assert calls == {1: 300}
+        assert calls == {1: 300}  # group 1: player 1
         monkeypatch.undo()  # the reference's controllers are built without a ceiling: all live
         assert_matches_reference(config)
 
+    # (3, 3, 3) is one group, player 1 its member 1; (3, 4, 3) two, player 1 the second alone.
+    @pytest.mark.parametrize("counts", [(3, 3, 3), (3, 4, 3)])
     @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
-    def test_a_switched_controller_is_not_updated_again(self, monkeypatch, dynamics):
-        force_switches(monkeypatch, (None, 100, None))
+    def test_a_live_group_is_updated_once_per_round(self, monkeypatch, dynamics, counts):
+        force_switches(monkeypatch, (None, 100, None), counts)
         calls = spy_controllers(monkeypatch)
-        config = small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=600,
+        config = small_config(dynamics=dynamics, players=3, action_counts=counts, horizon=600,
                               eta_rule="adaptive", eta=None)
         assert play_dynamics(config).switch_rounds == [None, 100, None]
-        assert calls == {0: 600, 1: 100, 2: 600}
+        assert calls == dict.fromkeys(range(len(set(counts))), 600)
 
 
 class TestPlayedRows:
@@ -1398,7 +1409,7 @@ class TestCheckedBlocks:
         config = small_config(dynamics=dynamics, players=3, action_counts=(3, 4, 3), horizon=600,
                               game_seed=0, **({} if rule == "fixed" else adaptive))
         if rule == "forced":
-            force_switches(monkeypatch, (300, None, 1))
+            force_switches(monkeypatch, (300, None, 1), (3, 4, 3))
         check, seen = runner._check, []
 
         def spy(cls, records, rounds, worst):

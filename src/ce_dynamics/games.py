@@ -192,8 +192,26 @@ def save_game(game: Game) -> bytes:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode("ascii")
 
 
+def _json_int(value, field: str) -> int:
+    """``value`` if JSON read it as an integer; a float or a bool (an int to Python) raises."""
+    if type(value) is not int:
+        raise TypeError(f"{field} is {json.dumps(value)}, not a JSON integer")
+    return value
+
+
+def _json_numbers(row, field: str) -> np.ndarray:
+    """``row`` as a float array if JSON read it as a list of numbers; a string or bool raises."""
+    if type(row) is not list:
+        raise TypeError(f"{field} is {json.dumps(row)}, not a JSON list")
+    for j, value in enumerate(row):
+        if type(value) not in (int, float):
+            raise TypeError(f"{field}[{j}] is {json.dumps(value)}, not a JSON number")
+    return np.asarray(row, dtype=float)
+
+
 def load_game(data: bytes) -> Game:
-    """Parse the JSON wire format produced by :func:`save_game`."""
+    """Parse the JSON wire format produced by :func:`save_game`: counts must be JSON integers and
+    loss entries JSON numbers, else :class:`GameFormatError` names the field."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     try:
@@ -207,10 +225,10 @@ def load_game(data: bytes) -> Game:
     if not isinstance(doc, dict):
         raise GameFormatError("game JSON must be an object")
     try:
-        players = int(doc["players"])
-        actions = tuple(int(n) for n in doc["actions"])
-        rows = [np.asarray(row, dtype=float) for row in doc["losses"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        players = _json_int(doc["players"], "'players'")
+        actions = tuple(_json_int(n, f"actions[{j}]") for j, n in enumerate(doc["actions"]))
+        rows = [_json_numbers(row, f"losses[{i}]") for i, row in enumerate(doc["losses"])]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GameFormatError(f"game JSON missing or invalid field: {exc}") from exc
     if len(actions) != players:
         raise GameFormatError(

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
+from operator import add
 
 import numpy as np
 
@@ -196,26 +197,14 @@ def check_stationary(A: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return pi
 
 
-def _row_sum_source(terms: list[str]) -> str:
-    """Source summing ``terms`` as numpy's ``add.reduce`` sums a row: from 0.0, left to right
-    below 8 terms, else in eight running sums over blocks of 8, combined pairwise, then the tail."""
-    if len(terms) < 8:
-        return " + ".join(["0.0", *terms])
-    cut = len(terms) - len(terms) % 8
-    r = [reduce(lambda a, b: f"({a} + {b})", terms[j:cut:8]) for j in range(8)]
-    blocks = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
-    return f"0.0 + ({' + '.join([blocks, *terms[cut:]])})"
-
-
 @lru_cache(maxsize=None)
 def _gth_kernel(n: int, diagonal: bool):
     """The loop of :func:`_gth_solver` for one n-state chain as straight-line code, built from n:
     its arguments are the chain's rates ``a{i}_{j}``, off-diagonal and row-major, or with
-    ``diagonal`` its n matrix rows, whose diagonal is never read. Each pivot's out-rate and each
-    pi inflow is one expression summing left to right from its first term: the bits of the
-    loop's sum from int 0 while no rate is -0.0. Every other float operation is one statement,
-    in the loop's order, minus the unread diagonal updates; pi comes out normalised, in numpy's
-    order."""
+    ``diagonal`` its n matrix rows, whose diagonal is never read. Each pivot's out-rate, each pi
+    inflow and pi's normalising sum is one expression summing left to right from its first term,
+    as the loop sums. Every other float operation is one statement, in the loop's order, minus the
+    unread diagonal updates; pi comes out normalised."""
     a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
     if diagonal:  # a row per argument, unpacked
         lines = [f"def gth({', '.join(f'r{i}' for i in range(n))}):",
@@ -229,7 +218,7 @@ def _gth_kernel(n: int, diagonal: bool):
             lines += [f"a{i}_{j} += f * a{k}_{j}" for j in range(k) if j != i]
     lines += ["p0 = 1.0", *(f"p{k} = {' + '.join(f'p{i} * a{i}_{k}' for i in range(k))}"
                             for k in range(1, n))]
-    lines += ["s = " + _row_sum_source([f"p{k}" for k in range(n)]),
+    lines += [f"s = {' + '.join(f'p{k}' for k in range(n))}",
               "return [" + ", ".join(f"p{k} / s" for k in range(n)) + "]"]
     exec(compile("\n    ".join(lines), f"<gth n={n}>", "exec"), namespace := {})
     return namespace["gth"]
@@ -262,16 +251,15 @@ def _gth_solver(n: int, diagonal: bool, members: tuple):
     return lambda R, out=None: solve(R.reshape(-1, *chain), out).reshape(*members, n)
 
 
-def _gth_loop(n: int, diagonal: bool, *row) -> np.ndarray:
-    """:func:`_gth_kernel`'s elimination and normalisation as a loop over one chain's rows."""
+def _gth_loop(n: int, diagonal: bool, *row) -> list[float]:
+    """:func:`_gth_kernel`'s elimination and normalisation as a loop over one chain's rows: every
+    sum adds left to right from its first term (``reduce``)."""
     # The diagonal, given or zero-filled, only ever adds into itself.
     a = [list(r) for r in row] if diagonal else [
         [*row[i * (n - 1):i * n], 0.0, *row[i * n:(i + 1) * (n - 1)]] for i in range(n)]
     for k in range(n - 1, 0, -1):
         pivot = a[k][:k]
-        out = 0
-        for r in pivot:
-            out += r
+        out = reduce(add, pivot)
         for ai in a[:k]:
             f = ai[k] = ai[k] / out
             j = 0
@@ -280,12 +268,9 @@ def _gth_loop(n: int, diagonal: bool, *row) -> np.ndarray:
                 j += 1
     pi = [1.0]
     for k in range(1, n):
-        inflow = 0
-        for p, ai in zip(pi, a):
-            inflow += p * ai[k]
-        pi.append(inflow)
-    pi = np.array(pi)
-    return pi / pi.sum()
+        pi.append(reduce(add, [p * ai[k] for p, ai in zip(pi, a)]))
+    s = reduce(add, pi)
+    return [p / s for p in pi]
 
 
 def _gth_stationary(A: np.ndarray) -> np.ndarray:

@@ -103,10 +103,11 @@ class RunTrace:
     @classmethod
     def load(cls, path) -> "RunTrace":
         """The trace :meth:`save` wrote, checked at the file: one that cannot be read, is no
-        ``.npz`` archive, lacks a required array or names an unknown dynamics raises
-        :class:`ValidationError` naming it; ``etas`` not holding one rate per player, or an array
-        whose shape is not (horizon, its field's round shape for the player's n actions), raises
-        :class:`DimensionMismatchError` naming both shapes."""
+        ``.npz`` archive, lacks a required array, holds ``etas`` or a player array whose dtype is not
+        float64, or names an unknown dynamics raises :class:`ValidationError` naming it; ``etas``
+        not holding one rate per player, or an array whose shape is not (horizon, its field's round
+        shape for the player's n actions), raises :class:`DimensionMismatchError` naming both
+        shapes."""
         try:  # a lone .npy loads as an array, which has no items: AttributeError
             with open(path, "rb") as file:
                 arrays = dict(np.load(file, allow_pickle=False).items())
@@ -115,16 +116,19 @@ class RunTrace:
         except (AttributeError, EOFError, ValueError, zipfile.BadZipFile) as exc:
             raise ValidationError(f"{path} is not a trace archive: {exc}") from exc
 
-        def array(key, shape=None):
+        def array(key, shape=None, floats=True):
             if key not in arrays:
                 raise ValidationError(f"{path} lacks the array {key}")
+            if floats and arrays[key].dtype != np.float64:
+                raise ValidationError(f"{key} has dtype {arrays[key].dtype}, expected float64")
             if shape is not None and arrays[key].shape != shape:
                 raise DimensionMismatchError(
                     f"{key} has shape {arrays[key].shape}, expected {shape}")
             return arrays[key]
 
         # Each header array comes back a Python scalar, or a list that was a tuple.
-        header = {f.name: array(f.name).tolist() for f in fields(cls) if f.name != "players"}
+        header = {f.name: array(f.name, floats=f.name == "etas").tolist()
+                  for f in fields(cls) if f.name != "players"}
         trace = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in header.items()})
         _learner(trace.dynamics)  # an unknown name raises
         if np.shape(trace.etas) != (trace.num_players,):

@@ -13,13 +13,13 @@ player's contraction of the opponents' round-t strategy rows its loss row
 game losses in [0, 1], which leave each softmax's max-shift and floor off while they cannot
 bind (:class:`omwu.Omwu`, per member since its reset).
 A group's adaptive controller whose budget can bind within the horizon folds all its members' inner
-rows at once after each round's feedback, and a member's breach resets that member alone; the other
-groups' controllers are never updated. The rounds are played in blocks of ``REGRET_CHUNK_ROUNDS``
-(:func:`metrics._blocks`), each checked as soon as it is played (:func:`_check`): every stationary
-solve gated by its residual and every strategy checked against the simplex, once per group record
-block, (rounds, members, ...), so a failing run stops at the end of the block that holds its
-earliest failing round. That checked play is :func:`play_dynamics`, which keeps each group's
-records (:attr:`Play.records`);
+rows at once after each round's feedback, until every member has switched, and a member's breach
+resets that member alone; the other groups' controllers are never updated. The rounds are played
+in blocks of ``REGRET_CHUNK_ROUNDS`` (:func:`metrics._blocks`), each checked as soon as it is
+played (:func:`_check`): every stationary solve gated by its residual and every strategy checked
+against the simplex, once per group record block, (rounds, members, ...), so a failing run stops
+at the end of the block that holds its earliest failing round. That checked play is
+:func:`play_dynamics`, which keeps each group's records (:attr:`Play.records`);
 :func:`run_dynamics` adds the accounting, one block step, :func:`_summarize`, which
 :func:`metrics._drive` sends each block of the run and :func:`internal_dynamics.verify_equivalence`
 skips. It sends each block on to the steps it holds, each a generator that keeps its carry and
@@ -237,8 +237,8 @@ class AdaptiveEtaController:
     Tracks, per member's inner stream, the running sums of Var_q(z_t - z_{t-1}) and
     Var_q(z_{t-1}) (:func:`running_variance_sums`), one array entry per member; the first round
     where a member's first sum exceeds half its second plus budget_constant * ceil(log2 T)^5
-    switches that member. The group's rows are folded every round, a switched member's too,
-    whose sums are not read again.
+    switches that member. The run folds the group's rows every round until every member has
+    switched, a switched member's too, whose sums are not read again.
 
     ``round_ceiling`` bounds what one round adds to the first sum. The controller is
     :attr:`live` only if T rounds of it exceed the allowance: else the first sum stays within
@@ -334,7 +334,8 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
 
     Only a :attr:`~AdaptiveEtaController.live` controller is kept, one per group: after each round's
     feedback it folds the group's inner rows, and each member whose switch fires is reset at once;
-    a group whose controller cannot breach within T is never folded."""
+    a group whose controller cannot breach within T is never folded, and one whose members have all
+    switched no more."""
     config.validate()
     if game is None:
         game = load_config_game(config)
@@ -365,6 +366,7 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
                                       _round_ceiling(dyn.learner)), dyn, group)
                for dyn, group in zip(dyns, groups)] if config.eta_rule == "adaptive" else []
     watched = [w for w in watched if w[0].live]
+    folding = watched.copy()  # the live groups with a member yet to switch
 
     cls = metrics._learner(config.dynamics)
     field = cls.trace_field  # the inner distributions' trace record: omwu's, the strategies
@@ -392,9 +394,12 @@ def play_dynamics(config: RunConfig, game: Game | None = None) -> Play:
                 contract(t)
             for update, losses in feeds:
                 update(losses[t])
-            for c, dyn, _ in watched:
+            for w in folding[:]:  # a copy: a group leaves once every member has switched
+                c, dyn, group = w
                 for b in c.update(t + 1, dyn.inner_dist, dyn.inner_loss):
                     dyn.reset(c.eta_adversarial, b)
+                if len(c.switch_rounds) == len(group):
+                    folding.remove(w)
 
     worst = np.zeros(m)  # each player's worst stationary residual so far
     for block in _blocks(T):

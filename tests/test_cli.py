@@ -461,6 +461,18 @@ def test_run_truncated_game_is_validation_error(tmp_path, capsys):
     assert "byte offset" in capsys.readouterr().err
 
 
+def test_run_game_with_a_float_count_writes_nothing(tmp_path, capsys):
+    # Read as int(), 2.9 players and 3.7 actions would play a 2-player 3x3 game.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"players": 2.9, "actions": [3.7, 3],
+                                "losses": [[0.5] * 9, [0.5] * 9]}))
+    out = tmp_path / "out"
+    code = main(["run", "--game", str(path), "--horizon", "4", "--eta", "0.1", "--out", str(out)])
+    assert code == 2
+    assert "'players' is 2.9, not a JSON integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, actions",
     [("run", "3,x"), ("gen", "3,x"), ("run", "3,,3"), ("gen", "3,,3"), ("run", ",3,3,"),

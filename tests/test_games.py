@@ -252,18 +252,34 @@ class TestSerialization:
         (b"[2, [2, 2]]", "must be an object", None),
         (b'{"players": 3, "actions": [2, 2], "losses": []}', "'actions' lists 2 players but "
                                                             "'players' is 3", None),
-    ], ids=["non-utf8", "not-an-object", "actions-vs-players"])
+        # A count that is no JSON integer is refused, not truncated or coerced.
+        (b'{"players": 2.9, "actions": [3, 3], "losses": []}', "'players' is 2.9, not a JSON "
+                                                              "integer", None),
+        (b'{"players": 2, "actions": [3.7, 3], "losses": []}', r"actions\[0\] is 3.7, not a "
+                                                              "JSON integer", None),
+        (b'{"players": 2, "actions": [2, 2.0], "losses": []}', r"actions\[1\] is 2.0", None),
+        (b'{"players": true, "actions": [2, 2], "losses": []}', "'players' is true", None),
+        (b'{"players": 2, "actions": [2, false], "losses": []}', r"actions\[1\] is false", None),
+    ], ids=["non-utf8", "not-an-object", "actions-vs-players", "float-players", "float-actions",
+            "integral-float-actions", "bool-players", "bool-actions"])
     def test_bad_file_refused(self, data, match, offset):
         with pytest.raises(GameFormatError, match=match) as info:
             load_game(data)
         assert info.value.offset == offset
 
-    @pytest.mark.parametrize(
-        "losses", [[["a", 0, 0, 0], [0, 0, 0, 0]], 5], ids=["non-numeric", "non-list"]
-    )
-    def test_malformed_losses(self, losses):
+    # A loss entry that is no JSON number is refused, not coerced: "0.5" and true are no 0.5, 1.0.
+    @pytest.mark.parametrize("losses, field", [
+        ([["a", 0, 0, 0], [0, 0, 0, 0]], r"losses\[0\]\[0\] is \"a\""),
+        (5, ""),
+        ([[0, 0, 0, 0], [0, "0.5", 0, 0]], r"losses\[1\]\[1\] is \"0.5\", not a JSON number"),
+        ([[0, 0, 0, True], [0, 0, 0, 0]], r"losses\[0\]\[3\] is true, not a JSON number"),
+        ([[0, 0, 0, 0], [0, 0, None, 0]], r"losses\[1\]\[2\] is null"),
+        ([[0, 0, 0, 0], 0.5], r"losses\[1\] is 0.5, not a JSON list"),
+        ([[0, 0, 0, 10**400], [0, 0, 0, 0]], "int too large to convert to float"),
+    ], ids=["non-numeric", "non-list", "string", "bool", "null", "non-list-row", "huge-int"])
+    def test_malformed_losses(self, losses, field):
         doc = {"players": 2, "actions": [2, 2], "losses": losses}
-        with pytest.raises(GameFormatError, match="invalid field"):
+        with pytest.raises(GameFormatError, match=f"invalid field: {field}"):
             load_game(json.dumps(doc).encode())
 
 

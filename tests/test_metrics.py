@@ -490,6 +490,18 @@ class TestTraceSerialization:
         with pytest.raises(ValidationError, match="trace.npz is not a trace archive"):
             RunTrace.load(path)
 
+    @pytest.mark.parametrize("key, dtype", [("p0_strategies", np.float32), ("p1_losses", np.int64),
+                                            ("p1_copy_dists", np.float16), ("etas", np.int64),
+                                            ("p0_losses", ">f8")])
+    def test_an_array_not_float64_is_named(self, tmp_path, key, dtype):
+        # Regrets recompute identically only from the float64 arrays a run saved.
+        arrays = self.saved_arrays(tmp_path)
+        arrays[key] = arrays[key].astype(dtype)
+        np.savez(tmp_path / "trace.npz", **arrays)
+        message = f"{key} has dtype {np.dtype(dtype)}, expected float64"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            RunTrace.load(tmp_path / "trace.npz")
+
     @pytest.mark.parametrize("dynamics, key, shape", [
         ("bm-omwu", "p1_losses", (5, 3)),
         ("bm-omwu", "p0_strategies", (21, 3)),

@@ -969,7 +969,7 @@ def run_bits(config):
 class TestInertControllers:
     """A group's controller whose budget cannot bind within the horizon is never updated, and
     updating it anyway, once per round, changes no output bit. A live one is updated once per
-    round, after a member's switch too."""
+    round, after a member's switch too, until every member has switched."""
 
     CASES = [dict(dynamics=d, players=len(c), action_counts=c, horizon=300)
              for d in runner.DYNAMICS for c in ((3, 3), (3, 4, 3))] + [
@@ -998,7 +998,8 @@ class TestInertControllers:
         monkeypatch.undo()  # the reference's controllers are built without a ceiling: all live
         assert_matches_reference(config)
 
-    # (3, 3, 3) is one group, player 1 its member 1; (3, 4, 3) two, player 1 the second alone.
+    # (3, 3, 3) is one group, player 1 its member 1; (3, 4, 3) two, player 1 the second alone,
+    # whose group is done once player 1 switches.
     @pytest.mark.parametrize("counts", [(3, 3, 3), (3, 4, 3)])
     @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
     def test_a_live_group_is_updated_once_per_round(self, monkeypatch, dynamics, counts):
@@ -1007,7 +1008,18 @@ class TestInertControllers:
         config = small_config(dynamics=dynamics, players=3, action_counts=counts, horizon=600,
                               eta_rule="adaptive", eta=None)
         assert play_dynamics(config).switch_rounds == [None, 100, None]
-        assert calls == dict.fromkeys(range(len(set(counts))), 600)
+        assert calls == ({0: 600} if counts == (3, 3, 3) else {0: 600, 1: 100})
+
+    # At budget 0 every member of the one (3, 3, 3) group breaches at round 1.
+    @pytest.mark.parametrize("dynamics", runner.DYNAMICS)
+    def test_a_group_whose_members_all_switched_is_not_updated_again(self, monkeypatch, dynamics):
+        config = small_config(dynamics=dynamics, players=3, action_counts=(3, 3, 3), horizon=600,
+                              eta_rule="adaptive", eta=None, adaptive_budget=0.0)
+        calls = spy_controllers(monkeypatch)
+        assert play_dynamics(config).switch_rounds == [1, 1, 1]
+        assert calls == {0: 1}
+        monkeypatch.undo()  # the reference's controllers, one per player, fold every round
+        assert_matches_reference(config)
 
 
 class TestPlayedRows:
